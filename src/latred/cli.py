@@ -15,7 +15,6 @@ import time
 from . import constructions, latfile
 from .enumeration import successive_minima
 from .errors import LatredError, UnknownConstruction
-from .lattice import Lattice
 from .linalg import norm_sq
 from .rationals import qstr
 from .reduction import (

@@ -6,22 +6,25 @@ no floating point anywhere.  A node budget turns out-of-desk-scale
 instances into an explicit BudgetExceeded error instead of a long stall.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
 from . import linalg
-from .errors import BudgetExceeded
-from .lattice import Lattice, coordinates
+from .errors import BudgetExceeded, NotInSpan
+from .lattice import Lattice
 from .linalg import (
+    dot,
     gram_schmidt,
     matrix,
     norm_sq,
     normalize_sign,
     row_times_mat,
+    vector,
     vsub,
     vscale,
 )
-from .rationals import Q, QONE, QZERO, qceil, qfloor, qnum, qden, qround
+from .rationals import Q, QZERO, qfloor, qnum, qden, qround
 
 DEFAULT_BUDGET = 10**8
 
@@ -97,13 +100,12 @@ def _level_range(center, remaining, ck):
     return lo, hi
 
 
-def _enum_coeffs(rows, bound_sq, budget):
+def _enum_coeffs(gso, bound_sq, budget):
     """Yield coefficient tuples of all nonzero v with |v|^2 <= bound, one
     per +/- pair (topmost nonzero coefficient positive)."""
-    gso = gram_schmidt(rows)
     mu = gso.mu
     c = gso.norms_sq
-    n = len(rows)
+    n = len(c)
     x = [0] * n
 
     def rec(k, rho, allzero):
@@ -134,47 +136,66 @@ def _enum_coeffs(rows, bound_sq, budget):
 
 def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorList:
     """All nonzero v in L with |v|^2 <= bound_sq, one per +/- pair,
-    sorted by (squared norm, lexicographic order of the entries)."""
+    sorted by (squared norm, lexicographic order of the entries).
+
+    L keeps the largest pool enumerated so far.  A request at or below its
+    bound is served from that pool and spends no nodes; the node budget
+    bounds every enumeration actually run."""
     bound_sq = Q(bound_sq)
-    rows = lll_rows(L.basis)
-    budget = _Budget(node_budget)
-    out = []
-    for coeffs in _enum_coeffs(rows, bound_sq, budget):
-        v = normalize_sign(row_times_mat([Q(t) for t in coeffs], rows))
-        out.append((norm_sq(v), v))
-    out.sort()
-    return VectorList(tuple(v for _, v in out), bound_sq)
+    held, vectors = L._pool
+    if bound_sq > held:
+        rows = L._lll_basis
+        budget = _Budget(node_budget)
+        out = []
+        for coeffs in _enum_coeffs(L._lll_gso, bound_sq, budget):
+            v = normalize_sign(row_times_mat([Q(t) for t in coeffs], rows))
+            out.append((norm_sq(v), v))
+        out.sort()
+        vectors = tuple(v for _, v in out)
+        object.__setattr__(L, "_pool", (bound_sq, vectors))
+    end = bisect_right(vectors, bound_sq, key=norm_sq)
+    return VectorList(vectors[:end], bound_sq)
+
+
+def _grow(L: Lattice, pick, node_budget):
+    """The first non-None pick(vectors) over pools of L, from the held bound
+    (at least the shortest LLL row) up by 3/2.  Pools are complete and in
+    (norm, lex) order, so the result does not depend on the bound."""
+    bound = max(min(norm_sq(r) for r in L._lll_basis), L._pool[0])
+    while True:
+        got = pick(enumerate_up_to(L, bound, node_budget).vectors)
+        if got is not None:
+            return got
+        bound = bound * 3 / 2
+
+
+def _shortest(vectors):
+    """The vectors of least norm in a (norm, lex) sorted list, or None."""
+    if vectors:
+        return vectors[: bisect_right(vectors, norm_sq(vectors[0]), key=norm_sq)]
 
 
 def shortest_vector(L: Lattice, node_budget=DEFAULT_BUDGET):
     """A shortest nonzero vector and its squared norm, deterministic
     tie-break: lexicographically smallest after sign normalization."""
-    rows = lll_rows(L.basis)
-    start = min(norm_sq(r) for r in rows)
-    pool = enumerate_up_to(L, start, node_budget)
-    v = pool.vectors[0]
+    v = _grow(L, _shortest, node_budget)[0]
     return v, norm_sq(v)
 
 
 def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
     """Greedy successive minima with witnesses over a growing-bound pool."""
-    rows = lll_rows(L.basis)
-    bound = min(norm_sq(r) for r in rows)
-    n = L.rank
-    while True:
-        pool = enumerate_up_to(L, bound, node_budget)
+
+    def pick(vectors):
         chosen = []
-        chosen_rows = []
-        for v in pool.vectors:
-            cand = matrix(chosen_rows + [list(v)])
-            if linalg.rank(cand) == len(chosen) + 1:
+        for v in vectors:
+            if linalg.rank(chosen + [v]) == len(chosen) + 1:
                 chosen.append(v)
-                chosen_rows.append(list(v))
-                if len(chosen) == n:
+                if len(chosen) == L.rank:
                     return MinimaReport(
                         tuple(norm_sq(v) for v in chosen), tuple(chosen)
                     )
-        bound *= 2
+
+    return _grow(L, pick, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +204,16 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
 
 def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
     """All v in L minimizing |target - v|^2, plus the squared distance."""
-    rows = lll_rows(L.basis)
-    gso = gram_schmidt(rows)
-    t = coordinates(Lattice(rows), target)  # raises NotInSpan when unsolvable
+    rows = L._lll_basis
+    gso = L._lll_gso
     mu = gso.mu
     c = gso.norms_sq
     n = len(rows)
+    # target = sum_k y_k b*_k: level k centers on y_k - sum_{i>k} x_i mu_ik
+    target = vector(target)
+    y = [dot(target, bs) / ck for bs, ck in zip(gso.bstar, c)]
+    if row_times_mat(y, gso.bstar) != target:
+        raise NotInSpan("vector is outside the real span of the lattice")
     x = [0] * n
     budget = _Budget(node_budget)
     best = [None]
@@ -203,11 +228,10 @@ def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
             if rho == best[0]:
                 found.append(tuple(x))
             return
-        center = t[k]
+        center = y[k]
         for i in range(k + 1, n):
-            d = x[i] - t[i]
-            if d:
-                center -= d * mu[i][k]
+            if x[i]:
+                center -= x[i] * mu[i][k]
         # zig-zag outward from the rounded center; prune once past best
         x0 = qround(center)
         step = 0
@@ -227,22 +251,15 @@ def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
                 rec(k - 1, rho + add)
             if step and not alive:
                 break
-            if best[0] is None and step > 10**6:  # safety; never expected
-                break
             step += 1
         x[k] = 0
 
     rec(n - 1, QZERO)
+    # distinct coefficient vectors of a basis give distinct lattice points
     vecs = sorted(
         row_times_mat([Q(e) for e in coeffs], rows) for coeffs in found
     )
-    # dedupe (distinct coefficient vectors give distinct lattice points,
-    # but keep this robust)
-    out = []
-    for v in vecs:
-        if not out or out[-1] != v:
-            out.append(v)
-    return tuple(out), best[0]
+    return tuple(vecs), best[0]
 
 
 def closest_vector(L: Lattice, target, node_budget=DEFAULT_BUDGET):

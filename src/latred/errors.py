@@ -49,6 +49,10 @@ class BudgetExceeded(LatredError):
     """Enumeration node budget exhausted; the instance is out of desk scale."""
 
 
+class ScanCrossCheckFailed(LatredError):
+    """The modular and the rational membership tests of a scan disagree."""
+
+
 class DegenerateHeights(LatredError):
     pass
 

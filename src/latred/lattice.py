@@ -1,7 +1,9 @@
 """The Lattice abstraction and the operations the reductions build on.
 
-A lattice is held as an ordered basis of exact rational row vectors.  All
-operations are pure; Lattice values are immutable and safe to share.
+A lattice is held as an ordered basis of exact rational row vectors.  It
+caches its Gram inverse, its LLL basis and that basis's GSO, and the largest
+short-vector pool enumerated from it; every result depends on the basis
+alone, so Lattice values are safe to share.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,6 @@ from .linalg import (
     norm_sq,
     row_times_mat,
     snf_divisors,
-    solve_in_span,
     transpose,
     vector,
     vsub,
@@ -57,9 +58,22 @@ class Lattice:
     def ambient_dim(self):
         return len(self.basis[0])
 
+    # (bound, vectors) of the largest enumerate_up_to so far, in its order
+    _pool = (Q(0), ())
+
     @cached_property
     def _gram_inverse(self):
         return linalg.inverse(gram_matrix(self.basis))
+
+    @cached_property
+    def _lll_basis(self):
+        from .enumeration import lll_rows
+
+        return lll_rows(self.basis)
+
+    @cached_property
+    def _lll_gso(self):
+        return gram_schmidt(self._lll_basis)
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,6 @@ def norm_sq(u):
     return s
 
 
-def is_zero_vector(u):
-    return all(not a for a in u)
-
-
 def vec_is_integral(u):
     return all(is_integer(a) for a in u)
 
@@ -358,54 +354,39 @@ def snf_divisors(m):
     divisors = []
     t = 0
     while t < k:
-        # locate a nonzero pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
+        # the pivot: a smallest nonzero entry of the trailing block
+        nonzero = [
+            (abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]
+        ]
+        if not nonzero:
             divisors.extend([0] * (k - t))
             break
-        i0, j0 = piv
+        _, i0, j0 = min(nonzero)
         a[t], a[i0] = a[i0], a[t]
         for row in a:
             row[t], row[j0] = row[j0], row[t]
-        # clear row and column t, repeating while remainders appear
+        # Euclid down column t, then reduce row t (column steps that, with
+        # column t clear, change row t alone); a remainder in row t is the
+        # next, smaller pivot.  Mixing the two passes blows entries up.
         while True:
-            changed = False
             for i in range(t + 1, nr):
-                if a[i][t]:
+                while a[i][t]:
                     f = a[i][t] // a[t][t]
                     a[i] = [x - f * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
                         a[t], a[i] = a[i], a[t]
-                        changed = True
             for j in range(t + 1, nc):
-                if a[t][j]:
-                    f = a[t][j] // a[t][t]
-                    if f:
-                        for row in a:
-                            row[j] -= f * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        changed = True
-            if not changed:
+                a[t][j] %= a[t][t]
+            j = next((j for j in range(t + 1, nc) if a[t][j]), None)
+            if j is None:
                 break
+            for row in a:
+                row[t], row[j] = row[j], row[t]
         # divisibility: pivot must divide every remaining entry
         p = abs(a[t][t])
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
+        )
         if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue

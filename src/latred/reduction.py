@@ -6,25 +6,27 @@ normalized and compared lexicographically, and the per-step log records how
 many candidates were tied so tests can spot tie-sensitive assertions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .enumeration import (
     DEFAULT_BUDGET,
+    _grow,
+    _shortest,
     closest_vectors_all,
     enumerate_up_to,
     lll_rows,
-    shortest_vector,
 )
 from .errors import DependentTuple, PreconditionViolated
 from .lattice import (
     Lattice,
+    coordinates,
     integer_coordinates,
     is_primitive_tuple,
     project_orthogonal_with_lift,
     sublattice,
 )
-from .linalg import hnf, matrix, norm_sq, normalize_sign, row_times_mat, vneg
+from .linalg import hnf, matrix, norm_sq, normalize_sign, row_times_mat
 from .rationals import Q, QONE
 
 
@@ -65,37 +67,30 @@ def lll(L: Lattice, delta=Q(3, 4)) -> ReductionResult:
     return ReductionResult(rows, "lll", ())
 
 
+def _extends(L, prefix, v):
+    """Does prefix + [v] extend to a basis of L?"""
+    try:
+        return is_primitive_tuple(L, prefix + [v]).verdict
+    except DependentTuple:
+        return False
+
+
 def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     """Greedy reduction: each b_i is a shortest vector keeping the prefix
     primitive, found by scanning the bounded enumeration in norm order."""
     prefix = []
     log = []
-    bound = min(norm_sq(r) for r in lll_rows(L.basis))
-    pool = enumerate_up_to(L, bound, node_budget)
+
+    def pick(vectors):
+        # the first primitive extension, then its ties: those of equal norm
+        i = next((i for i, v in enumerate(vectors) if _extends(L, prefix, v)), None)
+        if i is not None:
+            tied = _shortest(vectors[i:])
+            ties = 1 + sum(_extends(L, prefix, v) for v in tied[1:])
+            return tied[0], norm_sq(tied[0]), ties
+
     for i in range(L.rank):
-        chosen = None
-        while chosen is None:
-            for v in pool.vectors:
-                try:
-                    ok = is_primitive_tuple(L, prefix + [v]).verdict
-                except DependentTuple:
-                    ok = False
-                if ok:
-                    chosen = v
-                    break
-            if chosen is None:
-                bound = bound * 3 / 2
-                pool = enumerate_up_to(L, bound, node_budget)
-        nsq = norm_sq(chosen)
-        ties = 0
-        for v in pool.vectors:
-            if norm_sq(v) != nsq:
-                continue
-            try:
-                if is_primitive_tuple(L, prefix + [v]).verdict:
-                    ties += 1
-            except DependentTuple:
-                pass
+        chosen, nsq, ties = _grow(L, pick, node_budget)
         prefix.append(chosen)
         log.append(StepRecord(i, chosen, nsq, ties))
     return ReductionResult(tuple(prefix), "minkowski", tuple(log))
@@ -103,33 +98,20 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
 
 def _kz_candidates(L, prefix, node_budget):
     """Lifts of all shortest projected vectors, size-minimized over the
-    prefix sublattice; both signs, sign normalized."""
+    prefix sublattice, sign normalized (so a vector and its negative,
+    whose closest sublattice vectors are negatives too, give the same)."""
     if not prefix:
-        sv, nsq = shortest_vector(L, node_budget)
-        mins = enumerate_up_to(L, nsq, node_budget).vectors
-        return [v for v in mins if norm_sq(v) == nsq]
+        return _grow(L, _shortest, node_budget)
     proj, lifts = project_orthogonal_with_lift(L, prefix)
-    _, pnsq = shortest_vector(proj, node_budget)
-    minimizers = [
-        p
-        for p in enumerate_up_to(proj, pnsq, node_budget).vectors
-        if norm_sq(p) == pnsq
-    ]
     sub = sublattice(prefix)
     cands = set()
-    from .lattice import coordinates
-
-    for p in minimizers:
-        for q in (p, vneg(p)):
-            x = coordinates(proj, q)
-            y = row_times_mat(x, lifts)
-            # the in-span component is y - q; pull it toward the sublattice
-            target = linalg.vsub(y, q)
-            closest, _ = closest_vectors_all(sub, target, node_budget)
-            for c in closest:
-                cands.add(normalize_sign(linalg.vsub(y, c)))
-    best = min(norm_sq(v) for v in cands)
-    return sorted(v for v in cands if norm_sq(v) == best)
+    for p in _grow(proj, _shortest, node_budget):
+        y = row_times_mat(coordinates(proj, p), lifts)
+        # the in-span component is y - p; pull it toward the sublattice
+        closest, _ = closest_vectors_all(sub, linalg.vsub(y, p), node_budget)
+        for c in closest:
+            cands.add(normalize_sign(linalg.vsub(y, c)))
+    return _shortest(sorted(cands, key=lambda v: (norm_sq(v), v)))
 
 
 def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
@@ -182,10 +164,7 @@ def _basis_subset_search(L, pool, budget):
             if nodes[0] > budget:
                 raise PreconditionViolated("subset search budget exhausted")
             v = pool[idx]
-            try:
-                if not is_primitive_tuple(L, prefix + [v]).verdict:
-                    continue
-            except DependentTuple:
+            if not _extends(L, prefix, v):
                 continue
             got = rec(prefix + [v], idx + 1)
             if got is not None:
@@ -198,7 +177,8 @@ def _basis_subset_search(L, pool, budget):
 def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisReport:
     """Exact min-max basis: certify the smallest possible maximum squared
     norm by exhausting the candidate pool level by level."""
-    upper = max(norm_sq(v) for v in kz_reduce(L, node_budget).basis)
+    kz = kz_reduce(L, node_budget).basis
+    upper = max(norm_sq(v) for v in kz)
     pool = enumerate_up_to(L, upper, node_budget).vectors
     levels = sorted({norm_sq(v) for v in pool})
     certified = True
@@ -225,7 +205,6 @@ def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisRepor
                 tuple(found), level, tuple(pool), upper, certified
             )
     # fall back to the KZ basis itself (always a basis below upper)
-    kz = kz_reduce(L, node_budget).basis
     return ShortestBasisReport(tuple(kz), upper, tuple(pool), upper, False)
 
 

@@ -30,7 +30,7 @@ from .constructions import (
     perturbed_lift,
 )
 from .enumeration import enumerate_up_to, shortest_vector, successive_minima
-from .errors import ConstructionMismatch, PreconditionViolated
+from .errors import ConstructionMismatch, PreconditionViolated, ScanCrossCheckFailed
 from .lattice import (
     Lattice,
     covolume_squared,
@@ -312,7 +312,8 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
             families[labels[kind]] = checked
             for pos, signs in hits:
                 cand = _candidate_vector(pos, signs)
-                assert _confirm_member(cand), "modular and rational routes differ"
+                if not _confirm_member(cand):
+                    raise ScanCrossCheckFailed("routes differ at %r" % (pos,))
                 violations.append(cand)
     return AppendixReport(rel, no_unit, families, violations, time.monotonic() - t0)
 
@@ -625,11 +626,13 @@ def _kth_root(x, k):
     num, den = int(x.numerator), int(x.denominator)
 
     def iroot(v):
-        r = max(1, round(v ** (1.0 / k))) if v > 1 else v
-        while r**k > v:
-            r -= 1
-        while (r + 1) ** k <= v:
-            r += 1
+        # integer Newton descends to the floor root from 2^ceil(bits/k)
+        r = 1 << -(-v.bit_length() // k)
+        while r:
+            s = ((k - 1) * r + v // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
         return r if r**k == v else None
 
     a, b = iroot(num), iroot(den)

@@ -147,6 +147,12 @@ def test_budget_exceeded():
     L = random_integer_lattice(rng, 6, 4)
     with pytest.raises(BudgetExceeded):
         enumerate_up_to(L, Q(10**6), node_budget=10)
+    # a request within the pool the lattice holds enumerates nothing
+    pool = enumerate_up_to(L, Q(30)).vectors
+    got = enumerate_up_to(L, Q(12), node_budget=0).vectors
+    assert got == tuple(v for v in pool if norm_sq(v) <= 12)
+    with pytest.raises(BudgetExceeded):
+        enumerate_up_to(L, Q(31), node_budget=10)
 
 
 def test_enumeration_canonical_signs():

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +97,46 @@ def test_snf_divisor_chain(rows):
         prod *= x
     if d:
         assert len(nz) == len(rows) and prod == d
+
+
+def minor_divisors(rows):
+    """Independent oracle: d_k = g_k / g_(k-1), g_k the gcd of the k x k
+    minors."""
+    nr, nc = len(rows), len(rows[0])
+    g = [1]
+    for k in range(1, min(nr, nc) + 1):
+        gk = 0
+        for ri in combinations(range(nr), k):
+            for ci in combinations(range(nc), k):
+                minor = [[rows[i][j] for j in ci] for i in ri]
+                gk = gcd(gk, int(fraction_determinant(minor)))
+        g.append(gk)
+    return [g[k] // g[k - 1] if g[k] else 0 for k in range(1, len(g))]
+
+
+def test_snf_matches_minor_gcds_on_rectangular_matrices():
+    rng = random.Random(7)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        lim = rng.choice([1, 3, 30])
+        rows = [[rng.randint(-lim, lim) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * a + b for a, b in zip(rows[0], rows[1])]
+        assert snf_divisors(rows) == minor_divisors(rows)
+
+
+def test_snf_does_not_blow_up_on_interleaved_passes():
+    # interleaving row and column passes while the pivot column was still
+    # nonzero grew these entries to hundreds of bits and never returned
+    rows = [
+        (19, -10, -9, 14, 16, -8, -23),
+        (-15, 8, 7, -11, -13, 6, 19),
+        (-28, 14, 13, -21, -24, 12, 34),
+        (-83, 43, 39, -60, -70, 35, 102),
+        (10, -5, -5, 8, 9, -4, -13),
+        (45, -23, -21, 33, 38, -19, -55),
+    ]
+    assert snf_divisors(rows) == [1] * 6 == minor_divisors(rows)
 
 
 @settings(max_examples=40)

@@ -79,6 +79,13 @@ def test_minkowski_stepwise_minimal_small():
                 and is_primitive_tuple_safe(L, list(res.basis[:k]) + [v])
             ]
             assert not better
+            ties = [
+                v
+                for v in pool
+                if norm_sq(v) == nsq
+                and is_primitive_tuple_safe(L, list(res.basis[:k]) + [v])
+            ]
+            assert res.step_log[k].ties == len(ties)
 
 
 def is_primitive_tuple_safe(L, rows):
@@ -88,6 +95,36 @@ def is_primitive_tuple_safe(L, rows):
         return is_primitive_tuple(L, rows).verdict
     except LatredError:
         return False
+
+
+def test_shared_lattice_matches_fresh_lattices():
+    """One Lattice queried in another order, after a large enumeration,
+    answers every query as a fresh Lattice per query does: its held pool
+    and cached LLL basis never change a result."""
+    from latred.enumeration import enumerate_up_to
+    from latred.lattice import Lattice
+
+    rng = random.Random(40)
+    for i in range(24):
+        basis = random_integer_lattice(rng, 3 + i % 4).basis
+        top = max(norm_sq(b) for b in basis)
+        fresh = [
+            enumerate_up_to(Lattice(basis), top / 2),
+            successive_minima(Lattice(basis)),
+            minkowski_reduce(Lattice(basis)),
+            kz_reduce(Lattice(basis)),
+            shortest_basis(Lattice(basis)),
+        ]
+        L = Lattice(basis)
+        enumerate_up_to(L, top)
+        shared = [
+            shortest_basis(L),
+            kz_reduce(L),
+            minkowski_reduce(L),
+            successive_minima(L),
+            enumerate_up_to(L, top / 2),
+        ]
+        assert shared[::-1] == fresh
 
 
 def test_kz_projected_minimality_small():

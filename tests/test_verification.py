@@ -3,13 +3,15 @@ import random
 import pytest
 
 from conftest import random_integer_lattice
-from latred.constructions import dual_root_d, lattice42, root_d
+from latred import verification
+from latred.constructions import attempt21, dual_root_d, lattice42, root_d
 from latred.enumeration import enumerate_up_to
-from latred.errors import ConstructionMismatch, PreconditionViolated
+from latred.errors import ConstructionMismatch, PreconditionViolated, ScanCrossCheckFailed
 from latred.lattice import Lattice
 from latred.linalg import norm_sq, vscale
 from latred.rationals import Q
 from latred.verification import (
+    _kth_root,
     appendix_scan,
     check_attempt21,
     check_no_unit_coefficient,
@@ -97,6 +99,26 @@ def test_appendix_scan_rejects_partial_dependence():
     doubled = [tuple(2 * x for x in vecs[0])] + vecs
     with pytest.raises(ConstructionMismatch):
         appendix_scan(doubled)
+
+
+def test_appendix_scan_raises_when_routes_disagree(monkeypatch):
+    # scan attempt21 despite its unit coefficients, with a modular route
+    # that accepts every candidate its column-0 filter lets through
+    _, vecs = attempt21()
+    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
+    assert appendix_scan(vecs).success
+    monkeypatch.setattr(verification, "_member", lambda positions, signs: True)
+    with pytest.raises(ScanCrossCheckFailed):
+        appendix_scan(vecs)
+
+
+def test_kth_root_is_exact_and_float_free():
+    # 3^1400 is past the float range that a float-seeded search needs
+    assert _kth_root(Q(3**1400), 7) == 3**200
+    assert _kth_root(Q(3**1400, 2**700), 7) == Q(3**200, 2**100)
+    assert _kth_root(Q(8, 27), 3) == Q(2, 3)
+    assert _kth_root(Q(2), 2) is None
+    assert _kth_root(Q(3**1400 + 1), 7) is None
 
 
 def test_appendix_scan_parallel_matches_serial():
