@@ -54,9 +54,7 @@ def _emit(doc, out):
 
 
 def _budget_kwargs(args):
-    if getattr(args, "node_budget", None) is None:
-        return {}
-    return {"node_budget": args.node_budget}
+    return {} if args.node_budget is None else {"node_budget": args.node_budget}
 
 
 _CONSTRUCTORS = {
@@ -91,6 +89,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.alg == "lll" and args.node_budget is not None:
+        raise LatredError("--node-budget applies only to --alg minkowski and kz")
     L = latfile.load(args.file)
     t0 = time.monotonic()
     kwargs = _budget_kwargs(args)
@@ -151,6 +151,10 @@ def _report_doc(rep) -> dict:
 def cmd_verify(args) -> int:
     suite = args.suite
     params = args.params
+    if args.parallel is not None and suite != "appendix42":
+        raise LatredError("--parallel applies only to the appendix42 suite")
+    if args.node_budget is not None and suite != "minkowski-bounds":
+        raise LatredError("--node-budget applies only to the minkowski-bounds suite")
     t0 = time.monotonic()
     if suite == "appendix42":
         rep = check_shortest_vectors_42(workers=args.parallel or 0)
@@ -204,13 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the report/file here instead of stdout")
+
+    def budget(p):
         p.add_argument(
-            "--node-budget",
-            type=int,
-            help="enumeration node budget (default 10^8)",
-        )
-        p.add_argument(
-            "--parallel", type=int, help="worker processes for large scans"
+            "--node-budget", type=int, help="enumeration node budget (default 10^8)"
         )
 
     p = sub.add_parser("construct", help="build a named lattice as a lattice file")
@@ -223,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=["minkowski", "kz", "lll"], required=True)
     p.add_argument("file")
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("minima", help="successive minima of a lattice file")
@@ -233,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also certify the shortest-basis maximum",
     )
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_minima)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -242,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("params", nargs="*", help="suite parameter (k, K, or a file)")
     common(p)
+    budget(p)
+    p.add_argument(
+        "--parallel", type=int, help="worker processes for the appendix42 scan"
+    )
     p.set_defaults(func=cmd_verify)
     return top
 

@@ -253,7 +253,7 @@ def lattice42():
 # height perturbation
 
 
-def perturbed_lift(Lprime: Lattice, generators, heights) -> Lattice:
+def perturbed_lift(generators, heights) -> Lattice:
     """Lift n generators of a rank n-1 lattice by heights in a fresh
     coordinate; the dependence collapses to a short multiple of e_n."""
     gens = [vector(g) for g in generators]
@@ -283,4 +283,4 @@ def default_heights(n, scale=10**4):
 
 def perturbed43() -> Lattice:
     _, vecs = lattice42()
-    return perturbed_lift(lattice_from_generators(vecs), vecs, default_heights(43))
+    return perturbed_lift(vecs, default_heights(43))

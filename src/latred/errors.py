@@ -9,6 +9,10 @@ class DimensionMismatch(LatredError):
     pass
 
 
+class NotIntegral(LatredError):
+    """An integer matrix was expected and an entry is not an integer."""
+
+
 class DependentRows(LatredError):
     pass
 

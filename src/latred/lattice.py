@@ -141,7 +141,10 @@ def is_primitive_tuple(L: Lattice, vectors) -> PrimitivityCertificate:
     The verdict is read off the elementary divisors of the integer coordinate
     matrix: the tuple is primitive iff they are all 1.
     """
-    coords = [integer_coordinates(L, v) for v in vectors]
+    return _certify_coordinates([integer_coordinates(L, v) for v in vectors])
+
+
+def _certify_coordinates(coords) -> PrimitivityCertificate:
     if linalg.rank(matrix(coords)) != len(coords):
         raise DependentTuple("tuple is linearly dependent")
     div = snf_divisors(coords)
@@ -151,11 +154,9 @@ def is_primitive_tuple(L: Lattice, vectors) -> PrimitivityCertificate:
 def complete_to_basis(L: Lattice, prefix):
     """A basis of L whose first len(prefix) rows Z-span the same sublattice
     as the (primitive) prefix."""
-    cert = is_primitive_tuple(L, prefix)
-    if not cert.verdict:
-        raise NotPrimitive("prefix is not a primitive tuple")
     coords = [integer_coordinates(L, v) for v in prefix]
-    k = len(coords)
+    if not _certify_coordinates(coords).verdict:
+        raise NotPrimitive("prefix is not a primitive tuple")
     # column-style reduction: C . U' = [T | 0] with T unimodular k x k
     _, u = hnf(transpose(coords))
     ut = transpose(u)
@@ -173,16 +174,17 @@ def project_orthogonal_with_lift(L: Lattice, prefix):
     prefix = [vector(p) for p in prefix]
     completed = complete_to_basis(L, prefix)
     gso = gram_schmidt(prefix)
-    k = len(prefix)
-    proj_rows = []
-    for row in completed[k:]:
-        w = row
-        for bs, ns in zip(gso.bstar, gso.norms_sq):
-            c = dot(w, bs) / ns
-            if c:
-                w = vsub(w, vscale(c, bs))
-        proj_rows.append(w)
-    return Lattice(proj_rows), completed[k:]
+    lifts = completed[len(prefix) :]
+    return Lattice([_orthogonal_part(w, gso) for w in lifts]), lifts
+
+
+def _orthogonal_part(w, gso):
+    """w minus its components along the GSO vectors of gso."""
+    for bs, ns in zip(gso.bstar, gso.norms_sq):
+        c = dot(w, bs) / ns
+        if c:
+            w = vsub(w, vscale(c, bs))
+    return w
 
 
 def project_orthogonal(L: Lattice, prefix) -> Lattice:
@@ -236,11 +238,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     if norm_sq(y0) > lambda_next_sq:
         raise PreconditionViolated("y0 is longer than the given minimum")
     gso = gram_schmidt(sub)
-    y0_perp = y0
-    for bs, ns in zip(gso.bstar, gso.norms_sq):
-        c = dot(y0_perp, bs) / ns
-        if c:
-            y0_perp = vsub(y0_perp, vscale(c, bs))
+    y0_perp = _orthogonal_part(y0, gso)
     if not norm_sq(y0_perp):
         raise PreconditionViolated("y0 lies in the span of sub")
 

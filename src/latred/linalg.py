@@ -8,7 +8,7 @@ path.  Integer matrices (HNF/SNF) are plain nested tuples of Python ints.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DependentRows, DimensionMismatch, Singular
+from .errors import DependentRows, DimensionMismatch, NotIntegral, Singular
 from .rationals import Q, QONE, QZERO, is_integer
 
 
@@ -190,24 +190,6 @@ def inverse(m):
     return tuple(tuple(r[n:]) for r in rows)
 
 
-def solve_in_span(rows, v):
-    """Coordinates x with x . rows = v, or None when v is outside the span.
-
-    Works for any linearly independent row set (not necessarily square) via
-    the Gram matrix; the result is verified by substitution.
-    """
-    g = gram_matrix(rows)
-    try:
-        ginv = inverse(g)
-    except Singular:
-        raise DependentRows("row set is linearly dependent")
-    rhs = tuple(dot(v, r) for r in rows)
-    x = row_times_mat(rhs, ginv)
-    if row_times_mat(x, rows) != tuple(v):
-        return None
-    return x
-
-
 def nullspace(a):
     """Basis of {x : a . x = 0} for a matrix a given as rows (maps columns)."""
     nr = len(a)
@@ -286,7 +268,7 @@ def _int_rows(m):
         for e in r:
             ie = int(e)
             if ie != e:
-                raise DimensionMismatch("integer matrix expected")
+                raise NotIntegral("integer matrix expected")
             row.append(ie)
         rows.append(row)
     return rows

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from latred.errors import LatredError
 from latred.lattice import Lattice
 from latred.rationals import Q
@@ -31,3 +33,11 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 20):
     if rng.random() < 0.5:
         rng.shuffle(rows)
     return tuple(tuple(Q(x) for x in row) for row in rows)
+
+
+@pytest.fixture(scope="session")
+def appendix42_report():
+    """The serial 42-dimensional scan, run once for every test that reads it."""
+    from latred.verification import check_shortest_vectors_42
+
+    return check_shortest_vectors_42()

@@ -5,8 +5,6 @@ budget.  All numeric comparisons are exact; there are no tolerances."""
 import random
 import time
 
-import pytest
-
 from conftest import random_integer_lattice, random_unimodular
 from latred.constructions import (
     dual_root_d,
@@ -23,7 +21,6 @@ from latred.lattice import (
     contains,
     covolume_squared,
     is_primitive_tuple,
-    linear_dependence,
     primitive_completion,
 )
 from latred.linalg import (
@@ -44,7 +41,6 @@ from latred.reduction import (
 )
 from latred.verification import (
     check_attempt21,
-    check_shortest_vectors_42,
     difference_lattice_basis,
     difference_lattice_min,
     similar_to_dual_root,
@@ -69,11 +65,6 @@ class _Criterion:
         )
         assert ok
         assert elapsed < self.limit
-
-
-@pytest.fixture(scope="module")
-def appendix42_report():
-    return check_shortest_vectors_42()
 
 
 def test_criterion_1_dual_root_5_regression():

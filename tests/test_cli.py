@@ -141,3 +141,23 @@ def test_out_flag_writes_report(capsys, tmp_path, dnstar5):
     assert code == 0 and printed == ""
     doc = json.loads(out.read_text())
     assert doc["minima_sq"] == ["1"] * 5
+
+
+def test_flags_a_command_would_ignore_are_rejected(capsys, dnstar5):
+    # construct takes no budget and only the appendix42 scan is parallel
+    for argv in (
+        ["construct", "zn", "3", "--node-budget", "5"],
+        ["construct", "zn", "3", "--parallel", "2"],
+        ["minima", dnstar5, "--parallel", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    for argv in (
+        ["verify", "gap", "1", "--parallel", "2"],
+        ["verify", "kz-structure", "1", "--node-budget", "5"],
+        ["reduce", "--alg", "lll", dnstar5, "--node-budget", "5"],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "applies only" in captured.err, argv

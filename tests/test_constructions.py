@@ -28,7 +28,6 @@ from latred.lattice import (
     contains,
     covolume_squared,
     integer_coordinates,
-    lattice_from_generators,
     linear_dependence,
 )
 from latred.linalg import determinant, norm_sq, unit_vector
@@ -161,8 +160,8 @@ def test_perturbed_lift_and_validation():
     assert L.rank == 43 and L.ambient_dim == 43
     heights = default_heights(43)
     assert len(set(heights)) == 43
-    base = lattice_from_generators(vecs)
+    assert perturbed_lift(vecs, heights) == L
     with pytest.raises(BadParams):
-        perturbed_lift(base, vecs, heights[:-1])
+        perturbed_lift(vecs, heights[:-1])
     with pytest.raises(DegenerateHeights):
-        perturbed_lift(base, vecs, (Q(0),) * 43)
+        perturbed_lift(vecs, (Q(0),) * 43)

@@ -226,3 +226,23 @@ def test_lattice_from_generators_and_sublattice():
     assert all(contains(L, g) for g in gens)
     S = sublattice(gens[:2])
     assert covolume_squared(S) == 16
+
+
+def test_kz_reduce_solves_each_prefix_once(monkeypatch):
+    # every KZ step completes its prefix to a basis; the completion reads
+    # primitivity and the HNF from one coordinate solve per prefix vector,
+    # 0 + 1 + ... + 13 = 91 solves for the 14-dimensional L_2
+    from latred import lattice
+    from latred.constructions import glued_prime_lattice
+    from latred.reduction import kz_reduce
+
+    calls = []
+    solve = lattice.integer_coordinates
+
+    def counted(L, v):
+        calls.append(v)
+        return solve(L, v)
+
+    monkeypatch.setattr(lattice, "integer_coordinates", counted)
+    kz_reduce(glued_prime_lattice(2))
+    assert len(calls) == 91

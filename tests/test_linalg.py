@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latred.errors import Singular
+from latred.errors import NotIntegral, Singular
 from latred.linalg import (
     determinant,
     dot,
@@ -22,7 +22,6 @@ from latred.linalg import (
     nullspace,
     rank,
     snf_divisors,
-    solve_in_span,
     unit_vector,
     vsub,
 )
@@ -179,10 +178,11 @@ def test_gram_schmidt_orthogonality(rows):
     assert prod == determinant(m) ** 2
 
 
-def test_solve_in_span():
-    rows = qmat([[1, 0, 1], [0, 1, 1]])
-    assert solve_in_span(rows, (Q(2), Q(3), Q(5))) == (Q(2), Q(3))
-    assert solve_in_span(rows, (Q(0), Q(0), Q(1))) is None
+def test_integer_normal_forms_reject_fractions():
+    with pytest.raises(NotIntegral):
+        hnf([[Q(1, 2)]])
+    with pytest.raises(NotIntegral):
+        snf_divisors([[Q(1, 2)]])
 
 
 def test_int_matrix_inverse_unimodular_only():

@@ -1,20 +1,29 @@
+import multiprocessing
 import random
 
 import pytest
 
 from conftest import random_integer_lattice
 from latred import verification
-from latred.constructions import attempt21, dual_root_d, lattice42, root_d
+from latred.constructions import (
+    attempt21,
+    default_heights,
+    dual_root_d,
+    glued_kz_claimed_basis,
+    perturbed_lift,
+    root_d,
+)
 from latred.enumeration import enumerate_up_to
 from latred.errors import ConstructionMismatch, PreconditionViolated, ScanCrossCheckFailed
-from latred.lattice import Lattice
-from latred.linalg import norm_sq, vscale
+from latred.lattice import Lattice, contains, linear_dependence
+from latred.linalg import dot, gram_schmidt, norm_sq, row_times_mat, vscale, vsub
 from latred.rationals import Q
 from latred.verification import (
     _kth_root,
     appendix_scan,
     check_attempt21,
     check_no_unit_coefficient,
+    check_shortest_vectors_42,
     difference_lattice_basis,
     difference_lattice_min,
     integer_relation_membership,
@@ -121,13 +130,57 @@ def test_kth_root_is_exact_and_float_free():
     assert _kth_root(Q(3**1400 + 1), 7) is None
 
 
-def test_appendix_scan_parallel_matches_serial():
-    _, vecs = lattice42()
-    serial = appendix_scan(vecs, workers=0)
-    parallel = appendix_scan(vecs, workers=2)
-    assert serial.families_checked == parallel.families_checked
-    assert serial.violations == parallel.violations
-    assert serial.success and parallel.success
+def test_appendix_scan_parallel_matches_serial(appendix42_report):
+    # the workers get the scan state from the pool initializer, so a
+    # start method that does not fork the parent must give the same scan
+    serial = appendix42_report
+    before = multiprocessing.get_start_method(allow_none=True)
+    try:
+        for method in multiprocessing.get_all_start_methods():
+            multiprocessing.set_start_method(method, force=True)
+            parallel = check_shortest_vectors_42(workers=2)
+            assert parallel.families_checked == serial.families_checked, method
+            assert parallel.violations == serial.violations, method
+            assert parallel.relation == serial.relation, method
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    assert serial.success
+
+
+def test_height_lift_swaps_by_cramer_rule():
+    # brute force on the lift of attempt21, whose relation has unit and
+    # non-unit coefficients: swapping lifted_i for the shortest vector
+    # gives a basis iff lifted_i is in the span of the swapped set
+    _, vecs = attempt21()
+    heights = default_heights(len(vecs))
+    lifted = perturbed_lift(vecs, heights).basis
+    rel = linear_dependence(vecs)
+    s = sum((a * h for a, h in zip(rel.coefficients, heights)), Q(0))
+    target = (Q(0),) * (len(lifted) - 1) + (s,)
+    assert row_times_mat(rel.coefficients, lifted) == target
+    outcomes = []
+    for i, a in enumerate(rel.coefficients):
+        others = [w for t, w in enumerate(lifted) if t != i] + [target]
+        swap_is_basis = contains(Lattice(others), lifted[i])
+        assert swap_is_basis == (abs(a) == 1), i
+        outcomes.append(swap_is_basis)
+    assert outcomes.count(True) == 12 and outcomes.count(False) == 10
+
+
+def test_projected_tails_match_sequential_projection():
+    for k in (2, 3):
+        claimed = glued_kz_claimed_basis(k)
+        gso = gram_schmidt(claimed)
+        tails = list(verification._projected_tails(claimed, gso))
+        assert len(tails) == len(claimed)
+        for i, tail in enumerate(tails):
+            expected = []
+            for w in claimed[i:]:
+                for t in range(i):
+                    c = dot(w, gso.bstar[t]) / gso.norms_sq[t]
+                    w = vsub(w, vscale(c, gso.bstar[t]))
+                expected.append(w)
+            assert tail == expected, (k, i)
 
 
 def test_similar_to_dual_root_positive_and_negative():
