@@ -8,6 +8,7 @@ import random
 import sys
 
 from latred.enumeration import successive_minima
+from latred.errors import LatredError
 from latred.lattice import Lattice
 from latred.linalg import norm_sq
 from latred.rationals import Q, qstr
@@ -21,7 +22,7 @@ def random_lattice(rng, n, limit=4):
         )
         try:
             return Lattice(rows)
-        except Exception:
+        except LatredError:
             continue
 
 
@@ -32,7 +33,8 @@ def main() -> int:
     rng = random.Random(seed)
     table = vdw_delta_table(n, True)
     worst = [Q(0)] * n
-    for _ in range(count):
+    failures = []
+    for t in range(count):
         L = random_lattice(rng, n)
         mink = minkowski_reduce(L)
         minima = successive_minima(L)
@@ -40,14 +42,20 @@ def main() -> int:
             ratio = norm_sq(mink.basis[i]) / minima.minima_sq[i]
             if ratio > worst[i]:
                 worst[i] = ratio
-            assert ratio <= table.values[i]
+            if ratio > table.values[i]:
+                failures.append((t, i + 1, ratio))
     print("%d random rank-%d lattices; worst |v_i|^2 / lambda_i^2:" % (count, n))
     for i in range(n):
         print(
             "  i=%d  worst %-10s  bound %s"
             % (i + 1, qstr(worst[i]), qstr(table.values[i]))
         )
-    return 0
+    for t, i, ratio in failures:
+        print(
+            "FAIL: lattice %d: |v_%d|^2 / lambda_%d^2 = %s exceeds Delta_%d = %s"
+            % (t, i, i, qstr(ratio), i, qstr(table.values[i - 1]))
+        )
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

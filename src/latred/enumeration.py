@@ -8,22 +8,11 @@ instances into an explicit BudgetExceeded error instead of a long stall.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-from . import linalg
-from .errors import BudgetExceeded, NotInSpan
+from .errors import BudgetExceeded, DependentRows, NotInSpan
 from .lattice import Lattice
-from .linalg import (
-    dot,
-    gram_schmidt,
-    matrix,
-    norm_sq,
-    normalize_sign,
-    row_times_mat,
-    vector,
-    vsub,
-    vscale,
-)
+from .linalg import dot, matrix, norm_sq, row_times_mat, vector, vneg
 from .rationals import Q, QZERO, qfloor, qnum, qden, qround
 
 DEFAULT_BUDGET = 10**8
@@ -46,31 +35,59 @@ class VectorList:
 
 
 def lll_rows(rows, delta=Q(3, 4)):
-    """Exact LLL reduction of independent rows; same lattice, new basis."""
-    b = [tuple(r) for r in matrix(rows)]
-    n = len(b)
+    """Exact LLL reduction of independent rows; same lattice, new basis.
+
+    Integral LLL (Cohen, Alg. 2.6.7): the rows are scaled by the lcm of
+    their denominators, and the Gram-Schmidt data is held as the integers
+    d[i] (Gram determinant of the first i rows) and lam[i][j] =
+    d[j + 1] * mu[i][j], which a swap updates in place.  Row k is
+    size-reduced against every earlier row, rounding mu halves up, before
+    the Lovasz test q * (d[k+1] d[k-1] + lam^2) >= p * d[k]^2 for
+    delta = p / q."""
+    rows = matrix(rows)
+    n = len(rows)
     if n <= 1:
-        return tuple(b)
-    gso = gram_schmidt(b)
-    mu = [list(r) for r in gso.mu]
-    c = list(gso.norms_sq)
+        return rows
+    den = lcm(*(qden(e) for r in rows for e in r))
+    b = [[qnum(e) * (den // qden(e)) for e in r] for r in rows]
+    p, q = qnum(delta), qden(delta)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            elif u:
+                d[i + 1] = u
+            else:
+                raise DependentRows("row %d depends on the previous rows" % i)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            r = qround(mu[k][j])
+            r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
             if r:
-                b[k] = vsub(b[k], vscale(Q(r), b[j]))
-                for i in range(j + 1):
-                    mu[k][i] -= r * mu[j][i]
-        if c[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * c[k - 1]:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                lam[k][j] -= r * d[j + 1]
+                for t in range(j):
+                    lam[k][t] -= r * lam[j][t]
+        m = lam[k][k - 1]
+        if q * (d[k + 1] * d[k - 1] + m * m) >= p * d[k] * d[k]:
             k += 1
-        else:
-            b[k - 1], b[k] = b[k], b[k - 1]
-            gso = gram_schmidt(b)
-            mu = [list(r) for r in gso.mu]
-            c = list(gso.norms_sq)
-            k = max(k - 1, 1)
-    return tuple(b)
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
+        d[k] = new
+        k = max(k - 1, 1)
+    return tuple(tuple(Q(x, den) for x in r) for r in b)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +159,21 @@ def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorL
     bound is served from that pool and spends no nodes; the node budget
     bounds every enumeration actually run."""
     bound_sq = Q(bound_sq)
-    held, vectors = L._pool
+    held, vectors, _ = L._pool
     if bound_sq > held:
         rows = L._lll_basis
         budget = _Budget(node_budget)
         out = []
         for coeffs in _enum_coeffs(L._lll_gso, bound_sq, budget):
-            v = normalize_sign(row_times_mat([Q(t) for t in coeffs], rows))
-            out.append((norm_sq(v), v))
+            v = row_times_mat(coeffs, rows)
+            # sign normalization: the first nonzero entry positive
+            if next(a for a in v if a) < 0:
+                v, coeffs = vneg(v), tuple(-t for t in coeffs)
+            out.append((norm_sq(v), v, coeffs))
         out.sort()
-        vectors = tuple(v for _, v in out)
-        object.__setattr__(L, "_pool", (bound_sq, vectors))
+        vectors = tuple(v for _, v, _ in out)
+        coords = tuple(c for _, _, c in out)
+        object.__setattr__(L, "_pool", (bound_sq, vectors, coords))
     end = bisect_right(vectors, bound_sq, key=norm_sq)
     return VectorList(vectors[:end], bound_sq)
 
@@ -183,12 +204,16 @@ def shortest_vector(L: Lattice, node_budget=DEFAULT_BUDGET):
 
 
 def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
-    """Greedy successive minima with witnesses over a growing-bound pool."""
+    """Greedy successive minima with witnesses over a growing-bound pool;
+    independence is decided on the pool's integer coordinates."""
 
     def pick(vectors):
         chosen = []
-        for v in vectors:
-            if linalg.rank(chosen + [v]) == len(chosen) + 1:
+        echelon = []
+        for v, c in zip(vectors, L._pool[2]):
+            w = _echelon_reduce(echelon, c)
+            if any(w):
+                echelon.append(w)
                 chosen.append(v)
                 if len(chosen) == L.rank:
                     return MinimaReport(
@@ -196,6 +221,21 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
                     )
 
     return _grow(L, pick, node_budget)
+
+
+def _echelon_reduce(echelon, c):
+    """c with the pivot of every echelon row cleared, fraction-free; it is
+    zero iff c lies in the span of the rows, which are themselves reduced
+    against the rows before them."""
+    w = list(c)
+    for e in echelon:
+        j = next(j for j, a in enumerate(e) if a)
+        if w[j]:
+            w = [e[j] * x - w[j] * y for x, y in zip(w, e)]
+            g = gcd(*w)
+            if g > 1:
+                w = [x // g for x in w]
+    return w
 
 
 # ---------------------------------------------------------------------------

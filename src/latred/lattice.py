@@ -58,8 +58,10 @@ class Lattice:
     def ambient_dim(self):
         return len(self.basis[0])
 
-    # (bound, vectors) of the largest enumerate_up_to so far, in its order
-    _pool = (Q(0), ())
+    # (bound, vectors, coordinates) of the largest enumerate_up_to so far,
+    # in its order; coordinates[i] is the integer coefficient tuple of
+    # vectors[i] over _lll_basis
+    _pool = (Q(0), (), ())
 
     @cached_property
     def _gram_inverse(self):
@@ -154,7 +156,11 @@ def _certify_coordinates(coords) -> PrimitivityCertificate:
 def complete_to_basis(L: Lattice, prefix):
     """A basis of L whose first len(prefix) rows Z-span the same sublattice
     as the (primitive) prefix."""
-    coords = [integer_coordinates(L, v) for v in prefix]
+    return _complete_coordinates(L, [integer_coordinates(L, v) for v in prefix])
+
+
+def _complete_coordinates(L: Lattice, coords):
+    """complete_to_basis for a prefix given by its integer coordinates."""
     if not _certify_coordinates(coords).verdict:
         raise NotPrimitive("prefix is not a primitive tuple")
     # column-style reduction: C . U' = [T | 0] with T unimodular k x k
@@ -172,7 +178,12 @@ def project_orthogonal_with_lift(L: Lattice, prefix):
     and the lifts complete the prefix to a basis of L.
     """
     prefix = [vector(p) for p in prefix]
-    completed = complete_to_basis(L, prefix)
+    return _project_with_lift(L, prefix, [integer_coordinates(L, v) for v in prefix])
+
+
+def _project_with_lift(L: Lattice, prefix, coords):
+    """project_orthogonal_with_lift for a prefix with known coordinates."""
+    completed = _complete_coordinates(L, coords)
     gso = gram_schmidt(prefix)
     lifts = completed[len(prefix) :]
     return Lattice([_orthogonal_part(w, gso) for w in lifts]), lifts
@@ -230,11 +241,13 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
 
     sub = [vector(v) for v in sub]
     y0 = vector(y0)
-    cert = is_primitive_tuple(L, sub)
-    if not cert.verdict:
+    coords = [integer_coordinates(L, v) for v in sub]
+    if not _certify_coordinates(coords).verdict:
         raise PreconditionViolated("sub is not a primitive tuple")
-    if not contains(L, y0):
-        raise PreconditionViolated("y0 is not in the lattice")
+    try:
+        y0_coords = integer_coordinates(L, y0)
+    except (NotInSpan, NotInLattice):
+        raise PreconditionViolated("y0 is not in the lattice") from None
     if norm_sq(y0) > lambda_next_sq:
         raise PreconditionViolated("y0 is longer than the given minimum")
     gso = gram_schmidt(sub)
@@ -243,13 +256,13 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
         raise PreconditionViolated("y0 lies in the span of sub")
 
     try:
-        already = is_primitive_tuple(L, sub + [y0]).verdict
+        already = _certify_coordinates(coords + [y0_coords]).verdict
     except DependentTuple:
         already = False
     if already:
         return y0
 
-    proj, lifts = project_orthogonal_with_lift(L, sub)
+    proj, lifts = _project_with_lift(L, sub, coords)
     p, p_nsq = shortest_vector(proj)
     # non-primitivity of the projection of y0 forces a factor-2 shrink
     if 4 * p_nsq > norm_sq(y0_perp):
@@ -270,7 +283,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     )
     if norm_sq(y) > bound:
         raise PreconditionViolated("completion exceeded the size bound")
-    if not is_primitive_tuple(L, sub + [y]).verdict:
+    if not _certify_coordinates(coords + [integer_coordinates(L, y)]).verdict:
         raise PreconditionViolated("completion failed to be primitive")
     return y
 

@@ -7,6 +7,8 @@ many candidates were tied so tests can spot tie-sensitive assertions.
 """
 
 from dataclasses import dataclass
+from math import gcd
+from numbers import Rational
 
 from . import linalg
 from .enumeration import (
@@ -17,16 +19,9 @@ from .enumeration import (
     enumerate_up_to,
     lll_rows,
 )
-from .errors import DependentTuple, PreconditionViolated
-from .lattice import (
-    Lattice,
-    coordinates,
-    integer_coordinates,
-    is_primitive_tuple,
-    project_orthogonal_with_lift,
-    sublattice,
-)
-from .linalg import hnf, matrix, norm_sq, normalize_sign, row_times_mat
+from .errors import PreconditionViolated
+from .lattice import Lattice, coordinates, project_orthogonal_with_lift, sublattice
+from .linalg import hnf, norm_sq, normalize_sign, row_times_mat
 from .rationals import Q, QONE
 
 
@@ -61,39 +56,79 @@ class ShortestBasisReport:
 
 
 def lll(L: Lattice, delta=Q(3, 4)) -> ReductionResult:
-    if not (Q(1, 4) < delta < 1):
-        raise PreconditionViolated("delta must lie in (1/4, 1)")
+    if not (isinstance(delta, Rational) and Q(1, 4) < delta < 1):
+        raise PreconditionViolated("delta must be a rational in (1/4, 1)")
     rows = lll_rows(L.basis, delta)
     return ReductionResult(rows, "lll", ())
 
 
-def _extends(L, prefix, v):
-    """Does prefix + [v] extend to a basis of L?"""
-    try:
-        return is_primitive_tuple(L, prefix + [v]).verdict
-    except DependentTuple:
-        return False
+class _Prefix:
+    """A primitive prefix, held by the columns past it of a unimodular
+    column transform M that maps the prefix's integer coordinates C to
+    C . M = [T | 0], T lower triangular with diagonal entries +-1.
+
+    prefix + v is primitive iff the entries of c_v . M past the prefix
+    have gcd 1: T's rows clear the head of c_v . M, which leaves one new
+    row, (0, tail), of Smith divisor gcd(tail).  The coordinates may be
+    over any basis of the lattice."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    @classmethod
+    def empty(cls, n):
+        return cls(tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
+
+    def _tail(self, c):
+        return [sum(x * y for x, y in zip(c, col)) for col in self.cols]
+
+    def extends(self, c):
+        return gcd(*self._tail(c)) == 1
+
+    def extended(self, c):
+        """The prefix with c appended; c must extend it.  Euclid's column
+        steps turn the tail of c . M into a single +-1 (they leave [T | 0]
+        as it is), and that column joins T."""
+        tail = self._tail(c)
+        cols = list(self.cols)
+        while True:
+            live = [i for i, t in enumerate(tail) if t]
+            p = min(live, key=lambda i: abs(tail[i]))
+            if len(live) == 1:
+                break
+            for i in live:
+                if i != p:
+                    f = tail[i] // tail[p]
+                    tail[i] -= f * tail[p]
+                    cols[i] = tuple(x - f * y for x, y in zip(cols[i], cols[p]))
+        return _Prefix(tuple(cols[:p] + cols[p + 1 :]))
 
 
 def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     """Greedy reduction: each b_i is a shortest vector keeping the prefix
-    primitive, found by scanning the bounded enumeration in norm order."""
-    prefix = []
+    primitive, found by scanning the bounded enumeration in norm order and
+    deciding primitivity on the pool's integer coordinates."""
+    prefix = _Prefix.empty(L.rank)
+    basis = []
     log = []
 
     def pick(vectors):
         # the first primitive extension, then its ties: those of equal norm
-        i = next((i for i, v in enumerate(vectors) if _extends(L, prefix, v)), None)
+        coords = L._pool[2]
+        i = next((i for i in range(len(vectors)) if prefix.extends(coords[i])), None)
         if i is not None:
             tied = _shortest(vectors[i:])
-            ties = 1 + sum(_extends(L, prefix, v) for v in tied[1:])
-            return tied[0], norm_sq(tied[0]), ties
+            ties = 1 + sum(map(prefix.extends, coords[i + 1 : i + len(tied)]))
+            return tied[0], coords[i], ties
 
     for i in range(L.rank):
-        chosen, nsq, ties = _grow(L, pick, node_budget)
-        prefix.append(chosen)
-        log.append(StepRecord(i, chosen, nsq, ties))
-    return ReductionResult(tuple(prefix), "minkowski", tuple(log))
+        chosen, c, ties = _grow(L, pick, node_budget)
+        prefix = prefix.extended(c)
+        basis.append(chosen)
+        log.append(StepRecord(i, chosen, norm_sq(chosen), ties))
+    return ReductionResult(tuple(basis), "minkowski", tuple(log))
 
 
 def _kz_candidates(L, prefix, node_budget):
@@ -131,30 +166,27 @@ def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
 # shortest basis (min-max over all bases)
 
 
-def _generates(L, vectors):
-    """Do the vectors Z-span all of L?"""
-    if not vectors:
-        return False
-    coords = [integer_coordinates(L, v) for v in vectors]
-    if linalg.rank(matrix(coords)) < L.rank:
+def _generates(n, coords):
+    """Do vectors with these integer coordinates Z-span the whole rank-n
+    lattice?  Their HNF then has n pivots, all 1 (a zero or a larger
+    diagonal entry means a lower rank or a proper sublattice)."""
+    if len(coords) < n:
         return False
     h, _ = hnf(coords)
-    det = 1
-    for i in range(L.rank):
-        det *= h[i][i]
-    return abs(det) == 1
+    return all(h[i][i] == 1 for i in range(n))
 
 
 def _basis_subset_search(L, pool, budget):
-    """Depth-first search for a primitive rank-subset of the pool.
+    """Depth-first search for a primitive rank-subset of the pool, a list
+    of (vector, integer coordinates) pairs.
 
-    Pool order is the search order; prefixes are pruned by primitivity and
-    by whether prefix + remaining pool can still generate L.
+    Pool order is the search order; prefixes are pruned by primitivity (one
+    _Prefix per level) and by the number of pool vectors left.
     """
     n = L.rank
     nodes = [0]
 
-    def rec(prefix, start):
+    def rec(prefix, held, start):
         if len(prefix) == n:
             return list(prefix)
         if len(prefix) + (len(pool) - start) < n:
@@ -163,15 +195,15 @@ def _basis_subset_search(L, pool, budget):
             nodes[0] += 1
             if nodes[0] > budget:
                 raise PreconditionViolated("subset search budget exhausted")
-            v = pool[idx]
-            if not _extends(L, prefix, v):
+            v, c = pool[idx]
+            if not held.extends(c):
                 continue
-            got = rec(prefix + [v], idx + 1)
+            got = rec(prefix + [v], held.extended(c), idx + 1)
             if got is not None:
                 return got
         return None
 
-    return rec([], 0)
+    return rec([], _Prefix.empty(n), 0)
 
 
 def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisReport:
@@ -180,14 +212,16 @@ def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisRepor
     kz = kz_reduce(L, node_budget).basis
     upper = max(norm_sq(v) for v in kz)
     pool = enumerate_up_to(L, upper, node_budget).vectors
+    coords = L._pool[2]
     levels = sorted({norm_sq(v) for v in pool})
     certified = True
     for level in levels:
-        sub = [v for v in pool if norm_sq(v) <= level]
-        if not _generates(L, sub):
+        sub = [(v, c) for v, c in zip(pool, coords) if norm_sq(v) <= level]
+        if not _generates(L.rank, [c for _, c in sub]):
             continue
         # search order: rare (large-denominator) vectors first, then by norm
-        def order_key(v):
+        def order_key(vc):
+            v = vc[0]
             den = 1
             for e in v:
                 den = max(den, int(e.denominator))

@@ -14,9 +14,11 @@ closed form.
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from multiprocessing import Pool
+from sys import intern
 
 from .constructions import (
     attempt21,
@@ -71,7 +73,7 @@ class AppendixReport:
         return self.no_unit_coefficient and not self.violations
 
 
-@dataclass
+@dataclass(slots=True)
 class TheoremReport:
     lattice_id: str
     quantities: dict = field(default_factory=dict)
@@ -683,6 +685,13 @@ def similar_to_dual_root(vectors) -> bool:
     return extend([])
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _shared(x):
+    """One object per (immutable) value among those passed in, within a
+    bounded table."""
+    return x
+
+
 def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
     """Check the greedy-reduction norm bounds against the successive
     minima: the k/4 factor at k = 6, 7 (with similarity to D_k* exactly
@@ -693,23 +702,25 @@ def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
     kwargs = {} if node_budget is None else {"node_budget": node_budget}
     mink = minkowski_reduce(L, **kwargs)
     minima = successive_minima(L, **kwargs)
-    rep = TheoremReport("rank_%d" % L.rank)
+    # keys are interned and values shared: a caller holding the reports of
+    # many lattices holds one copy of each key and of each value
+    rep = TheoremReport(intern("rank_%d" % L.rank))
     table = vdw_delta_table(L.rank, True)
     all_delta = True
     for i in range(L.rank):
-        v_sq = norm_sq(mink.basis[i])
-        lam_sq = minima.minima_sq[i]
-        rep.quantities["v_%d_sq" % (i + 1)] = v_sq
-        rep.quantities["lambda_%d_sq" % (i + 1)] = lam_sq
+        v_sq = _shared(norm_sq(mink.basis[i]))
+        lam_sq = _shared(minima.minima_sq[i])
+        rep.quantities[intern("v_%d_sq" % (i + 1))] = v_sq
+        rep.quantities[intern("lambda_%d_sq" % (i + 1))] = lam_sq
         all_delta &= v_sq <= table.values[i] * lam_sq
         if i + 1 in (6, 7):
-            rep.verdicts["v%d_within_quarter_bound" % (i + 1)] = (
+            rep.verdicts[intern("v%d_within_quarter_bound" % (i + 1))] = (
                 v_sq <= Q(i + 1, 4) * lam_sq
             )
             eq = v_sq == Q(i + 1, 4) * lam_sq
-            rep.equalities["equality_at_%d" % (i + 1)] = eq
+            rep.equalities[intern("equality_at_%d" % (i + 1))] = eq
             if eq:
-                rep.verdicts["similar_to_dual_root_%d" % (i + 1)] = (
+                rep.verdicts[intern("similar_to_dual_root_%d" % (i + 1))] = (
                     similar_to_dual_root(mink.basis[: i + 1])
                 )
     rep.verdicts["improved_delta_bounds"] = all_delta

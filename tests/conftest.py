@@ -41,3 +41,28 @@ def appendix42_report():
     from latred.verification import check_shortest_vectors_42
 
     return check_shortest_vectors_42()
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named functions ("module.function") wherever latred's
+    modules bind them; returns {name: number of calls so far}."""
+    from importlib import import_module
+
+    modules = [
+        import_module("latred." + m)
+        for m in ("linalg", "lattice", "enumeration", "reduction", "verification")
+    ]
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        home, attr = name.split(".")
+        fn = getattr(import_module("latred." + home), attr)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            for key, val in list(vars(m).items()):
+                if val is fn:
+                    monkeypatch.setattr(m, key, counted)
+    return counts

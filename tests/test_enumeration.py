@@ -162,3 +162,63 @@ def test_enumeration_canonical_signs():
     assert len(set(pool)) == len(pool)
     for v in pool:
         assert normalize_sign(v) == v
+
+
+def _lll_inputs():
+    """300 seeded bases of rank 2..8: integer, rational, and unimodular
+    re-basings of both."""
+    from conftest import random_unimodular
+    from latred.linalg import mat_mul
+
+    rng = random.Random(44)
+    out = []
+    while len(out) < 300:
+        n = rng.randint(2, 8)
+        den = rng.choice((1, 1, 2, 3, 6))
+        rows = [
+            [Q(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if not determinant(rows):
+            continue
+        if rng.random() < 0.5:
+            rows = mat_mul(random_unimodular(rng, n), rows)
+        out.append(rows)
+    return out
+
+
+def test_integral_lll_matches_rational_reference():
+    from reference import lll_rows as rational_lll_rows
+    from latred.constructions import glued_prime_lattice
+
+    for rows in _lll_inputs() + [glued_prime_lattice(2).basis]:
+        assert lll_rows(rows) == rational_lll_rows(rows)
+    rows = _lll_inputs()[7]
+    for delta in (Q(1, 2), Q(99, 100)):
+        assert lll_rows(rows, delta) == rational_lll_rows(rows, delta)
+
+
+def test_lll_rows_builds_no_gram_schmidt(monkeypatch):
+    from conftest import count_calls
+    from latred.constructions import glued_prime_lattice
+
+    calls = count_calls(monkeypatch, "linalg.gram_schmidt")
+    lll_rows(glued_prime_lattice(3).basis)
+    lll_rows(_lll_inputs()[0])
+    assert calls["linalg.gram_schmidt"] == 0
+
+
+def test_pool_coordinates_give_the_pool_vectors():
+    # each held vector is its coordinate tuple over the LLL basis, with
+    # the sign flipped along with the vector's
+    from latred.linalg import row_times_mat
+
+    rng = random.Random(31)
+    for _ in range(10):
+        L = random_integer_lattice(rng, 5, 4)
+        got = enumerate_up_to(L, Q(rng.randint(10, 30))).vectors
+        _, vectors, coords = L._pool
+        assert vectors == got and len(coords) == len(vectors)
+        for v, c in zip(vectors, coords):
+            assert all(isinstance(x, int) for x in c)
+            assert row_times_mat(c, L._lll_basis) == v

@@ -246,3 +246,25 @@ def test_kz_reduce_solves_each_prefix_once(monkeypatch):
     monkeypatch.setattr(lattice, "integer_coordinates", counted)
     kz_reduce(glued_prime_lattice(2))
     assert len(calls) == 91
+
+
+def test_primitive_completion_solves_each_vector_once(monkeypatch):
+    # the coordinates of sub (3), of y0 (1) and of the completion (1) are
+    # solved once each and shared by the certificates and the completion
+    from latred import lattice
+
+    calls = []
+    solve = lattice.integer_coordinates
+
+    def counted(L, v):
+        calls.append(v)
+        return solve(L, v)
+
+    monkeypatch.setattr(lattice, "integer_coordinates", counted)
+    e = [unit_vector(6, i) for i in range(6)]
+    half = tuple((a + b) / 2 for a, b in zip(e[0], e[3]))
+    L = Lattice([e[0], e[1], e[2], half, e[4], e[5]])
+    # e_3 is not primitive over e_0..e_2 (its projection is twice e_3 / 2)
+    y = primitive_completion(L, e[:3], e[3], Q(1))
+    assert y == (Q(-1, 2), 0, 0, Q(1, 2), 0, 0)
+    assert len(calls) == 5

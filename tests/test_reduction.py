@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
 from conftest import random_integer_lattice
 from latred.constructions import dual_root_d, hypercubic
 from latred.enumeration import shortest_vector, successive_minima
-from latred.lattice import contains, covolume_squared, is_primitive_tuple
+from latred.errors import PreconditionViolated
+from latred.lattice import Lattice, contains, covolume_squared, is_primitive_tuple
 from latred.linalg import determinant, gram_schmidt, norm_sq
 from latred.rationals import Q
 from latred.reduction import (
@@ -183,3 +186,62 @@ def test_delta_table_improved_entries():
     assert t.values[7] == Q(19, 8)
     assert t.improved[5] and t.improved[6] and t.improved[7]
     assert not t.improved[0]
+
+
+def test_lll_rejects_a_non_rational_delta():
+    L = hypercubic(3)
+    for bad in (0.75, "3/4", None):
+        with pytest.raises(PreconditionViolated):
+            lll(L, bad)
+    for outside in (Q(1, 4), Q(1), 2):
+        with pytest.raises(PreconditionViolated):
+            lll(L, outside)
+    assert lll(L, Q(3, 4)).basis == lll(L).basis == L.basis
+
+
+def _differential_lattices():
+    """40 seeded lattices of rank 2..8: integer and rational bases, half of
+    them unimodularly re-based."""
+    from conftest import random_unimodular
+    from latred.linalg import mat_mul
+
+    rng = random.Random(90)
+    out = []
+    while len(out) < 40:
+        n = rng.randint(2, 8)
+        den = rng.choice((1, 1, 2, 3))
+        rows = [
+            [Q(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if not determinant(rows):
+            continue
+        if rng.random() < 0.5:
+            rows = mat_mul(random_unimodular(rng, n), rows)
+        out.append(rows)
+    return out
+
+
+def test_integer_core_matches_the_rational_reference():
+    # greedy bases and every tie count, successive minima and shortest
+    # bases equal the reference built on is_primitive_tuple and
+    # linalg.rank over coordinates in L.basis
+    import reference
+
+    for rows in _differential_lattices():
+        mink = minkowski_reduce(Lattice(rows))
+        got = (mink.basis, tuple(rec.ties for rec in mink.step_log))
+        assert got == reference.minkowski_reduce(Lattice(rows))
+        minima = successive_minima(Lattice(rows))
+        assert (minima.minima_sq, minima.witnesses) == reference.successive_minima(
+            Lattice(rows)
+        )
+        if len(rows) <= 6:
+            sb = shortest_basis(Lattice(rows))
+            assert (
+                sb.basis,
+                sb.max_norm_sq,
+                sb.pool,
+                sb.bound_sq,
+                sb.certified,
+            ) == reference.shortest_basis(Lattice(rows))

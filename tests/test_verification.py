@@ -200,3 +200,48 @@ def test_verify_minkowski_bounds_random():
         assert rep.verdicts["improved_delta_bounds"]
     with pytest.raises(PreconditionViolated):
         verify_minkowski_bounds(random_integer_lattice(rng, 4))
+
+
+def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
+    # the criterion-2 population of the random-minkowski benchmark: rank
+    # from {6, 7}, entries in [-4, 4].  Greedy primitivity and minima
+    # independence read the pool's integer coordinates, so no coordinate
+    # solve, Smith form or inverse is left; the one GSO is L._lll_gso.
+    from conftest import count_calls
+    from latred.errors import LatredError
+
+    rng = random.Random(2026)
+    lattices = []
+    while len(lattices) < 60:
+        n = rng.choice((6, 7))
+        rows = [[Q(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        try:
+            lattices.append(Lattice(rows))
+        except LatredError:
+            pass
+    calls = count_calls(
+        monkeypatch,
+        "lattice.coordinates",
+        "linalg.snf_divisors",
+        "linalg.inverse",
+        "linalg.gram_schmidt",
+    )
+    for L in lattices:
+        assert verification.verify_minkowski_bounds(L).success
+    assert calls == {
+        "lattice.coordinates": 0,
+        "linalg.snf_divisors": 0,
+        "linalg.inverse": 0,
+        "linalg.gram_schmidt": 60,
+    }
+
+
+def test_minkowski_bounds_reports_share_keys_and_values():
+    # a caller holding many reports holds each key and each value once
+    a = verification.verify_minkowski_bounds(dual_root_d(6))
+    b = verification.verify_minkowski_bounds(dual_root_d(6))
+    assert a.quantities == b.quantities and a.quantities
+    for key, value in a.quantities.items():
+        other = next(k for k in b.quantities if k == key)
+        assert other is key and b.quantities[key] is value
+    assert not hasattr(a, "__dict__")
