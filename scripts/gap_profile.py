@@ -2,6 +2,8 @@
 family, with the exact per-step norm profiles of the structured KZ basis.
 
 Usage: python scripts/gap_profile.py [max_k]
+
+Exits 1 if a KZ structural check or a gap verdict fails.
 """
 
 import sys
@@ -15,6 +17,7 @@ from latred.verification import verify_kz_structure, verify_theorem_gap
 
 def main() -> int:
     max_k = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    ok = True
     for k in range(1, max_k + 1):
         d = glued_prime_lattice(k).rank
         t0 = time.monotonic()
@@ -33,7 +36,11 @@ def main() -> int:
             % qstr(gap.quantities["short_basis_max_sq"])
         )
         print("  strict gap: %s" % gap.verdicts["strict_gap"])
-    return 0
+        if not gap.success:
+            failed = sorted(name for name, v in gap.verdicts.items() if not v)
+            print("  gap verdicts FAILED: %s" % " ".join(failed))
+        ok &= kz.success and gap.success
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

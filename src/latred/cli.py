@@ -200,6 +200,15 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _at_least(low):
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return int(text)
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="latred", description="exact-arithmetic lattice reduction toolkit"
@@ -211,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def budget(p):
         p.add_argument(
-            "--node-budget", type=int, help="enumeration node budget (default 10^8)"
+            "--node-budget",
+            type=_at_least(0),
+            help="enumeration node budget (default 10^8)",
         )
 
     p = sub.add_parser("construct", help="build a named lattice as a lattice file")
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     budget(p)
     p.add_argument(
-        "--parallel", type=int, help="worker processes for the appendix42 scan"
+        "--parallel", type=_at_least(1), help="worker processes for the appendix42 scan"
     )
     p.set_defaults(func=cmd_verify)
     return top

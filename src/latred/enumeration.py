@@ -10,9 +10,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
-from .errors import BudgetExceeded, DependentRows, NotInSpan
-from .lattice import Lattice
-from .linalg import dot, matrix, norm_sq, row_times_mat, vector, vneg
+from .errors import BudgetExceeded, DependentRows
+from .lattice import Lattice, _gso_coordinates
+from .linalg import matrix, norm_sq, row_times_mat, vector, vneg
 from .rationals import Q, QZERO, qfloor, qnum, qden, qround
 
 DEFAULT_BUDGET = 10**8
@@ -35,7 +35,7 @@ class VectorList:
 
 
 def lll_rows(rows, delta=Q(3, 4)):
-    """Exact LLL reduction of independent rows; same lattice, new basis.
+    """Exact LLL reduction of independent rows: (new rows, T), T . rows = new rows.
 
     Integral LLL (Cohen, Alg. 2.6.7): the rows are scaled by the lcm of
     their denominators, and the Gram-Schmidt data is held as the integers
@@ -43,11 +43,10 @@ def lll_rows(rows, delta=Q(3, 4)):
     d[j + 1] * mu[i][j], which a swap updates in place.  Row k is
     size-reduced against every earlier row, rounding mu halves up, before
     the Lovasz test q * (d[k+1] d[k-1] + lam^2) >= p * d[k]^2 for
-    delta = p / q."""
+    delta = p / q.  Every row step is applied to T as well."""
     rows = matrix(rows)
     n = len(rows)
-    if n <= 1:
-        return rows
+    trans = [[int(i == j) for j in range(n)] for i in range(n)]
     den = lcm(*(qden(e) for r in rows for e in r))
     b = [[qnum(e) * (den // qden(e)) for e in r] for r in rows]
     p, q = qnum(delta), qden(delta)
@@ -70,6 +69,7 @@ def lll_rows(rows, delta=Q(3, 4)):
             r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
             if r:
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                trans[k] = [x - r * y for x, y in zip(trans[k], trans[j])]
                 lam[k][j] -= r * d[j + 1]
                 for t in range(j):
                     lam[k][t] -= r * lam[j][t]
@@ -78,6 +78,7 @@ def lll_rows(rows, delta=Q(3, 4)):
             k += 1
             continue
         b[k - 1], b[k] = b[k], b[k - 1]
+        trans[k - 1], trans[k] = trans[k], trans[k - 1]
         for j in range(k - 1):
             lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
         new = (d[k - 1] * d[k + 1] + m * m) // d[k]
@@ -87,7 +88,7 @@ def lll_rows(rows, delta=Q(3, 4)):
             lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
         d[k] = new
         k = max(k - 1, 1)
-    return tuple(tuple(Q(x, den) for x in r) for r in b)
+    return tuple(tuple(Q(x, den) for x in r) for r in b), tuple(map(tuple, trans))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,7 @@ def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorL
     bound_sq = Q(bound_sq)
     held, vectors, _ = L._pool
     if bound_sq > held:
-        rows = L._lll_basis
+        rows = L._lll[0]
         budget = _Budget(node_budget)
         out = []
         for coeffs in _enum_coeffs(L._lll_gso, bound_sq, budget):
@@ -182,7 +183,7 @@ def _grow(L: Lattice, pick, node_budget):
     """The first non-None pick(vectors) over pools of L, from the held bound
     (at least the shortest LLL row) up by 3/2.  Pools are complete and in
     (norm, lex) order, so the result does not depend on the bound."""
-    bound = max(min(norm_sq(r) for r in L._lll_basis), L._pool[0])
+    bound = max(min(norm_sq(r) for r in L._lll[0]), L._pool[0])
     while True:
         got = pick(enumerate_up_to(L, bound, node_budget).vectors)
         if got is not None:
@@ -244,16 +245,13 @@ def _echelon_reduce(echelon, c):
 
 def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
     """All v in L minimizing |target - v|^2, plus the squared distance."""
-    rows = L._lll_basis
+    rows = L._lll[0]
     gso = L._lll_gso
     mu = gso.mu
     c = gso.norms_sq
     n = len(rows)
     # target = sum_k y_k b*_k: level k centers on y_k - sum_{i>k} x_i mu_ik
-    target = vector(target)
-    y = [dot(target, bs) / ck for bs, ck in zip(gso.bstar, c)]
-    if row_times_mat(y, gso.bstar) != target:
-        raise NotInSpan("vector is outside the real span of the lattice")
+    y = _gso_coordinates(gso, vector(target))
     x = [0] * n
     budget = _Budget(node_budget)
     best = [None]

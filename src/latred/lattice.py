@@ -1,11 +1,12 @@
 """The Lattice abstraction and the operations the reductions build on.
 
 A lattice is held as an ordered basis of exact rational row vectors.  It
-caches its Gram inverse, its LLL basis and that basis's GSO, and the largest
-short-vector pool enumerated from it; every result depends on the basis
-alone, so Lattice values are safe to share.
+caches its LLL basis with the LLL transform and that basis's GSO, and the
+largest short-vector pool enumerated from it; every result depends on the
+basis alone, so Lattice values are safe to share.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -26,7 +27,6 @@ from .linalg import (
     gram_matrix,
     gram_schmidt,
     hnf,
-    int_matrix_inverse,
     matrix,
     norm_sq,
     row_times_mat,
@@ -60,22 +60,19 @@ class Lattice:
 
     # (bound, vectors, coordinates) of the largest enumerate_up_to so far,
     # in its order; coordinates[i] is the integer coefficient tuple of
-    # vectors[i] over _lll_basis
+    # vectors[i] over the LLL basis _lll[0]
     _pool = (Q(0), (), ())
 
     @cached_property
-    def _gram_inverse(self):
-        return linalg.inverse(gram_matrix(self.basis))
-
-    @cached_property
-    def _lll_basis(self):
+    def _lll(self):
+        """(LLL basis, T) with T . basis = LLL basis, T unimodular."""
         from .enumeration import lll_rows
 
         return lll_rows(self.basis)
 
     @cached_property
     def _lll_gso(self):
-        return gram_schmidt(self._lll_basis)
+        return gram_schmidt(self._lll[0])
 
 
 @dataclass(frozen=True)
@@ -95,15 +92,24 @@ class PrimitivityCertificate:
 
 
 def coordinates(L: Lattice, v):
-    """The unique x with x . basis = v; raises NotInSpan."""
+    """The unique x with x . basis = v; raises NotInSpan.  Solved over the
+    LLL basis by back-substituting v's GSO coordinates, then mapped by T."""
     v = vector(v)
     if len(v) != L.ambient_dim:
         raise DimensionMismatch("vector has wrong ambient dimension")
-    rhs = tuple(dot(v, r) for r in L.basis)
-    x = row_times_mat(rhs, L._gram_inverse)
-    if row_times_mat(x, L.basis) != v:
+    mu = L._lll_gso.mu
+    x = _gso_coordinates(L._lll_gso, v)
+    for j in range(L.rank - 2, -1, -1):
+        x[j] -= sum(mu[i][j] * x[i] for i in range(j + 1, L.rank) if x[i])
+    return row_times_mat(x, L._lll[1])
+
+
+def _gso_coordinates(gso, v):
+    """The y with v = sum_k y_k b*_k over the GSO vectors; raises NotInSpan."""
+    y = [dot(v, bs) / c for bs, c in zip(gso.bstar, gso.norms_sq)]
+    if row_times_mat(y, gso.bstar) != v:
         raise NotInSpan("vector is outside the real span of the lattice")
-    return x
+    return y
 
 
 def contains(L: Lattice, v) -> bool:
@@ -143,32 +149,87 @@ def is_primitive_tuple(L: Lattice, vectors) -> PrimitivityCertificate:
     The verdict is read off the elementary divisors of the integer coordinate
     matrix: the tuple is primitive iff they are all 1.
     """
-    return _certify_coordinates([integer_coordinates(L, v) for v in vectors])
-
-
-def _certify_coordinates(coords) -> PrimitivityCertificate:
+    coords = [integer_coordinates(L, v) for v in vectors]
     if linalg.rank(matrix(coords)) != len(coords):
         raise DependentTuple("tuple is linearly dependent")
     div = snf_divisors(coords)
     return PrimitivityCertificate(all(d == 1 for d in div), tuple(div))
 
 
+class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
+    """A prefix of lattice vectors, held by a unimodular column transform M
+    that maps the prefix's integer coordinates C to C . M = [T | 0], T
+    lower triangular: cols are the columns of M past the prefix, rows the
+    matching rows of M^-1.  The coordinates may be over any basis of the
+    lattice.
+
+    prefix + v is primitive iff the entries of c_v . M past the prefix
+    have gcd 1: T's rows clear the head of c_v . M, which leaves one new
+    row, (0, tail), of Smith divisor gcd(tail).  So the prefix is primitive
+    iff T's diagonal is +-1, and then [C; rows] = diag(T, 1) . M^-1 is
+    unimodular: rows are the coordinates of a completion to a basis."""
+
+    __slots__ = ()
+
+    @classmethod
+    def empty(cls, n):
+        eye = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        return cls(eye, eye, True)
+
+    @classmethod
+    def of(cls, L, vectors):
+        """The prefix of vectors of L, over L.basis; raises DependentTuple,
+        or NotPrimitive when they are independent but not primitive."""
+        held = cls.empty(L.rank)
+        for v in vectors:
+            held = held.extended(integer_coordinates(L, v))
+        if not held.primitive:
+            raise NotPrimitive("prefix is not a primitive tuple")
+        return held
+
+    def _tail(self, c):
+        return [sum(x * y for x, y in zip(c, col)) for col in self.cols]
+
+    def extends(self, c):
+        return gcd(*self._tail(c)) == 1
+
+    def extended(self, c):
+        """The prefix with c appended; raises DependentTuple when c is in
+        its span.  Euclid's column steps col_i -= f col_p (on M^-1 the row
+        step row_p += f row_i) turn the tail of c . M into the single entry
+        +-gcd(tail) and leave [T | 0] as it is; column p joins T."""
+        tail = self._tail(c)
+        cols, rows = list(self.cols), list(self.rows)
+        while True:
+            live = [i for i, t in enumerate(tail) if t]
+            if not live:
+                raise DependentTuple("tuple is linearly dependent")
+            p = min(live, key=lambda i: abs(tail[i]))
+            if len(live) == 1:
+                break
+            for i in live:
+                if i != p:
+                    f = tail[i] // tail[p]
+                    tail[i] -= f * tail[p]
+                    cols[i] = tuple(x - f * y for x, y in zip(cols[i], cols[p]))
+                    rows[p] = tuple(x + f * y for x, y in zip(rows[p], rows[i]))
+        return _Prefix(
+            tuple(cols[:p] + cols[p + 1 :]),
+            tuple(rows[:p] + rows[p + 1 :]),
+            self.primitive and abs(tail[p]) == 1,
+        )
+
+    def project(self, L, gso):
+        """(P, lifts): the completion rows over L.basis, and P with their
+        parts orthogonal to the prefix, whose GSO is gso, as basis."""
+        lifts = tuple(row_times_mat(r, L.basis) for r in self.rows)
+        return Lattice([_orthogonal_part(w, gso) for w in lifts]), lifts
+
+
 def complete_to_basis(L: Lattice, prefix):
-    """A basis of L whose first len(prefix) rows Z-span the same sublattice
-    as the (primitive) prefix."""
-    return _complete_coordinates(L, [integer_coordinates(L, v) for v in prefix])
-
-
-def _complete_coordinates(L: Lattice, coords):
-    """complete_to_basis for a prefix given by its integer coordinates."""
-    if not _certify_coordinates(coords).verdict:
-        raise NotPrimitive("prefix is not a primitive tuple")
-    # column-style reduction: C . U' = [T | 0] with T unimodular k x k
-    _, u = hnf(transpose(coords))
-    ut = transpose(u)
-    v = int_matrix_inverse(ut)  # rows: completed coordinate basis
-    completed = [row_times_mat([Q(c) for c in row], L.basis) for row in v]
-    return tuple(completed)
+    """A basis of L that starts with the (primitive) prefix."""
+    prefix = tuple(vector(v) for v in prefix)
+    return prefix + tuple(row_times_mat(r, L.basis) for r in _Prefix.of(L, prefix).rows)
 
 
 def project_orthogonal_with_lift(L: Lattice, prefix):
@@ -178,15 +239,7 @@ def project_orthogonal_with_lift(L: Lattice, prefix):
     and the lifts complete the prefix to a basis of L.
     """
     prefix = [vector(p) for p in prefix]
-    return _project_with_lift(L, prefix, [integer_coordinates(L, v) for v in prefix])
-
-
-def _project_with_lift(L: Lattice, prefix, coords):
-    """project_orthogonal_with_lift for a prefix with known coordinates."""
-    completed = _complete_coordinates(L, coords)
-    gso = gram_schmidt(prefix)
-    lifts = completed[len(prefix) :]
-    return Lattice([_orthogonal_part(w, gso) for w in lifts]), lifts
+    return _Prefix.of(L, prefix).project(L, gram_schmidt(prefix))
 
 
 def _orthogonal_part(w, gso):
@@ -241,9 +294,10 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
 
     sub = [vector(v) for v in sub]
     y0 = vector(y0)
-    coords = [integer_coordinates(L, v) for v in sub]
-    if not _certify_coordinates(coords).verdict:
-        raise PreconditionViolated("sub is not a primitive tuple")
+    try:
+        held = _Prefix.of(L, sub)
+    except NotPrimitive:
+        raise PreconditionViolated("sub is not a primitive tuple") from None
     try:
         y0_coords = integer_coordinates(L, y0)
     except (NotInSpan, NotInLattice):
@@ -255,14 +309,10 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     if not norm_sq(y0_perp):
         raise PreconditionViolated("y0 lies in the span of sub")
 
-    try:
-        already = _certify_coordinates(coords + [y0_coords]).verdict
-    except DependentTuple:
-        already = False
-    if already:
+    if held.extends(y0_coords):
         return y0
 
-    proj, lifts = _project_with_lift(L, sub, coords)
+    proj, lifts = held.project(L, gso)
     p, p_nsq = shortest_vector(proj)
     # non-primitivity of the projection of y0 forces a factor-2 shrink
     if 4 * p_nsq > norm_sq(y0_perp):
@@ -283,7 +333,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     )
     if norm_sq(y) > bound:
         raise PreconditionViolated("completion exceeded the size bound")
-    if not _certify_coordinates(coords + [integer_coordinates(L, y)]).verdict:
+    if not held.extends(integer_coordinates(L, y)):
         raise PreconditionViolated("completion failed to be primitive")
     return y
 

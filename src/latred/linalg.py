@@ -377,20 +377,6 @@ def snf_divisors(m):
     return divisors
 
 
-def int_matrix_inverse(m):
-    """Exact inverse of a unimodular integer matrix, as integer rows."""
-    inv = inverse(matrix(m))
-    out = []
-    for r in inv:
-        row = []
-        for e in r:
-            if not is_integer(e):
-                raise Singular("matrix is not unimodular")
-            row.append(int(e))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def content(ints):
     g = 0
     for a in ints:

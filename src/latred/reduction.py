@@ -7,7 +7,6 @@ many candidates were tied so tests can spot tie-sensitive assertions.
 """
 
 from dataclasses import dataclass
-from math import gcd
 from numbers import Rational
 
 from . import linalg
@@ -20,8 +19,8 @@ from .enumeration import (
     lll_rows,
 )
 from .errors import PreconditionViolated
-from .lattice import Lattice, coordinates, project_orthogonal_with_lift, sublattice
-from .linalg import hnf, norm_sq, normalize_sign, row_times_mat
+from .lattice import Lattice, _Prefix, coordinates, integer_coordinates, sublattice
+from .linalg import gram_schmidt, hnf, norm_sq, normalize_sign, row_times_mat
 from .rationals import Q, QONE
 
 
@@ -58,52 +57,8 @@ class ShortestBasisReport:
 def lll(L: Lattice, delta=Q(3, 4)) -> ReductionResult:
     if not (isinstance(delta, Rational) and Q(1, 4) < delta < 1):
         raise PreconditionViolated("delta must be a rational in (1/4, 1)")
-    rows = lll_rows(L.basis, delta)
+    rows, _ = lll_rows(L.basis, delta)
     return ReductionResult(rows, "lll", ())
-
-
-class _Prefix:
-    """A primitive prefix, held by the columns past it of a unimodular
-    column transform M that maps the prefix's integer coordinates C to
-    C . M = [T | 0], T lower triangular with diagonal entries +-1.
-
-    prefix + v is primitive iff the entries of c_v . M past the prefix
-    have gcd 1: T's rows clear the head of c_v . M, which leaves one new
-    row, (0, tail), of Smith divisor gcd(tail).  The coordinates may be
-    over any basis of the lattice."""
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols):
-        self.cols = cols
-
-    @classmethod
-    def empty(cls, n):
-        return cls(tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
-
-    def _tail(self, c):
-        return [sum(x * y for x, y in zip(c, col)) for col in self.cols]
-
-    def extends(self, c):
-        return gcd(*self._tail(c)) == 1
-
-    def extended(self, c):
-        """The prefix with c appended; c must extend it.  Euclid's column
-        steps turn the tail of c . M into a single +-1 (they leave [T | 0]
-        as it is), and that column joins T."""
-        tail = self._tail(c)
-        cols = list(self.cols)
-        while True:
-            live = [i for i, t in enumerate(tail) if t]
-            p = min(live, key=lambda i: abs(tail[i]))
-            if len(live) == 1:
-                break
-            for i in live:
-                if i != p:
-                    f = tail[i] // tail[p]
-                    tail[i] -= f * tail[p]
-                    cols[i] = tuple(x - f * y for x, y in zip(cols[i], cols[p]))
-        return _Prefix(tuple(cols[:p] + cols[p + 1 :]))
 
 
 def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
@@ -131,13 +86,13 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     return ReductionResult(tuple(basis), "minkowski", tuple(log))
 
 
-def _kz_candidates(L, prefix, node_budget):
-    """Lifts of all shortest projected vectors, size-minimized over the
-    prefix sublattice, sign normalized (so a vector and its negative,
-    whose closest sublattice vectors are negatives too, give the same)."""
+def _kz_candidates(L, prefix, held, node_budget):
+    """Lifts of all shortest vectors projected past prefix (held is its
+    _Prefix), size-minimized over the prefix sublattice, sign normalized
+    (p and -p, whose closest sublattice vectors are negated, give the same)."""
     if not prefix:
         return _grow(L, _shortest, node_budget)
-    proj, lifts = project_orthogonal_with_lift(L, prefix)
+    proj, lifts = held.project(L, gram_schmidt(prefix))
     sub = sublattice(prefix)
     cands = set()
     for p in _grow(proj, _shortest, node_budget):
@@ -153,10 +108,12 @@ def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     """Korkin-Zolotarev reduction: at each step the new vector minimizes the
     projected norm and, among those minimizers, the full norm."""
     prefix = []
+    held = _Prefix.empty(L.rank)
     log = []
     for i in range(L.rank):
-        cands = _kz_candidates(L, prefix, node_budget)
+        cands = _kz_candidates(L, prefix, held, node_budget)
         chosen = cands[0]
+        held = held.extended(integer_coordinates(L, chosen))
         prefix.append(chosen)
         log.append(StepRecord(i, chosen, norm_sq(chosen), len(cands)))
     return ReductionResult(tuple(prefix), "kz", tuple(log))

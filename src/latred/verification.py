@@ -406,7 +406,7 @@ def _projected_tails(basis, gso):
                 rows[t] = vsub(rows[t], vscale(mu, bs))
 
 
-def verify_kz_structure(k: int, cross_check=None) -> TheoremReport:
+def verify_kz_structure(k: int) -> TheoremReport:
     """Validate the block-structured KZ basis of the glued-prime lattice.
 
     At every step the minimality of the claimed vector's projection is
@@ -490,9 +490,7 @@ def verify_kz_structure(k: int, cross_check=None) -> TheoremReport:
     rep.quantities["kz_max_norm_sq"] = max(norm_sq(u) for u in claimed)
     rep.verdicts["max_is_5_4"] = rep.quantities["kz_max_norm_sq"] == Q(5, 4)
 
-    if cross_check is None:
-        cross_check = k <= 2
-    if cross_check:
+    if k <= 2:
         # enumeration oracle: the claimed GSO norm at each step must equal
         # the shortest-vector norm of the lattice projected past the
         # claimed prefix, and the generic reduction (whose tie choices at

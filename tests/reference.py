@@ -6,15 +6,42 @@
   subset searches with primitivity decided by `is_primitive_tuple` (Smith
   divisors of coordinates solved over `L.basis`) and independence by
   `linalg.rank` over the vectors themselves.
+- `coordinates`: the solve against the inverse of the basis Gram matrix.
+- `complete_to_basis`: the completion read off the inverse of the HNF
+  transform of the prefix's coordinates (rank and Smith form first).
+- `kz_reduce`: KZ reduction on those two, each step completing its whole
+  prefix afresh.
 """
 
+from functools import lru_cache
+
 from latred import linalg
-from latred.enumeration import enumerate_up_to
-from latred.errors import DependentTuple, PreconditionViolated
-from latred.lattice import integer_coordinates, is_primitive_tuple
-from latred.linalg import gram_schmidt, hnf, matrix, norm_sq, vscale, vsub
-from latred.rationals import Q, qround
-from latred.reduction import kz_reduce
+from latred.enumeration import closest_vectors_all, enumerate_up_to
+from latred.errors import (
+    DependentTuple,
+    DimensionMismatch,
+    NotInLattice,
+    NotInSpan,
+    NotPrimitive,
+    PreconditionViolated,
+)
+from latred.lattice import Lattice, is_primitive_tuple, sublattice
+from latred.linalg import (
+    dot,
+    gram_matrix,
+    gram_schmidt,
+    hnf,
+    matrix,
+    norm_sq,
+    normalize_sign,
+    row_times_mat,
+    snf_divisors,
+    transpose,
+    vector,
+    vscale,
+    vsub,
+)
+from latred.rationals import Q, is_integer, qround
 
 
 def lll_rows(rows, delta=Q(3, 4)):
@@ -130,7 +157,7 @@ def _subset_search(L, pool, budget):
 
 def shortest_basis(L):
     """(basis, max_norm_sq, pool, bound_sq, certified) of the min-max basis."""
-    kz = kz_reduce(L).basis
+    kz = kz_reduce(L)[0]
     upper = max(norm_sq(v) for v in kz)
     pool = enumerate_up_to(L, upper).vectors
     certified = True
@@ -151,3 +178,77 @@ def shortest_basis(L):
             found.sort(key=lambda v: (norm_sq(v), v))
             return tuple(found), level, tuple(pool), upper, certified
     return tuple(kz), upper, tuple(pool), upper, False
+
+
+@lru_cache(maxsize=64)
+def _gram_inverse(basis):
+    return linalg.inverse(gram_matrix(basis))
+
+
+def coordinates(L, v):
+    v = vector(v)
+    if len(v) != L.ambient_dim:
+        raise DimensionMismatch("vector has wrong ambient dimension")
+    rhs = tuple(dot(v, r) for r in L.basis)
+    x = row_times_mat(rhs, _gram_inverse(L.basis))
+    if row_times_mat(x, L.basis) != v:
+        raise NotInSpan("vector is outside the real span of the lattice")
+    return x
+
+
+def integer_coordinates(L, v):
+    x = coordinates(L, v)
+    if not all(is_integer(c) for c in x):
+        raise NotInLattice("vector is not in the lattice")
+    return tuple(int(c) for c in x)
+
+
+def complete_to_basis(L, prefix):
+    """A basis of L whose first len(prefix) rows span the prefix's
+    sublattice: C . U' = [T | 0] (U' from the HNF of C^T), and the rows of
+    U'^-1 are the completed coordinates."""
+    coords = [integer_coordinates(L, v) for v in prefix]
+    if linalg.rank(matrix(coords)) != len(coords):
+        raise DependentTuple("tuple is linearly dependent")
+    if any(d != 1 for d in snf_divisors(coords)):
+        raise NotPrimitive("prefix is not a primitive tuple")
+    _, u = hnf(transpose(coords))
+    inv = linalg.inverse(matrix(transpose(u)))
+    assert all(is_integer(e) for row in inv for e in row)
+    return tuple(row_times_mat(row, L.basis) for row in inv)
+
+
+def _shortest_vectors(L):
+    def pick(vectors):
+        if vectors:
+            return [v for v in vectors if norm_sq(v) == norm_sq(vectors[0])]
+
+    return _pool_until(L, pick)
+
+
+def kz_reduce(L):
+    """(basis, ties per step) of KZ reduction."""
+    prefix, ties = [], []
+    for _ in range(L.rank):
+        if not prefix:
+            cands = _shortest_vectors(L)
+        else:
+            lifts = complete_to_basis(L, prefix)[len(prefix) :]
+            gso = gram_schmidt(prefix)
+
+            def perp(w):
+                for bs, ns in zip(gso.bstar, gso.norms_sq):
+                    w = vsub(w, vscale(dot(w, bs) / ns, bs))
+                return w
+
+            proj = Lattice([perp(w) for w in lifts])
+            found = set()
+            for p in _shortest_vectors(proj):
+                y = row_times_mat(coordinates(proj, p), lifts)
+                near, _ = closest_vectors_all(sublattice(prefix), vsub(y, p))
+                found |= {normalize_sign(vsub(y, c)) for c in near}
+            cands = sorted(found, key=lambda v: (norm_sq(v), v))
+            cands = [v for v in cands if norm_sq(v) == norm_sq(cands[0])]
+        prefix.append(cands[0])
+        ties.append(len(cands))
+    return tuple(prefix), tuple(ties)

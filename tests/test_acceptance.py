@@ -213,7 +213,7 @@ def test_criterion_8_property_suites():
     for _ in range(100):
         L = random_integer_lattice(rng, 4, 4)
         _, nsq = shortest_vector(L)
-        start = min(norm_sq(r) for r in lll_rows(L.basis))
+        start = min(norm_sq(r) for r in lll_rows(L.basis)[0])
         assert nsq == min(norm_sq(w) for w in brute_force_vectors(L, start))
     # completion bound on 100 instances of dimension <= 8
     done = 0

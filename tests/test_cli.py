@@ -143,12 +143,25 @@ def test_out_flag_writes_report(capsys, tmp_path, dnstar5):
     assert doc["minima_sq"] == ["1"] * 5
 
 
-def test_flags_a_command_would_ignore_are_rejected(capsys, dnstar5):
-    # construct takes no budget and only the appendix42 scan is parallel
+def test_flags_a_command_would_ignore_are_rejected(capsys, dnstar5, monkeypatch):
+    # construct takes no budget and only the appendix42 scan is parallel;
+    # fewer than 1 worker or a negative budget is a usage error, and no
+    # rejected command starts a pool
+    from latred import verification
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected command started a pool")
+
+    monkeypatch.setattr(verification, "Pool", no_pool)
     for argv in (
         ["construct", "zn", "3", "--node-budget", "5"],
         ["construct", "zn", "3", "--parallel", "2"],
         ["minima", dnstar5, "--parallel", "2"],
+        ["verify", "appendix42", "--parallel", "0"],
+        ["verify", "appendix42", "--parallel", "-3"],
+        ["verify", "minkowski-bounds", dnstar5, "--node-budget", "-1"],
+        ["minima", dnstar5, "--node-budget", "-5"],
+        ["reduce", "--alg", "kz", dnstar5, "--node-budget", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

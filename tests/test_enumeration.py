@@ -59,7 +59,7 @@ def test_lll_rows_preserves_lattice():
     rng = random.Random(2)
     for _ in range(10):
         L = random_integer_lattice(rng, 4)
-        red = lll_rows(L.basis)
+        red, _ = lll_rows(L.basis)
         assert abs(determinant(red)) == abs(determinant(L.basis))
         M = Lattice(red)
         from latred.lattice import contains
@@ -82,7 +82,7 @@ def test_shortest_vector_brute_force_dim4():
     for _ in range(25):
         L = random_integer_lattice(rng, 4, 4)
         v, nsq = shortest_vector(L)
-        start = min(norm_sq(r) for r in lll_rows(L.basis))
+        start = min(norm_sq(r) for r in lll_rows(L.basis)[0])
         oracle = min(
             int(norm_sq(w)) for w in brute_force_vectors(L, start)
         )
@@ -188,14 +188,21 @@ def _lll_inputs():
 
 
 def test_integral_lll_matches_rational_reference():
+    # the rows equal the rational reference's, and the transform is
+    # unimodular and maps the input rows to them
     from reference import lll_rows as rational_lll_rows
     from latred.constructions import glued_prime_lattice
+    from latred.linalg import mat_mul
 
     for rows in _lll_inputs() + [glued_prime_lattice(2).basis]:
-        assert lll_rows(rows) == rational_lll_rows(rows)
+        red, t = lll_rows(rows)
+        assert red == rational_lll_rows(rows)
+        assert mat_mul(t, rows) == red and abs(determinant(t)) == 1
+        assert all(isinstance(x, int) for r in t for x in r)
     rows = _lll_inputs()[7]
     for delta in (Q(1, 2), Q(99, 100)):
-        assert lll_rows(rows, delta) == rational_lll_rows(rows, delta)
+        red, t = lll_rows(rows, delta)
+        assert red == rational_lll_rows(rows, delta) == mat_mul(t, rows)
 
 
 def test_lll_rows_builds_no_gram_schmidt(monkeypatch):
@@ -221,4 +228,4 @@ def test_pool_coordinates_give_the_pool_vectors():
         assert vectors == got and len(coords) == len(vectors)
         for v, c in zip(vectors, coords):
             assert all(isinstance(x, int) for x in c)
-            assert row_times_mat(c, L._lll_basis) == v
+            assert row_times_mat(c, L._lll[0]) == v

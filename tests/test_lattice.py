@@ -3,8 +3,16 @@ import random
 import pytest
 
 from conftest import random_integer_lattice, random_unimodular
+from latred.constructions import hypercubic
 from latred.enumeration import successive_minima
-from latred.errors import DependentTuple, NotInLattice, PreconditionViolated
+from latred.errors import (
+    DependentTuple,
+    DimensionMismatch,
+    NotInLattice,
+    NotInSpan,
+    NotPrimitive,
+    PreconditionViolated,
+)
 from latred.lattice import (
     Lattice,
     complete_to_basis,
@@ -18,6 +26,7 @@ from latred.lattice import (
     linear_dependence,
     primitive_completion,
     project_orthogonal,
+    project_orthogonal_with_lift,
     sublattice,
 )
 from latred.linalg import (
@@ -28,6 +37,7 @@ from latred.linalg import (
     norm_sq,
     unit_vector,
     vector,
+    vscale,
 )
 from latred.rationals import Q
 
@@ -97,6 +107,7 @@ def test_primitivity_and_completion():
         cert = is_primitive_tuple(L, prefix)
         assert cert.verdict and all(d == 1 for d in cert.divisors)
         full = complete_to_basis(L, prefix)
+        assert full[:k] == prefix
         change = [integer_coordinates(L, v) for v in full]
         assert abs(determinant([[Q(c) for c in row] for row in change])) == 1
         doubled = [tuple(2 * x for x in prefix[0])] + list(prefix[1:])
@@ -229,23 +240,28 @@ def test_lattice_from_generators_and_sublattice():
 
 
 def test_kz_reduce_solves_each_prefix_once(monkeypatch):
-    # every KZ step completes its prefix to a basis; the completion reads
-    # primitivity and the HNF from one coordinate solve per prefix vector,
-    # 0 + 1 + ... + 13 = 91 solves for the 14-dimensional L_2
-    from latred import lattice
+    # kz_reduce extends one _Prefix by each chosen vector: one coordinate
+    # solve per step (14 for the 14-dimensional L_2), and no Gram inverse,
+    # Smith form or HNF
+    from conftest import count_calls
     from latred.constructions import glued_prime_lattice
     from latred.reduction import kz_reduce
 
-    calls = []
-    solve = lattice.integer_coordinates
-
-    def counted(L, v):
-        calls.append(v)
-        return solve(L, v)
-
-    monkeypatch.setattr(lattice, "integer_coordinates", counted)
-    kz_reduce(glued_prime_lattice(2))
-    assert len(calls) == 91
+    L = glued_prime_lattice(2)
+    calls = count_calls(
+        monkeypatch,
+        "lattice.integer_coordinates",
+        "linalg.inverse",
+        "linalg.snf_divisors",
+        "linalg.hnf",
+    )
+    kz_reduce(L)
+    assert calls == {
+        "lattice.integer_coordinates": 14,
+        "linalg.inverse": 0,
+        "linalg.snf_divisors": 0,
+        "linalg.hnf": 0,
+    }
 
 
 def test_primitive_completion_solves_each_vector_once(monkeypatch):
@@ -268,3 +284,83 @@ def test_primitive_completion_solves_each_vector_once(monkeypatch):
     y = primitive_completion(L, e[:3], e[3], Q(1))
     assert y == (Q(-1, 2), 0, 0, Q(1, 2), 0, 0)
     assert len(calls) == 5
+
+
+def _solve_cases():
+    """(lattice, vector) pairs: bases of rank 1..7 in ambient dimension up
+    to rank + 2, with rational entries; the vectors are integer and
+    rational combinations of the basis and random vectors, which lie
+    outside the span when the rank is short of the dimension."""
+    rng = random.Random(77)
+    out = []
+    while len(out) < 240:
+        n = rng.randint(1, 7)
+        d = n + rng.choice((0, 0, 1, 2))
+        den = rng.choice((1, 2, 3))
+        rows = [
+            [Q(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(d)]
+            for _ in range(n)
+        ]
+        try:
+            L = Lattice(rows)
+        except DependentTuple:
+            continue
+        for _ in range(4):
+            kind = rng.randrange(3)
+            if kind == 2:
+                v = [Q(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(d)]
+            else:
+                x = [Q(rng.randint(-4, 4), rng.randint(1, 1 + kind)) for _ in range(n)]
+                v = [sum((a * r[j] for a, r in zip(x, rows)), Q(0)) for j in range(d)]
+            out.append((L, tuple(v)))
+    return out
+
+
+def test_coordinates_match_the_gram_inverse_reference():
+    # the solve through the LLL GSO and transform agrees with the Gram
+    # inverse solve, NotInSpan and NotInLattice included
+    import reference
+
+    outside = 0
+    for L, v in _solve_cases():
+        try:
+            want = reference.coordinates(L, v)
+        except NotInSpan:
+            outside += 1
+            with pytest.raises(NotInSpan):
+                coordinates(L, v)
+            assert not contains(L, v)
+            continue
+        assert coordinates(L, v) == want
+        assert contains(L, v) == all(x.denominator == 1 for x in want)
+    assert outside >= 30
+    L = Lattice([(Q(1), Q(2), Q(0))])
+    with pytest.raises(DimensionMismatch):
+        coordinates(L, (Q(1), Q(2)))
+
+
+def test_completion_error_classes():
+    # a dependent prefix is DependentTuple even when an earlier vector is
+    # not primitive; a non-primitive one is NotPrimitive, as in the reference
+    import reference
+
+    L = hypercubic(3)
+    e = [unit_vector(3, i) for i in range(3)]
+    cases = [
+        ([vscale(2, e[0]), vscale(4, e[0])], DependentTuple),
+        ([e[0], e[1], e[0]], DependentTuple),
+        ([vscale(2, e[0]), e[1], vscale(3, e[1])], DependentTuple),
+        ([vscale(2, e[0])], NotPrimitive),
+        ([e[0], vscale(3, e[1])], NotPrimitive),
+        ([vscale(Q(1, 2), e[0])], NotInLattice),
+    ]
+    for prefix, error in cases:
+        for complete in (
+            complete_to_basis,
+            reference.complete_to_basis,
+            project_orthogonal_with_lift,
+        ):
+            with pytest.raises(error):
+                complete(L, prefix)
+    with pytest.raises(DependentTuple):
+        primitive_completion(L, [vscale(2, e[0]), vscale(4, e[0])], e[1], Q(1))

@@ -15,7 +15,6 @@ from latred.linalg import (
     gram_schmidt,
     hnf,
     identity,
-    int_matrix_inverse,
     inverse,
     mat_mul,
     norm_sq,
@@ -183,12 +182,6 @@ def test_integer_normal_forms_reject_fractions():
         hnf([[Q(1, 2)]])
     with pytest.raises(NotIntegral):
         snf_divisors([[Q(1, 2)]])
-
-
-def test_int_matrix_inverse_unimodular_only():
-    u = [[1, 2], [0, 1]]
-    v = int_matrix_inverse(u)
-    assert [list(r) for r in v] == [[1, -2], [0, 1]]
 
 
 def test_unit_vector_and_norms():
