@@ -165,6 +165,7 @@ def cmd_verify(args) -> int:
             "no_unit_coefficient": rep.no_unit_coefficient,
             "families_checked": dict(rep.families_checked),
             "violations": _qmat(rep.violations),
+            "stats": dict(rep.stats),
             "elapsed_seconds": rep.elapsed,
         }
         ok = rep.success

@@ -18,7 +18,7 @@ from .enumeration import (
     enumerate_up_to,
     lll_rows,
 )
-from .errors import PreconditionViolated
+from .errors import BudgetExceeded, PreconditionViolated
 from .lattice import Lattice, _Prefix, coordinates, integer_coordinates, sublattice
 from .linalg import gram_schmidt, hnf, norm_sq, normalize_sign, row_times_mat
 from .rationals import Q, QONE
@@ -151,7 +151,7 @@ def _basis_subset_search(L, pool, budget):
         for idx in range(start, len(pool)):
             nodes[0] += 1
             if nodes[0] > budget:
-                raise PreconditionViolated("subset search budget exhausted")
+                raise BudgetExceeded("subset search budget exhausted")
             v, c = pool[idx]
             if not held.extends(c):
                 continue
@@ -186,8 +186,10 @@ def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisRepor
 
         ordered = sorted(sub, key=order_key)
         try:
-            found = _basis_subset_search(L, ordered, budget=2_000_000)
-        except PreconditionViolated:
+            found = _basis_subset_search(
+                L, ordered, budget=min(node_budget, 2_000_000)
+            )
+        except BudgetExceeded:
             certified = False
             found = None
         if found is not None:

@@ -15,8 +15,9 @@ closed form.
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from math import lcm
+from itertools import combinations, repeat
+from math import comb, gcd, lcm
+from operator import add, mod, mul
 from multiprocessing import Pool
 from sys import intern
 
@@ -32,7 +33,13 @@ from .constructions import (
     perturbed_lift,
 )
 from .enumeration import enumerate_up_to, shortest_vector, successive_minima
-from .errors import ConstructionMismatch, PreconditionViolated, ScanCrossCheckFailed
+from .errors import (
+    ConstructionMismatch,
+    DimensionMismatch,
+    PreconditionViolated,
+    ScanCrossCheckFailed,
+    Singular,
+)
 from .lattice import (
     Lattice,
     covolume_squared,
@@ -67,6 +74,7 @@ class AppendixReport:
     families_checked: dict
     violations: list
     elapsed: float
+    stats: dict = field(default_factory=dict)
 
     @property
     def success(self) -> bool:
@@ -115,6 +123,14 @@ def integer_relation_membership(v_coords, relation_shift, max_k: int) -> bool:
 # for t = 5, e_i - e_j, a half-positive-half-negative quadruple, or an
 # all-positive quintuple; for t = 3, e_i - e_j or an all-positive triple.
 # Scanning those families therefore certifies the lattice minimum.
+#
+# A candidate sum s_p e_p is a member iff sum s_p R_p + j shift = 0 mod dd
+# for some 0 <= j < maxk, where R_p is the residue vector of e_p's
+# coordinates over the generators past the first (common denominator dd)
+# and shift that of the first generator's.  The test is linear, so every
+# family is a collision search between a table of the R_p and a table of
+# the pair sums R_a + R_b; a collision with shared positions or not in
+# canonical order (sorted positions, first sign +) is dropped.
 
 _QUAD_PATTERNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
@@ -127,202 +143,263 @@ def _load_state(state):
     _SS.update(state)
 
 
-def _scan_state(vectors, rel):
-    a1 = rel.coefficients[0]
-    rows = [vector(v) for v in vectors[1:]]
-    minv = inverse(rows)
-    shift = tuple(Q(-c, a1) for c in rel.coefficients[1:])
+def _adjugate(rows):
+    """d and an integer adj with adj * rows = d * I, by fraction-free
+    (Bareiss) Gauss-Jordan elimination of [rows | I]; every division is
+    exact and the last pivot is d."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("the generators past the first must be square")
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise Singular("the generators past the first are dependent")
+        m[k], m[piv] = m[piv], m[k]
+        pk = m[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pk)]
+        prev = p
+    return prev, [r[n:] for r in m]
+
+
+def _scan_state(rows, shift, maxk):
+    """Residues mod the common denominator dd of the coordinates of each
+    unit vector with respect to rows, and of the relation shift, from
+    integer arithmetic."""
+    rows = [[int(x) for x in v] for v in rows]
+    d, adj = _adjugate(rows)
+    cols = list(zip(*rows))
+    if any(
+        sum(map(mul, a, col)) != (d if p == c else 0)
+        for p, a in enumerate(adj)
+        for c, col in enumerate(cols)
+    ):
+        raise ScanCrossCheckFailed("adj * rows differs from d * I")
     dd = 1
-    for row in minv:
+    for row in adj:
         for x in row:
-            dd = lcm(dd, qden(x))
+            dd = lcm(dd, d // gcd(x, d))
     for x in shift:
         dd = lcm(dd, qden(x))
-    r_rows = [tuple(int(x * dd) % dd for x in row) for row in minv]
     s_row = tuple(int(x * dd) % dd for x in shift)
-    maxk = abs(int(a1))
     return dict(
-        n=len(vectors[0]),
+        n=len(rows),
         dd=dd,
-        rows=r_rows,
+        rows=[tuple(x * dd // d % dd for x in row) for row in adj],
         shift=s_row,
-        maxk=maxk,
-        col0=tuple(r[0] for r in r_rows),
-        target0=frozenset((-j * s_row[0]) % dd for j in range(maxk)),
-        minv=minv,
-        qshift=shift,
+        # the distinct j * shift, 0 <= j < maxk, in order of j
+        offsets=list(
+            dict.fromkeys(tuple(j * s % dd for s in s_row) for j in range(maxk))
+        ),
     )
 
 
-def _member(positions, signs) -> bool:
-    """Exact membership of a sparse +/-1 candidate: integrality of the
-    coordinate vector is equivalent to vanishing mod the common
-    denominator, column by column."""
-    dd, rows, shift, n = _SS["dd"], _SS["rows"], _SS["shift"], _SS["n"]
-    for j in range(_SS["maxk"]):
-        if all(
-            (sum(s * rows[p][c] for p, s in zip(positions, signs)) + j * shift[c])
-            % dd
-            == 0
-            for c in range(n)
-        ):
-            return True
-    return False
+def _vadd(u, v, dd):
+    return tuple(map(mod, map(add, u, v), repeat(dd)))
 
 
-def _scan_pairs(lo, hi):
-    col0, dd, t0, n = _SS["col0"], _SS["dd"], _SS["target0"], _SS["n"]
-    checked = 0
+def _pair_table():
+    """The residue vectors of the pair sums e_a + e_b, a < b, and the
+    pairs under each."""
+    rows, dd = _SS["rows"], _SS["dd"]
+    sums = {}
+    table = {}
+    for a, b in combinations(range(_SS["n"]), 2):
+        key = _vadd(rows[a], rows[b], dd)
+        sums[a, b] = key
+        table.setdefault(key, []).append((a, b))
+    return sums, table
+
+
+def _scan_pairs(counts):
+    """e_a - e_b with a < b: R_b = R_a + j shift."""
+    rows, dd = _SS["rows"], _SS["dd"]
+    table = {}
+    for b, key in enumerate(rows):
+        table.setdefault(key, []).append(b)
     hits = []
-    for i in range(lo, hi):
-        ci = col0[i]
-        for j in range(i + 1, n):
-            checked += 1
-            if (ci - col0[j]) % dd in t0 and _member((i, j), (1, -1)):
-                hits.append(((i, j), (1, -1)))
-    return checked, hits
+    for a, ra in enumerate(rows):
+        for off in _SS["offsets"]:
+            counts["probes"] += 1
+            for b in table.get(_vadd(ra, off, dd), ()):
+                counts["collisions"] += 1
+                if b == a:
+                    counts["overlapping"] += 1
+                elif b < a:
+                    counts["out_of_order"] += 1
+                else:
+                    hits.append(((a, b), 0))
+    return hits
 
 
-def _scan_quads(lo, hi):
-    col0, dd, t0, n = _SS["col0"], _SS["dd"], _SS["target0"], _SS["n"]
-    checked = 0
+def _scan_quads(counts):
+    """e_a + e_b - e_c - e_d: P(c, d) = P(a, b) + j shift, where the plus
+    pair holds the smallest position a."""
+    dd = _SS["dd"]
+    sums, table = _pair_table()
     hits = []
-    for i in range(lo, hi):
-        ci = col0[i]
-        for j in range(i + 1, n):
-            cj = col0[j]
-            for k in range(j + 1, n):
-                ck = col0[k]
-                ppmm = ci + cj - ck
-                pmpm = ci - cj + ck
-                pmmp = ci - cj - ck
-                for m in range(k + 1, n):
-                    cm = col0[m]
-                    checked += 3
-                    pos = (i, j, k, m)
-                    if (ppmm - cm) % dd in t0 and _member(pos, _QUAD_PATTERNS[0]):
-                        hits.append((pos, _QUAD_PATTERNS[0]))
-                    if (pmpm - cm) % dd in t0 and _member(pos, _QUAD_PATTERNS[1]):
-                        hits.append((pos, _QUAD_PATTERNS[1]))
-                    if (pmmp + cm) % dd in t0 and _member(pos, _QUAD_PATTERNS[2]):
-                        hits.append((pos, _QUAD_PATTERNS[2]))
-    return checked, hits
+    for (a, b), pab in sums.items():
+        for off in _SS["offsets"]:
+            counts["probes"] += 1
+            for c, d in table.get(_vadd(pab, off, dd), ()):
+                counts["collisions"] += 1
+                if a in (c, d) or b in (c, d):
+                    counts["overlapping"] += 1
+                elif c < a:
+                    counts["out_of_order"] += 1
+                elif b < c:
+                    hits.append(((a, b, c, d), 0))
+                elif b < d:
+                    hits.append(((a, c, b, d), 1))
+                else:
+                    hits.append(((a, c, d, b), 2))
+    return hits
 
 
-def _scan_positive(lo, hi, size, skip):
-    """All-positive supports of the given size, minus the generator
-    supports, over first index in [lo, hi)."""
-    col0, dd, t0, n = _SS["col0"], _SS["dd"], _SS["target0"], _SS["n"]
-    ones = (1,) * size
-    checked = 0
+def _scan_positive(counts):
+    """All-positive sets of the common support size, minus the generator
+    supports: P(c, d) = -(sum over t of R) - j shift for the set's
+    (size - 2) largest positions t and its two smallest c < d."""
+    rows, dd, n, size = _SS["rows"], _SS["dd"], _SS["n"], _SS["size"]
+    neg = [tuple(-x % dd for x in r) for r in rows]
+    neg_offsets = [tuple(-x % dd for x in off) for off in _SS["offsets"]]
+    _, table = _pair_table()
     hits = []
-    for i in range(lo, hi):
-        ci = col0[i]
-        for rest in combinations(range(i + 1, n), size - 1):
-            pos = (i,) + rest
-            if pos in skip:
-                continue
-            checked += 1
-            if (ci + sum(col0[p] for p in rest)) % dd in t0 and _member(pos, ones):
-                hits.append((pos, ones))
-    return checked, hits
+    # t = u + (z,), and two positions lie below min(t)
+    for u in combinations(range(2, n), size - 3):
+        heads = neg_offsets
+        for p in u:
+            heads = [_vadd(h, neg[p], dd) for h in heads]
+        for z in range(u[-1] + 1 if u else 2, n):
+            low = u[0] if u else z
+            for head in heads:
+                counts["probes"] += 1
+                for c, d in table.get(_vadd(head, neg[z], dd), ()):
+                    counts["collisions"] += 1
+                    if d < low:
+                        pos = (c, d) + u + (z,)
+                        if pos in _SS["supports"]:
+                            counts["supports_skipped"] += 1
+                        else:
+                            hits.append((pos, 0))
+                    elif c in u or d in u or z in (c, d):
+                        counts["overlapping"] += 1
+                    else:
+                        counts["out_of_order"] += 1
+    return hits
 
 
-def _scan_chunk(args):
-    kind, lo, hi, size, skip = args
-    if kind == "pairs":
-        return _scan_pairs(lo, hi)
-    if kind == "quads":
-        return _scan_quads(lo, hi)
-    return _scan_positive(lo, hi, size, skip)
+# each family returns its hits as (sorted positions, sign pattern index)
+_FAMILIES = {"pairs": _scan_pairs, "quads": _scan_quads, "positive": _scan_positive}
+_SCAN_COUNTS = ("probes", "collisions", "overlapping", "out_of_order", "supports_skipped")
 
 
-def _run_jobs(jobs, workers, state):
-    if workers and workers > 1:
-        split = []
-        layout = []
-        for job in jobs:
-            kind, lo, hi, size, skip = job
-            step = max(1, (hi - lo) // (workers * 4))
-            count = 0
-            for a in range(lo, hi, step):
-                split.append((kind, a, min(a + step, hi), size, skip))
-                count += 1
-            layout.append(count)
-        with Pool(workers, initializer=_load_state, initargs=(state,)) as pool:
-            partials = pool.map(_scan_chunk, split)
-        merged = []
-        idx = 0
-        for count in layout:
-            total, hits = 0, []
-            for _ in range(count):
-                c, h = partials[idx]
-                idx += 1
-                total += c
-                hits.extend(h)
-            merged.append((total, hits))
-        return merged
-    return [_scan_chunk(job) for job in jobs]
+def _scan_family(kind):
+    """Hits of one candidate family as (positions, signs), in the order
+    of positions and then sign pattern, with the family's probe and
+    collision counts."""
+    counts = dict.fromkeys(_SCAN_COUNTS, 0)
+    hits = _FAMILIES[kind](counts)
+    patterns = {"pairs": ((1, -1),), "quads": _QUAD_PATTERNS}.get(
+        kind, ((1,) * _SS["size"],)
+    )
+    return [(pos, patterns[k]) for pos, k in sorted(hits)], counts
 
 
-def _candidate_vector(positions, signs):
-    out = [QZERO] * _SS["n"]
+def _candidate_vector(n, positions, signs):
+    out = [QZERO] * n
     for p, s in zip(positions, signs):
         out[p] = Q(s)
     return tuple(out)
 
 
-def _confirm_member(v) -> bool:
-    # independent rational-arithmetic route, no modular shortcut
-    coords = row_times_mat(v, _SS["minv"])
-    return integer_relation_membership(coords, _SS["qshift"], _SS["maxk"])
+def _confirm_member(v, route) -> bool:
+    # independent rational-arithmetic route, no modular shortcut; the
+    # inverse is built at the first hit
+    if "minv" not in route:
+        route["minv"] = inverse(route["rows"])
+    coords = row_times_mat(v, route["minv"])
+    return integer_relation_membership(coords, route["shift"], route["maxk"])
 
 
 def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
-    """Certify the minimum of the lattice generated by 0/1 vectors with a
-    unique dependence, by scanning every candidate family the coordinate
-    sum congruence allows.  Stops after the relation check if some
-    coefficient is a unit, since the downstream lift construction is
-    already ruined in that case."""
+    """Certify the minimum of the lattice generated by 0/1 vectors of a
+    common support size 3 or 5 with a unique dependence, by scanning
+    every candidate family the coordinate sum congruence allows.  Stops
+    after the relation check if some coefficient is a unit, since the
+    downstream lift construction is already ruined in that case.
+
+    Each family is a collision search between the residue vectors of the
+    single positions and of the pair sums; with workers > 1 the families
+    run as separate pool jobs."""
     t0 = time.monotonic()
     vectors = tuple(vector(v) for v in vectors)
     rel = linear_dependence(vectors)
     if any(c == 0 for c in rel.coefficients):
         raise ConstructionMismatch("dependence must involve every generator")
+    if any(x != 0 and x != 1 for v in vectors for x in v):
+        raise ConstructionMismatch("generators must be 0/1 vectors")
+    supports = frozenset(tuple(i for i, x in enumerate(v) if x) for v in vectors)
+    sizes = {len(sup) for sup in supports}
+    if len(sizes) != 1:
+        raise ConstructionMismatch("generators must share a support size")
+    size = sizes.pop()
+    if size not in (3, 5):
+        raise ConstructionMismatch(
+            "the candidate families cover support sizes 3 and 5, not %d" % size
+        )
     no_unit = check_no_unit_coefficient(rel)
     families = {}
     violations = []
+    stats = {}
     if no_unit:
-        supports = set()
-        sizes = set()
-        for v in vectors:
-            sup = tuple(i for i, x in enumerate(v) if x)
-            supports.add(sup)
-            sizes.add(len(sup))
-        if len(sizes) != 1:
-            raise ConstructionMismatch("generators must share a support size")
-        size = sizes.pop()
-        state = _scan_state(vectors, rel)
-        _load_state(state)
+        a1 = rel.coefficients[0]
+        # the first generator's coordinates over the others
+        route = dict(
+            rows=vectors[1:],
+            shift=tuple(Q(-c, a1) for c in rel.coefficients[1:]),
+            maxk=abs(a1),
+        )
+        state = _scan_state(route["rows"], route["shift"], route["maxk"])
+        state.update(size=size, supports=supports)
         n = state["n"]
-        jobs = [("pairs", 0, n, 2, frozenset())]
+        families["pairs"] = comb(n, 2)
+        jobs = ["pairs"]
         if size == 5:
-            jobs.append(("quads", 0, n, 4, frozenset()))
-        jobs.append(("positive", 0, n, size, frozenset(supports)))
-        labels = {
-            "pairs": "pairs",
-            "quads": "signed_quadruples",
-            "positive": "quintuples" if size == 5 else "triples",
-        }
-        results = _run_jobs(jobs, workers, state)
-        for (kind, *_rest), (checked, hits) in zip(jobs, results):
-            families[labels[kind]] = checked
+            families["signed_quadruples"] = 3 * comb(n, 4)
+            jobs.append("quads")
+        positive = "quintuples" if size == 5 else "triples"
+        families[positive] = comb(n, size) - len(supports)
+        jobs.append("positive")
+        if workers and workers > 1:
+            with Pool(
+                min(workers, len(jobs)), initializer=_load_state, initargs=(state,)
+            ) as pool:
+                results = pool.map(_scan_family, jobs)
+        else:
+            _load_state(state)
+            results = [_scan_family(job) for job in jobs]
+        stats = dict(
+            single_table=n, pair_table=comb(n, 2), offsets=len(state["offsets"])
+        )
+        stats.update(dict.fromkeys(_SCAN_COUNTS, 0))
+        for hits, counts in results:
+            for key, value in counts.items():
+                stats[key] += value
             for pos, signs in hits:
-                cand = _candidate_vector(pos, signs)
-                if not _confirm_member(cand):
+                cand = _candidate_vector(n, pos, signs)
+                if not _confirm_member(cand, route):
                     raise ScanCrossCheckFailed("routes differ at %r" % (pos,))
                 violations.append(cand)
-    return AppendixReport(rel, no_unit, families, violations, time.monotonic() - t0)
+        stats["hits_confirmed"] = len(violations)
+    return AppendixReport(
+        rel, no_unit, families, violations, time.monotonic() - t0, stats
+    )
 
 
 def check_shortest_vectors_42(vectors=None, workers: int = 0) -> AppendixReport:

@@ -11,9 +11,13 @@
   transform of the prefix's coordinates (rank and Smith form first).
 - `kz_reduce`: KZ reduction on those two, each step completing its whole
   prefix afresh.
+- `appendix_scan`: the candidate-family scan one candidate at a time, on
+  residues read off the rational inverse of the generators.
 """
 
 from functools import lru_cache
+from itertools import combinations
+from math import lcm
 
 from latred import linalg
 from latred.enumeration import closest_vectors_all, enumerate_up_to
@@ -25,7 +29,7 @@ from latred.errors import (
     NotPrimitive,
     PreconditionViolated,
 )
-from latred.lattice import Lattice, is_primitive_tuple, sublattice
+from latred.lattice import Lattice, is_primitive_tuple, linear_dependence, sublattice
 from latred.linalg import (
     dot,
     gram_matrix,
@@ -252,3 +256,104 @@ def kz_reduce(L):
         prefix.append(cands[0])
         ties.append(len(cands))
     return tuple(prefix), tuple(ties)
+
+
+_QUAD_PATTERNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+
+
+def scan_state(vectors, rel):
+    """dd, the residue rows and the shift residues from the rational inverse
+    of the generators past the first."""
+    a1 = rel.coefficients[0]
+    minv = linalg.inverse([vector(v) for v in vectors[1:]])
+    shift = tuple(Q(-c, a1) for c in rel.coefficients[1:])
+    dd = 1
+    for x in [x for row in minv for x in row] + list(shift):
+        dd = lcm(dd, int(x.denominator))
+    rows = [tuple(int(x * dd) % dd for x in row) for row in minv]
+    s_row = tuple(int(x * dd) % dd for x in shift)
+    maxk = abs(int(a1))
+    return dict(
+        n=len(vectors[0]),
+        dd=dd,
+        rows=rows,
+        shift=s_row,
+        maxk=maxk,
+        col0=tuple(r[0] for r in rows),
+        target0=frozenset((-j * s_row[0]) % dd for j in range(maxk)),
+    )
+
+
+def _member(st, positions, signs):
+    dd, rows, shift = st["dd"], st["rows"], st["shift"]
+    for j in range(st["maxk"]):
+        if all(
+            (sum(s * rows[p][c] for p, s in zip(positions, signs)) + j * shift[c])
+            % dd
+            == 0
+            for c in range(st["n"])
+        ):
+            return True
+    return False
+
+
+def _scan_pairs(st):
+    col0, dd, t0, n = st["col0"], st["dd"], st["target0"], st["n"]
+    checked, hits = 0, []
+    for i in range(n):
+        for j in range(i + 1, n):
+            checked += 1
+            if (col0[i] - col0[j]) % dd in t0 and _member(st, (i, j), (1, -1)):
+                hits.append(((i, j), (1, -1)))
+    return checked, hits
+
+
+def _scan_quads(st):
+    col0, dd, t0, n = st["col0"], st["dd"], st["target0"], st["n"]
+    checked, hits = 0, []
+    for pos in combinations(range(n), 4):
+        for signs in _QUAD_PATTERNS:
+            checked += 1
+            if sum(s * col0[p] for p, s in zip(pos, signs)) % dd in t0 and _member(
+                st, pos, signs
+            ):
+                hits.append((pos, signs))
+    return checked, hits
+
+
+def _scan_positive(st, size, skip):
+    col0, dd, t0, n = st["col0"], st["dd"], st["target0"], st["n"]
+    ones = (1,) * size
+    checked, hits = 0, []
+    for pos in combinations(range(n), size):
+        if pos in skip:
+            continue
+        checked += 1
+        if sum(col0[p] for p in pos) % dd in t0 and _member(st, pos, ones):
+            hits.append((pos, ones))
+    return checked, hits
+
+
+def appendix_scan(vectors):
+    """(families_checked, violations) of the per-candidate scan, whatever
+    the relation's coefficients are."""
+    vectors = tuple(vector(v) for v in vectors)
+    rel = linear_dependence(vectors)
+    supports = {tuple(i for i, x in enumerate(v) if x) for v in vectors}
+    (size,) = {len(sup) for sup in supports}
+    st = scan_state(vectors, rel)
+    results = {"pairs": _scan_pairs(st)}
+    if size == 5:
+        results["signed_quadruples"] = _scan_quads(st)
+    results["quintuples" if size == 5 else "triples"] = _scan_positive(
+        st, size, supports
+    )
+    families, violations = {}, []
+    for label, (checked, hits) in results.items():
+        families[label] = checked
+        for pos, signs in hits:
+            out = [Q(0)] * st["n"]
+            for p, s in zip(pos, signs):
+                out[p] = Q(s)
+            violations.append(tuple(out))
+    return families, violations

@@ -92,6 +92,21 @@ def test_verify_kz_structure(capsys):
     assert all(doc["verdicts"].values())
 
 
+def test_verify_appendix42_reports_its_scan(capsys):
+    code, out = run(capsys, ["verify", "appendix42"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["violations"] == []
+    assert doc["families_checked"] == {
+        "pairs": 861,
+        "signed_quadruples": 335790,
+        "quintuples": 850625,
+    }
+    assert doc["stats"]["probes"] == 32349
+    assert doc["stats"]["supports_skipped"] == 43
+    assert doc["stats"]["hits_confirmed"] == 0
+
+
 def test_verify_minkowski_bounds_file(capsys, dnstar5):
     code, out = run(capsys, ["verify", "minkowski-bounds", dnstar5])
     assert code == 2  # rank 5 violates the rank >= 6 precondition

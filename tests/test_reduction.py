@@ -170,6 +170,38 @@ def test_shortest_basis_certificate():
         assert all(norm_sq(v) <= rep.bound_sq for v in rep.pool)
 
 
+def test_shortest_basis_subset_search_honours_the_node_budget(monkeypatch):
+    # D_5*'s subset search needs 9 nodes and its enumerations 29, so the
+    # enumerations run at the default budget here and only the subset
+    # search sees the small one
+    from latred import reduction
+    from latred.errors import BudgetExceeded
+
+    kz, enum, search = (
+        reduction.kz_reduce,
+        reduction.enumerate_up_to,
+        reduction._basis_subset_search,
+    )
+    exhausted = []
+
+    def counted_search(L, pool, budget):
+        try:
+            return search(L, pool, budget)
+        except BudgetExceeded:
+            exhausted.append(budget)
+            raise
+
+    monkeypatch.setattr(reduction, "kz_reduce", lambda L, budget: kz(L))
+    monkeypatch.setattr(reduction, "enumerate_up_to", lambda L, r, budget: enum(L, r))
+    monkeypatch.setattr(reduction, "_basis_subset_search", counted_search)
+    rep = shortest_basis(dual_root_d(5), node_budget=8)
+    assert not rep.certified
+    assert exhausted == [8]
+    rep = shortest_basis(dual_root_d(5), node_budget=9)
+    assert rep.certified and rep.max_norm_sq == Q(5, 4)
+    assert exhausted == [8]
+
+
 def test_delta_table_recurrence():
     t = vdw_delta_table(12, False)
     total = Q(0)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import reference
 from conftest import random_integer_lattice
 from latred import verification
 from latred.constructions import (
@@ -10,11 +11,17 @@ from latred.constructions import (
     default_heights,
     dual_root_d,
     glued_kz_claimed_basis,
+    lattice42,
     perturbed_lift,
     root_d,
 )
 from latred.enumeration import enumerate_up_to
-from latred.errors import ConstructionMismatch, PreconditionViolated, ScanCrossCheckFailed
+from latred.errors import (
+    ConstructionMismatch,
+    PreconditionViolated,
+    ScanCrossCheckFailed,
+    WrongRank,
+)
 from latred.lattice import Lattice, contains, linear_dependence
 from latred.linalg import dot, gram_schmidt, norm_sq, row_times_mat, vscale, vsub
 from latred.rationals import Q
@@ -122,13 +129,131 @@ def test_appendix_scan_rejects_partial_dependence():
 
 def test_appendix_scan_raises_when_routes_disagree(monkeypatch):
     # scan attempt21 despite its unit coefficients, with a modular route
-    # that accepts every candidate its column-0 filter lets through
+    # that also reports e_0 - e_1, which the rational route rejects
     _, vecs = attempt21()
     monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
     assert appendix_scan(vecs).success
-    monkeypatch.setattr(verification, "_member", lambda positions, signs: True)
+    pairs = verification._FAMILIES["pairs"]
+    monkeypatch.setitem(
+        verification._FAMILIES, "pairs", lambda counts: pairs(counts) + [((0, 1), 0)]
+    )
     with pytest.raises(ScanCrossCheckFailed):
         appendix_scan(vecs)
+
+
+def _generator_sets(rng, n, size, entries=(1,)):
+    """Seeded sets of n + 1 vectors of dimension n, each with `size`
+    entries drawn from `entries`, whose unique dependence involves every
+    vector."""
+    while True:
+        vecs = []
+        for _ in range(n + 1):
+            sup = rng.sample(range(n), size)
+            vecs.append(
+                tuple(Q(rng.choice(entries)) if i in sup else Q(0) for i in range(n))
+            )
+        try:
+            rel = linear_dependence(vecs)
+        except WrongRank:
+            continue
+        if all(rel.coefficients):
+            yield vecs
+
+
+def test_appendix_scan_rejects_what_its_families_do_not_cover():
+    rng = random.Random(4)
+    # support 4: e_a + e_b - e_c - e_d has norm 4 and coordinate sum 0,
+    # and no family scans it
+    with pytest.raises(ConstructionMismatch, match="support sizes"):
+        appendix_scan(next(_generator_sets(rng, 7, 4)))
+    signed = next(
+        v for v in _generator_sets(rng, 6, 3, (1, -1)) if any(x < 0 for r in v for x in r)
+    )
+    with pytest.raises(ConstructionMismatch, match="0/1"):
+        appendix_scan(signed)
+
+
+def test_scan_state_residues_equal_the_rational_inverse_ones():
+    rng = random.Random(5)
+    cases = [lattice42()[1], attempt21()[1]]
+    for size, n in ((3, 6), (5, 8), (3, 9), (5, 9)):
+        gens = _generator_sets(rng, n, size)
+        cases += [next(gens) for _ in range(3)]
+    for vecs in cases:
+        vecs = [tuple(Q(x) for x in v) for v in vecs]
+        rel = linear_dependence(vecs)
+        a1 = rel.coefficients[0]
+        shift = tuple(Q(-c, a1) for c in rel.coefficients[1:])
+        got = verification._scan_state(vecs[1:], shift, abs(a1))
+        ref = reference.scan_state(vecs, rel)
+        for key in ("n", "dd", "rows", "shift"):
+            assert got[key] == ref[key], key
+
+
+def test_scan_state_checks_the_adjugate(monkeypatch):
+    adjugate = verification._adjugate
+
+    def wrong(rows):
+        d, adj = adjugate(rows)
+        adj[3][5] += 1
+        return d, adj
+
+    monkeypatch.setattr(verification, "_adjugate", wrong)
+    with pytest.raises(ScanCrossCheckFailed):
+        check_shortest_vectors_42()
+
+
+def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
+    # attempt21 and the random sets are scanned despite unit coefficients
+    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
+    vecs = attempt21()[1]
+    cases = [(vecs, reference.appendix_scan(vecs))]
+    rng = random.Random(6)
+    for size, dims in ((3, range(5, 10)), (5, range(7, 11))):
+        with_hits = 0
+        while with_hits < 15:
+            vecs = next(_generator_sets(rng, rng.choice(dims), size))
+            ref = reference.appendix_scan(vecs)
+            if ref[1]:
+                with_hits += 1
+                cases.append((vecs, ref))
+    from conftest import count_calls
+
+    calls = count_calls(monkeypatch, "linalg.inverse")
+    for vecs, (families, violations) in cases:
+        before = calls["linalg.inverse"]
+        rep = appendix_scan(vecs)
+        # the rational route builds its inverse at the first hit, once
+        assert calls["linalg.inverse"] - before == (1 if violations else 0)
+        assert rep.families_checked == families
+        assert rep.violations == violations
+        assert rep.stats["hits_confirmed"] == len(violations)
+
+
+def test_collision_scan_matches_the_reference_on_lattice42(appendix42_report):
+    families, violations = reference.appendix_scan(lattice42()[1])
+    assert appendix42_report.families_checked == families
+    assert appendix42_report.violations == violations == []
+
+
+def test_scan_42_builds_no_inverse_and_reports_its_counts(monkeypatch):
+    from conftest import count_calls
+
+    calls = count_calls(monkeypatch, "linalg.inverse")
+    rep = check_shortest_vectors_42()
+    assert calls["linalg.inverse"] == 0
+    assert rep.success
+    assert rep.stats == {
+        "single_table": 42,
+        "pair_table": 861,
+        "offsets": 3,
+        "probes": 32349,
+        "collisions": 1267,
+        "overlapping": 903,
+        "out_of_order": 321,
+        "supports_skipped": 43,
+        "hits_confirmed": 0,
+    }
 
 
 def test_kth_root_is_exact_and_float_free():
