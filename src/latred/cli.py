@@ -148,9 +148,24 @@ def _report_doc(rep) -> dict:
     }
 
 
+# parameters each verify suite takes
+_VERIFY_ARITY = {
+    "appendix42": 0,
+    "gap": 1,
+    "kz-structure": 1,
+    "minkowski-bounds": 1,
+    "delta-table": 1,
+}
+
+
 def cmd_verify(args) -> int:
     suite = args.suite
     params = args.params
+    if len(params) != _VERIFY_ARITY[suite]:
+        raise LatredError(
+            "verify suite %r takes %d parameter(s), got %d"
+            % (suite, _VERIFY_ARITY[suite], len(params))
+        )
     if args.parallel is not None and suite != "appendix42":
         raise LatredError("--parallel applies only to the appendix42 suite")
     if args.node_budget is not None and suite != "minkowski-bounds":
@@ -182,7 +197,7 @@ def cmd_verify(args) -> int:
         rep = verify_minkowski_bounds(L, **_budget_kwargs(args))
         doc = {"operation": "verify", "suite": suite, **_report_doc(rep)}
         ok = rep.success
-    elif suite == "delta-table":
+    else:  # delta-table
         K = int(params[0])
         plain = vdw_delta_table(K, False)
         better = vdw_delta_table(K, True)
@@ -195,8 +210,6 @@ def cmd_verify(args) -> int:
             "elapsed_seconds": time.monotonic() - t0,
         }
         ok = True
-    else:
-        raise LatredError("unknown verify suite: %r" % suite)
     _emit(doc, args.out)
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -251,10 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_minima)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite",
-        choices=["appendix42", "gap", "kz-structure", "minkowski-bounds", "delta-table"],
-    )
+    p.add_argument("suite", choices=list(_VERIFY_ARITY))
     p.add_argument("params", nargs="*", help="suite parameter (k, K, or a file)")
     common(p)
     budget(p)

@@ -1,9 +1,10 @@
 """Exact shortest-vector, bounded-norm, and closest-vector enumeration.
 
-Depth-first enumeration over the exact rational Gram-Schmidt data of an
-LLL-preprocessed basis.  All pruning uses exact interval bounds; there is
-no floating point anywhere.  A node budget turns out-of-desk-scale
-instances into an explicit BudgetExceeded error instead of a long stall.
+Depth-first enumeration over the exact Gram-Schmidt data of an
+LLL-preprocessed basis, read off the integral LLL's d and lambda.  All
+pruning uses exact interval bounds; there is no floating point anywhere.
+A node budget turns out-of-desk-scale instances into an explicit
+BudgetExceeded error instead of a long stall.
 """
 
 from bisect import bisect_right
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
 from .errors import BudgetExceeded, DependentRows
-from .lattice import Lattice, _gso_coordinates
-from .linalg import matrix, norm_sq, row_times_mat, vector, vneg
+from .lattice import IntGSO, Lattice, _lam_row, _target_lam
+from .linalg import matrix, norm_sq, row_times_mat
 from .rationals import Q, QZERO, qfloor, qnum, qden, qround
 
 DEFAULT_BUDGET = 10**8
@@ -35,15 +36,17 @@ class VectorList:
 
 
 def lll_rows(rows, delta=Q(3, 4)):
-    """Exact LLL reduction of independent rows: (new rows, T), T . rows = new rows.
+    """Exact LLL reduction of independent rows: (new rows, T, gso) with
+    T . rows = new rows, T unimodular, and gso the IntGSO of new rows.
 
-    Integral LLL (Cohen, Alg. 2.6.7): the rows are scaled by the lcm of
-    their denominators, and the Gram-Schmidt data is held as the integers
-    d[i] (Gram determinant of the first i rows) and lam[i][j] =
-    d[j + 1] * mu[i][j], which a swap updates in place.  Row k is
-    size-reduced against every earlier row, rounding mu halves up, before
-    the Lovasz test q * (d[k+1] d[k-1] + lam^2) >= p * d[k]^2 for
-    delta = p / q.  Every row step is applied to T as well."""
+    Integral LLL (Cohen, Alg. 2.6.7): the rows are scaled by the lcm den
+    of their denominators, and the Gram-Schmidt data is held as the
+    integers d[i] (Gram determinant of the first i scaled rows) and
+    lam[i][j] = d[j + 1] * mu[i][j], which a swap updates in place.  Row k
+    is size-reduced against every earlier row, rounding mu halves up,
+    before the Lovasz test q * (d[k+1] d[k-1] + lam^2) >= p * d[k]^2 for
+    delta = p / q.  Every row step is applied to T as well.  Everything
+    returned is nested tuples."""
     rows = matrix(rows)
     n = len(rows)
     trans = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -53,16 +56,11 @@ def lll_rows(rows, delta=Q(3, 4)):
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            elif u:
-                d[i + 1] = u
-            else:
-                raise DependentRows("row %d depends on the previous rows" % i)
+        row = _lam_row(b[:i], d, lam, b[i])
+        if not row[i]:
+            raise DependentRows("row %d depends on the previous rows" % i)
+        lam[i][:i] = row[:i]
+        d[i + 1] = row[i]
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
@@ -88,7 +86,11 @@ def lll_rows(rows, delta=Q(3, 4)):
             lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
         d[k] = new
         k = max(k - 1, 1)
-    return tuple(tuple(Q(x, den) for x in r) for r in b), tuple(map(tuple, trans))
+    return (
+        tuple(tuple(Q(x, den) for x in r) for r in b),
+        tuple(map(tuple, trans)),
+        IntGSO(tuple(map(tuple, b)), tuple(d), tuple(map(tuple, lam)), den),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +121,8 @@ def _level_range(center, remaining, ck):
 
 
 def _enum_coeffs(gso, bound_sq, budget):
-    """Yield coefficient tuples of all nonzero v with |v|^2 <= bound, one
-    per +/- pair (topmost nonzero coefficient positive)."""
+    """Yield (coefficient tuple, |v|^2) of all nonzero v with |v|^2 <=
+    bound, one per +/- pair (topmost nonzero coefficient positive)."""
     mu = gso.mu
     c = gso.norms_sq
     n = len(c)
@@ -129,7 +131,7 @@ def _enum_coeffs(gso, bound_sq, budget):
     def rec(k, rho, allzero):
         if k < 0:
             if not allzero:
-                yield tuple(x)
+                yield tuple(x), rho
             return
         budget.spend()
         center = QZERO
@@ -160,30 +162,34 @@ def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorL
     bound is served from that pool and spends no nodes; the node budget
     bounds every enumeration actually run."""
     bound_sq = Q(bound_sq)
-    held, vectors, _ = L._pool
+    held, vectors, _, norms = L._pool
     if bound_sq > held:
-        rows = L._lll[0]
+        b, _, _, den = L._lll[2]
+        cols = tuple(zip(*b))
         budget = _Budget(node_budget)
         out = []
-        for coeffs in _enum_coeffs(L._lll_gso, bound_sq, budget):
-            v = row_times_mat(coeffs, rows)
+        for coeffs, nsq in _enum_coeffs(L._lll_gso, bound_sq, budget):
+            # v = coeffs . LLL basis, over the scaled integer rows
+            w = [sum(c * x for c, x in zip(coeffs, col) if c) for col in cols]
             # sign normalization: the first nonzero entry positive
-            if next(a for a in v if a) < 0:
-                v, coeffs = vneg(v), tuple(-t for t in coeffs)
-            out.append((norm_sq(v), v, coeffs))
+            if next(a for a in w if a) < 0:
+                w, coeffs = [-a for a in w], tuple(-t for t in coeffs)
+            out.append((nsq, tuple(Q(a, den) for a in w), coeffs))
         out.sort()
-        vectors = tuple(v for _, v, _ in out)
-        coords = tuple(c for _, _, c in out)
-        object.__setattr__(L, "_pool", (bound_sq, vectors, coords))
-    end = bisect_right(vectors, bound_sq, key=norm_sq)
-    return VectorList(vectors[:end], bound_sq)
+        norms = tuple(t[0] for t in out)
+        vectors = tuple(t[1] for t in out)
+        coords = tuple(t[2] for t in out)
+        object.__setattr__(L, "_pool", (bound_sq, vectors, coords, norms))
+    return VectorList(vectors[: bisect_right(norms, bound_sq)], bound_sq)
 
 
 def _grow(L: Lattice, pick, node_budget):
     """The first non-None pick(vectors) over pools of L, from the held bound
     (at least the shortest LLL row) up by 3/2.  Pools are complete and in
     (norm, lex) order, so the result does not depend on the bound."""
-    bound = max(min(norm_sq(r) for r in L._lll[0]), L._pool[0])
+    b, _, _, den = L._lll[2]
+    shortest_row = Q(min(sum(x * x for x in r) for r in b), den * den)
+    bound = max(shortest_row, L._pool[0])
     while True:
         got = pick(enumerate_up_to(L, bound, node_budget).vectors)
         if got is not None:
@@ -210,16 +216,17 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
 
     def pick(vectors):
         chosen = []
+        minima = []
         echelon = []
-        for v, c in zip(vectors, L._pool[2]):
+        _, _, coords, norms = L._pool
+        for v, c, nsq in zip(vectors, coords, norms):
             w = _echelon_reduce(echelon, c)
             if any(w):
                 echelon.append(w)
                 chosen.append(v)
+                minima.append(nsq)
                 if len(chosen) == L.rank:
-                    return MinimaReport(
-                        tuple(norm_sq(v) for v in chosen), tuple(chosen)
-                    )
+                    return MinimaReport(tuple(minima), tuple(chosen))
 
     return _grow(L, pick, node_budget)
 
@@ -251,7 +258,9 @@ def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
     c = gso.norms_sq
     n = len(rows)
     # target = sum_k y_k b*_k: level k centers on y_k - sum_{i>k} x_i mu_ik
-    y = _gso_coordinates(gso, vector(target))
+    lam_w, s = _target_lam(L, target)
+    _, d, _, den = L._lll[2]
+    y = [Q(t * den, d[k + 1] * s) for k, t in enumerate(lam_w)]
     x = [0] * n
     budget = _Budget(node_budget)
     best = [None]

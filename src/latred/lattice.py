@@ -1,15 +1,18 @@
 """The Lattice abstraction and the operations the reductions build on.
 
 A lattice is held as an ordered basis of exact rational row vectors.  It
-caches its LLL basis with the LLL transform and that basis's GSO, and the
-largest short-vector pool enumerated from it; every result depends on the
-basis alone, so Lattice values are safe to share.
+caches its LLL basis with the LLL transform and the integral Gram-Schmidt
+data that the integral LLL ends with (IntGSO), and the largest
+short-vector pool enumerated from it; every result depends on the basis
+alone, so Lattice values are safe to share.  Coordinates, covolume and the
+enumeration's mu and norms are all read off that one IntGSO: the LLL basis
+gets no rational Gram-Schmidt.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -24,7 +27,6 @@ from .errors import (
 )
 from .linalg import (
     dot,
-    gram_matrix,
     gram_schmidt,
     hnf,
     matrix,
@@ -36,7 +38,36 @@ from .linalg import (
     vsub,
     vscale,
 )
-from .rationals import Q, is_integer, qround
+from .rationals import Q, QONE, QZERO, is_integer, qden, qnum, qround
+
+
+class IntGSO(namedtuple("IntGSO", "b d lam den")):
+    """Integral Gram-Schmidt data of rational rows (Cohen, Alg. 2.6.7):
+    b the rows scaled by the lcm den of their denominators, d[i] the Gram
+    determinant of b[:i] (d[0] = 1), and lam[i][j] = d[j + 1] mu[i][j]
+    for j < i (zero elsewhere), all integers in nested tuples."""
+
+    __slots__ = ()
+
+
+# mu and squared norms of a GSO, without the GSO vectors themselves
+GSO = namedtuple("GSO", "mu norms_sq")
+
+
+def _lam_row(b, d, lam, w):
+    """The recurrence of the integral GSO for an integer vector w after
+    the integer rows b, with exact divisions: entry j < len(b) is
+    d[j + 1] mu_wj, and the last entry the Gram determinant of [b; w],
+    zero iff w lies in the span of b.  d and lam need to be set for b."""
+    n = len(b)
+    out = []
+    for j in range(n + 1):
+        u = sum(x * y for x, y in zip(w, b[j] if j < n else w))
+        row = lam[j] if j < n else out
+        for t in range(j):
+            u = (d[t + 1] * u - out[t] * row[t]) // d[t]
+        out.append(u)
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,21 +89,34 @@ class Lattice:
     def ambient_dim(self):
         return len(self.basis[0])
 
-    # (bound, vectors, coordinates) of the largest enumerate_up_to so far,
-    # in its order; coordinates[i] is the integer coefficient tuple of
-    # vectors[i] over the LLL basis _lll[0]
-    _pool = (Q(0), (), ())
+    # (bound, vectors, coordinates, squared norms) of the largest
+    # enumerate_up_to so far, in its order; coordinates[i] is the integer
+    # coefficient tuple of vectors[i] over the LLL basis _lll[0]
+    _pool = (Q(0), (), (), ())
 
     @cached_property
     def _lll(self):
-        """(LLL basis, T) with T . basis = LLL basis, T unimodular."""
+        """(LLL basis, T, IntGSO of the LLL basis), T . basis = LLL basis
+        and T unimodular."""
         from .enumeration import lll_rows
 
         return lll_rows(self.basis)
 
     @cached_property
     def _lll_gso(self):
-        return gram_schmidt(self._lll[0])
+        """mu and squared norms of the LLL basis's GSO, read off its IntGSO:
+        mu_ij = lam_ij / d_{j+1} and |b*_i|^2 = d_{i+1} / (d_i den^2)."""
+        _, d, lam, den = self._lll[2]
+        n = len(d) - 1
+        mu = tuple(
+            tuple(
+                Q(lam[i][j], d[j + 1]) if j < i else QONE if j == i else QZERO
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        norms = tuple(Q(d[i + 1], d[i] * den * den) for i in range(n))
+        return GSO(mu, norms)
 
 
 @dataclass(frozen=True)
@@ -92,24 +136,48 @@ class PrimitivityCertificate:
 
 
 def coordinates(L: Lattice, v):
-    """The unique x with x . basis = v; raises NotInSpan.  Solved over the
-    LLL basis by back-substituting v's GSO coordinates, then mapped by T."""
+    """The unique x with x . basis = v; raises NotInSpan.
+
+    Solved in integers on the LLL basis's IntGSO (b, d, lam, den): W = s v
+    is integral and lam_W = _target_lam(L, v).  Writing W = sum_j z_j b_j,
+    the dz_j = d_n z_j are integers (Cramer's rule on the Gram system of
+    b) and back-substitute by exact divisions,
+    dz_j = (lam_Wj d_n - sum_{i>j} lam_ij dz_i) / d_{j+1}.  Then
+    x = (dz . T) den / (d_n s), one division per entry."""
+    lam_w, s = _target_lam(L, v)
+    _, d, lam, den = L._lll[2]
+    n = L.rank
+    dz = [0] * n
+    for j in range(n - 1, -1, -1):
+        acc = lam_w[j] * d[n]
+        for i in range(j + 1, n):
+            if dz[i] and lam[i][j]:
+                acc -= lam[i][j] * dz[i]
+        dz[j] = acc // d[j + 1]
+    scale = d[n] * s
+    trans = L._lll[1]
+    return tuple(
+        Q(den * sum(x * r[c] for x, r in zip(dz, trans) if x), scale)
+        for c in range(n)
+    )
+
+
+def _target_lam(L: Lattice, v):
+    """(lam_W, s): s the lcm of v's denominators, W = s v, and lam_W[k] =
+    d_{k+1} mu_Wk the recurrence row of W against the scaled LLL rows of
+    L, so that v = sum_k lam_W[k] den / (d_{k+1} s) b*_k over the GSO of
+    the LLL basis; raises NotInSpan when the Gram determinant of [b; W]
+    is nonzero."""
     v = vector(v)
     if len(v) != L.ambient_dim:
         raise DimensionMismatch("vector has wrong ambient dimension")
-    mu = L._lll_gso.mu
-    x = _gso_coordinates(L._lll_gso, v)
-    for j in range(L.rank - 2, -1, -1):
-        x[j] -= sum(mu[i][j] * x[i] for i in range(j + 1, L.rank) if x[i])
-    return row_times_mat(x, L._lll[1])
-
-
-def _gso_coordinates(gso, v):
-    """The y with v = sum_k y_k b*_k over the GSO vectors; raises NotInSpan."""
-    y = [dot(v, bs) / c for bs, c in zip(gso.bstar, gso.norms_sq)]
-    if row_times_mat(y, gso.bstar) != v:
+    s = lcm(*(qden(e) for e in v))
+    w = [qnum(e) * (s // qden(e)) for e in v]
+    b, d, lam, _ = L._lll[2]
+    row = _lam_row(b, d, lam, w)
+    if row[-1]:
         raise NotInSpan("vector is outside the real span of the lattice")
-    return y
+    return row[:-1], s
 
 
 def contains(L: Lattice, v) -> bool:
@@ -132,8 +200,10 @@ def integer_coordinates(L: Lattice, v):
 
 
 def covolume_squared(L: Lattice):
-    """det of the basis Gram matrix; basis-independent."""
-    return linalg.determinant(gram_matrix(L.basis))
+    """det of the basis Gram matrix; basis-independent, so it is read off
+    the LLL basis's IntGSO as d_n / den^(2n)."""
+    _, d, _, den = L._lll[2]
+    return Q(d[-1], den ** (2 * L.rank))
 
 
 def dual(L: Lattice) -> Lattice:

@@ -6,6 +6,7 @@ normalized and compared lexicographically, and the per-step log records how
 many candidates were tied so tests can spot tie-sensitive assertions.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Rational
 
@@ -57,7 +58,7 @@ class ShortestBasisReport:
 def lll(L: Lattice, delta=Q(3, 4)) -> ReductionResult:
     if not (isinstance(delta, Rational) and Q(1, 4) < delta < 1):
         raise PreconditionViolated("delta must be a rational in (1/4, 1)")
-    rows, _ = lll_rows(L.basis, delta)
+    rows = lll_rows(L.basis, delta)[0]
     return ReductionResult(rows, "lll", ())
 
 
@@ -71,18 +72,18 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
 
     def pick(vectors):
         # the first primitive extension, then its ties: those of equal norm
-        coords = L._pool[2]
+        _, _, coords, norms = L._pool
         i = next((i for i in range(len(vectors)) if prefix.extends(coords[i])), None)
         if i is not None:
-            tied = _shortest(vectors[i:])
-            ties = 1 + sum(map(prefix.extends, coords[i + 1 : i + len(tied)]))
-            return tied[0], coords[i], ties
+            end = bisect_right(norms, norms[i])
+            ties = 1 + sum(map(prefix.extends, coords[i + 1 : end]))
+            return vectors[i], coords[i], norms[i], ties
 
     for i in range(L.rank):
-        chosen, c, ties = _grow(L, pick, node_budget)
+        chosen, c, nsq, ties = _grow(L, pick, node_budget)
         prefix = prefix.extended(c)
         basis.append(chosen)
-        log.append(StepRecord(i, chosen, norm_sq(chosen), ties))
+        log.append(StepRecord(i, chosen, nsq, ties))
     return ReductionResult(tuple(basis), "minkowski", tuple(log))
 
 
@@ -169,22 +170,20 @@ def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisRepor
     kz = kz_reduce(L, node_budget).basis
     upper = max(norm_sq(v) for v in kz)
     pool = enumerate_up_to(L, upper, node_budget).vectors
-    coords = L._pool[2]
-    levels = sorted({norm_sq(v) for v in pool})
+    _, _, coords, norms = L._pool
+    norms = norms[: len(pool)]
+    # search order: rare (large-denominator) vectors first, then by norm;
+    # the order is total, so each level's subset keeps it
+    by_order = sorted(
+        zip(pool, coords, norms),
+        key=lambda e: (-max(int(x.denominator) for x in e[0]), e[2], e[0]),
+    )
     certified = True
-    for level in levels:
-        sub = [(v, c) for v, c in zip(pool, coords) if norm_sq(v) <= level]
-        if not _generates(L.rank, [c for _, c in sub]):
+    for level in sorted(set(norms)):
+        end = bisect_right(norms, level)
+        if not _generates(L.rank, coords[:end]):
             continue
-        # search order: rare (large-denominator) vectors first, then by norm
-        def order_key(vc):
-            v = vc[0]
-            den = 1
-            for e in v:
-                den = max(den, int(e.denominator))
-            return (-den, norm_sq(v), v)
-
-        ordered = sorted(sub, key=order_key)
+        ordered = [(v, c) for v, c, nsq in by_order if nsq <= level]
         try:
             found = _basis_subset_search(
                 L, ordered, budget=min(node_budget, 2_000_000)

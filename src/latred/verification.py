@@ -767,6 +767,30 @@ def _shared(x):
     return x
 
 
+class _SharedTable(dict):
+    """A read-only dict, one object per distinct content (_shared_table)."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("this report table is shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _SharedTable, (dict(self),)
+
+
+def _shared_table(d):
+    return _table(tuple(d.items()))
+
+
+@lru_cache(maxsize=4096)
+def _table(items):
+    return _SharedTable(items)
+
+
 def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
     """Check the greedy-reduction norm bounds against the successive
     minima: the k/4 factor at k = 6, 7 (with similarity to D_k* exactly
@@ -777,28 +801,37 @@ def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
     kwargs = {} if node_budget is None else {"node_budget": node_budget}
     mink = minkowski_reduce(L, **kwargs)
     minima = successive_minima(L, **kwargs)
-    # keys are interned and values shared: a caller holding the reports of
-    # many lattices holds one copy of each key and of each value
-    rep = TheoremReport(intern("rank_%d" % L.rank))
+    # keys are interned and values shared, and the verdict, equality and
+    # (empty) witness tables, which most lattices of a rank have in common,
+    # are shared read-only: a caller holding the reports of many lattices
+    # holds one copy of each key, value and table
+    quantities, verdicts, equalities = {}, {}, {}
     table = vdw_delta_table(L.rank, True)
     all_delta = True
     for i in range(L.rank):
-        v_sq = _shared(norm_sq(mink.basis[i]))
+        v_sq = _shared(mink.step_log[i].norm_sq)
         lam_sq = _shared(minima.minima_sq[i])
-        rep.quantities[intern("v_%d_sq" % (i + 1))] = v_sq
-        rep.quantities[intern("lambda_%d_sq" % (i + 1))] = lam_sq
+        quantities[intern("v_%d_sq" % (i + 1))] = v_sq
+        quantities[intern("lambda_%d_sq" % (i + 1))] = lam_sq
         all_delta &= v_sq <= table.values[i] * lam_sq
         if i + 1 in (6, 7):
-            rep.verdicts[intern("v%d_within_quarter_bound" % (i + 1))] = (
+            verdicts[intern("v%d_within_quarter_bound" % (i + 1))] = (
                 v_sq <= Q(i + 1, 4) * lam_sq
             )
             eq = v_sq == Q(i + 1, 4) * lam_sq
-            rep.equalities[intern("equality_at_%d" % (i + 1))] = eq
+            equalities[intern("equality_at_%d" % (i + 1))] = eq
             if eq:
-                rep.verdicts[intern("similar_to_dual_root_%d" % (i + 1))] = (
+                verdicts[intern("similar_to_dual_root_%d" % (i + 1))] = (
                     similar_to_dual_root(mink.basis[: i + 1])
                 )
-    rep.verdicts["improved_delta_bounds"] = all_delta
+    verdicts["improved_delta_bounds"] = all_delta
+    rep = TheoremReport(
+        intern("rank_%d" % L.rank),
+        quantities,
+        _shared_table(verdicts),
+        _shared_table(equalities),
+        _shared_table({}),
+    )
     rep.elapsed = time.monotonic() - t0
     return rep
 

@@ -43,6 +43,29 @@ def test_construct_bad_params(capsys):
     assert code == 2
 
 
+def test_verify_checks_its_parameter_count(capsys, dnstar5):
+    # gap, kz-structure, minkowski-bounds and delta-table take exactly one
+    # parameter and appendix42 none; a missing or extra one is a usage
+    # error that names the suite, and nothing runs
+    for argv in (
+        ["verify", "gap"],
+        ["verify", "gap", "1", "99"],
+        ["verify", "kz-structure"],
+        ["verify", "kz-structure", "1", "2"],
+        ["verify", "minkowski-bounds"],
+        ["verify", "minkowski-bounds", dnstar5, dnstar5],
+        ["verify", "delta-table"],
+        ["verify", "delta-table", "7", "extra"],
+        ["verify", "appendix42", "foo"],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "verify suite %r takes" % argv[1] in captured.err, argv
+    code, out = run(capsys, ["verify", "delta-table", "7"])
+    assert code == 0 and json.loads(out)["suite"] == "delta-table"
+
+
 def test_reduce_minkowski(capsys, dnstar5):
     code, out = run(capsys, ["reduce", "--alg", "minkowski", dnstar5])
     assert code == 0

@@ -59,7 +59,7 @@ def test_lll_rows_preserves_lattice():
     rng = random.Random(2)
     for _ in range(10):
         L = random_integer_lattice(rng, 4)
-        red, _ = lll_rows(L.basis)
+        red = lll_rows(L.basis)[0]
         assert abs(determinant(red)) == abs(determinant(L.basis))
         M = Lattice(red)
         from latred.lattice import contains
@@ -142,6 +142,19 @@ def test_closest_vectors_all_returns_every_minimizer():
     assert set(vs) == {(Q(0), Q(0)), (Q(1), Q(0))}
 
 
+def test_closest_vectors_all_rejects_a_target_outside_the_span():
+    from latred.errors import DimensionMismatch, NotInSpan
+
+    L = Lattice(((Q(1), Q(2), Q(0)), (Q(0), Q(1, 3), Q(1))))
+    for target in ((Q(0), Q(0), Q(1, 3)), (Q(1), Q(0), Q(0))):
+        with pytest.raises(NotInSpan):
+            closest_vectors_all(L, target)
+    with pytest.raises(DimensionMismatch):
+        closest_vectors_all(L, (Q(1), Q(2)))
+    vs, dist_sq = closest_vectors_all(L, (Q(1, 2), Q(1), Q(0)))
+    assert vs == ((Q(0), Q(0), Q(0)), (Q(1), Q(2), Q(0))) and dist_sq == Q(5, 4)
+
+
 def test_budget_exceeded():
     rng = random.Random(30)
     L = random_integer_lattice(rng, 6, 4)
@@ -195,14 +208,47 @@ def test_integral_lll_matches_rational_reference():
     from latred.linalg import mat_mul
 
     for rows in _lll_inputs() + [glued_prime_lattice(2).basis]:
-        red, t = lll_rows(rows)
+        red, t, _ = lll_rows(rows)
         assert red == rational_lll_rows(rows)
         assert mat_mul(t, rows) == red and abs(determinant(t)) == 1
         assert all(isinstance(x, int) for r in t for x in r)
     rows = _lll_inputs()[7]
     for delta in (Q(1, 2), Q(99, 100)):
-        red, t = lll_rows(rows, delta)
+        red, t, _ = lll_rows(rows, delta)
         assert red == rational_lll_rows(rows, delta) == mat_mul(t, rows)
+
+
+def test_integral_gso_matches_the_rational_references():
+    # mu and norms read off lll_rows' d and lam equal the rational GSO of
+    # the LLL rows, and d_n / den^(2n) the Gram determinant of the basis
+    from latred.constructions import glued_prime_lattice
+    from latred.lattice import covolume_squared
+    from latred.linalg import gram_matrix, gram_schmidt
+
+    lattices = [Lattice(rows) for rows in _lll_inputs()]
+    lattices += [glued_prime_lattice(2), glued_prime_lattice(3)]
+    for L in lattices:
+        want = gram_schmidt(L._lll[0])
+        assert L._lll_gso.mu == want.mu
+        assert L._lll_gso.norms_sq == want.norms_sq
+        assert covolume_squared(L) == determinant(gram_matrix(L.basis))
+
+
+def test_lll_rows_output_keys_the_benchmark_tracer():
+    # the benchmark's tracer keys each lll_rows result by
+    # tuple(tuple(r) for r in out) to spot repeated work; that key must
+    # hash, or a traced run crashes
+    from latred.lattice import IntGSO
+
+    for rows in _lll_inputs()[:20]:
+        out = lll_rows(rows)
+        hash(tuple(tuple(r) for r in out))
+        red, t, gso = out
+        b, d, lam, den = gso
+        assert isinstance(gso, IntGSO) and red == tuple(
+            tuple(Q(x, den) for x in r) for r in b
+        )
+        assert d[0] == 1 and len(d) == len(red) + 1 and len(lam) == len(red)
 
 
 def test_lll_rows_builds_no_gram_schmidt(monkeypatch):
@@ -217,15 +263,16 @@ def test_lll_rows_builds_no_gram_schmidt(monkeypatch):
 
 def test_pool_coordinates_give_the_pool_vectors():
     # each held vector is its coordinate tuple over the LLL basis, with
-    # the sign flipped along with the vector's
+    # the sign flipped along with the vector's, and its held norm is its
+    # squared norm
     from latred.linalg import row_times_mat
 
     rng = random.Random(31)
     for _ in range(10):
         L = random_integer_lattice(rng, 5, 4)
         got = enumerate_up_to(L, Q(rng.randint(10, 30))).vectors
-        _, vectors, coords = L._pool
-        assert vectors == got and len(coords) == len(vectors)
-        for v, c in zip(vectors, coords):
+        _, vectors, coords, norms = L._pool
+        assert vectors == got and len(coords) == len(norms) == len(vectors)
+        for v, c, nsq in zip(vectors, coords, norms):
             assert all(isinstance(x, int) for x in c)
-            assert row_times_mat(c, L._lll[0]) == v
+            assert row_times_mat(c, L._lll[0]) == v and norm_sq(v) == nsq

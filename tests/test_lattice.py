@@ -35,6 +35,7 @@ from latred.linalg import (
     gram_schmidt,
     mat_mul,
     norm_sq,
+    row_times_mat,
     unit_vector,
     vector,
     vscale,
@@ -79,6 +80,21 @@ def test_covolume_squared_is_gram_determinant():
     L = Lattice(((Q(1), Q(2), Q(0)), (Q(0), Q(1), Q(1))))
     g = [[dot(a, b) for b in L.basis] for a in L.basis]
     assert covolume_squared(L) == determinant(g)
+    # rational bases whose rank is below the ambient dimension
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        d = n + rng.randint(1, 3)
+        rows = [
+            [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+            for _ in range(n)
+        ]
+        try:
+            L = Lattice(rows)
+        except DependentTuple:
+            continue
+        g = [[dot(a, b) for b in L.basis] for a in L.basis]
+        assert covolume_squared(L) == determinant(g)
 
 
 def test_dual_dual_round_trip():
@@ -337,6 +353,45 @@ def test_coordinates_match_the_gram_inverse_reference():
     L = Lattice([(Q(1), Q(2), Q(0))])
     with pytest.raises(DimensionMismatch):
         coordinates(L, (Q(1), Q(2)))
+
+
+def test_coordinates_off_the_basis_denominator_match_the_reference():
+    # in-span vectors with denominators 5 and 7, which divide no scaled
+    # basis denominator, in-lattice vectors, and vectors outside the span
+    import reference
+
+    rng = random.Random(91)
+    off_den = outside = 0
+    while off_den < 100:
+        n = rng.randint(1, 6)
+        d = n + rng.choice((0, 0, 1, 2))
+        rows = [
+            [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+            for _ in range(n)
+        ]
+        try:
+            L = Lattice(rows)
+        except DependentTuple:
+            continue
+        x = [Q(rng.randint(-9, 9), rng.choice((1, 5, 7))) for _ in range(n)]
+        v = row_times_mat(x, L.basis)
+        assert coordinates(L, v) == reference.coordinates(L, v) == tuple(x)
+        off_den += any(L._lll[2].den % e.denominator for e in v)
+        c = [rng.randint(-4, 4) for _ in range(n)]
+        w = row_times_mat(c, L.basis)
+        assert integer_coordinates(L, w) == reference.integer_coordinates(L, w)
+        assert integer_coordinates(L, w) == tuple(c)
+        if d > n:
+            u = [Q(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(d)]
+            try:
+                reference.coordinates(L, u)
+            except NotInSpan:
+                outside += 1
+                with pytest.raises(NotInSpan):
+                    coordinates(L, u)
+            else:
+                assert coordinates(L, u) == reference.coordinates(L, u)
+    assert outside >= 30
 
 
 def test_completion_error_classes():

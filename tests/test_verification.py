@@ -341,7 +341,8 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
     # the criterion-2 population of the random-minkowski benchmark: rank
     # from {6, 7}, entries in [-4, 4].  Greedy primitivity and minima
     # independence read the pool's integer coordinates, so no coordinate
-    # solve, Smith form or inverse is left; the one GSO is L._lll_gso.
+    # solve, Smith form or inverse is left, and L._lll_gso is read off the
+    # integral LLL's d and lam, so no rational GSO is built either.
     from conftest import count_calls
     from latred.errors import LatredError
 
@@ -367,8 +368,26 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
         "lattice.coordinates": 0,
         "linalg.snf_divisors": 0,
         "linalg.inverse": 0,
-        "linalg.gram_schmidt": 60,
+        "linalg.gram_schmidt": 0,
     }
+
+
+def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
+    # one pass of the glued-certify benchmark (gap and kz-structure for
+    # k = 1..3): the rational GSO is built only for prefixes and claimed
+    # bases, never for an LLL basis, and the covolume needs no determinant
+    from conftest import count_calls
+
+    calls = count_calls(monkeypatch, "linalg.gram_schmidt", "linalg.determinant")
+    for k in (1, 2, 3):
+        verification.verify_theorem_gap(k)
+        verification.verify_kz_structure(k)
+    assert calls["linalg.gram_schmidt"] <= 39
+    assert calls["linalg.determinant"] <= 7
+    for name in calls:
+        calls[name] = 0
+    assert verification.verify_theorem_gap(3).success
+    assert calls == {"linalg.gram_schmidt": 0, "linalg.determinant": 2}
 
 
 def test_minkowski_bounds_reports_share_keys_and_values():
@@ -380,3 +399,22 @@ def test_minkowski_bounds_reports_share_keys_and_values():
         other = next(k for k in b.quantities if k == key)
         assert other is key and b.quantities[key] is value
     assert not hasattr(a, "__dict__")
+    # and each verdict, equality and witness table once, read-only; a
+    # report still copies, pickles and serializes as plain dicts do
+    import copy
+    import json
+    import pickle
+
+    for name in ("verdicts", "equalities", "witnesses"):
+        table = getattr(a, name)
+        assert table is getattr(b, name) and isinstance(table, dict)
+        with pytest.raises(TypeError):
+            table["extra"] = True
+        with pytest.raises(TypeError):
+            table.update(extra=True)
+        assert table == getattr(pickle.loads(pickle.dumps(a)), name)
+        assert table == getattr(copy.deepcopy(a), name)
+        assert json.loads(json.dumps(table)) == table
+    assert a.equalities == {"equality_at_6": True} and a.witnesses == {}
+    c = verification.verify_minkowski_bounds(dual_root_d(7))
+    assert c.verdicts is not a.verdicts and c.success
