@@ -43,6 +43,8 @@ class GluedResidues:
 
 
 def hypercubic(n: int) -> Lattice:
+    if n < 1:
+        raise BadParams("Z^n needs n >= 1")
     return Lattice(tuple(unit_vector(n, i) for i in range(n)))
 
 

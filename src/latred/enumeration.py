@@ -9,12 +9,12 @@ BudgetExceeded error instead of a long stall.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .errors import BudgetExceeded, DependentRows
-from .lattice import IntGSO, Lattice, _lam_row, _target_lam
+from .lattice import IntGSO, Lattice, _Prefix, _lam_row, _target_lam
 from .linalg import matrix, norm_sq, row_times_mat
-from .rationals import Q, QZERO, qfloor, qnum, qden, qround
+from .rationals import Q, QZERO, qexact, qfloor, qnum, qden, qround
 
 DEFAULT_BUDGET = 10**8
 
@@ -120,11 +120,15 @@ def _level_range(center, remaining, ck):
     return lo, hi
 
 
-def _enum_coeffs(gso, bound_sq, budget):
-    """Yield (coefficient tuple, |v|^2) of all nonzero v with |v|^2 <=
-    bound, one per +/- pair (topmost nonzero coefficient positive)."""
-    mu = gso.mu
-    c = gso.norms_sq
+def _walk(mu, c, y, bound, budget):
+    """Yield (x, |sum_k x_k b_k - t|^2) for the integer x within bound[0]
+    of the target t = sum_k y[k] b*_k, over the GSO mu, c = |b*_k|^2 of a
+    basis b (Fincke-Pohst).  Level k centers on y[k] - sum_{i>k} x_i mu_ik.
+    With y None the target is 0 and the walk yields the nonzero x, one per
+    +/- pair (topmost nonzero coefficient positive).  Every node reads the
+    bound afresh, so a consumer may lower bound[0] between yields; leaves
+    past a lowered bound may still arrive.  Each internal node spends one
+    budget node."""
     n = len(c)
     x = [0] * n
 
@@ -134,24 +138,49 @@ def _enum_coeffs(gso, bound_sq, budget):
                 yield tuple(x), rho
             return
         budget.spend()
-        center = QZERO
+        remaining = bound[0] - rho
+        if remaining < 0:
+            return
+        center = QZERO if y is None else y[k]
         for i in range(k + 1, n):
             if x[i]:
                 center -= x[i] * mu[i][k]
-        remaining = bound_sq - rho
         lo, hi = _level_range(center, remaining, c[k])
         if allzero and lo < 0:
             lo = 0
         for xk in range(lo, hi + 1):
             d = xk - center
-            add = c[k] * d * d
-            if add > remaining:
-                continue
             x[k] = xk
-            yield from rec(k - 1, rho + add, allzero and xk == 0)
+            yield from rec(k - 1, rho + c[k] * d * d, allzero and xk == 0)
         x[k] = 0
 
-    yield from rec(n - 1, QZERO, True)
+    yield from rec(n - 1, QZERO, y is None)
+
+
+def _closest(mu, c, y, budget):
+    """(every x minimizing |sum_k x_k b_k - t|^2, that minimum) for the
+    target t = sum_k y[k] b*_k: the walk starts at the distance of Babai's
+    nearest-plane point and lowers its bound as nearer leaves arrive."""
+    n = len(c)
+    x = [0] * n
+    dist = QZERO
+    for k in range(n - 1, -1, -1):
+        center = y[k]
+        for i in range(k + 1, n):
+            if x[i]:
+                center -= x[i] * mu[i][k]
+        x[k] = qround(center)
+        d = x[k] - center
+        dist += c[k] * d * d
+    bound = [dist]
+    found = []
+    for coeffs, rho in _walk(mu, c, y, bound, budget):
+        if rho < bound[0]:
+            bound[0] = rho
+            found.clear()
+        if rho == bound[0]:
+            found.append(coeffs)
+    return found, bound[0]
 
 
 def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorList:
@@ -161,14 +190,15 @@ def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorL
     L keeps the largest pool enumerated so far.  A request at or below its
     bound is served from that pool and spends no nodes; the node budget
     bounds every enumeration actually run."""
-    bound_sq = Q(bound_sq)
+    bound_sq = qexact(bound_sq)
     held, vectors, _, norms = L._pool
     if bound_sq > held:
         b, _, _, den = L._lll[2]
         cols = tuple(zip(*b))
         budget = _Budget(node_budget)
+        gso = L._lll_gso
         out = []
-        for coeffs, nsq in _enum_coeffs(L._lll_gso, bound_sq, budget):
+        for coeffs, nsq in _walk(gso.mu, gso.norms_sq, None, [bound_sq], budget):
             # v = coeffs . LLL basis, over the scaled integer rows
             w = [sum(c * x for c, x in zip(coeffs, col) if c) for col in cols]
             # sign normalization: the first nonzero entry positive
@@ -215,14 +245,13 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
     independence is decided on the pool's integer coordinates."""
 
     def pick(vectors):
+        held = _Prefix.empty(L.rank)
         chosen = []
         minima = []
-        echelon = []
         _, _, coords, norms = L._pool
         for v, c, nsq in zip(vectors, coords, norms):
-            w = _echelon_reduce(echelon, c)
-            if any(w):
-                echelon.append(w)
+            if held.independent(c):
+                held = held.extended(c)
                 chosen.append(v)
                 minima.append(nsq)
                 if len(chosen) == L.rank:
@@ -231,82 +260,20 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
     return _grow(L, pick, node_budget)
 
 
-def _echelon_reduce(echelon, c):
-    """c with the pivot of every echelon row cleared, fraction-free; it is
-    zero iff c lies in the span of the rows, which are themselves reduced
-    against the rows before them."""
-    w = list(c)
-    for e in echelon:
-        j = next(j for j, a in enumerate(e) if a)
-        if w[j]:
-            w = [e[j] * x - w[j] * y for x, y in zip(w, e)]
-            g = gcd(*w)
-            if g > 1:
-                w = [x // g for x in w]
-    return w
-
-
 # ---------------------------------------------------------------------------
 # closest vector
 
 
 def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
     """All v in L minimizing |target - v|^2, plus the squared distance."""
-    rows = L._lll[0]
-    gso = L._lll_gso
-    mu = gso.mu
-    c = gso.norms_sq
-    n = len(rows)
-    # target = sum_k y_k b*_k: level k centers on y_k - sum_{i>k} x_i mu_ik
+    # target = sum_k y_k b*_k over the GSO of the LLL basis
     lam_w, s = _target_lam(L, target)
     _, d, _, den = L._lll[2]
     y = [Q(t * den, d[k + 1] * s) for k, t in enumerate(lam_w)]
-    x = [0] * n
-    budget = _Budget(node_budget)
-    best = [None]
-    found = []
-
-    def rec(k, rho):
-        budget.spend()
-        if k < 0:
-            if best[0] is None or rho < best[0]:
-                best[0] = rho
-                found.clear()
-            if rho == best[0]:
-                found.append(tuple(x))
-            return
-        center = y[k]
-        for i in range(k + 1, n):
-            if x[i]:
-                center -= x[i] * mu[i][k]
-        # zig-zag outward from the rounded center; prune once past best
-        x0 = qround(center)
-        step = 0
-        while True:
-            if step == 0:
-                cands = (x0,)
-            else:
-                cands = (x0 + step, x0 - step)
-            alive = False
-            for xk in cands:
-                d = xk - center
-                add = c[k] * d * d
-                if best[0] is not None and rho + add > best[0]:
-                    continue
-                alive = True
-                x[k] = xk
-                rec(k - 1, rho + add)
-            if step and not alive:
-                break
-            step += 1
-        x[k] = 0
-
-    rec(n - 1, QZERO)
+    gso = L._lll_gso
+    found, dist = _closest(gso.mu, gso.norms_sq, y, _Budget(node_budget))
     # distinct coefficient vectors of a basis give distinct lattice points
-    vecs = sorted(
-        row_times_mat([Q(e) for e in coeffs], rows) for coeffs in found
-    )
-    return tuple(vecs), best[0]
+    return tuple(sorted(row_times_mat(x, L._lll[0]) for x in found)), dist
 
 
 def closest_vector(L: Lattice, target, node_budget=DEFAULT_BUDGET):

@@ -78,6 +78,8 @@ class Lattice:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", matrix(self.basis))
+        if not self.basis:
+            raise DimensionMismatch("a lattice needs at least one basis row")
         if linalg.rank(self.basis) != len(self.basis):
             raise DependentTuple("basis rows are linearly dependent")
 
@@ -262,6 +264,11 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
 
     def extends(self, c):
         return gcd(*self._tail(c)) == 1
+
+    def independent(self, c):
+        """Whether c lies outside the span of the prefix: C . M = [T | 0]
+        with T of full rank, so the span is exactly the c whose tail is 0."""
+        return any(self._tail(c))
 
     def extended(self, c):
         """The prefix with c appended; raises DependentTuple when c is in

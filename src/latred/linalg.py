@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DependentRows, DimensionMismatch, NotIntegral, Singular
-from .rationals import Q, QONE, QZERO, is_integer
+from .rationals import Q, QONE, QZERO, is_integer, qexact
 
 
 # ---------------------------------------------------------------------------
@@ -17,11 +17,11 @@ from .rationals import Q, QONE, QZERO, is_integer
 
 
 def vector(entries):
-    return tuple(Q(e) for e in entries)
+    return tuple(qexact(e) for e in entries)
 
 
 def matrix(rows):
-    rows = tuple(tuple(Q(e) for e in r) for r in rows)
+    rows = tuple(tuple(qexact(e) for e in r) for r in rows)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise DimensionMismatch("ragged matrix")
     return rows
@@ -41,10 +41,6 @@ def vadd(u, v):
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(u):
-    return tuple(-a for a in u)
 
 
 def vscale(c, u):
@@ -77,7 +73,7 @@ def normalize_sign(u):
     """Flip so the first nonzero entry is positive; canonical +/- pair rep."""
     for a in u:
         if a:
-            return vneg(u) if a < 0 else u
+            return tuple(-b for b in u) if a < 0 else u
     return u
 
 

@@ -8,6 +8,8 @@ are always normalized to lowest terms with a positive denominator.
 
 import re
 
+from .errors import PreconditionViolated
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - gmpy2 is normally present
@@ -17,6 +19,18 @@ QZERO = Q(0)
 QONE = Q(1)
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+
+def qexact(x):
+    """x as an exact rational.  A float is refused (numpy's float64 too):
+    its binary fraction is seldom the number meant, 0.3 being
+    5404319552844595/2^54."""
+    if isinstance(x, float):
+        raise PreconditionViolated(
+            "float %r is not exact; give an int, a Fraction or a 'p/q' string"
+            % (x,)
+        )
+    return Q(x)
 
 
 def qnum(x) -> int:

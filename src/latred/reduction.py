@@ -10,18 +10,18 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Rational
 
-from . import linalg
 from .enumeration import (
     DEFAULT_BUDGET,
+    _Budget,
+    _closest,
     _grow,
     _shortest,
-    closest_vectors_all,
     enumerate_up_to,
     lll_rows,
 )
 from .errors import BudgetExceeded, PreconditionViolated
-from .lattice import Lattice, _Prefix, coordinates, integer_coordinates, sublattice
-from .linalg import gram_schmidt, hnf, norm_sq, normalize_sign, row_times_mat
+from .lattice import Lattice, _Prefix, coordinates, integer_coordinates
+from .linalg import dot, gram_schmidt, hnf, norm_sq, normalize_sign, row_times_mat, vsub
 from .rationals import Q, QONE
 
 
@@ -93,15 +93,17 @@ def _kz_candidates(L, prefix, held, node_budget):
     (p and -p, whose closest sublattice vectors are negated, give the same)."""
     if not prefix:
         return _grow(L, _shortest, node_budget)
-    proj, lifts = held.project(L, gram_schmidt(prefix))
-    sub = sublattice(prefix)
+    gso = gram_schmidt(prefix)
+    proj, lifts = held.project(L, gso)
     cands = set()
     for p in _grow(proj, _shortest, node_budget):
         y = row_times_mat(coordinates(proj, p), lifts)
-        # the in-span component is y - p; pull it toward the sublattice
-        closest, _ = closest_vectors_all(sub, linalg.vsub(y, p), node_budget)
-        for c in closest:
-            cands.add(normalize_sign(linalg.vsub(y, c)))
+        # pull the in-span component y - p toward the prefix sublattice; p
+        # is orthogonal to the prefix, so <y - p, b*_j> = <y, b*_j>
+        t = [dot(y, bs) / ns for bs, ns in zip(gso.bstar, gso.norms_sq)]
+        found, _ = _closest(gso.mu, gso.norms_sq, t, _Budget(node_budget))
+        for x in found:
+            cands.add(normalize_sign(vsub(y, row_times_mat(x, prefix))))
     return _shortest(sorted(cands, key=lambda v: (norm_sq(v), v)))
 
 

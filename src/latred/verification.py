@@ -32,7 +32,12 @@ from .constructions import (
     lattice42,
     perturbed_lift,
 )
-from .enumeration import enumerate_up_to, shortest_vector, successive_minima
+from .enumeration import (
+    DEFAULT_BUDGET,
+    enumerate_up_to,
+    shortest_vector,
+    successive_minima,
+)
 from .errors import (
     ConstructionMismatch,
     DimensionMismatch,
@@ -728,10 +733,11 @@ def _kth_root(x, k):
     return Q(a, b)
 
 
-def similar_to_dual_root(vectors) -> bool:
+def similar_to_dual_root(vectors, node_budget=DEFAULT_BUDGET) -> bool:
     """Whether the span of the vectors is similar (rotation and scaling)
     to the same-rank D_k*, decided by searching for a basis image with an
-    identical scaled Gram matrix."""
+    identical scaled Gram matrix; node_budget bounds the enumeration of
+    D_k*'s candidate images."""
     k = len(vectors)
     S = lattice_from_generators(vectors)
     D = dual_root_d(k)
@@ -741,7 +747,7 @@ def similar_to_dual_root(vectors) -> bool:
         return False
     gs = gram_matrix(S.basis)
     bound = max(gs[i][i] for i in range(k)) / alpha
-    pool = enumerate_up_to(D, bound).vectors
+    pool = enumerate_up_to(D, bound, node_budget).vectors
     cands = list(pool) + [vscale(Q(-1), v) for v in pool]
 
     def extend(chosen):
@@ -822,7 +828,7 @@ def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
             equalities[intern("equality_at_%d" % (i + 1))] = eq
             if eq:
                 verdicts[intern("similar_to_dual_root_%d" % (i + 1))] = (
-                    similar_to_dual_root(mink.basis[: i + 1])
+                    similar_to_dual_root(mink.basis[: i + 1], **kwargs)
                 )
     verdicts["improved_delta_bounds"] = all_delta
     rep = TheoremReport(

@@ -41,6 +41,8 @@ def test_construct_stdout_and_examples(capsys):
 def test_construct_bad_params(capsys):
     code, _ = run(capsys, ["construct", "glued"])
     assert code == 2
+    assert cli.main(["construct", "zn", "0"]) == 2
+    assert capsys.readouterr().err == "error: Z^n needs n >= 1\n"
 
 
 def test_verify_checks_its_parameter_count(capsys, dnstar5):

@@ -1,5 +1,5 @@
-import itertools
 import random
+from math import lcm
 
 import numpy as np
 import pytest
@@ -14,9 +14,17 @@ from latred.enumeration import (
     successive_minima,
 )
 from latred.errors import BudgetExceeded
-from latred.lattice import Lattice
-from latred.linalg import determinant, inverse, norm_sq, normalize_sign, rank
-from latred.rationals import Q
+from latred.lattice import Lattice, coordinates
+from latred.linalg import (
+    determinant,
+    inverse,
+    norm_sq,
+    normalize_sign,
+    rank,
+    row_times_mat,
+    vsub,
+)
+from latred.rationals import Q, qfloor, qround
 
 
 def coefficient_box(L, bound_sq):
@@ -114,24 +122,81 @@ def test_successive_minima_brute_force():
         assert [norm_sq(v) for v in chosen] == list(rep.minima_sq)
 
 
-def test_closest_vector_brute_force():
+def brute_force_closest(L, target):
+    """(set of minimizers, squared distance) of |v - target|^2 over v in
+    the integer lattice L, by exhaustive search around the target's
+    coordinates a: a minimizer v is no farther than the rounded point, so
+    (c_i - a_i)^2 <= bound * (G^{-1})_{ii} for its coefficients c."""
+    a = coordinates(L, target)
+    near = row_times_mat([Q(qround(x)) for x in a], L.basis)
+    box = coefficient_box(L, norm_sq(vsub(near, target)))
+    ranges = [
+        np.arange(qfloor(x) - b - 1, qfloor(x) + b + 2, dtype=np.int64)
+        for x, b in zip(a, box)
+    ]
+    coeffs = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(
+        -1, L.rank
+    )
+    basis = np.array([[int(x) for x in row] for row in L.basis], dtype=np.int64)
+    s = lcm(*(int(t.denominator) for t in target))
+    scaled = np.array([int(t * s) for t in target], dtype=np.int64)
+    diff = coeffs @ basis * s - scaled
+    dist = (diff * diff).sum(axis=1)
+    best = dist.min()
+    found = {
+        tuple(Q(int(x)) for x in row) for row in (coeffs @ basis)[dist == best]
+    }
+    return found, Q(int(best), s * s)
+
+
+def _closest_instances():
+    """20 seeded (lattice, target) pairs: full-rank targets with
+    denominators up to 3, rank-2 lattices in dimension 3 with targets in
+    their span, and half-integer targets in re-based Z^3, whose 2^k
+    minimizers tie."""
+    from conftest import random_unimodular
+
     rng = random.Random(21)
-    for _ in range(10):
-        L = random_integer_lattice(rng, 3, 3)
-        target = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
-        v = closest_vector(L, target)
-        dist_sq = norm_sq(tuple(a - b for a, b in zip(v, target)))
-        box = 8
-        best = None
-        for c in itertools.product(range(-box, box + 1), repeat=3):
-            w = tuple(
-                sum((Q(ci) * row[j] for ci, row in zip(c, L.basis)), Q(0))
-                for j in range(3)
-            )
-            d = norm_sq(tuple(a - b for a, b in zip(w, target)))
-            if best is None or d < best:
-                best = d
-        assert dist_sq == best
+    out = []
+    for i in range(20):
+        if i % 3 == 0:
+            L = random_integer_lattice(rng, 3, 3)
+            target = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+        elif i % 3 == 1:
+            while True:
+                rows = [[Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2)]
+                if rank(rows) == 2:
+                    break
+            L = Lattice(rows)
+            a = [Q(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(2)]
+            target = row_times_mat(a, L.basis)
+        else:
+            L = Lattice(random_unimodular(rng, 3, steps=6))
+            target = tuple(Q(rng.randint(-4, 4), 2) for _ in range(3))
+        out.append((L, target))
+    return out
+
+
+def test_closest_vector_brute_force():
+    ties = 0
+    for L, target in _closest_instances():
+        vs, dist_sq = closest_vectors_all(L, target)
+        want, want_dist = brute_force_closest(L, target)
+        assert (set(vs), dist_sq) == (want, want_dist)
+        assert len(vs) == len(want) and list(vs) == sorted(vs)
+        assert closest_vector(L, target) == vs[0]
+        ties += len(vs) > 1
+    assert ties >= 5
+
+
+def test_closest_vectors_all_honours_the_node_budget():
+    rng = random.Random(30)
+    L = random_integer_lattice(rng, 6, 4)
+    target = tuple(Q(rng.randint(-20, 20), 7) for _ in range(6))
+    with pytest.raises(BudgetExceeded):
+        closest_vectors_all(L, target, node_budget=3)
+    vs, _ = closest_vectors_all(L, target)
+    assert vs
 
 
 def test_closest_vectors_all_returns_every_minimizer():
@@ -153,6 +218,17 @@ def test_closest_vectors_all_rejects_a_target_outside_the_span():
         closest_vectors_all(L, (Q(1), Q(2)))
     vs, dist_sq = closest_vectors_all(L, (Q(1, 2), Q(1), Q(0)))
     assert vs == ((Q(0), Q(0), Q(0)), (Q(1), Q(2), Q(0))) and dist_sq == Q(5, 4)
+
+
+def test_enumerate_up_to_refuses_a_float_bound():
+    # 0.3 would run with the bound 5404319552844595/18014398509481984
+    from latred.errors import PreconditionViolated
+
+    L = Lattice(((Q(1), Q(0)), (Q(0), Q(2))))
+    for bound in (0.3, np.float64(4)):
+        with pytest.raises(PreconditionViolated):
+            enumerate_up_to(L, bound)
+    assert enumerate_up_to(L, "4") == enumerate_up_to(Lattice(L.basis), Q(4))
 
 
 def test_budget_exceeded():
@@ -265,8 +341,6 @@ def test_pool_coordinates_give_the_pool_vectors():
     # each held vector is its coordinate tuple over the LLL basis, with
     # the sign flipped along with the vector's, and its held norm is its
     # squared norm
-    from latred.linalg import row_times_mat
-
     rng = random.Random(31)
     for _ in range(10):
         L = random_integer_lattice(rng, 5, 4)

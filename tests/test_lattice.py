@@ -48,6 +48,13 @@ def test_lattice_rejects_dependent_rows():
         Lattice(((Q(1), Q(2)), (Q(2), Q(4))))
 
 
+def test_lattice_rejects_an_empty_basis_and_float_entries():
+    with pytest.raises(DimensionMismatch):
+        Lattice(())
+    with pytest.raises(PreconditionViolated):
+        Lattice(((0.5, 0), (0, 1)))
+
+
 def test_contains_and_coordinates():
     L = Lattice(((Q(2), Q(0)), (Q(1), Q(3))))
     assert contains(L, (Q(3), Q(3)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latred.errors import NotIntegral, Singular
+from latred.errors import NotIntegral, PreconditionViolated, Singular
 from latred.linalg import (
     determinant,
     dot,
@@ -17,11 +17,13 @@ from latred.linalg import (
     identity,
     inverse,
     mat_mul,
+    matrix,
     norm_sq,
     nullspace,
     rank,
     snf_divisors,
     unit_vector,
+    vector,
     vsub,
 )
 from latred.rationals import Q
@@ -182,6 +184,24 @@ def test_integer_normal_forms_reject_fractions():
         hnf([[Q(1, 2)]])
     with pytest.raises(NotIntegral):
         snf_divisors([[Q(1, 2)]])
+
+
+def test_vectors_and_matrices_refuse_floats():
+    # a float's binary fraction is seldom the number meant: 0.5 is exact,
+    # 0.1 is not, and neither is let through
+    import numpy as np
+
+    for bad in (0.5, 0.1, np.float64(2)):
+        with pytest.raises(PreconditionViolated):
+            vector((1, bad))
+        with pytest.raises(PreconditionViolated):
+            matrix(((1, 0), (0, bad)))
+    assert vector((1, "1/3", Fraction(1, 2), np.int64(2))) == (
+        Q(1),
+        Q(1, 3),
+        Q(1, 2),
+        Q(2),
+    )
 
 
 def test_unit_vector_and_norms():

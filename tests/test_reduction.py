@@ -156,6 +156,23 @@ def test_kz_tie_break_smallest_full_norm():
     assert max(norm_sq(v) for v in res.basis) == Q(5, 4)
 
 
+def test_kz_reduce_runs_one_lll_per_step(monkeypatch):
+    # each lift search runs on the prefix's GSO, so the LLL runs are L's
+    # and one per projection: rank calls, not 2 rank - 1, same tie counts
+    from conftest import count_calls
+    from latred.constructions import glued_prime_lattice
+
+    calls = count_calls(monkeypatch, "enumeration.lll_rows")
+    for L, lll_calls, ties in (
+        (dual_root_d(5), 5, (5, 4, 16, 3, 2)),
+        (glued_prime_lattice(2), 14, (14, 13, 1, 8, 7, 6, 5, 4, 3, 2, 4, 16, 3, 2)),
+    ):
+        calls["enumeration.lll_rows"] = 0
+        res = kz_reduce(L)
+        assert calls["enumeration.lll_rows"] == lll_calls
+        assert tuple(rec.ties for rec in res.step_log) == ties
+
+
 def test_shortest_basis_certificate():
     rng = random.Random(22)
     for _ in range(6):

@@ -1,0 +1,58 @@
+"""Source rules for src/latred: no verdict may rest on an assert, which
+python -O strips, or on a float.  The wall-clock `elapsed` defaults of
+the reports are the one float literal allowed."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "latred"
+
+
+def violations(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    elapsed_defaults = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name)
+        and node.target.id == "elapsed"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield "%s:%d assert statement" % (path.name, node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            yield "%s:%d float() call" % (path.name, node.lineno)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and id(node) not in elapsed_defaults
+        ):
+            yield "%s:%d float literal" % (path.name, node.lineno)
+
+
+def test_no_assert_float_call_or_float_literal_in_src():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    assert [v for p in paths for v in violations(p)] == []
+
+
+def test_the_rules_catch_each_kind(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "assert x\n"
+        "y = float(3)\n"
+        "z = 0.5\n"
+        "class R:\n"
+        "    elapsed: float = 0.0\n"
+        "    other: float = 0.0\n"
+    )
+    assert sorted(violations(src)) == [
+        "sample.py:1 assert statement",
+        "sample.py:2 float() call",
+        "sample.py:3 float literal",
+        "sample.py:6 float literal",
+    ]

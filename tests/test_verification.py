@@ -325,6 +325,30 @@ def test_similar_to_dual_root_positive_and_negative():
     assert not similar_to_dual_root(list(root_d(6).basis))
 
 
+def test_minkowski_bounds_passes_its_node_budget_to_the_similarity_check(
+    monkeypatch,
+):
+    # D_6* and D_7* meet the k/4 bound with equality, so each run checks
+    # similarity to D_k*, and that enumeration gets the caller's budget
+    from latred.enumeration import DEFAULT_BUDGET
+
+    seen = []
+    real = verification.enumerate_up_to
+
+    def spy(L, bound_sq, node_budget=DEFAULT_BUDGET):
+        seen.append(node_budget)
+        return real(L, bound_sq, node_budget)
+
+    monkeypatch.setattr(verification, "enumerate_up_to", spy)
+    for k in (6, 7):
+        L = dual_root_d(k)
+        assert verification.verify_minkowski_bounds(L, node_budget=10**6).success
+    assert seen == [10**6, 10**6]
+    seen.clear()
+    assert verification.verify_minkowski_bounds(dual_root_d(6)).success
+    assert seen == [DEFAULT_BUDGET]
+
+
 def test_verify_minkowski_bounds_random():
     rng = random.Random(41)
     for _ in range(3):
