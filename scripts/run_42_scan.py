@@ -2,7 +2,8 @@
 projective-plane lattice, serially and then with one pool job per
 candidate family (at most three workers), and report the candidates per
 family, the collision-search counts and the timings.  Exits 1 if the scan
-finds a vector below the claimed minimum or the two runs disagree.
+finds a vector below the claimed minimum or the two runs disagree on the
+relation, the families, the violations or the counts.
 
 Usage: python scripts/run_42_scan.py [workers]
 """
@@ -26,7 +27,7 @@ def main() -> int:
     if workers > 1:
         par = check_shortest_vectors_42(workers=workers)
         print("parallel scan (%d workers): %.2fs" % (workers, par.elapsed))
-        for what in ("families_checked", "violations", "stats"):
+        for what in ("relation", "families_checked", "violations", "stats"):
             if getattr(par, what) != getattr(rep, what):
                 print("FAIL: parallel %s differs from the serial scan" % what)
                 return 1

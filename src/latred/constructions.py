@@ -226,28 +226,38 @@ def l_proj() -> Lattice:
     return Lattice(rows)
 
 
-def attempt21():
-    """Three Fano copies plus the triplet {0, 7, 14}; 22 generators whose
-    dependence turns out to contain unit coefficients."""
+def _generators21():
+    """The 22 generators of attempt21, without the lattice."""
     inc = projective_plane_lines(2)
     supports = []
     for line in inc.lines:
         for copy in range(3):
             supports.append(tuple(p + 7 * copy for p in line))
     supports.append((0, 7, 14))
-    vecs = tuple(_support_vector(21, set(s)) for s in supports)
+    return tuple(_support_vector(21, set(s)) for s in supports)
+
+
+def attempt21():
+    """Three Fano copies plus the triplet {0, 7, 14}; 22 generators whose
+    dependence turns out to contain unit coefficients."""
+    vecs = _generators21()
     return lattice_from_generators(vecs), vecs
 
 
-def lattice42():
-    """Two copies of P^2(F_4) plus the quintuplet {0, 1, 4, 21, 22}."""
+def _generators42():
+    """The 43 generators of lattice42, without the lattice."""
     inc = projective_plane_lines(4)
     supports = []
     for line in inc.lines:
         supports.append(line)
         supports.append(tuple(p + 21 for p in line))
     supports.append((0, 1, 4, 21, 22))
-    vecs = tuple(_support_vector(42, set(s)) for s in supports)
+    return tuple(_support_vector(42, set(s)) for s in supports)
+
+
+def lattice42():
+    """Two copies of P^2(F_4) plus the quintuplet {0, 1, 4, 21, 22}."""
+    vecs = _generators42()
     return lattice_from_generators(vecs), vecs
 
 
@@ -284,5 +294,4 @@ def default_heights(n, scale=10**4):
 
 
 def perturbed43() -> Lattice:
-    _, vecs = lattice42()
-    return perturbed_lift(vecs, default_heights(43))
+    return perturbed_lift(_generators42(), default_heights(43))

@@ -6,6 +6,7 @@ back to the stdlib Fraction, which implements the same semantics: values
 are always normalized to lowest terms with a positive denominator.
 """
 
+import numbers
 import re
 
 from .errors import PreconditionViolated
@@ -22,15 +23,28 @@ _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def qexact(x):
-    """x as an exact rational.  A float is refused (numpy's float64 too):
-    its binary fraction is seldom the number meant, 0.3 being
-    5404319552844595/2^54."""
-    if isinstance(x, float):
+    """x as an exact rational.  A float of any width is refused (numpy's
+    float16, float32, float64 and longdouble too): its binary fraction is
+    seldom the number meant, 0.3 being 5404319552844595/2^54.  So is any
+    value that Q cannot read."""
+    if type(x) is Q:
+        return x
+    if type(x) is int:
+        return Q(x)
+    if isinstance(x, float) or (
+        isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational)
+    ):
         raise PreconditionViolated(
             "float %r is not exact; give an int, a Fraction or a 'p/q' string"
             % (x,)
         )
-    return Q(x)
+    try:
+        return Q(x)
+    except (TypeError, ValueError):
+        raise PreconditionViolated(
+            "%r is not an exact rational; give an int, a Fraction or a 'p/q'"
+            " string" % (x,)
+        ) from None
 
 
 def qnum(x) -> int:

@@ -15,21 +15,21 @@ closed form.
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb, gcd, lcm
-from operator import add, mod, mul
+from operator import mul
 from multiprocessing import Pool
 from sys import intern
 
 from .constructions import (
-    attempt21,
+    _generators21,
+    _generators42,
     default_heights,
     dual_root_d,
     glued_kz_claimed_basis,
     glued_params,
     glued_prime_lattice,
     glued_shortest_basis,
-    lattice42,
     perturbed_lift,
 )
 from .enumeration import (
@@ -46,6 +46,7 @@ from .errors import (
     Singular,
 )
 from .lattice import (
+    DependenceRelation,
     Lattice,
     covolume_squared,
     integer_coordinates,
@@ -136,6 +137,14 @@ def integer_relation_membership(v_coords, relation_shift, max_k: int) -> bool:
 # family is a collision search between a table of the R_p and a table of
 # the pair sums R_a + R_b; a collision with shared positions or not in
 # canonical order (sorted positions, first sign +) is dropped.
+#
+# Both tables hold packed residue vectors: lane i of one int holds entry
+# i in B = dd.bit_length() + 1 bits, so dd < 2^(B-1) and a lane sum of two
+# residues stays below 2^B.  Adding K, which repeats 2^(B-1) - dd, sets a
+# lane's top bit (mask H) exactly where its sum is at least dd, and
+# subtracting dd there reduces every lane at once (_lane_adder).  Packing
+# is a bijection on reduced vectors, so probes and collisions are those of
+# the tuples.
 
 _QUAD_PATTERNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
@@ -149,35 +158,59 @@ def _load_state(state):
 
 
 def _adjugate(rows):
-    """d and an integer adj with adj * rows = d * I, by fraction-free
-    (Bareiss) Gauss-Jordan elimination of [rows | I]; every division is
-    exact and the last pivot is d."""
+    """d and an integer adj with adj * rows = d * I for a square integer
+    matrix, by fraction-free (Bareiss) Gauss-Jordan elimination of
+    [rows | I]; every division is exact and the last pivot is d.  Step k
+    leaves column k zero but in the pivot row and the earlier columns
+    diagonal, so each row keeps only the columns past k."""
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("the generators past the first must be square")
     m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
+        piv = next((i for i in range(k, n) if m[i][0]), None)
         if piv is None:
             raise Singular("the generators past the first are dependent")
         m[k], m[piv] = m[piv], m[k]
-        pk = m[k]
-        p = pk[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pk)]
+        p, *tail = m[k]
+        for i, row in enumerate(m):
+            if i == k:
+                m[i] = tail
+            elif row[0]:
+                f = row[0]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+            else:
+                m[i] = [p * x // prev for x in row[1:]]
         prev = p
-    return prev, [r[n:] for r in m]
+    return prev, m
 
 
-def _scan_state(rows, shift, maxk):
+def _integer_relation(vectors):
+    """The dependence of n + 1 integer vectors of dimension n whose last n
+    are independent, and the adjugate (d, adj) of those n, or None for any
+    other input.  The first generator is v_0 = (v_0 adj / d) rows, so
+    (d, -v_0 adj) divided by its content is the relation; it is checked
+    to combine the generators to 0 in integers."""
+    n = len(vectors) - 1
+    if n < 1 or any(len(v) != n or any(x.denominator != 1 for x in v) for v in vectors):
+        return None
+    ints = [[int(x) for x in v] for v in vectors]
+    try:
+        d, adj = _adjugate(ints[1:])
+    except Singular:
+        return None
+    coeffs = [d] + [-sum(map(mul, ints[0], col)) for col in zip(*adj)]
+    g = gcd(*coeffs) if d > 0 else -gcd(*coeffs)
+    coeffs = tuple(c // g for c in coeffs)
+    if any(sum(map(mul, coeffs, col)) for col in zip(*ints)):
+        raise ScanCrossCheckFailed("the adjugate relation is not a dependence")
+    return DependenceRelation(coeffs), ints[1:], d, adj
+
+
+def _scan_state(rows, d, adj, shift, maxk):
     """Residues mod the common denominator dd of the coordinates of each
-    unit vector with respect to rows, and of the relation shift, from
-    integer arithmetic."""
-    rows = [[int(x) for x in v] for v in rows]
-    d, adj = _adjugate(rows)
+    unit vector with respect to the integer rows, read off their adjugate
+    (d, adj), and of the relation shift; the probes read them packed."""
+    n = len(rows)
     cols = list(zip(*rows))
     if any(
         sum(map(mul, a, col)) != (d if p == c else 0)
@@ -192,30 +225,51 @@ def _scan_state(rows, shift, maxk):
     for x in shift:
         dd = lcm(dd, qden(x))
     s_row = tuple(int(x * dd) % dd for x in shift)
+    res = [tuple(x * dd // d % dd for x in row) for row in adj]
+    # the distinct j * shift, 0 <= j < maxk, in order of j
+    offsets = dict.fromkeys(tuple(j * s % dd for s in s_row) for j in range(maxk))
+    width = dd.bit_length() + 1
     return dict(
-        n=len(rows),
+        n=n,
         dd=dd,
-        rows=[tuple(x * dd // d % dd for x in row) for row in adj],
+        rows=res,
         shift=s_row,
-        # the distinct j * shift, 0 <= j < maxk, in order of j
-        offsets=list(
-            dict.fromkeys(tuple(j * s % dd for s in s_row) for j in range(maxk))
-        ),
+        width=width,
+        packed=[_pack(r, dd, width) for r in res],
+        negated=[_pack(r, dd, width, -1) for r in res],
+        offsets=[_pack(o, dd, width) for o in offsets],
+        negated_offsets=[_pack(o, dd, width, -1) for o in offsets],
     )
 
 
-def _vadd(u, v, dd):
-    return tuple(map(mod, map(add, u, v), repeat(dd)))
+def _pack(v, dd, width, sign=1):
+    """sign * v mod dd, entry i in lane i."""
+    return sum((sign * x % dd) << (width * i) for i, x in enumerate(v))
+
+
+def _lane_adder():
+    """Lane-wise (a + b) mod dd of two packed residue vectors."""
+    dd, width = _SS["dd"], _SS["width"]
+    top = width - 1
+    lanes = sum(1 << (width * i) for i in range(_SS["n"]))
+    carry = ((1 << top) - dd) * lanes
+    high = (1 << top) * lanes
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + carry) & high) >> top) * dd
+
+    return add
 
 
 def _pair_table():
-    """The residue vectors of the pair sums e_a + e_b, a < b, and the
-    pairs under each."""
-    rows, dd = _SS["rows"], _SS["dd"]
+    """The packed residue vectors of the pair sums e_a + e_b, a < b, and
+    the pairs under each."""
+    packed, add = _SS["packed"], _lane_adder()
     sums = {}
     table = {}
     for a, b in combinations(range(_SS["n"]), 2):
-        key = _vadd(rows[a], rows[b], dd)
+        key = add(packed[a], packed[b])
         sums[a, b] = key
         table.setdefault(key, []).append((a, b))
     return sums, table
@@ -223,15 +277,15 @@ def _pair_table():
 
 def _scan_pairs(counts):
     """e_a - e_b with a < b: R_b = R_a + j shift."""
-    rows, dd = _SS["rows"], _SS["dd"]
+    packed, add = _SS["packed"], _lane_adder()
     table = {}
-    for b, key in enumerate(rows):
+    for b, key in enumerate(packed):
         table.setdefault(key, []).append(b)
     hits = []
-    for a, ra in enumerate(rows):
+    for a, ra in enumerate(packed):
         for off in _SS["offsets"]:
             counts["probes"] += 1
-            for b in table.get(_vadd(ra, off, dd), ()):
+            for b in table.get(add(ra, off), ()):
                 counts["collisions"] += 1
                 if b == a:
                     counts["overlapping"] += 1
@@ -245,13 +299,13 @@ def _scan_pairs(counts):
 def _scan_quads(counts):
     """e_a + e_b - e_c - e_d: P(c, d) = P(a, b) + j shift, where the plus
     pair holds the smallest position a."""
-    dd = _SS["dd"]
+    add = _lane_adder()
     sums, table = _pair_table()
     hits = []
     for (a, b), pab in sums.items():
         for off in _SS["offsets"]:
             counts["probes"] += 1
-            for c, d in table.get(_vadd(pab, off, dd), ()):
+            for c, d in table.get(add(pab, off), ()):
                 counts["collisions"] += 1
                 if a in (c, d) or b in (c, d):
                     counts["overlapping"] += 1
@@ -270,21 +324,20 @@ def _scan_positive(counts):
     """All-positive sets of the common support size, minus the generator
     supports: P(c, d) = -(sum over t of R) - j shift for the set's
     (size - 2) largest positions t and its two smallest c < d."""
-    rows, dd, n, size = _SS["rows"], _SS["dd"], _SS["n"], _SS["size"]
-    neg = [tuple(-x % dd for x in r) for r in rows]
-    neg_offsets = [tuple(-x % dd for x in off) for off in _SS["offsets"]]
+    neg, n, size = _SS["negated"], _SS["n"], _SS["size"]
+    add = _lane_adder()
     _, table = _pair_table()
     hits = []
     # t = u + (z,), and two positions lie below min(t)
     for u in combinations(range(2, n), size - 3):
-        heads = neg_offsets
+        heads = _SS["negated_offsets"]
         for p in u:
-            heads = [_vadd(h, neg[p], dd) for h in heads]
+            heads = [add(h, neg[p]) for h in heads]
         for z in range(u[-1] + 1 if u else 2, n):
             low = u[0] if u else z
             for head in heads:
                 counts["probes"] += 1
-                for c, d in table.get(_vadd(head, neg[z], dd), ()):
+                for c, d in table.get(add(head, neg[z]), ()):
                     counts["collisions"] += 1
                     if d < low:
                         pos = (c, d) + u + (z,)
@@ -339,12 +392,16 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     after the relation check if some coefficient is a unit, since the
     downstream lift construction is already ruined in that case.
 
-    Each family is a collision search between the residue vectors of the
-    single positions and of the pair sums; with workers > 1 the families
-    run as separate pool jobs."""
+    The relation and the residues come from one integer adjugate of the
+    generators past the first (_integer_relation); any other input gets
+    its relation from linear_dependence and is never scanned.  Each family
+    is a collision search between the residue vectors of the single
+    positions and of the pair sums; with workers > 1 the families run as
+    separate pool jobs."""
     t0 = time.monotonic()
     vectors = tuple(vector(v) for v in vectors)
-    rel = linear_dependence(vectors)
+    integral = _integer_relation(vectors)
+    rel = linear_dependence(vectors) if integral is None else integral[0]
     if any(c == 0 for c in rel.coefficients):
         raise ConstructionMismatch("dependence must involve every generator")
     if any(x != 0 and x != 1 for v in vectors for x in v):
@@ -363,6 +420,11 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     violations = []
     stats = {}
     if no_unit:
+        if integral is None:
+            # a unique dependence with a nonzero first coefficient leaves
+            # the generators past the first independent
+            raise DimensionMismatch("the generators past the first must be square")
+        _, rows, d, adj = integral
         a1 = rel.coefficients[0]
         # the first generator's coordinates over the others
         route = dict(
@@ -370,7 +432,7 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
             shift=tuple(Q(-c, a1) for c in rel.coefficients[1:]),
             maxk=abs(a1),
         )
-        state = _scan_state(route["rows"], route["shift"], route["maxk"])
+        state = _scan_state(rows, d, adj, route["shift"], route["maxk"])
         state.update(size=size, supports=supports)
         n = state["n"]
         families["pairs"] = comb(n, 2)
@@ -409,13 +471,12 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
 
 def check_shortest_vectors_42(vectors=None, workers: int = 0) -> AppendixReport:
     if vectors is None:
-        _, vectors = lattice42()
+        vectors = _generators42()
     return appendix_scan(vectors, workers)
 
 
 def check_attempt21(workers: int = 0) -> AppendixReport:
-    _, vectors = attempt21()
-    return appendix_scan(vectors, workers)
+    return appendix_scan(_generators21(), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +913,7 @@ def verify_height_lift(scale: int = 10**4, appendix=None) -> TheoremReport:
     multiple, and that swapping that vector for any lifted generator
     never yields a basis."""
     t0 = time.monotonic()
-    _, vecs = lattice42()
+    vecs = _generators42()
     if appendix is None:
         appendix = check_shortest_vectors_42(vecs)
     rep = TheoremReport("perturbed_43")

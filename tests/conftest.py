@@ -50,7 +50,14 @@ def count_calls(monkeypatch, *names):
 
     modules = [
         import_module("latred." + m)
-        for m in ("linalg", "lattice", "enumeration", "reduction", "verification")
+        for m in (
+            "linalg",
+            "lattice",
+            "enumeration",
+            "reduction",
+            "constructions",
+            "verification",
+        )
     ]
     counts = dict.fromkeys(names, 0)
     for name in names:

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latred.errors import ParseError
+from latred.errors import ParseError, PreconditionViolated
+from latred.lattice import Lattice
 from latred.rationals import (
     Q,
     is_integer,
+    qexact,
     qceil,
     qfloor,
     qparse,
@@ -55,3 +57,20 @@ def test_qparse_rejects(bad):
 def test_qstr_integer_form():
     assert qstr(Q(6, 3)) == "2"
     assert qstr(Q(-3, 4)) == "-3/4"
+
+
+def test_qexact_refuses_floats_of_every_width_and_unreadable_values():
+    import numpy as np
+
+    for bad in (np.float32(1), np.float16(1), np.longdouble(1), 1j, "abc"):
+        with pytest.raises(PreconditionViolated):
+            qexact(bad)
+        with pytest.raises(PreconditionViolated):
+            Lattice(((bad, 0), (0, 1)))
+    assert [qexact(x) for x in (3, Q(1, 2), "2/6", np.int64(-4), True)] == [
+        3,
+        Q(1, 2),
+        Q(1, 3),
+        -4,
+        1,
+    ]

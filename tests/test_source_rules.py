@@ -1,8 +1,11 @@
 """Source rules for src/latred: no verdict may rest on an assert, which
 python -O strips, or on a float.  The wall-clock `elapsed` defaults of
-the reports are the one float literal allowed."""
+the reports are the one float literal allowed.  And the package stays
+pure Python: it imports the standard library, the optional gmpy2 and
+itself, nothing else."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latred"
@@ -55,4 +58,53 @@ def test_the_rules_catch_each_kind(tmp_path):
         "sample.py:2 float() call",
         "sample.py:3 float literal",
         "sample.py:6 float literal",
+    ]
+
+
+_ALLOWED_IMPORTS = frozenset(sys.stdlib_module_names) | {"gmpy2", "latred"}
+
+
+def foreign_imports(path):
+    """Imports, at top level or inside a function, of a module that is
+    neither in the standard library nor gmpy2 nor the package itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in _ALLOWED_IMPORTS:
+                yield "%s:%d import %s" % (path.name, node.lineno, name)
+
+
+def test_src_imports_only_the_stdlib_gmpy2_and_itself():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    assert [v for p in paths for v in foreign_imports(p)] == []
+
+
+def test_the_import_rule_catches_third_party_imports(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "import numpy\n"
+        "import math, os.path\n"
+        "from fractions import Fraction\n"
+        "from . import linalg\n"
+        "from .rationals import Q\n"
+        "from latred.errors import LatredError\n"
+        "try:\n"
+        "    from gmpy2 import mpq\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    import sympy.ntheory\n"
+        "    from scipy import linalg\n"
+    )
+    assert sorted(foreign_imports(src)) == [
+        "sample.py:1 import numpy",
+        "sample.py:12 import sympy.ntheory",
+        "sample.py:13 import scipy",
     ]

@@ -18,6 +18,7 @@ from latred.constructions import (
 from latred.enumeration import enumerate_up_to
 from latred.errors import (
     ConstructionMismatch,
+    DimensionMismatch,
     PreconditionViolated,
     ScanCrossCheckFailed,
     WrongRank,
@@ -184,7 +185,9 @@ def test_scan_state_residues_equal_the_rational_inverse_ones():
         rel = linear_dependence(vecs)
         a1 = rel.coefficients[0]
         shift = tuple(Q(-c, a1) for c in rel.coefficients[1:])
-        got = verification._scan_state(vecs[1:], shift, abs(a1))
+        rows = [[int(x) for x in v] for v in vecs[1:]]
+        d, adj = verification._adjugate(rows)
+        got = verification._scan_state(rows, d, adj, shift, abs(a1))
         ref = reference.scan_state(vecs, rel)
         for key in ("n", "dd", "rows", "shift"):
             assert got[key] == ref[key], key
@@ -201,6 +204,124 @@ def test_scan_state_checks_the_adjugate(monkeypatch):
     monkeypatch.setattr(verification, "_adjugate", wrong)
     with pytest.raises(ScanCrossCheckFailed):
         check_shortest_vectors_42()
+
+
+def test_adjugate_relation_equals_the_rational_nullspace_one():
+    # random sets of support 3 all have unit coefficients at these sizes,
+    # and about one in ten of support 5 and dimension 12 has none
+    rng = random.Random(7)
+    cases = [lattice42()[1], attempt21()[1]]
+    for size, n in ((3, 6), (3, 8), (5, 8), (5, 10)):
+        gens = _generator_sets(rng, n, size)
+        cases += [next(gens) for _ in range(6)]
+    gens = _generator_sets(rng, 12, 5)
+    while sum(check_no_unit_coefficient(linear_dependence(v)) for v in cases) < 8:
+        cases.append(next(gens))
+    units = 0
+    for vecs in cases:
+        rel, rows, d, adj = verification._integer_relation(vecs)
+        assert rel == linear_dependence(vecs)
+        assert rows == [[int(x) for x in v] for v in vecs[1:]]
+        assert (d, adj) == verification._adjugate(rows)
+        units += not check_no_unit_coefficient(rel)
+    assert len(cases) >= 32 and units >= 20
+
+
+def test_appendix_scan_falls_back_to_the_rational_nullspace(monkeypatch):
+    from conftest import count_calls
+
+    def vecs(*rows):
+        return [tuple(Q(x) for x in r) for r in rows]
+
+    # the generators past the first are dependent: a relation that misses
+    # the first generator, or a two-dimensional dependence space
+    missing = vecs((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))
+    assert verification._integer_relation(missing) is None
+    with pytest.raises(ConstructionMismatch, match="every generator"):
+        appendix_scan(missing)
+    two = vecs((1, 1, 0), (0, 1, 1), (1, 2, 1), (2, 3, 1))
+    # and sets too small to hold a dependence of n + 1 vectors in n dims
+    for small in (two, [], vecs(()), vecs((1,))):
+        assert verification._integer_relation(small) is None
+        with pytest.raises(WrongRank):
+            appendix_scan(small)
+    # attempt21 in one more coordinate: not square, so the relation comes
+    # from the nullspace and the unit coefficients stop the scan unscanned
+    padded = [tuple(v) + (Q(0),) for v in attempt21()[1]]
+    assert verification._integer_relation(padded) is None
+    calls = count_calls(monkeypatch, "lattice.linear_dependence")
+    rep = appendix_scan(padded)
+    assert calls["lattice.linear_dependence"] == 1
+    assert rep.relation == linear_dependence(attempt21()[1])
+    assert not rep.no_unit_coefficient and not rep.success
+    assert (rep.families_checked, rep.violations, rep.stats) == ({}, [], {})
+    # scanning it anyway needs a square set
+    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
+    with pytest.raises(DimensionMismatch):
+        appendix_scan(padded)
+
+
+def test_appendix_scan_checks_the_adjugate_relation(monkeypatch):
+    # an adjugate error in a row that the first generator reads gives a
+    # relation that is no dependence; attempt21 builds no scan state, so
+    # there only the relation check can see it
+    adjugate = verification._adjugate
+    for vecs, run in (
+        (attempt21()[1], check_attempt21),
+        (lattice42()[1], check_shortest_vectors_42),
+    ):
+        row = next(i for i, x in enumerate(vecs[0]) if x)
+
+        def wrong(rows, row=row):
+            d, adj = adjugate(rows)
+            adj[row][5] += 1
+            return d, adj
+
+        monkeypatch.setattr(verification, "_adjugate", wrong)
+        with pytest.raises(ScanCrossCheckFailed, match="relation"):
+            run()
+
+
+def test_scans_solve_no_nullspace_and_build_no_hnf(monkeypatch):
+    from conftest import count_calls
+
+    names = (
+        "lattice.linear_dependence",
+        "lattice.lattice_from_generators",
+        "linalg.hnf",
+    )
+    calls = count_calls(monkeypatch, *names)
+    assert check_shortest_vectors_42().success
+    assert not check_attempt21().success
+    assert calls == dict.fromkeys(names, 0)
+
+
+@pytest.mark.parametrize("dd", [1, 2, 60, 64, 97, 2**31 - 1])
+def test_packed_lane_addition_is_lanewise_addition_mod_dd(monkeypatch, dd):
+    rng = random.Random(dd)
+    n = 42
+    width = dd.bit_length() + 1
+    monkeypatch.setattr(verification, "_SS", dict(dd=dd, n=n, width=width))
+    add = verification._lane_adder()
+    top = [dd - 1] * n
+    pairs = [(top, top), (top, [0] * n), (top, [1 % dd] * n)]
+    for _ in range(200):
+        pairs.append(
+            tuple(
+                [rng.choice((rng.randrange(dd), dd - 1)) for _ in range(n)]
+                for _ in range(2)
+            )
+        )
+
+    def lanes(packed):
+        return [packed >> (width * i) & ((1 << width) - 1) for i in range(n)]
+
+    for a, b in pairs:
+        pa = verification._pack(a, dd, width)
+        pb = verification._pack(b, dd, width)
+        assert lanes(pa) == a
+        assert lanes(add(pa, pb)) == [(x + y) % dd for x, y in zip(a, b)]
+        assert lanes(verification._pack(a, dd, width, -1)) == [-x % dd for x in a]
 
 
 def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
