@@ -10,10 +10,10 @@ n-dimensional one.
 
 from dataclasses import dataclass
 
-from .errors import BadParams, DegenerateHeights, NotInLattice, UnsupportedFieldOrder
-from .lattice import Lattice, contains, lattice_from_generators, linear_dependence
+from .errors import BadParams, DegenerateHeights, UnsupportedFieldOrder
+from .lattice import Lattice, lattice_from_generators, linear_dependence
 from .linalg import unit_vector, vector
-from .rationals import Q, QONE, QZERO, is_integer
+from .rationals import Q, QONE, QZERO
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -31,11 +31,6 @@ class IncidenceStructure:
     q: int
     points: tuple
     lines: tuple
-
-
-@dataclass(frozen=True)
-class GluedResidues:
-    residues: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +93,20 @@ def _glue_vector(d, lo, hi, p):
     )
 
 
+def _glue_vectors(params):
+    """The glue vector of every block, in block order."""
+    d = params.dims[-1]
+    return tuple(
+        _glue_vector(d, lo, hi, p) for p, (lo, hi) in zip(params.primes, params.blocks)
+    )
+
+
 def glued_prime_lattice(k: int) -> Lattice:
     """Z^{a_k} glued by (e_1 + g_i)/p_i over disjoint prime-squared blocks."""
     params = glued_params(k)
     d = params.dims[-1]
     gens = [unit_vector(d, i) for i in range(d)]
-    for p, (lo, hi) in zip(params.primes, params.blocks):
-        gens.append(_glue_vector(d, lo, hi, p))
+    gens.extend(_glue_vectors(params))
     return lattice_from_generators(gens)
 
 
@@ -116,8 +118,7 @@ def glued_kz_claimed_basis(k: int):
     params = glued_params(k)
     d = params.dims[-1]
     out = []
-    for j, (p, (lo, hi)) in enumerate(zip(params.primes, params.blocks)):
-        glue = _glue_vector(d, lo, hi, p)
+    for j, (glue, (lo, hi)) in enumerate(zip(_glue_vectors(params), params.blocks)):
         units = [unit_vector(d, c) for c in range(lo, hi)]
         if j == 0:
             block = [units[0], units[1], glue] + units[2:]
@@ -133,29 +134,9 @@ def glued_shortest_basis(k: int):
     params = glued_params(k)
     d = params.dims[-1]
     excluded = {0} | {params.dims[i + 1] - 1 for i in range(1, k)}
-    out = [
-        _glue_vector(d, lo, hi, p)
-        for p, (lo, hi) in zip(params.primes, params.blocks)
-    ]
+    out = list(_glue_vectors(params))
     out.extend(unit_vector(d, j) for j in range(d) if j not in excluded)
     return tuple(out)
-
-
-def glued_residues(k: int, w) -> GluedResidues:
-    """The residues x_i in [0, p_i) of w's glue coefficients; w is integral
-    iff all of them vanish."""
-    params = glued_params(k)
-    L = glued_prime_lattice(k)
-    w = vector(w)
-    if not contains(L, w):
-        raise NotInLattice("vector is not in the glued lattice")
-    res = []
-    for p, (lo, hi) in zip(params.primes, params.blocks):
-        t = w[lo] * p  # first block coordinate is s + r/p with s integral
-        if not is_integer(t):
-            raise NotInLattice("unexpected denominator in block coordinate")
-        res.append(int(t) % p)
-    return GluedResidues(tuple(res))
 
 
 def l2_small() -> Lattice:
@@ -274,12 +255,18 @@ def perturbed_lift(generators, heights) -> Lattice:
         raise BadParams("one height per generator required")
     if any(not h for h in heights):
         raise DegenerateHeights("heights must be nonzero")
-    rel = linear_dependence(gens)
-    s = sum((a * h for a, h in zip(rel.coefficients, heights)), Q(0))
+    rows, _ = _lifted_rows(gens, heights, linear_dependence(gens))
+    return Lattice(rows)
+
+
+def _lifted_rows(generators, heights, relation):
+    """The generators with their heights appended, and s, the height of
+    relation's combination of them; s != 0 keeps the rows independent when
+    relation spans the generators' dependences."""
+    s = sum((a * h for a, h in zip(relation.coefficients, heights)), QZERO)
     if not s:
         raise DegenerateHeights("heights annihilate the dependence")
-    rows = [tuple(g) + (h,) for g, h in zip(gens, heights)]
-    return Lattice(rows)
+    return tuple(tuple(g) + (h,) for g, h in zip(generators, heights)), s
 
 
 def default_heights(n, scale=10**4):

@@ -274,9 +274,3 @@ def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
     found, dist = _closest(gso.mu, gso.norms_sq, y, _Budget(node_budget))
     # distinct coefficient vectors of a basis give distinct lattice points
     return tuple(sorted(row_times_mat(x, L._lll[0]) for x in found)), dist
-
-
-def closest_vector(L: Lattice, target, node_budget=DEFAULT_BUDGET):
-    """The closest lattice vector; ties broken lexicographically."""
-    vecs, _ = closest_vectors_all(L, target, node_budget)
-    return vecs[0]

@@ -303,12 +303,6 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
         return Lattice([_orthogonal_part(w, gso) for w in lifts]), lifts
 
 
-def complete_to_basis(L: Lattice, prefix):
-    """A basis of L that starts with the (primitive) prefix."""
-    prefix = tuple(vector(v) for v in prefix)
-    return prefix + tuple(row_times_mat(r, L.basis) for r in _Prefix.of(L, prefix).rows)
-
-
 def project_orthogonal_with_lift(L: Lattice, prefix):
     """Projection lattice onto span(prefix)^perp plus lift rows in L.
 
@@ -326,11 +320,6 @@ def _orthogonal_part(w, gso):
         if c:
             w = vsub(w, vscale(c, bs))
     return w
-
-
-def project_orthogonal(L: Lattice, prefix) -> Lattice:
-    proj, _ = project_orthogonal_with_lift(L, prefix)
-    return proj
 
 
 def linear_dependence(vectors) -> DependenceRelation:

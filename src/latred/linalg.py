@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DependentRows, DimensionMismatch, NotIntegral, Singular
-from .rationals import Q, QONE, QZERO, is_integer, qexact
+from .rationals import Q, QONE, QZERO, qexact
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +33,6 @@ def zero_vector(n):
 
 def unit_vector(n, i):
     return tuple(QONE if j == i else QZERO for j in range(n))
-
-
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u, v):
@@ -65,10 +61,6 @@ def norm_sq(u):
     return s
 
 
-def vec_is_integral(u):
-    return all(is_integer(a) for a in u)
-
-
 def normalize_sign(u):
     """Flip so the first nonzero entry is positive; canonical +/- pair rep."""
     for a in u:
@@ -79,10 +71,6 @@ def normalize_sign(u):
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-def identity(n):
-    return tuple(unit_vector(n, i) for i in range(n))
 
 
 def transpose(m):

@@ -63,10 +63,6 @@ def qfloor(x) -> int:
     return qnum(x) // qden(x)
 
 
-def qceil(x) -> int:
-    return -((-qnum(x)) // qden(x))
-
-
 def qround(x) -> int:
     """Nearest integer, halves rounded up (deterministic size reduction)."""
     return qfloor(x + Q(1, 2))

@@ -24,13 +24,14 @@ from sys import intern
 from .constructions import (
     _generators21,
     _generators42,
+    _glue_vectors,
+    _lifted_rows,
     default_heights,
     dual_root_d,
     glued_kz_claimed_basis,
     glued_params,
     glued_prime_lattice,
     glued_shortest_basis,
-    perturbed_lift,
 )
 from .enumeration import (
     DEFAULT_BUDGET,
@@ -49,8 +50,6 @@ from .lattice import (
     DependenceRelation,
     Lattice,
     covolume_squared,
-    integer_coordinates,
-    is_primitive_tuple,
     lattice_from_generators,
     linear_dependence,
 )
@@ -59,17 +58,14 @@ from .linalg import (
     dot,
     gram_matrix,
     gram_schmidt,
-    hnf,
     inverse,
     norm_sq,
     row_times_mat,
-    unit_vector,
-    vec_is_integral,
     vector,
     vscale,
     vsub,
 )
-from .rationals import Q, QONE, QZERO, is_integer, qden, qround
+from .rationals import Q, QONE, QZERO, is_integer, qden, qnum, qround
 from .reduction import kz_reduce, minkowski_reduce, shortest_basis, vdw_delta_table
 
 
@@ -501,7 +497,103 @@ def difference_lattice_basis(m: int):
 
 
 # ---------------------------------------------------------------------------
-# structured KZ verification for the glued-prime family
+# the glued-prime family from its generators
+#
+# L_k is generated by the units e_c and one glue vector g_j per block.  The
+# verifiers below read the claimed vectors and the glue vectors in sparse
+# form ({coordinate: entry}) and decide every verdict by exact comparisons
+# on them; for k >= 3 none of them builds L_k.
+
+
+def _sparse(v):
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def _sq(s):
+    return sum((x * x for x in s.values()), QZERO)
+
+
+def _combine(terms):
+    """sum of a * s over the (integer a, sparse s) terms, sparse."""
+    out = {}
+    for a, s in terms:
+        for i, x in s.items():
+            out[i] = out.get(i, QZERO) + a * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _is_glued_basis(params, claimed):
+    """Whether the claimed vectors are a basis of L_k, decided on the
+    generators: every claimed vector must equal a unit e_c or a glue vector
+    g_j, each at most once, every glue vector must be claimed, and every
+    omitted unit must be an integer combination of claimed vectors, which
+    is summed from them and compared exactly:
+    - e_0 = 2 g_0 - (block 0's units);
+    - an omitted unit e_c of block j is p_j g_j - e_0 - (block j's other
+      units), with e_0 itself or its combination.
+    Then the claimed vectors generate L_k, and d of them are a basis."""
+    d = params.dims[-1]
+    glues = {
+        frozenset(_sparse(g).items()): ("g", j)
+        for j, g in enumerate(_glue_vectors(params))
+    }
+    held = {}
+    for v in claimed:
+        if len(v) != d:
+            return False
+        s = _sparse(v)
+        if len(s) == 1 and next(iter(s.values())) == 1:
+            key = ("e", next(iter(s)))
+        else:
+            key = glues.get(frozenset(s.items()))
+        if key is None or key in held:
+            return False
+        held[key] = s
+    # an omitted glue vector is no integer combination of the others, which
+    # are integral on its block
+    if len(held) != d or any(("g", j) not in held for j in range(params.k)):
+        return False
+    combos = {}
+    if ("e", 0) not in held:
+        block0 = range(*params.blocks[0])
+        combos[("e", 0)] = {("g", 0): 2, **{("e", c): -1 for c in block0}}
+    e0 = combos.get(("e", 0), {("e", 0): 1})
+    for j, (p, (lo, hi)) in enumerate(zip(params.primes, params.blocks)):
+        for c in range(lo, hi):
+            if ("e", c) in held:
+                continue
+            combo = {("g", j): p, **{("e", t): -1 for t in range(lo, hi) if t != c}}
+            for key, a in e0.items():
+                combo[key] = combo.get(key, 0) - a
+            combos[("e", c)] = combo
+    for (_, c), combo in combos.items():
+        terms = [(a, held.get(key)) for key, a in combo.items() if a]
+        if any(s is None for _, s in terms) or _combine(terms) != {c: QONE}:
+            return False
+    return True
+
+
+def _glue_residues_priced(params, glues):
+    """Whether the glue vectors carry the residue argument.  g_j must live
+    on the shared coordinate and block j, every entry with denominator
+    p_j, the p_j pairwise coprime, and r g_j must cost at least 1 on block
+    j modulo Z for every 0 < r < p_j.  Then w = z + sum r_j g_j in L_k
+    (z integral, 0 <= r_j < p_j) is integral iff every r_j is 0, so
+    [L_k : Z^d] = prod p_j; and a nonzero r_j costs w at least 1 on
+    block j plus a nonzero shared coordinate, so |w|^2 <= 1 makes w
+    integral."""
+    if any(gcd(p, q) != 1 for p, q in combinations(params.primes, 2)):
+        return False
+    for g, p, (lo, hi) in zip(glues, params.primes, params.blocks):
+        if 0 not in g or any(c and not lo <= c < hi for c in g):
+            return False
+        if any(qden(x) != p for x in g.values()):
+            return False
+        block = [qnum(x) for c, x in g.items() if c]
+        for r in range(1, p):
+            if sum(min(t, p - t) ** 2 for t in (r * a % p for a in block)) < p * p:
+                return False
+    return True
 
 
 def _block_steps(params, j):
@@ -532,8 +624,47 @@ def _slot_plan(params):
     return plan
 
 
-def _support(v):
-    return {i for i, x in enumerate(v) if x}
+def _block_gso(params, rows):
+    """(GSO norms, complements) of sparse rows laid out as the claimed KZ
+    basis, block by block, or None where a row leaves the shapes below.
+
+    Block j's rows may touch only its own coordinates C_j (block 0's
+    include the shared one) and the earlier blocks' ones, which the
+    earlier blocks span.  So each row is projected onto the complement of
+    its prefix inside C_j, which is R^R for a coordinate set R or its
+    sum-zero hyperplane S_R; complements[i] is (R, whether S_R) at step i.
+    - On R^R a row whose restriction to R is x e_c projects to x e_c and
+      leaves R^(R - c); one that is a constant v on all of R (the glue
+      vector) projects to v 1_R and leaves S_R.
+    - On S_R, m = |R|, a row whose restriction to R is x e_c projects to
+      x (e_c - 1_R / m), of squared norm x^2 (1 - 1/m), and leaves
+      S_(R - c).
+    A block ends spanned, with R^{} or S_R for a single R.  A zero
+    projection means a dependent row."""
+    norms, complements = [], []
+    for j, (lo, hi) in enumerate(params.blocks):
+        start, end = _block_steps(params, j)
+        R = set(range(0 if j == 0 else lo, hi))
+        glued = False
+        for s in rows[start:end]:
+            if max(s, default=0) >= hi:
+                return None
+            complements.append((frozenset(R), glued))
+            r = {c: x for c, x in s.items() if c in R}
+            if len(r) == 1:
+                ((c, x),) = r.items()
+                norms.append(x * x * (1 - Q(1, len(R))) if glued else x * x)
+                R.discard(c)
+            elif not glued and len(r) == len(R) and len(set(r.values())) == 1:
+                norms.append(r[min(r)] ** 2 * len(R))
+                glued = True
+            else:
+                return None
+            if not norms[-1]:
+                return None
+        if len(R) != glued:
+            return None
+    return (norms, complements) if len(norms) == len(rows) else None
 
 
 def _projected_tails(basis, gso):
@@ -560,15 +691,18 @@ def verify_kz_structure(k: int) -> TheoremReport:
     blocks costs at least 1 by the same residue bound.
     """
     t0 = time.monotonic()
-    params = glued_params(k)
-    L = glued_prime_lattice(k)
-    claimed = glued_kz_claimed_basis(k)
-    rep = TheoremReport("glued_prime_%d" % k)
+    rep = _kz_structure(glued_params(k), glued_kz_claimed_basis(k))
+    rep.elapsed = time.monotonic() - t0
+    return rep
 
-    coord_rows = [integer_coordinates(L, u) for u in claimed]
-    rep.verdicts["claimed_is_basis"] = abs(determinant(coord_rows)) == 1
 
-    gso = gram_schmidt(claimed)
+def _kz_structure(params, claimed) -> TheoremReport:
+    """verify_kz_structure's report on the given claimed basis."""
+    rep = TheoremReport("glued_prime_%d" % params.k)
+    rows = [_sparse(u) for u in claimed]
+    rep.verdicts["claimed_is_basis"] = _is_glued_basis(params, claimed)
+
+    walk = _block_gso(params, rows)
     plan = _slot_plan(params)
     predicted = []
     for j, kind, remaining in plan:
@@ -579,12 +713,11 @@ def verify_kz_structure(k: int) -> TheoremReport:
             predicted.append(Q(p * p - 1, p * p))
         else:
             predicted.append(QONE - Q(1, len(remaining)))
-    rep.verdicts["gso_norms_match"] = list(gso.norms_sq) == predicted
+    rep.verdicts["gso_norms_match"] = walk is not None and walk[0] == predicted
 
-    ok_steps = True
+    ok_steps = walk is not None
     ok_ties = True
-    tails = _projected_tails(claimed, gso)
-    for i, ((j, kind, remaining), tail) in enumerate(zip(plan, tails)):
+    for i, ((j, kind, remaining), row) in enumerate(zip(plan, rows)):
         p = params.primes[j]
         lo, hi = params.blocks[j]
         # any projected vector with content in a later block keeps those
@@ -593,7 +726,7 @@ def verify_kz_structure(k: int) -> TheoremReport:
         if kind == "unit":
             # fractional in-block competitors cost at least |R| / p^2
             ok_steps &= Q(len(remaining), p * p) >= 1
-            ok_ties &= norm_sq(claimed[i]) == 1
+            ok_ties &= _sq(row) == 1
             continue
         if kind == "glue":
             bound = min(
@@ -607,49 +740,46 @@ def verify_kz_structure(k: int) -> TheoremReport:
             spanned_in_block = (hi - lo + (1 if j == 0 else 0)) - len(remaining)
             extra = spanned_in_block + (0 if 0 in remaining else 1)
             floor = predicted[i] + Q(extra, p * p)
-            ok_ties &= norm_sq(claimed[i]) == floor
+            ok_ties &= _sq(row) == floor
             # a nonzero residue in any other block costs a further >= 1
             ok_ties &= predicted[i] + 1 > floor
             continue
         # diff step: the block-supported part of the projected lattice is
-        # generated by the projections of the block's remaining units
-        _, bend = _block_steps(params, j)
+        # generated by the projections of the block's rows from here on.
+        # With the complement S_R that the plan names, the walk placed each
+        # of them, at its own step, as x e_c for a distinct c in R, so they
+        # project to x (m e_c - 1_R) / m; every diff step checks its x is
+        # +-1.  m - 1 of the m difference-lattice rows m e_c - 1_R (whose
+        # sum is 0) generate the whole difference lattice
         m = len(remaining)
-        rcols = sorted(remaining)
-        gens = []
-        for proj in tail[: bend - i]:
-            ok_steps &= _support(proj) <= remaining
-            gens.append(tuple(Q(m) * proj[c] for c in rcols))
-        ok_steps &= all(vec_is_integral(g) for g in gens)
-        ha, _ = hnf(gens)
-        hb, _ = hnf(difference_lattice_basis(m))
-        ok_steps &= [r for r in ha if any(r)] == [r for r in hb if any(r)]
+        ok_steps &= walk is not None and walk[1][i] == (remaining, True)
+        ok_steps &= [abs(x) for c, x in row.items() if c in remaining] == [1]
         min_sq, _w = difference_lattice_min(m)
         ok_steps &= min_sq / (m * m) == predicted[i]
-        ok_ties &= norm_sq(claimed[i]) == 1
+        ok_ties &= _sq(row) == 1
     rep.verdicts["stepwise_minimality"] = ok_steps
     rep.verdicts["tie_breaks"] = ok_ties
 
-    rep.quantities["kz_max_norm_sq"] = max(norm_sq(u) for u in claimed)
+    rep.quantities["kz_max_norm_sq"] = max(_sq(s) for s in rows)
     rep.verdicts["max_is_5_4"] = rep.quantities["kz_max_norm_sq"] == Q(5, 4)
 
-    if k <= 2:
+    if params.k <= 2:
         # enumeration oracle: the claimed GSO norm at each step must equal
         # the shortest-vector norm of the lattice projected past the
         # claimed prefix, and the generic reduction (whose tie choices at
         # equal projected norms may differ) must reach the same norm
         # profile up to reordering
+        gso = gram_schmidt(claimed)
         ok = True
         for tail, nsq in zip(_projected_tails(claimed, gso), gso.norms_sq):
             _, sv_sq = shortest_vector(Lattice(tail))
             ok &= sv_sq == nsq
-        generic = kz_reduce(L)
+        generic = kz_reduce(glued_prime_lattice(params.k))
         ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
             norm_sq(u) for u in claimed
         )
         ok &= sorted(gram_schmidt(generic.basis).norms_sq) == sorted(gso.norms_sq)
         rep.verdicts["matches_generic_kz"] = ok
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
@@ -670,23 +800,27 @@ def verify_theorem_gap(k: int) -> TheoremReport:
     final vector above k.
     """
     t0 = time.monotonic()
-    params = glued_params(k)
-    L = glued_prime_lattice(k)
-    d = L.rank
+    rep = _theorem_gap(glued_params(k), glued_shortest_basis(k))
+    rep.elapsed = time.monotonic() - t0
+    return rep
+
+
+def _theorem_gap(params, sb_claim) -> TheoremReport:
+    """verify_theorem_gap's report on the given claimed shortest basis."""
+    k = params.k
     rep = TheoremReport("glued_prime_%d" % k)
     prod = 1
     for p in params.primes:
         prod *= p
 
-    sb_claim = glued_shortest_basis(k)
-    coord_rows = [integer_coordinates(L, u) for u in sb_claim]
-    rep.verdicts["short_basis_valid"] = abs(determinant(coord_rows)) == 1
+    rep.verdicts["short_basis_valid"] = _is_glued_basis(params, sb_claim)
     rep.quantities["short_basis_max_sq"] = max(norm_sq(u) for u in sb_claim)
     rep.verdicts["short_basis_max_5_4"] = (
         rep.quantities["short_basis_max_sq"] == Q(5, 4)
     )
 
     if k <= 2:
+        L = glued_prime_lattice(k)
         mink = minkowski_reduce(L)
         rep.verdicts["prefix_is_units"] = all(
             norm_sq(v) == 1 for v in mink.basis[:-1]
@@ -699,22 +833,15 @@ def verify_theorem_gap(k: int) -> TheoremReport:
         rep.verdicts["lambda_bar_is_5_4"] = sb.max_norm_sq == Q(5, 4)
         bar = sb.max_norm_sq
     else:
-        pool = enumerate_up_to(L, 1)
-        units = {unit_vector(d, i) for i in range(d)}
-        rep.verdicts["norm_one_vectors_are_units"] = set(pool.vectors) == units
-        prefix = tuple(unit_vector(d, i) for i in range(1, d))
-        rep.verdicts["unit_prefix_primitive"] = bool(is_primitive_tuple(L, prefix))
-        full_units = [unit_vector(d, i) for i in range(d)]
-        rep.verdicts["all_units_not_basis"] = (
-            determinant(full_units) ** 2 != covolume_squared(L)
-        )
+        glues = [_sparse(g) for g in _glue_vectors(params)]
+        priced = _glue_residues_priced(params, glues)
+        # by the residue argument the vectors of squared norm <= 1 are
+        # integral, so they are the signed units
+        rep.verdicts["norm_one_vectors_are_units"] = priced
         # a completion w of the unit prefix is a basis iff |w_0| equals
         # the covolume 1/prod, which forces its residue tuple to satisfy
         # a unit congruence; every such tuple is priced blockwise
         tuples = _residue_tuples(params.primes, prod)
-        rep.verdicts["all_blocks_fractional"] = all(
-            all(c != 0 for c in t) for t in tuples
-        )
         best = None
         best_tuple = None
         for t in tuples:
@@ -723,8 +850,21 @@ def verify_theorem_gap(k: int) -> TheoremReport:
             ) + Q(1, prod * prod)
             if best is None or val < best:
                 best, best_tuple = val, t
+        witness = _gap_witness(params, glues, best_tuple, prod)
+        # the witness is an integer combination of generators, so it lies
+        # in L_k, and [e_1..e_{d-1}; w] has determinant +-w_0: with
+        # |w_0| = 1/prod, the covolume, it is a basis
+        rep.verdicts["unit_prefix_primitive"] = (
+            priced and abs(witness[0]) * prod == 1
+        )
+        # the units span only Z^d, which misses the first glue vector
+        rep.verdicts["all_units_not_basis"] = any(
+            qden(x) != 1 for x in glues[0].values()
+        )
+        rep.verdicts["all_blocks_fractional"] = all(
+            all(c != 0 for c in t) for t in tuples
+        )
         v_last_sq = best
-        witness = _gap_witness(params, best_tuple, prod)
         rep.witnesses["v_last"] = witness
         rep.verdicts["witness_matches"] = norm_sq(witness) == v_last_sq
         bar = rep.quantities["short_basis_max_sq"]
@@ -732,7 +872,6 @@ def verify_theorem_gap(k: int) -> TheoremReport:
     rep.quantities["v_last_sq"] = v_last_sq
     rep.verdicts["exceeds_block_count"] = v_last_sq > k
     rep.verdicts["strict_gap"] = v_last_sq > bar
-    rep.elapsed = time.monotonic() - t0
     return rep
 
 
@@ -755,20 +894,22 @@ def _residue_tuples(primes, prod):
     return out
 
 
-def _gap_witness(params, residues, prod):
-    d = params.dims[-1]
-    w = [QZERO] * d
+def _gap_witness(params, glues, residues, prod):
+    """w = sum r_j g_j - n e_0, summed from the sparse glue vectors, with
+    r_j the residues' representatives of least magnitude and n the integer
+    that puts the shared coordinate w_0 nearest to 0, or one step further
+    when that is not at distance 1/prod."""
+    terms = []
     frac = QZERO
-    for c, p, (lo, hi) in zip(residues, params.primes, params.blocks):
+    for c, p, g in zip(residues, params.primes, glues):
         r = c if c <= p - c else c - p
-        for j in range(lo, hi):
-            w[j] = Q(r, p)
-        frac += Q(r, p)
-    w[0] = frac - qround(frac)
-    if abs(w[0]) * prod != 1:
-        # the fractional part sits at half-integer distance; step once
-        w[0] = frac - qround(frac) + (1 if w[0] < 0 else -1)
-    return tuple(w)
+        terms.append((r, g))
+        frac += r * g.get(0, QZERO)
+    n = qround(frac)
+    if abs(frac - n) * prod != 1:
+        n += -1 if frac < n else 1
+    w = _combine(terms + [(-n, {0: QONE})])
+    return tuple(w.get(i, QZERO) for i in range(params.dims[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -920,18 +1061,21 @@ def verify_height_lift(scale: int = 10**4, appendix=None) -> TheoremReport:
     rep.verdicts["base_scan_success"] = appendix.success
     rel = appendix.relation
     heights = default_heights(len(vecs), scale)
-    L = perturbed_lift(vecs, heights)
-    s = sum((a * h for a, h in zip(rel.coefficients, heights)), QZERO)
+    # the lifted rows and the height s of the relation's combination, from
+    # the relation the scan checked: its adjugate shows the generators past
+    # the first independent, so the relation spans their dependences and
+    # s != 0 keeps the lifted rows independent
+    rows, s = _lifted_rows(vecs, heights, rel)
     rep.quantities["shortest_sq"] = s * s
     # the base minimum is 5 (the scan exhausts everything shorter), so a
     # lift vector with a nonzero base component has squared norm >= 5
     rep.quantities["base_min_sq"] = Q(5)
     rep.verdicts["shortest_below_base_min"] = s * s < 5
-    target = tuple([QZERO] * (L.rank - 1)) + (s,)
+    target = tuple([QZERO] * (len(rows) - 1)) + (s,)
     # the relation's integer combination of the lifted generators cancels
     # the base part and leaves s in the height coordinate; checking that
     # exactly also ties a caller-supplied appendix to this lattice
-    is_relation = row_times_mat(rel.coefficients, L.basis) == target
+    is_relation = row_times_mat(rel.coefficients, rows) == target
     rep.verdicts["multiple_in_lattice"] = is_relation
     rep.witnesses["shortest"] = target
 
@@ -940,7 +1084,7 @@ def verify_height_lift(scale: int = 10**4, appendix=None) -> TheoremReport:
     # determinant by a_i; the swap gives a basis iff |a_i| = 1
     rep.verdicts["no_swap_gives_basis"] = is_relation and check_no_unit_coefficient(rel)
     rep.verdicts["lifted_norms_above_shortest"] = all(
-        norm_sq(v) > s * s for v in L.basis
+        norm_sq(v) > s * s for v in rows
     )
     rep.elapsed = time.monotonic() - t0
     return rep

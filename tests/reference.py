@@ -13,6 +13,10 @@
   prefix afresh.
 - `appendix_scan`: the candidate-family scan one candidate at a time, on
   residues read off the rational inverse of the generators.
+- `theorem_gap`, `kz_structure`: the glued-prime verifiers on L_k itself
+  (coordinate solves and determinants, enumeration, Smith form, the
+  claimed basis's rational GSO and HNF) instead of its generators.
+- `glued_residues`, `prefix_completion`: helpers that only tests use.
 """
 
 from functools import lru_cache
@@ -20,7 +24,8 @@ from itertools import combinations
 from math import lcm
 
 from latred import linalg
-from latred.enumeration import closest_vectors_all, enumerate_up_to
+from latred.constructions import glued_params, glued_prime_lattice
+from latred.enumeration import closest_vectors_all, enumerate_up_to, shortest_vector
 from latred.errors import (
     DependentTuple,
     DimensionMismatch,
@@ -29,8 +34,18 @@ from latred.errors import (
     NotPrimitive,
     PreconditionViolated,
 )
-from latred.lattice import Lattice, is_primitive_tuple, linear_dependence, sublattice
+from latred.lattice import (
+    Lattice,
+    _Prefix,
+    contains,
+    covolume_squared,
+    is_primitive_tuple,
+    linear_dependence,
+    sublattice,
+)
+from latred.lattice import integer_coordinates as lll_coordinates
 from latred.linalg import (
+    determinant,
     dot,
     gram_matrix,
     gram_schmidt,
@@ -41,11 +56,24 @@ from latred.linalg import (
     row_times_mat,
     snf_divisors,
     transpose,
+    unit_vector,
     vector,
     vscale,
     vsub,
 )
 from latred.rationals import Q, is_integer, qround
+from latred.reduction import kz_reduce as _kz_reduce
+from latred.reduction import minkowski_reduce as _minkowski_reduce
+from latred.reduction import shortest_basis as _shortest_basis
+from latred.verification import (
+    TheoremReport,
+    _block_steps,
+    _projected_tails,
+    _residue_tuples,
+    _slot_plan,
+    difference_lattice_basis,
+    difference_lattice_min,
+)
 
 
 def lll_rows(rows, delta=Q(3, 4)):
@@ -357,3 +385,190 @@ def appendix_scan(vectors):
                 out[p] = Q(s)
             violations.append(tuple(out))
     return families, violations
+
+
+# ---------------------------------------------------------------------------
+# the glued-prime verifiers on the generic route: every claimed vector's
+# coordinates and their determinant, enumerate_up_to(L, 1), the unit
+# prefix's Smith form, and the claimed basis's rational GSO with its
+# projected rows and one HNF pair per difference step
+
+
+def theorem_gap(params, sb_claim):
+    """verify_theorem_gap's report on the given claimed shortest basis."""
+    k = params.k
+    L = glued_prime_lattice(k)
+    d = L.rank
+    rep = TheoremReport("glued_prime_%d" % k)
+    prod = 1
+    for p in params.primes:
+        prod *= p
+
+    coord_rows = [lll_coordinates(L, u) for u in sb_claim]
+    rep.verdicts["short_basis_valid"] = abs(determinant(coord_rows)) == 1
+    rep.quantities["short_basis_max_sq"] = max(norm_sq(u) for u in sb_claim)
+    rep.verdicts["short_basis_max_5_4"] = (
+        rep.quantities["short_basis_max_sq"] == Q(5, 4)
+    )
+
+    if k <= 2:
+        mink = _minkowski_reduce(L)
+        rep.verdicts["prefix_is_units"] = all(
+            norm_sq(v) == 1 for v in mink.basis[:-1]
+        )
+        v_last_sq = norm_sq(mink.basis[-1])
+        rep.witnesses["v_last"] = mink.basis[-1]
+        sb = _shortest_basis(L)
+        rep.quantities["lambda_bar_sq"] = sb.max_norm_sq
+        rep.verdicts["lambda_bar_certified"] = sb.certified
+        rep.verdicts["lambda_bar_is_5_4"] = sb.max_norm_sq == Q(5, 4)
+        bar = sb.max_norm_sq
+    else:
+        pool = enumerate_up_to(L, 1)
+        units = {unit_vector(d, i) for i in range(d)}
+        rep.verdicts["norm_one_vectors_are_units"] = set(pool.vectors) == units
+        prefix = tuple(unit_vector(d, i) for i in range(1, d))
+        rep.verdicts["unit_prefix_primitive"] = bool(is_primitive_tuple(L, prefix))
+        full_units = [unit_vector(d, i) for i in range(d)]
+        rep.verdicts["all_units_not_basis"] = (
+            determinant(full_units) ** 2 != covolume_squared(L)
+        )
+        tuples = _residue_tuples(params.primes, prod)
+        rep.verdicts["all_blocks_fractional"] = all(
+            all(c != 0 for c in t) for t in tuples
+        )
+        best = None
+        best_tuple = None
+        for t in tuples:
+            val = sum(
+                (Q(min(c, p - c) ** 2) for c, p in zip(t, params.primes)), Q(0)
+            ) + Q(1, prod * prod)
+            if best is None or val < best:
+                best, best_tuple = val, t
+        v_last_sq = best
+        witness = _gap_witness(params, best_tuple, prod)
+        rep.witnesses["v_last"] = witness
+        rep.verdicts["witness_matches"] = norm_sq(witness) == v_last_sq
+        bar = rep.quantities["short_basis_max_sq"]
+
+    rep.quantities["v_last_sq"] = v_last_sq
+    rep.verdicts["exceeds_block_count"] = v_last_sq > k
+    rep.verdicts["strict_gap"] = v_last_sq > bar
+    return rep
+
+
+def _gap_witness(params, residues, prod):
+    d = params.dims[-1]
+    w = [Q(0)] * d
+    frac = Q(0)
+    for c, p, (lo, hi) in zip(residues, params.primes, params.blocks):
+        r = c if c <= p - c else c - p
+        for j in range(lo, hi):
+            w[j] = Q(r, p)
+        frac += Q(r, p)
+    w[0] = frac - qround(frac)
+    if abs(w[0]) * prod != 1:
+        w[0] = frac - qround(frac) + (1 if w[0] < 0 else -1)
+    return tuple(w)
+
+
+def kz_structure(params, claimed):
+    """verify_kz_structure's report on the given claimed basis."""
+    k = params.k
+    L = glued_prime_lattice(k)
+    rep = TheoremReport("glued_prime_%d" % k)
+
+    coord_rows = [lll_coordinates(L, u) for u in claimed]
+    rep.verdicts["claimed_is_basis"] = abs(determinant(coord_rows)) == 1
+
+    gso = gram_schmidt(claimed)
+    plan = _slot_plan(params)
+    predicted = []
+    for j, kind, remaining in plan:
+        p = params.primes[j]
+        if kind == "unit":
+            predicted.append(Q(1))
+        elif kind == "glue":
+            predicted.append(Q(p * p - 1, p * p))
+        else:
+            predicted.append(1 - Q(1, len(remaining)))
+    rep.verdicts["gso_norms_match"] = list(gso.norms_sq) == predicted
+
+    ok_steps = True
+    ok_ties = True
+    tails = _projected_tails(claimed, gso)
+    for i, ((j, kind, remaining), tail) in enumerate(zip(plan, tails)):
+        p = params.primes[j]
+        lo, hi = params.blocks[j]
+        ok_steps &= predicted[i] <= 1
+        if kind == "unit":
+            ok_steps &= Q(len(remaining), p * p) >= 1
+            ok_ties &= norm_sq(claimed[i]) == 1
+            continue
+        if kind == "glue":
+            bound = min(
+                Q(len(remaining) * min(r, p - r) ** 2, p * p) for r in range(1, p)
+            )
+            ok_steps &= bound == predicted[i] and predicted[i] < 1
+            spanned_in_block = (hi - lo + (1 if j == 0 else 0)) - len(remaining)
+            extra = spanned_in_block + (0 if 0 in remaining else 1)
+            floor = predicted[i] + Q(extra, p * p)
+            ok_ties &= norm_sq(claimed[i]) == floor
+            ok_ties &= predicted[i] + 1 > floor
+            continue
+        _, bend = _block_steps(params, j)
+        m = len(remaining)
+        rcols = sorted(remaining)
+        gens = []
+        for proj in tail[: bend - i]:
+            ok_steps &= {c for c, x in enumerate(proj) if x} <= remaining
+            gens.append(tuple(Q(m) * proj[c] for c in rcols))
+        ok_steps &= all(is_integer(x) for g in gens for x in g)
+        ha, _ = hnf(gens)
+        hb, _ = hnf(difference_lattice_basis(m))
+        ok_steps &= [r for r in ha if any(r)] == [r for r in hb if any(r)]
+        min_sq, _w = difference_lattice_min(m)
+        ok_steps &= min_sq / (m * m) == predicted[i]
+        ok_ties &= norm_sq(claimed[i]) == 1
+    rep.verdicts["stepwise_minimality"] = ok_steps
+    rep.verdicts["tie_breaks"] = ok_ties
+
+    rep.quantities["kz_max_norm_sq"] = max(norm_sq(u) for u in claimed)
+    rep.verdicts["max_is_5_4"] = rep.quantities["kz_max_norm_sq"] == Q(5, 4)
+
+    if k <= 2:
+        ok = True
+        for tail, nsq in zip(_projected_tails(claimed, gso), gso.norms_sq):
+            _, sv_sq = shortest_vector(Lattice(tail))
+            ok &= sv_sq == nsq
+        generic = _kz_reduce(L)
+        ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
+            norm_sq(u) for u in claimed
+        )
+        ok &= sorted(gram_schmidt(generic.basis).norms_sq) == sorted(gso.norms_sq)
+        rep.verdicts["matches_generic_kz"] = ok
+    return rep
+
+
+def glued_residues(k, w):
+    """The residues x_i in [0, p_i) of w's glue coefficients in L_k; w is
+    integral iff all of them vanish."""
+    params = glued_params(k)
+    L = glued_prime_lattice(k)
+    w = vector(w)
+    if not contains(L, w):
+        raise NotInLattice("vector is not in the glued lattice")
+    res = []
+    for p, (lo, hi) in zip(params.primes, params.blocks):
+        t = w[lo] * p  # first block coordinate is s + r/p with s integral
+        if not is_integer(t):
+            raise NotInLattice("unexpected denominator in block coordinate")
+        res.append(int(t) % p)
+    return tuple(res)
+
+
+def prefix_completion(L, prefix):
+    """The (primitive) prefix followed by the rows that complete it to a
+    basis of L, read off the tail-gcd transform of its coordinates."""
+    prefix = tuple(vector(v) for v in prefix)
+    return prefix + tuple(row_times_mat(r, L.basis) for r in _Prefix.of(L, prefix).rows)

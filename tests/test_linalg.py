@@ -14,7 +14,6 @@ from latred.linalg import (
     gram_matrix,
     gram_schmidt,
     hnf,
-    identity,
     inverse,
     mat_mul,
     matrix,
@@ -147,7 +146,8 @@ def test_inverse_multiplies_to_identity(rows):
         with pytest.raises(Singular):
             inverse(m)
         return
-    assert mat_mul(m, inverse(m)) == identity(len(m))
+    eye = tuple(unit_vector(len(m), i) for i in range(len(m)))
+    assert mat_mul(m, inverse(m)) == eye
 
 
 @given(int_matrices)

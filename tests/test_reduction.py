@@ -138,12 +138,12 @@ def test_kz_projected_minimality_small():
         assert res.kind == "kz"
         assert_is_basis(L, res.basis)
         gso = gram_schmidt(res.basis)
-        from latred.lattice import Lattice, project_orthogonal
+        from latred.lattice import project_orthogonal_with_lift
 
         _, lam1 = shortest_vector(L)
         assert gso.norms_sq[0] == lam1
         for k in range(1, L.rank):
-            P = project_orthogonal(L, res.basis[:k])
+            P, _ = project_orthogonal_with_lift(L, res.basis[:k])
             _, pmin = shortest_vector(P)
             assert gso.norms_sq[k] == pmin
 

@@ -7,10 +7,14 @@ import reference
 from conftest import random_integer_lattice
 from latred import verification
 from latred.constructions import (
+    _glue_vectors,
+    _lifted_rows,
     attempt21,
     default_heights,
     dual_root_d,
     glued_kz_claimed_basis,
+    glued_params,
+    glued_shortest_basis,
     lattice42,
     perturbed_lift,
     root_d,
@@ -18,6 +22,7 @@ from latred.constructions import (
 from latred.enumeration import enumerate_up_to
 from latred.errors import (
     ConstructionMismatch,
+    DegenerateHeights,
     DimensionMismatch,
     PreconditionViolated,
     ScanCrossCheckFailed,
@@ -64,8 +69,8 @@ def test_kz_structure_small_with_cross_check():
 
 
 def test_kz_structure_k3_structural_only(monkeypatch):
-    # the claimed basis's coordinates are solved through the LLL GSO and
-    # transform, so no Gram matrix is inverted
+    # the verifier reads the generators alone, so no Gram matrix is
+    # inverted
     from conftest import count_calls
 
     calls = count_calls(monkeypatch, "linalg.inverse")
@@ -115,13 +120,11 @@ def test_integer_relation_membership():
 
 
 def test_appendix_scan_rejects_partial_dependence():
-    from latred.linalg import unit_vector, vadd
-
     # four generators in rank 3 whose dependence misses one of them
     vecs = [
-        vadd(unit_vector(3, 0), unit_vector(3, 1)),
-        vadd(unit_vector(3, 1), unit_vector(3, 2)),
-        vadd(unit_vector(3, 0), unit_vector(3, 2)),
+        tuple(map(Q, (1, 1, 0))),
+        tuple(map(Q, (0, 1, 1))),
+        tuple(map(Q, (1, 0, 1))),
     ]
     doubled = [tuple(2 * x for x in vecs[0])] + vecs
     with pytest.raises(ConstructionMismatch):
@@ -423,6 +426,25 @@ def test_height_lift_swaps_by_cramer_rule():
     assert outcomes.count(True) == 12 and outcomes.count(False) == 10
 
 
+def test_height_lift_reads_its_rows_off_the_scanned_relation(
+    monkeypatch, appendix42_report
+):
+    from conftest import count_calls
+
+    vecs, heights = lattice42()[1], default_heights(43)
+    rows, s = _lifted_rows(vecs, heights, appendix42_report.relation)
+    assert rows == perturbed_lift(vecs, heights).basis
+    assert s == sum(
+        (a * h for a, h in zip(appendix42_report.relation.coefficients, heights)), Q(0)
+    )
+    calls = count_calls(monkeypatch, "lattice.linear_dependence", "linalg.rank")
+    rep = verification.verify_height_lift(appendix=appendix42_report)
+    assert rep.success and rep.witnesses["shortest"] == (Q(0),) * 42 + (s,)
+    assert calls == {"lattice.linear_dependence": 0, "linalg.rank": 0}
+    with pytest.raises(DegenerateHeights):
+        _lifted_rows(vecs, (Q(0),) * 43, appendix42_report.relation)
+
+
 def test_projected_tails_match_sequential_projection():
     for k in (2, 3):
         claimed = glued_kz_claimed_basis(k)
@@ -519,20 +541,198 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
 
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
     # one pass of the glued-certify benchmark (gap and kz-structure for
-    # k = 1..3): the rational GSO is built only for prefixes and claimed
-    # bases, never for an LLL basis, and the covolume needs no determinant
+    # k = 1..3): the rational GSO is built only for KZ prefixes and the
+    # k <= 2 oracle, and no determinant is taken; at k = 3 the verifiers
+    # read the generators alone, so nothing generic runs at all
     from conftest import count_calls
 
-    calls = count_calls(monkeypatch, "linalg.gram_schmidt", "linalg.determinant")
+    names = (
+        "linalg.gram_schmidt",
+        "linalg.hnf",
+        "linalg.determinant",
+        "lattice.coordinates",
+        "enumeration.enumerate_up_to",
+        "lattice.is_primitive_tuple",
+    )
+    calls = count_calls(monkeypatch, *names)
     for k in (1, 2, 3):
         verification.verify_theorem_gap(k)
         verification.verify_kz_structure(k)
-    assert calls["linalg.gram_schmidt"] <= 39
-    assert calls["linalg.determinant"] <= 7
+    assert calls["linalg.gram_schmidt"] <= 38
+    assert calls["linalg.determinant"] == 0
     for name in calls:
         calls[name] = 0
     assert verification.verify_theorem_gap(3).success
-    assert calls == {"linalg.gram_schmidt": 0, "linalg.determinant": 2}
+    assert verification.verify_kz_structure(3).success
+    assert calls == dict.fromkeys(names, 0)
+
+
+def _report_tables(rep):
+    # key order too: the CLI writes the tables in this order
+    return [list(t.items()) for t in (rep.verdicts, rep.quantities, rep.witnesses)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_glued_verifiers_match_the_generic_reference(k):
+    params = glued_params(k)
+    for structural, generic, claimed in (
+        (verification._theorem_gap, reference.theorem_gap, glued_shortest_basis(k)),
+        (
+            verification._kz_structure,
+            reference.kz_structure,
+            glued_kz_claimed_basis(k),
+        ),
+    ):
+        got = structural(params, claimed)
+        assert got.success or (k, structural) == (1, verification._theorem_gap)
+        assert _report_tables(got) == _report_tables(generic(params, claimed))
+
+
+def test_gap_witness_has_the_best_residue_tuple():
+    # the witness is sum r_j g_j - n e_0, so its residues are the tuple
+    # that prices it, and |w_0| is the covolume 1/30
+    rep = verify_theorem_gap(3)
+    w = rep.witnesses["v_last"]
+    assert reference.glued_residues(3, w) == (1, 1, 1)
+    assert abs(w[0]) == Q(1, 30)
+
+
+def test_gap_witness_off_the_covolume_is_refused(monkeypatch):
+    # one more e_0 subtracted: still in L_3, but |w_0| is 29/30, not the
+    # covolume, so it completes no basis and its norm misses v_last
+    witness = verification._gap_witness
+
+    def shifted(*args):
+        w = witness(*args)
+        return (w[0] - 1,) + w[1:]
+
+    monkeypatch.setattr(verification, "_gap_witness", shifted)
+    rep = verify_theorem_gap(3)
+    assert not rep.verdicts["unit_prefix_primitive"]
+    assert not rep.verdicts["witness_matches"]
+    assert rep.verdicts["norm_one_vectors_are_units"]
+
+
+def _tampered(claimed, how, params):
+    rows = list(claimed)
+    if how == "glue_doubled":
+        # the first glue vector, the one with shared coordinate 1/2
+        i = next(i for i, v in enumerate(rows) if v[0] == Q(1, 2))
+        rows[i] = tuple(2 * x for x in rows[i])
+    elif how == "units_only":
+        # the d units: every one a generator, none repeated, and no glue
+        d = len(rows[0])
+        rows = [tuple(Q(int(c == i)) for c in range(d)) for i in range(d)]
+    elif how == "e0_for_a_unit":
+        # e_0 in place of a unit of the second block, which then misses two
+        i = next(i for i, v in enumerate(rows) if v[6] == 1)
+        rows[i] = tuple(Q(int(c == 0)) for c in range(len(rows[0])))
+    elif how == "unit_leaks":
+        # a block-0 unit that also reaches the last coordinate
+        rows[0] = rows[0][:-1] + (Q(1),)
+    elif how == "unit_duplicated":
+        # the last vector is a unit of the last block: drop it, repeat the
+        # one before it
+        rows[-1] = rows[-2]
+    elif how == "first_unit_moved":
+        # the second block's first unit slot holds its second unit, which
+        # also completes a basis but spans the block in another order
+        start, _ = verification._block_steps(params, 1)
+        second = params.blocks[1][0] + 1
+        rows[start] = tuple(Q(int(c == second)) for c in range(len(rows[0])))
+    elif how == "diff_doubled":
+        start, _ = verification._block_steps(params, 1)
+        rows[start + 2] = tuple(2 * x for x in rows[start + 2])
+    else:  # two diff slots of the second block swapped
+        start, _ = verification._block_steps(params, 1)
+        rows[start + 2], rows[start + 3] = rows[start + 3], rows[start + 2]
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "how", ["glue_doubled", "unit_duplicated", "units_only", "e0_for_a_unit"]
+)
+def test_tampered_shortest_basis_fails_on_both_routes(how):
+    params = glued_params(3)
+    claimed = _tampered(glued_shortest_basis(3), how, params)
+    got = verification._theorem_gap(params, claimed)
+    want = reference.theorem_gap(params, claimed)
+    assert not got.verdicts["short_basis_valid"]
+    assert _report_tables(got) == _report_tables(want)
+
+
+@pytest.mark.parametrize(
+    "how", ["glue_doubled", "diff_doubled", "diff_swapped", "first_unit_moved"]
+)
+def test_tampered_kz_basis_fails_on_both_routes(how):
+    params = glued_params(3)
+    claimed = _tampered(glued_kz_claimed_basis(3), how, params)
+    got = verification._kz_structure(params, claimed)
+    want = reference.kz_structure(params, claimed)
+    failed = {name for name, ok in got.verdicts.items() if not ok}
+    if how == "glue_doubled":
+        assert {"claimed_is_basis", "gso_norms_match", "tie_breaks"} <= failed
+    elif how == "diff_doubled":
+        assert {"claimed_is_basis", "gso_norms_match", "stepwise_minimality"} <= failed
+    else:
+        # each keeps a basis and its GSO norms, and breaks the order in
+        # which the block is spanned
+        assert failed == {"stepwise_minimality"}
+    assert _report_tables(got) == _report_tables(want)
+
+
+@pytest.mark.parametrize(
+    "how, error", [("unit_duplicated", "DependentRows"), ("unit_leaks", "NotIntegral")]
+)
+def test_kz_basis_the_generic_route_cannot_finish_is_refused(how, error):
+    # the reference's rational GSO raises on a repeated row, and its HNF on
+    # the fractional projections a row leaving its block leaves behind;
+    # the block walk places neither row and confirms nothing
+    from latred import errors
+
+    params = glued_params(3)
+    claimed = _tampered(glued_kz_claimed_basis(3), how, params)
+    got = verification._kz_structure(params, claimed)
+    assert not got.verdicts["claimed_is_basis"]
+    assert not got.verdicts["gso_norms_match"]
+    assert not got.verdicts["stepwise_minimality"]
+    rows = [verification._sparse(v) for v in claimed]
+    assert verification._block_gso(params, rows) is None
+    with pytest.raises(getattr(errors, error)):
+        reference.kz_structure(params, claimed)
+
+
+def test_block_gso_equals_the_rational_gso():
+    for k in (1, 2, 3):
+        params = glued_params(k)
+        claimed = glued_kz_claimed_basis(k)
+        norms, complements = verification._block_gso(
+            params, [verification._sparse(v) for v in claimed]
+        )
+        assert norms == list(gram_schmidt(claimed).norms_sq)
+        # the complement before each step is the one the slot plan names
+        plan = verification._slot_plan(params)
+        assert [r for r, _ in complements] == [r for _, _, r in plan]
+        assert [g for _, g in complements] == [kind == "diff" for _, kind, _ in plan]
+
+
+def test_glue_residue_argument_needs_every_premise():
+    params = glued_params(3)
+    glues = [verification._sparse(g) for g in _glue_vectors(params)]
+    assert verification._glue_residues_priced(params, glues)
+    lo, _ = params.blocks[1]
+    for change in (
+        {lo: Q(1, 6)},  # an entry with the wrong denominator
+        {params.blocks[2][0]: Q(1, 3)},  # an entry in another block
+        {0: Q(0)},  # no shared coordinate
+    ):
+        bad = [dict(g) for g in glues]
+        bad[1].update(change)
+        bad[1] = {c: x for c, x in bad[1].items() if x}
+        assert not verification._glue_residues_priced(params, bad)
+    # one block coordinate left: a residue costs 1/9 < 1 there
+    thin = [glues[0], {0: Q(1, 3), lo: Q(1, 3)}, glues[2]]
+    assert not verification._glue_residues_priced(params, thin)
 
 
 def test_minkowski_bounds_reports_share_keys_and_values():
