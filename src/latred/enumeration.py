@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .errors import BudgetExceeded, DependentRows
-from .lattice import IntGSO, Lattice, _Prefix, _lam_row, _target_lam
+from .lattice import IntGSO, Lattice, _Prefix, _lam_row
 from .linalg import matrix, norm_sq, row_times_mat
 from .rationals import Q, QZERO, qexact, qfloor, qnum, qden, qround
 
@@ -267,9 +267,7 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
 def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
     """All v in L minimizing |target - v|^2, plus the squared distance."""
     # target = sum_k y_k b*_k over the GSO of the LLL basis
-    lam_w, s = _target_lam(L, target)
-    _, d, _, den = L._lll[2]
-    y = [Q(t * den, d[k + 1] * s) for k, t in enumerate(lam_w)]
+    y = L._lll[2].star_coordinates(target)
     gso = L._lll_gso
     found, dist = _closest(gso.mu, gso.norms_sq, y, _Budget(node_budget))
     # distinct coefficient vectors of a basis give distinct lattice points

@@ -5,8 +5,10 @@ caches its LLL basis with the LLL transform and the integral Gram-Schmidt
 data that the integral LLL ends with (IntGSO), and the largest
 short-vector pool enumerated from it; every result depends on the basis
 alone, so Lattice values are safe to share.  Coordinates, covolume and the
-enumeration's mu and norms are all read off that one IntGSO: the LLL basis
-gets no rational Gram-Schmidt.
+enumeration's mu and norms are all read off that one IntGSO.  A prefix of
+lattice vectors gets its own IntGSO, grown one _lam_row at a time, and
+its projections are the same integer back-substitution as coordinates:
+there is no rational Gram-Schmidt anywhere.
 """
 
 from collections import namedtuple
@@ -16,6 +18,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import (
+    DependentRows,
     DependentTuple,
     DimensionMismatch,
     NotFullRank,
@@ -26,8 +29,6 @@ from .errors import (
     WrongRank,
 )
 from .linalg import (
-    dot,
-    gram_schmidt,
     hnf,
     matrix,
     norm_sq,
@@ -41,17 +42,75 @@ from .linalg import (
 from .rationals import Q, QONE, QZERO, is_integer, qden, qnum, qround
 
 
+# mu and squared norms of a GSO, without the GSO vectors themselves
+GSO = namedtuple("GSO", "mu norms_sq")
+
+
 class IntGSO(namedtuple("IntGSO", "b d lam den")):
     """Integral Gram-Schmidt data of rational rows (Cohen, Alg. 2.6.7):
-    b the rows scaled by the lcm den of their denominators, d[i] the Gram
+    b the rows scaled by a common denominator den, d[i] the Gram
     determinant of b[:i] (d[0] = 1), and lam[i][j] = d[j + 1] mu[i][j]
-    for j < i (zero elsewhere), all integers in nested tuples."""
+    for j < i (zero where lam[i] runs past i), all integers in nested
+    tuples."""
 
     __slots__ = ()
 
+    @classmethod
+    def of(cls, rows):
+        """The IntGSO of independent rational rows, scaled by the lcm of
+        their denominators; raises DependentRows."""
+        gso = cls((), (1,), (), lcm(*(qden(e) for r in rows for e in r)))
+        for r in rows:
+            gso = gso.extended(r)
+        return gso
 
-# mu and squared norms of a GSO, without the GSO vectors themselves
-GSO = namedtuple("GSO", "mu norms_sq")
+    def extended(self, v):
+        """The IntGSO with the row v appended, one _lam_row; den v must
+        be integral.  Raises DependentRows when v is in the rows' span."""
+        b, d, lam, den = self
+        w = tuple(qnum(e) * (den // qden(e)) for e in v)
+        row = _lam_row(b, d, lam, w)
+        if not row[-1]:
+            raise DependentRows("row %d depends on the previous rows" % len(b))
+        return IntGSO(b + (w,), d + (row[-1],), lam + (tuple(row[:-1]),), den)
+
+    def rational(self):
+        """mu and squared norms of the rows' GSO: mu_ij = lam_ij / d_{j+1}
+        and |b*_i|^2 = d_{i+1} / (d_i den^2)."""
+        _, d, lam, den = self
+        n = len(d) - 1
+        mu = tuple(
+            tuple(
+                Q(lam[i][j], d[j + 1]) if j < i else QONE if j == i else QZERO
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        norms = tuple(Q(d[i + 1], d[i] * den * den) for i in range(n))
+        return GSO(mu, norms)
+
+    def project(self, v):
+        """(v*, |v*|^2): the part of v orthogonal to the rows.  With
+        W = s v integral, the back-substitution of coordinates gives the
+        dz_j = d_n z_j of W's part sum_j z_j b_j in the span, so
+        d_n s v* = d_n W - sum_j dz_j b_j; the last entry of W's _lam_row
+        is the Gram determinant of [b; W], which is d_n |W*|^2."""
+        b, d, lam, _ = self
+        w, s = _scaled(v)
+        row = _lam_row(b, d, lam, w)
+        dz = _back_substitute(self, row[:-1])
+        scale = d[-1] * s
+        perp = tuple(
+            Q(d[-1] * x - sum(z * r[c] for z, r in zip(dz, b) if z), scale)
+            for c, x in enumerate(w)
+        )
+        return perp, Q(row[-1], scale * s)
+
+    def star_coordinates(self, v):
+        """y with v = sum_k y_k b*_k over the GSO of the rational rows, from
+        _target_lam; raises NotInSpan."""
+        lam_w, s = _target_lam(self, v)
+        return [Q(t * self.den, self.d[k + 1] * s) for k, t in enumerate(lam_w)]
 
 
 def _lam_row(b, d, lam, w):
@@ -68,6 +127,30 @@ def _lam_row(b, d, lam, w):
             u = (d[t + 1] * u - out[t] * row[t]) // d[t]
         out.append(u)
     return out
+
+
+def _scaled(v):
+    """(W, s): s the lcm of v's denominators and W = s v, in integers."""
+    s = lcm(*(qden(e) for e in v))
+    return [qnum(e) * (s // qden(e)) for e in v], s
+
+
+def _back_substitute(gso, lam_w):
+    """dz with sum_j dz_j b_j = d_n times the part of W in the span of the
+    rows b, from lam_W, W's _lam_row past its last entry.  The dz_j are
+    integers (Cramer's rule on the Gram system of b) and back-substitute
+    by exact divisions, dz_j = (lam_Wj d_n - sum_{i>j} lam_ij dz_i) /
+    d_{j+1}."""
+    _, d, lam, _ = gso
+    n = len(lam_w)
+    dz = [0] * n
+    for j in range(n - 1, -1, -1):
+        acc = lam_w[j] * d[n]
+        for i in range(j + 1, n):
+            if dz[i] and lam[i][j]:
+                acc -= lam[i][j] * dz[i]
+        dz[j] = acc // d[j + 1]
+    return dz
 
 
 @dataclass(frozen=True)
@@ -106,19 +189,8 @@ class Lattice:
 
     @cached_property
     def _lll_gso(self):
-        """mu and squared norms of the LLL basis's GSO, read off its IntGSO:
-        mu_ij = lam_ij / d_{j+1} and |b*_i|^2 = d_{i+1} / (d_i den^2)."""
-        _, d, lam, den = self._lll[2]
-        n = len(d) - 1
-        mu = tuple(
-            tuple(
-                Q(lam[i][j], d[j + 1]) if j < i else QONE if j == i else QZERO
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        norms = tuple(Q(d[i + 1], d[i] * den * den) for i in range(n))
-        return GSO(mu, norms)
+        """mu and squared norms of the LLL basis's GSO, read off its IntGSO."""
+        return self._lll[2].rational()
 
 
 @dataclass(frozen=True)
@@ -141,41 +213,30 @@ def coordinates(L: Lattice, v):
     """The unique x with x . basis = v; raises NotInSpan.
 
     Solved in integers on the LLL basis's IntGSO (b, d, lam, den): W = s v
-    is integral and lam_W = _target_lam(L, v).  Writing W = sum_j z_j b_j,
-    the dz_j = d_n z_j are integers (Cramer's rule on the Gram system of
-    b) and back-substitute by exact divisions,
-    dz_j = (lam_Wj d_n - sum_{i>j} lam_ij dz_i) / d_{j+1}.  Then
+    is integral, lam_W = _target_lam(gso, v), and _back_substitute gives
+    the integers dz_j = d_n z_j of W = sum_j z_j b_j.  Then
     x = (dz . T) den / (d_n s), one division per entry."""
-    lam_w, s = _target_lam(L, v)
-    _, d, lam, den = L._lll[2]
-    n = L.rank
-    dz = [0] * n
-    for j in range(n - 1, -1, -1):
-        acc = lam_w[j] * d[n]
-        for i in range(j + 1, n):
-            if dz[i] and lam[i][j]:
-                acc -= lam[i][j] * dz[i]
-        dz[j] = acc // d[j + 1]
-    scale = d[n] * s
-    trans = L._lll[1]
+    _, trans, gso = L._lll
+    lam_w, s = _target_lam(gso, v)
+    dz = _back_substitute(gso, lam_w)
+    scale = gso.d[-1] * s
     return tuple(
-        Q(den * sum(x * r[c] for x, r in zip(dz, trans) if x), scale)
-        for c in range(n)
+        Q(gso.den * sum(x * r[c] for x, r in zip(dz, trans) if x), scale)
+        for c in range(L.rank)
     )
 
 
-def _target_lam(L: Lattice, v):
+def _target_lam(gso, v):
     """(lam_W, s): s the lcm of v's denominators, W = s v, and lam_W[k] =
-    d_{k+1} mu_Wk the recurrence row of W against the scaled LLL rows of
-    L, so that v = sum_k lam_W[k] den / (d_{k+1} s) b*_k over the GSO of
-    the LLL basis; raises NotInSpan when the Gram determinant of [b; W]
-    is nonzero."""
+    d_{k+1} mu_Wk the recurrence row of W against the rows b of the
+    IntGSO gso, so that v = sum_k lam_W[k] den / (d_{k+1} s) b*_k over
+    the GSO of the rational rows; raises NotInSpan when the Gram
+    determinant of [b; W] is nonzero."""
     v = vector(v)
-    if len(v) != L.ambient_dim:
+    b, d, lam, _ = gso
+    if len(v) != len(b[0]):
         raise DimensionMismatch("vector has wrong ambient dimension")
-    s = lcm(*(qden(e) for e in v))
-    w = [qnum(e) * (s // qden(e)) for e in v]
-    b, d, lam, _ = L._lll[2]
+    w, s = _scaled(v)
     row = _lam_row(b, d, lam, w)
     if row[-1]:
         raise NotInSpan("vector is outside the real span of the lattice")
@@ -219,12 +280,14 @@ def is_primitive_tuple(L: Lattice, vectors) -> PrimitivityCertificate:
     """Certify whether the tuple extends to a basis of L.
 
     The verdict is read off the elementary divisors of the integer coordinate
-    matrix: the tuple is primitive iff they are all 1.
+    matrix: the tuple is primitive iff they are all 1.  They decide
+    dependence too: the tuple is dependent iff it is longer than the rank
+    or a divisor is 0.
     """
     coords = [integer_coordinates(L, v) for v in vectors]
-    if linalg.rank(matrix(coords)) != len(coords):
-        raise DependentTuple("tuple is linearly dependent")
     div = snf_divisors(coords)
+    if len(coords) > L.rank or 0 in div:
+        raise DependentTuple("tuple is linearly dependent")
     return PrimitivityCertificate(all(d == 1 for d in div), tuple(div))
 
 
@@ -298,9 +361,9 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
 
     def project(self, L, gso):
         """(P, lifts): the completion rows over L.basis, and P with their
-        parts orthogonal to the prefix, whose GSO is gso, as basis."""
+        parts orthogonal to the prefix, whose IntGSO is gso, as basis."""
         lifts = tuple(row_times_mat(r, L.basis) for r in self.rows)
-        return Lattice([_orthogonal_part(w, gso) for w in lifts]), lifts
+        return Lattice([gso.project(w)[0] for w in lifts]), lifts
 
 
 def project_orthogonal_with_lift(L: Lattice, prefix):
@@ -310,16 +373,7 @@ def project_orthogonal_with_lift(L: Lattice, prefix):
     and the lifts complete the prefix to a basis of L.
     """
     prefix = [vector(p) for p in prefix]
-    return _Prefix.of(L, prefix).project(L, gram_schmidt(prefix))
-
-
-def _orthogonal_part(w, gso):
-    """w minus its components along the GSO vectors of gso."""
-    for bs, ns in zip(gso.bstar, gso.norms_sq):
-        c = dot(w, bs) / ns
-        if c:
-            w = vsub(w, vscale(c, bs))
-    return w
+    return _Prefix.of(L, prefix).project(L, IntGSO.of(prefix))
 
 
 def linear_dependence(vectors) -> DependenceRelation:
@@ -370,9 +424,9 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
         raise PreconditionViolated("y0 is not in the lattice") from None
     if norm_sq(y0) > lambda_next_sq:
         raise PreconditionViolated("y0 is longer than the given minimum")
-    gso = gram_schmidt(sub)
-    y0_perp = _orthogonal_part(y0, gso)
-    if not norm_sq(y0_perp):
+    gso = IntGSO.of(sub)
+    _, y0_perp_sq = gso.project(y0)
+    if not y0_perp_sq:
         raise PreconditionViolated("y0 lies in the span of sub")
 
     if held.extends(y0_coords):
@@ -381,22 +435,22 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     proj, lifts = held.project(L, gso)
     p, p_nsq = shortest_vector(proj)
     # non-primitivity of the projection of y0 forces a factor-2 shrink
-    if 4 * p_nsq > norm_sq(y0_perp):
+    if 4 * p_nsq > y0_perp_sq:
         raise PreconditionViolated(
             "projection shrink factor violated; inputs inconsistent"
         )
     x = coordinates(proj, p)
     y = row_times_mat(x, lifts)
-    # size-reduce coordinate by coordinate, last pivot first
+    # size-reduce coordinate by coordinate, last pivot first, on the GSO
+    # coordinates t of y; p is orthogonal to sub, so y's are y - p's
+    mu, norms = gso.rational()
+    t = gso.star_coordinates(vsub(y, p))
     for i in range(len(sub) - 1, -1, -1):
-        t = dot(y, gso.bstar[i]) / gso.norms_sq[i]
-        r = qround(t)
+        r = qround(t[i])
         if r:
             y = vsub(y, vscale(Q(r), sub[i]))
-    bound = max(
-        Q(lambda_next_sq),
-        (sum(gso.norms_sq, Q(0)) + lambda_next_sq) / 4,
-    )
+            t = [a - r * m for a, m in zip(t, mu[i])]
+    bound = max(Q(lambda_next_sq), (sum(norms, Q(0)) + lambda_next_sq) / 4)
     if norm_sq(y) > bound:
         raise PreconditionViolated("completion exceeded the size bound")
     if not held.extends(integer_coordinates(L, y)):
@@ -418,7 +472,3 @@ def lattice_from_generators(generators) -> Lattice:
     basis = [tuple(Q(e, den) for e in r) for r in rows]
     return Lattice(basis)
 
-
-def sublattice(vectors) -> Lattice:
-    """Lattice with the given independent vectors as its basis."""
-    return Lattice(matrix(vectors))

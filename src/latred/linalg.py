@@ -3,12 +3,13 @@
 Vectors are tuples of rationals and matrices are tuples of row vectors.
 All routines here are pure and exact; there is no floating point on any
 path.  Integer matrices (HNF/SNF) are plain nested tuples of Python ints.
+Gram-Schmidt is not here: latred's one Gram-Schmidt is the integral
+recurrence of latred.lattice (IntGSO).
 """
 
-from dataclasses import dataclass
 from math import gcd
 
-from .errors import DependentRows, DimensionMismatch, NotIntegral, Singular
+from .errors import DimensionMismatch, NotIntegral, Singular
 from .rationals import Q, QONE, QZERO, qexact
 
 
@@ -75,11 +76,6 @@ def normalize_sign(u):
 
 def transpose(m):
     return tuple(zip(*m)) if m else ()
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def row_times_mat(x, m):
@@ -203,42 +199,6 @@ def nullspace(a):
             x[pc] = -rows[ri][fc]
         basis.append(tuple(x))
     return basis
-
-
-# ---------------------------------------------------------------------------
-# Gram-Schmidt
-
-
-@dataclass(frozen=True)
-class GSOData:
-    """Exact Gram-Schmidt data: b_i = b*_i + sum_{j<i} mu[i][j] b*_j."""
-
-    bstar: tuple
-    mu: tuple
-    norms_sq: tuple
-
-
-def gram_schmidt(basis) -> GSOData:
-    """Exact GSO of linearly independent rows; raises DependentRows."""
-    bstar = []
-    norms = []
-    mu = []
-    for i, b in enumerate(basis):
-        murow = [QZERO] * len(basis)
-        w = tuple(b)
-        for j in range(i):
-            c = dot(b, bstar[j]) / norms[j]
-            murow[j] = c
-            if c:
-                w = vsub(w, vscale(c, bstar[j]))
-        murow[i] = QONE
-        ns = norm_sq(w)
-        if not ns:
-            raise DependentRows("row %d depends on the previous rows" % i)
-        bstar.append(w)
-        norms.append(ns)
-        mu.append(tuple(murow))
-    return GSOData(tuple(bstar), tuple(mu), tuple(norms))
 
 
 # ---------------------------------------------------------------------------

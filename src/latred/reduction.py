@@ -20,8 +20,8 @@ from .enumeration import (
     lll_rows,
 )
 from .errors import BudgetExceeded, PreconditionViolated
-from .lattice import Lattice, _Prefix, coordinates, integer_coordinates
-from .linalg import dot, gram_schmidt, hnf, norm_sq, normalize_sign, row_times_mat, vsub
+from .lattice import IntGSO, Lattice, _Prefix, coordinates, integer_coordinates
+from .linalg import hnf, norm_sq, normalize_sign, row_times_mat, vsub
 from .rationals import Q, QONE
 
 
@@ -87,21 +87,21 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     return ReductionResult(tuple(basis), "minkowski", tuple(log))
 
 
-def _kz_candidates(L, prefix, held, node_budget):
+def _kz_candidates(L, prefix, held, gso, node_budget):
     """Lifts of all shortest vectors projected past prefix (held is its
-    _Prefix), size-minimized over the prefix sublattice, sign normalized
-    (p and -p, whose closest sublattice vectors are negated, give the same)."""
+    _Prefix, gso its IntGSO), size-minimized over the prefix sublattice,
+    sign normalized (p and -p, whose closest sublattice vectors are
+    negated, give the same)."""
     if not prefix:
         return _grow(L, _shortest, node_budget)
-    gso = gram_schmidt(prefix)
     proj, lifts = held.project(L, gso)
+    mu, norms = gso.rational()
     cands = set()
     for p in _grow(proj, _shortest, node_budget):
         y = row_times_mat(coordinates(proj, p), lifts)
-        # pull the in-span component y - p toward the prefix sublattice; p
-        # is orthogonal to the prefix, so <y - p, b*_j> = <y, b*_j>
-        t = [dot(y, bs) / ns for bs, ns in zip(gso.bstar, gso.norms_sq)]
-        found, _ = _closest(gso.mu, gso.norms_sq, t, _Budget(node_budget))
+        # pull the in-span component y - p toward the prefix sublattice
+        t = gso.star_coordinates(vsub(y, p))
+        found, _ = _closest(mu, norms, t, _Budget(node_budget))
         for x in found:
             cands.add(normalize_sign(vsub(y, row_times_mat(x, prefix))))
     return _shortest(sorted(cands, key=lambda v: (norm_sq(v), v)))
@@ -109,14 +109,17 @@ def _kz_candidates(L, prefix, held, node_budget):
 
 def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     """Korkin-Zolotarev reduction: at each step the new vector minimizes the
-    projected norm and, among those minimizers, the full norm."""
+    projected norm and, among those minimizers, the full norm.  The
+    prefix's IntGSO grows by one row per step, over L's denominator."""
     prefix = []
     held = _Prefix.empty(L.rank)
+    gso = IntGSO((), (1,), (), L._lll[2].den)
     log = []
     for i in range(L.rank):
-        cands = _kz_candidates(L, prefix, held, node_budget)
+        cands = _kz_candidates(L, prefix, held, gso, node_budget)
         chosen = cands[0]
         held = held.extended(integer_coordinates(L, chosen))
+        gso = gso.extended(chosen)
         prefix.append(chosen)
         log.append(StepRecord(i, chosen, norm_sq(chosen), len(cands)))
     return ReductionResult(tuple(prefix), "kz", tuple(log))

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .lattice import (
     DependenceRelation,
+    IntGSO,
     Lattice,
     covolume_squared,
     lattice_from_generators,
@@ -57,13 +58,11 @@ from .linalg import (
     determinant,
     dot,
     gram_matrix,
-    gram_schmidt,
     inverse,
     norm_sq,
     row_times_mat,
     vector,
     vscale,
-    vsub,
 )
 from .rationals import Q, QONE, QZERO, is_integer, qden, qnum, qround
 from .reduction import kz_reduce, minkowski_reduce, shortest_basis, vdw_delta_table
@@ -667,19 +666,6 @@ def _block_gso(params, rows):
     return (norms, complements) if len(norms) == len(rows) else None
 
 
-def _projected_tails(basis, gso):
-    """For each step i, the rows basis[i:] projected orthogonally to the
-    first i GSO vectors.  Row t loses its component mu[t][i] b*_i after
-    step i, so one running list serves every step."""
-    rows = list(basis)
-    for i, bs in enumerate(gso.bstar):
-        yield rows[i:]
-        for t in range(i + 1, len(rows)):
-            mu = gso.mu[t][i]
-            if mu:
-                rows[t] = vsub(rows[t], vscale(mu, bs))
-
-
 def verify_kz_structure(k: int) -> TheoremReport:
     """Validate the block-structured KZ basis of the glued-prime lattice.
 
@@ -769,16 +755,19 @@ def _kz_structure(params, claimed) -> TheoremReport:
         # claimed prefix, and the generic reduction (whose tie choices at
         # equal projected norms may differ) must reach the same norm
         # profile up to reordering
-        gso = gram_schmidt(claimed)
+        gso = IntGSO.of(claimed)
+        norms = gso.rational().norms_sq
         ok = True
-        for tail, nsq in zip(_projected_tails(claimed, gso), gso.norms_sq):
+        for i, nsq in enumerate(norms):
+            head = IntGSO(gso.b[:i], gso.d[: i + 1], gso.lam[:i], gso.den)
+            tail = [head.project(u)[0] for u in claimed[i:]]
             _, sv_sq = shortest_vector(Lattice(tail))
             ok &= sv_sq == nsq
         generic = kz_reduce(glued_prime_lattice(params.k))
         ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
             norm_sq(u) for u in claimed
         )
-        ok &= sorted(gram_schmidt(generic.basis).norms_sq) == sorted(gso.norms_sq)
+        ok &= sorted(IntGSO.of(generic.basis).rational().norms_sq) == sorted(norms)
         rep.verdicts["matches_generic_kz"] = ok
     return rep
 
@@ -876,22 +865,19 @@ def _theorem_gap(params, sb_claim) -> TheoremReport:
 
 
 def _residue_tuples(primes, prod):
-    """Residue tuples whose glue-coefficient combination is a unit of
-    absolute value 1 mod the prime product; exactly the completions with
-    determinant of magnitude equal to the covolume."""
-    out = []
-
-    def rec(i, acc, total):
-        if i == len(primes):
-            if total % prod in (1, prod - 1):
-                out.append(tuple(acc))
-            return
-        w = prod // primes[i]
-        for c in range(primes[i]):
-            rec(i + 1, acc + [c], total + c * w)
-
-    rec(0, [], 0)
-    return out
+    """Residue tuples c whose glue-coefficient combination
+    sum_j c_j prod / p_j is +-1 mod the prime product, sorted; exactly the
+    completions with determinant of magnitude equal to the covolume.  By
+    the CRT the combination is e mod prod iff c_j prod / p_j = e mod every
+    p_j, so c_j = e (prod / p_j)^-1 mod p_j with one sign e for all j (the
+    two tuples coincide when prod = 2).  A factor shared by two p_j
+    divides every combination, and then no inverse exists and no tuple
+    either."""
+    try:
+        inv = [pow(prod // p, -1, p) for p in primes]
+    except ValueError:
+        return []
+    return sorted({tuple(e * c % p for c, p in zip(inv, primes)) for e in (1, -1)})
 
 
 def _gap_witness(params, glues, residues, prod):

@@ -35,6 +35,14 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 20):
     return tuple(tuple(Q(x) for x in row) for row in rows)
 
 
+def mat_mul(a, b):
+    """The matrix product of a and b, given as rows."""
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b))
+        for row in a
+    )
+
+
 @pytest.fixture(scope="session")
 def appendix42_report():
     """The serial 42-dimensional scan, run once for every test that reads it."""

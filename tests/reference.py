@@ -1,5 +1,8 @@
 """Slow reference paths for differential tests of the integer core.
 
+- `gram_schmidt`, `orthogonal_part`, `projected_tails`: the rational
+  Gram-Schmidt process, with its GSO vectors, and projections by
+  subtracting one GSO component after another.
 - `lll_rows`: the rational LLL that rebuilds the exact Gram-Schmidt data
   after every swap.
 - `minkowski_reduce`, `successive_minima`, `shortest_basis`: the greedy and
@@ -9,16 +12,21 @@
 - `coordinates`: the solve against the inverse of the basis Gram matrix.
 - `complete_to_basis`: the completion read off the inverse of the HNF
   transform of the prefix's coordinates (rank and Smith form first).
-- `kz_reduce`: KZ reduction on those two, each step completing its whole
+- `project_orthogonal_with_lift`, `primitive_completion`: the projection
+  and the size-reduced completion on the rational GSO of the prefix.
+- `kz_reduce`: KZ reduction on those, each step completing its whole
   prefix afresh.
 - `appendix_scan`: the candidate-family scan one candidate at a time, on
   residues read off the rational inverse of the generators.
+- `residue_tuples`: the walk over every residue tuple of the glued-prime
+  gap argument.
 - `theorem_gap`, `kz_structure`: the glued-prime verifiers on L_k itself
   (coordinate solves and determinants, enumeration, Smith form, the
   claimed basis's rational GSO and HNF) instead of its generators.
 - `glued_residues`, `prefix_completion`: helpers that only tests use.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
@@ -27,6 +35,7 @@ from latred import linalg
 from latred.constructions import glued_params, glued_prime_lattice
 from latred.enumeration import closest_vectors_all, enumerate_up_to, shortest_vector
 from latred.errors import (
+    DependentRows,
     DependentTuple,
     DimensionMismatch,
     NotInLattice,
@@ -41,14 +50,12 @@ from latred.lattice import (
     covolume_squared,
     is_primitive_tuple,
     linear_dependence,
-    sublattice,
 )
 from latred.lattice import integer_coordinates as lll_coordinates
 from latred.linalg import (
     determinant,
     dot,
     gram_matrix,
-    gram_schmidt,
     hnf,
     matrix,
     norm_sq,
@@ -61,19 +68,71 @@ from latred.linalg import (
     vscale,
     vsub,
 )
-from latred.rationals import Q, is_integer, qround
+from latred.rationals import Q, QONE, QZERO, is_integer, qround
 from latred.reduction import kz_reduce as _kz_reduce
 from latred.reduction import minkowski_reduce as _minkowski_reduce
 from latred.reduction import shortest_basis as _shortest_basis
 from latred.verification import (
     TheoremReport,
     _block_steps,
-    _projected_tails,
-    _residue_tuples,
     _slot_plan,
     difference_lattice_basis,
     difference_lattice_min,
 )
+
+
+@dataclass(frozen=True)
+class GSOData:
+    """Exact Gram-Schmidt data: b_i = b*_i + sum_{j<i} mu[i][j] b*_j."""
+
+    bstar: tuple
+    mu: tuple
+    norms_sq: tuple
+
+
+def gram_schmidt(basis) -> GSOData:
+    """Exact GSO of linearly independent rows; raises DependentRows."""
+    bstar = []
+    norms = []
+    mu = []
+    for i, b in enumerate(basis):
+        murow = [QZERO] * len(basis)
+        w = tuple(b)
+        for j in range(i):
+            c = dot(b, bstar[j]) / norms[j]
+            murow[j] = c
+            if c:
+                w = vsub(w, vscale(c, bstar[j]))
+        murow[i] = QONE
+        ns = norm_sq(w)
+        if not ns:
+            raise DependentRows("row %d depends on the previous rows" % i)
+        bstar.append(w)
+        norms.append(ns)
+        mu.append(tuple(murow))
+    return GSOData(tuple(bstar), tuple(mu), tuple(norms))
+
+
+def orthogonal_part(w, gso):
+    """w minus its components along the GSO vectors of gso."""
+    for bs, ns in zip(gso.bstar, gso.norms_sq):
+        c = dot(w, bs) / ns
+        if c:
+            w = vsub(w, vscale(c, bs))
+    return w
+
+
+def projected_tails(basis, gso):
+    """For each step i, the rows basis[i:] projected orthogonally to the
+    first i GSO vectors.  Row t loses its component mu[t][i] b*_i after
+    step i, so one running list serves every step."""
+    rows = list(basis)
+    for i, bs in enumerate(gso.bstar):
+        yield rows[i:]
+        for t in range(i + 1, len(rows)):
+            mu = gso.mu[t][i]
+            if mu:
+                rows[t] = vsub(rows[t], vscale(mu, bs))
 
 
 def lll_rows(rows, delta=Q(3, 4)):
@@ -267,23 +326,43 @@ def kz_reduce(L):
         else:
             lifts = complete_to_basis(L, prefix)[len(prefix) :]
             gso = gram_schmidt(prefix)
-
-            def perp(w):
-                for bs, ns in zip(gso.bstar, gso.norms_sq):
-                    w = vsub(w, vscale(dot(w, bs) / ns, bs))
-                return w
-
-            proj = Lattice([perp(w) for w in lifts])
+            proj = Lattice([orthogonal_part(w, gso) for w in lifts])
             found = set()
             for p in _shortest_vectors(proj):
                 y = row_times_mat(coordinates(proj, p), lifts)
-                near, _ = closest_vectors_all(sublattice(prefix), vsub(y, p))
+                near, _ = closest_vectors_all(Lattice(prefix), vsub(y, p))
                 found |= {normalize_sign(vsub(y, c)) for c in near}
             cands = sorted(found, key=lambda v: (norm_sq(v), v))
             cands = [v for v in cands if norm_sq(v) == norm_sq(cands[0])]
         prefix.append(cands[0])
         ties.append(len(cands))
     return tuple(prefix), tuple(ties)
+
+
+def project_orthogonal_with_lift(L, prefix):
+    """(P, lifts) with the lifts of prefix_completion and P their parts
+    orthogonal to the prefix's rational GSO."""
+    prefix = [vector(v) for v in prefix]
+    lifts = prefix_completion(L, prefix)[len(prefix) :]
+    gso = gram_schmidt(prefix)
+    return Lattice([orthogonal_part(w, gso) for w in lifts]), lifts
+
+
+def primitive_completion(L, sub, y0, lambda_next_sq):
+    """The completion of latred's primitive_completion, size-reduced on
+    the rational GSO of sub (the preconditions are not checked)."""
+    sub = [vector(v) for v in sub]
+    if extends(L, sub, vector(y0)):
+        return vector(y0)
+    proj, lifts = project_orthogonal_with_lift(L, sub)
+    p, _ = shortest_vector(proj)
+    y = row_times_mat(coordinates(proj, p), lifts)
+    gso = gram_schmidt(sub)
+    for i in range(len(sub) - 1, -1, -1):
+        r = qround(dot(y, gso.bstar[i]) / gso.norms_sq[i])
+        if r:
+            y = vsub(y, vscale(Q(r), sub[i]))
+    return y
 
 
 _QUAD_PATTERNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
@@ -433,7 +512,7 @@ def theorem_gap(params, sb_claim):
         rep.verdicts["all_units_not_basis"] = (
             determinant(full_units) ** 2 != covolume_squared(L)
         )
-        tuples = _residue_tuples(params.primes, prod)
+        tuples = residue_tuples(params.primes, prod)
         rep.verdicts["all_blocks_fractional"] = all(
             all(c != 0 for c in t) for t in tuples
         )
@@ -455,6 +534,24 @@ def theorem_gap(params, sb_claim):
     rep.verdicts["exceeds_block_count"] = v_last_sq > k
     rep.verdicts["strict_gap"] = v_last_sq > bar
     return rep
+
+
+def residue_tuples(primes, prod):
+    """Every residue tuple, in lexicographic order, whose glue-coefficient
+    combination sum_j c_j prod / p_j is +-1 mod prod."""
+    out = []
+
+    def rec(i, acc, total):
+        if i == len(primes):
+            if total % prod in (1, prod - 1):
+                out.append(tuple(acc))
+            return
+        w = prod // primes[i]
+        for c in range(primes[i]):
+            rec(i + 1, acc + [c], total + c * w)
+
+    rec(0, [], 0)
+    return out
 
 
 def _gap_witness(params, residues, prod):
@@ -496,7 +593,7 @@ def kz_structure(params, claimed):
 
     ok_steps = True
     ok_ties = True
-    tails = _projected_tails(claimed, gso)
+    tails = projected_tails(claimed, gso)
     for i, ((j, kind, remaining), tail) in enumerate(zip(plan, tails)):
         p = params.primes[j]
         lo, hi = params.blocks[j]
@@ -538,7 +635,7 @@ def kz_structure(params, claimed):
 
     if k <= 2:
         ok = True
-        for tail, nsq in zip(_projected_tails(claimed, gso), gso.norms_sq):
+        for tail, nsq in zip(projected_tails(claimed, gso), gso.norms_sq):
             _, sv_sq = shortest_vector(Lattice(tail))
             ok &= sv_sq == nsq
         generic = _kz_reduce(L)

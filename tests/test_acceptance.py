@@ -5,7 +5,8 @@ budget.  All numeric comparisons are exact; there are no tolerances."""
 import random
 import time
 
-from conftest import random_integer_lattice, random_unimodular
+from conftest import mat_mul, random_integer_lattice, random_unimodular
+from reference import gram_schmidt
 from latred.constructions import (
     dual_root_d,
     glued_prime_lattice,
@@ -25,8 +26,6 @@ from latred.lattice import (
 )
 from latred.linalg import (
     determinant,
-    gram_schmidt,
-    mat_mul,
     norm_sq,
     rank,
     unit_vector,

@@ -254,8 +254,7 @@ def test_enumeration_canonical_signs():
 def _lll_inputs():
     """300 seeded bases of rank 2..8: integer, rational, and unimodular
     re-basings of both."""
-    from conftest import random_unimodular
-    from latred.linalg import mat_mul
+    from conftest import mat_mul, random_unimodular
 
     rng = random.Random(44)
     out = []
@@ -277,9 +276,9 @@ def _lll_inputs():
 def test_integral_lll_matches_rational_reference():
     # the rows equal the rational reference's, and the transform is
     # unimodular and maps the input rows to them
+    from conftest import mat_mul
     from reference import lll_rows as rational_lll_rows
     from latred.constructions import glued_prime_lattice
-    from latred.linalg import mat_mul
 
     for rows in _lll_inputs() + [glued_prime_lattice(2).basis]:
         red, t, _ = lll_rows(rows)
@@ -297,7 +296,8 @@ def test_integral_gso_matches_the_rational_references():
     # the LLL rows, and d_n / den^(2n) the Gram determinant of the basis
     from latred.constructions import glued_prime_lattice
     from latred.lattice import covolume_squared
-    from latred.linalg import gram_matrix, gram_schmidt
+    from reference import gram_schmidt
+    from latred.linalg import gram_matrix
 
     lattices = [Lattice(rows) for rows in _lll_inputs()]
     lattices += [glued_prime_lattice(2), glued_prime_lattice(3)]
@@ -326,13 +326,22 @@ def test_lll_rows_output_keys_the_benchmark_tracer():
 
 
 def test_lll_rows_builds_no_gram_schmidt(monkeypatch):
-    from conftest import count_calls
-    from latred.constructions import glued_prime_lattice
+    # the integral LLL keeps d and lam alone and reads no rational GSO
+    # off them; no latred module defines or imports a rational
+    # gram_schmidt (test_source_rules checks the source text too)
+    from importlib import import_module
 
-    calls = count_calls(monkeypatch, "linalg.gram_schmidt")
+    from latred.constructions import glued_prime_lattice
+    from latred.lattice import IntGSO
+
+    def refuse(self):
+        raise AssertionError("lll_rows read a rational GSO")
+
+    monkeypatch.setattr(IntGSO, "rational", refuse)
     lll_rows(glued_prime_lattice(3).basis)
     lll_rows(_lll_inputs()[0])
-    assert calls["linalg.gram_schmidt"] == 0
+    for name in ("linalg", "lattice", "enumeration", "reduction", "verification"):
+        assert not hasattr(import_module("latred." + name), "gram_schmidt")
 
 
 def test_pool_coordinates_give_the_pool_vectors():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import reference
-from conftest import random_integer_lattice, random_unimodular
+from conftest import mat_mul, random_integer_lattice, random_unimodular
 from latred.constructions import hypercubic
 from latred.enumeration import successive_minima
 from latred.errors import (
@@ -26,18 +26,16 @@ from latred.lattice import (
     linear_dependence,
     primitive_completion,
     project_orthogonal_with_lift,
-    sublattice,
 )
 from latred.linalg import (
     determinant,
     dot,
-    gram_schmidt,
-    mat_mul,
     norm_sq,
     row_times_mat,
     unit_vector,
     vector,
     vscale,
+    vsub,
 )
 from latred.rationals import Q
 
@@ -141,6 +139,19 @@ def test_primitivity_and_completion():
             assert not is_primitive_tuple(L, doubled).verdict
 
 
+
+def test_dependent_tuples_are_read_off_the_smith_divisors():
+    # a zero divisor (a repeated direction) and more vectors than the
+    # rank (fewer divisors than vectors) both raise DependentTuple
+    L = Lattice(((Q(1), Q(0), Q(0)), (Q(0), Q(1, 2), Q(1, 2))))
+    e0, h = L.basis
+    with pytest.raises(DependentTuple):
+        is_primitive_tuple(L, [e0, vscale(3, e0)])
+    with pytest.raises(DependentTuple):
+        is_primitive_tuple(L, [e0, h, vsub(e0, h)])
+    assert is_primitive_tuple(L, [e0, vscale(2, h)]).divisors == (1, 2)
+    assert is_primitive_tuple(L, []).verdict
+
 def test_linear_dependence_exact_and_coprime():
     from math import gcd
 
@@ -226,7 +237,7 @@ def test_primitive_completion_bound_randomized():
         lam_sq = norm_sq(y0)
         y = primitive_completion(L, sub, y0, lam_sq)
         assert is_primitive_tuple(L, sub + [y]).verdict
-        pivots = gram_schmidt(sub).norms_sq
+        pivots = reference.gram_schmidt(sub).norms_sq
         bound = max(lam_sq, (sum(pivots, Q(0)) + lam_sq) / 4)
         assert norm_sq(y) <= bound
         done += 1
@@ -252,12 +263,86 @@ def test_project_orthogonal_scaling():
     assert P.rank == 1 and norm_sq(P.basis[0]) == Q(1, 9)
 
 
+
+def _gso_cases():
+    """300 seeded (L, primitive prefix, probe vectors): rank 2..6 lattices
+    of rational rows, with denominators, in dimension rank to rank + 2; the
+    prefix is the head of a unimodular re-basing, and the probes have
+    denominators of their own."""
+    rng = random.Random(61)
+    out = []
+    while len(out) < 300:
+        n = rng.randint(2, 6)
+        dim = n + rng.randint(0, 2)
+        den = rng.choice((1, 2, 3, 6))
+        rows = [
+            [Q(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(dim)]
+            for _ in range(n)
+        ]
+        try:
+            L = Lattice(rows)
+        except DependentTuple:
+            continue
+        rows = mat_mul(random_unimodular(rng, n), L.basis)
+        prefix = list(rows[: rng.randint(1, n - 1)])
+        probes = [
+            tuple(Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(dim))
+            for _ in range(2)
+        ]
+        out.append((L, prefix, probes))
+    return out
+
+
+def test_integral_prefix_gso_matches_the_rational_reference():
+    # mu, norms, projections, GSO coordinates of in-span vectors and the
+    # projection lattice with its lifts, all exactly equal
+    from latred.lattice import IntGSO
+
+    for L, prefix, probes in _gso_cases():
+        gso = IntGSO.of(prefix)
+        want = reference.gram_schmidt(prefix)
+        assert gso.rational() == (want.mu, want.norms_sq)
+        for w in probes + list(L.basis):
+            perp = reference.orthogonal_part(vector(w), want)
+            assert gso.project(w) == (perp, norm_sq(perp))
+        inside = row_times_mat(probes[0][: len(prefix)], prefix)
+        assert gso.star_coordinates(inside) == [
+            dot(inside, bs) / ns for bs, ns in zip(want.bstar, want.norms_sq)
+        ]
+        off, off_sq = gso.project(probes[1])
+        if off_sq:
+            with pytest.raises(NotInSpan):
+                gso.star_coordinates(vsub(inside, off))
+        assert project_orthogonal_with_lift(
+            L, prefix
+        ) == reference.project_orthogonal_with_lift(L, prefix)
+
+
+def test_primitive_completion_matches_the_rational_reference():
+    # the size reduction on the integral GSO equals the rational one
+    rng = random.Random(23)
+    done = 0
+    while done < 40:
+        n = rng.randint(2, 6)
+        L = random_integer_lattice(rng, n, 2)
+        rows = mat_mul(random_unimodular(rng, n), L.basis)
+        sub = list(rows[: rng.randint(1, n - 1)])
+        y0 = next(
+            (w for w in successive_minima(L).witnesses if _independent(sub, w)), None
+        )
+        if y0 is None:
+            continue
+        lam_sq = norm_sq(y0)
+        want = reference.primitive_completion(L, sub, y0, lam_sq)
+        assert primitive_completion(L, sub, y0, lam_sq) == want
+        done += 1
+
 def test_lattice_from_generators_and_sublattice():
     gens = [(Q(2), Q(0)), (Q(0), Q(2)), (Q(1), Q(1))]
     L = lattice_from_generators(gens)
     assert covolume_squared(L) == 4
     assert all(contains(L, g) for g in gens)
-    S = sublattice(gens[:2])
+    S = Lattice(gens[:2])
     assert covolume_squared(S) == 16
 
 

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mat_mul
 from latred.errors import NotIntegral, PreconditionViolated, Singular
+from latred.lattice import IntGSO
 from latred.linalg import (
     determinant,
     dot,
     gram_matrix,
-    gram_schmidt,
     hnf,
     inverse,
-    mat_mul,
     matrix,
     norm_sq,
     nullspace,
@@ -161,20 +161,27 @@ def test_nullspace_annihilates(rows):
 
 @given(int_matrices)
 def test_gram_schmidt_orthogonality(rows):
+    # the integral GSO: b*_i, row i projected past the rows before it, is
+    # orthogonal to them, b_i = b*_i + sum_j mu_ij b*_j, and the squared
+    # norms multiply to det^2
     m = qmat(rows)
     if determinant(m) == 0:
         return
-    gso = gram_schmidt(m)
+    gso = IntGSO.of(m)
+    mu, norms = gso.rational()
+    bstar = []
     for i in range(len(m)):
+        head = IntGSO(gso.b[:i], gso.d[: i + 1], gso.lam[:i], gso.den)
+        bs, nsq = head.project(m[i])
+        assert nsq == norm_sq(bs) == norms[i]
+        assert all(dot(bs, b) == 0 for b in bstar)
+        rec = bs
         for j in range(i):
-            assert dot(gso.bstar[i], gso.bstar[j]) == 0
-        # b_i = b*_i + combination of earlier b*_j
-        rec = gso.bstar[i]
-        for j in range(i):
-            rec = vsub(rec, tuple(-gso.mu[i][j] * x for x in gso.bstar[j]))
+            rec = vsub(rec, tuple(-mu[i][j] * x for x in bstar[j]))
         assert rec == m[i]
+        bstar.append(bs)
     prod = Q(1)
-    for ns in gso.norms_sq:
+    for ns in norms:
         prod *= ns
     assert prod == determinant(m) ** 2
 

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from conftest import random_integer_lattice
+from reference import gram_schmidt
 from latred.constructions import dual_root_d, hypercubic
 from latred.enumeration import shortest_vector, successive_minima
 from latred.errors import PreconditionViolated
 from latred.lattice import Lattice, contains, covolume_squared, is_primitive_tuple
-from latred.linalg import determinant, gram_schmidt, norm_sq
+from latred.linalg import determinant, norm_sq
 from latred.rationals import Q
 from latred.reduction import (
     kz_reduce,
@@ -252,7 +253,7 @@ def _differential_lattices():
     """40 seeded lattices of rank 2..8: integer and rational bases, half of
     them unimodularly re-based."""
     from conftest import random_unimodular
-    from latred.linalg import mat_mul
+    from conftest import mat_mul
 
     rng = random.Random(90)
     out = []
@@ -303,7 +304,7 @@ def test_kz_reduce_matches_the_completion_reference():
     import reference
     from conftest import random_unimodular
     from latred.constructions import glued_prime_lattice
-    from latred.linalg import mat_mul
+    from conftest import mat_mul
 
     rng = random.Random(91)
     cases = [glued_prime_lattice(2).basis, dual_root_d(5).basis]

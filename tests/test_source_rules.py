@@ -2,7 +2,8 @@
 python -O strips, or on a float.  The wall-clock `elapsed` defaults of
 the reports are the one float literal allowed.  And the package stays
 pure Python: it imports the standard library, the optional gmpy2 and
-itself, nothing else."""
+itself, nothing else.  Its one Gram-Schmidt is the integral recurrence
+`lattice._lam_row`; the rational process lives in tests/reference.py."""
 
 import ast
 import sys
@@ -108,3 +109,21 @@ def test_the_import_rule_catches_third_party_imports(tmp_path):
         "sample.py:12 import sympy.ntheory",
         "sample.py:13 import scipy",
     ]
+
+
+_RATIONAL_GSO = ("gram_schmidt", "GSOData", "_orthogonal_part", "_projected_tails")
+
+
+def test_src_has_no_rational_gram_schmidt():
+    # LLL, coordinates, closest vectors, KZ prefixes, projections,
+    # completions and the KZ oracle all run on lattice.IntGSO; no file
+    # names the rational Gram-Schmidt or its projection helpers
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = [
+        "%s: %s" % (p.name, name)
+        for p in paths
+        for name in _RATIONAL_GSO
+        if name in p.read_text(encoding="utf-8")
+    ]
+    assert found == []

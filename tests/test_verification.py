@@ -29,7 +29,7 @@ from latred.errors import (
     WrongRank,
 )
 from latred.lattice import Lattice, contains, linear_dependence
-from latred.linalg import dot, gram_schmidt, norm_sq, row_times_mat, vscale, vsub
+from latred.linalg import dot, norm_sq, row_times_mat, vscale, vsub
 from latred.rationals import Q
 from latred.verification import (
     _kth_root,
@@ -446,12 +446,19 @@ def test_height_lift_reads_its_rows_off_the_scanned_relation(
 
 
 def test_projected_tails_match_sequential_projection():
+    # the k <= 2 oracle's tails, projected by the integral GSO of the
+    # claimed prefix, equal the rational reference's running tails and
+    # the component-by-component projection
+    from latred.lattice import IntGSO
+
     for k in (2, 3):
         claimed = glued_kz_claimed_basis(k)
-        gso = gram_schmidt(claimed)
-        tails = list(verification._projected_tails(claimed, gso))
+        gso = reference.gram_schmidt(claimed)
+        tails = list(reference.projected_tails(claimed, gso))
         assert len(tails) == len(claimed)
+        held = IntGSO.of(claimed)
         for i, tail in enumerate(tails):
+            head = IntGSO(held.b[:i], held.d[: i + 1], held.lam[:i], held.den)
             expected = []
             for w in claimed[i:]:
                 for t in range(i):
@@ -459,6 +466,9 @@ def test_projected_tails_match_sequential_projection():
                     w = vsub(w, vscale(c, gso.bstar[t]))
                 expected.append(w)
             assert tail == expected, (k, i)
+            assert [head.project(w) for w in claimed[i:]] == [
+                (w, norm_sq(w)) for w in expected
+            ], (k, i)
 
 
 def test_similar_to_dual_root_positive_and_negative():
@@ -509,7 +519,8 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
     # from {6, 7}, entries in [-4, 4].  Greedy primitivity and minima
     # independence read the pool's integer coordinates, so no coordinate
     # solve, Smith form or inverse is left, and L._lll_gso is read off the
-    # integral LLL's d and lam, so no rational GSO is built either.
+    # integral LLL's d and lam (src has no rational GSO to build, see
+    # test_source_rules).
     from conftest import count_calls
     from latred.errors import LatredError
 
@@ -527,7 +538,6 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
         "lattice.coordinates",
         "linalg.snf_divisors",
         "linalg.inverse",
-        "linalg.gram_schmidt",
     )
     for L in lattices:
         assert verification.verify_minkowski_bounds(L).success
@@ -535,19 +545,18 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
         "lattice.coordinates": 0,
         "linalg.snf_divisors": 0,
         "linalg.inverse": 0,
-        "linalg.gram_schmidt": 0,
     }
 
 
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
     # one pass of the glued-certify benchmark (gap and kz-structure for
-    # k = 1..3): the rational GSO is built only for KZ prefixes and the
-    # k <= 2 oracle, and no determinant is taken; at k = 3 the verifiers
-    # read the generators alone, so nothing generic runs at all
+    # k = 1..3): KZ prefixes and the k <= 2 oracle project on the integral
+    # GSO (src has no rational one, see test_source_rules), and no
+    # determinant is taken; at k = 3 the verifiers read the generators
+    # alone, so nothing generic runs at all
     from conftest import count_calls
 
     names = (
-        "linalg.gram_schmidt",
         "linalg.hnf",
         "linalg.determinant",
         "lattice.coordinates",
@@ -558,7 +567,6 @@ def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
     for k in (1, 2, 3):
         verification.verify_theorem_gap(k)
         verification.verify_kz_structure(k)
-    assert calls["linalg.gram_schmidt"] <= 38
     assert calls["linalg.determinant"] == 0
     for name in calls:
         calls[name] = 0
@@ -709,12 +717,28 @@ def test_block_gso_equals_the_rational_gso():
         norms, complements = verification._block_gso(
             params, [verification._sparse(v) for v in claimed]
         )
-        assert norms == list(gram_schmidt(claimed).norms_sq)
+        assert norms == list(reference.gram_schmidt(claimed).norms_sq)
         # the complement before each step is the one the slot plan names
         plan = verification._slot_plan(params)
         assert [r for r, _ in complements] == [r for _, _, r in plan]
         assert [g for _, g in complements] == [kind == "diff" for _, kind, _ in plan]
 
+
+
+def test_residue_tuples_equal_the_walk():
+    # the CRT closed form gives the walk's tuples, deduplicated at k = 1
+    # (+1 = -1 mod 2) and in its lexicographic order; primes sharing a
+    # factor admit no tuple
+    for k in range(1, 8):
+        primes = glued_params(k).primes
+        prod = 1
+        for p in primes:
+            prod *= p
+        got = verification._residue_tuples(primes, prod)
+        assert got == reference.residue_tuples(primes, prod)
+        assert len(got) == (1 if k == 1 else 2)
+    assert verification._residue_tuples((2, 4), 8) == []
+    assert reference.residue_tuples((2, 4), 8) == []
 
 def test_glue_residue_argument_needs_every_premise():
     params = glued_params(3)
