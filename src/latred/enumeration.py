@@ -9,10 +9,10 @@ BudgetExceeded error instead of a long stall.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import isqrt
 
-from .errors import BudgetExceeded, DependentRows
-from .lattice import IntGSO, Lattice, _Prefix, _lam_row
+from .errors import BudgetExceeded
+from .lattice import IntGSO, Lattice, _Prefix
 from .linalg import matrix, norm_sq, row_times_mat
 from .rationals import Q, QZERO, qexact, qfloor, qnum, qden, qround
 
@@ -39,10 +39,11 @@ def lll_rows(rows, delta=Q(3, 4)):
     """Exact LLL reduction of independent rows: (new rows, T, gso) with
     T . rows = new rows, T unimodular, and gso the IntGSO of new rows.
 
-    Integral LLL (Cohen, Alg. 2.6.7): the rows are scaled by the lcm den
-    of their denominators, and the Gram-Schmidt data is held as the
-    integers d[i] (Gram determinant of the first i scaled rows) and
-    lam[i][j] = d[j + 1] * mu[i][j], which a swap updates in place.  Row k
+    Integral LLL (Cohen, Alg. 2.6.7) from IntGSO.of(rows), which scales
+    the rows by the lcm den of their denominators and raises DependentRows:
+    the Gram-Schmidt data is held as the integers d[i] (Gram determinant of
+    the first i scaled rows) and lam[i][j] = d[j + 1] * mu[i][j], which a
+    swap updates in place.  Row k
     is size-reduced against every earlier row, rounding mu halves up,
     before the Lovasz test q * (d[k+1] d[k-1] + lam^2) >= p * d[k]^2 for
     delta = p / q.  Every row step is applied to T as well.  Everything
@@ -50,17 +51,10 @@ def lll_rows(rows, delta=Q(3, 4)):
     rows = matrix(rows)
     n = len(rows)
     trans = [[int(i == j) for j in range(n)] for i in range(n)]
-    den = lcm(*(qden(e) for r in rows for e in r))
-    b = [[qnum(e) * (den // qden(e)) for e in r] for r in rows]
+    b, d, lam, den = IntGSO.of(rows)
+    b, d = [list(r) for r in b], list(d)
+    lam = [list(r) + [0] * (n - len(r)) for r in lam]
     p, q = qnum(delta), qden(delta)
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = _lam_row(b[:i], d, lam, b[i])
-        if not row[i]:
-            raise DependentRows("row %d depends on the previous rows" % i)
-        lam[i][:i] = row[:i]
-        d[i + 1] = row[i]
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):

@@ -8,7 +8,8 @@ alone, so Lattice values are safe to share.  Coordinates, covolume and the
 enumeration's mu and norms are all read off that one IntGSO.  A prefix of
 lattice vectors gets its own IntGSO, grown one _lam_row at a time, and
 its projections are the same integer back-substitution as coordinates:
-there is no rational Gram-Schmidt anywhere.
+there is no rational Gram-Schmidt anywhere.  Independence of a basis and
+linear dependences are read off linalg's one fraction-free elimination.
 """
 
 from collections import namedtuple
@@ -29,6 +30,7 @@ from .errors import (
     WrongRank,
 )
 from .linalg import (
+    _scaled,
     hnf,
     matrix,
     norm_sq,
@@ -127,12 +129,6 @@ def _lam_row(b, d, lam, w):
             u = (d[t + 1] * u - out[t] * row[t]) // d[t]
         out.append(u)
     return out
-
-
-def _scaled(v):
-    """(W, s): s the lcm of v's denominators and W = s v, in integers."""
-    s = lcm(*(qden(e) for e in v))
-    return [qnum(e) * (s // qden(e)) for e in v], s
 
 
 def _back_substitute(gso, lam_w):
@@ -382,23 +378,28 @@ def linear_dependence(vectors) -> DependenceRelation:
     Requires the n vectors to span an (n-1)-dimensional space; the sign is
     normalized so the first nonzero coefficient is positive.
     """
-    m = matrix(vectors)
-    ker = linalg.nullspace(transpose(m))
-    if len(ker) != 1:
-        raise WrongRank(
-            "dependence space has dimension %d, expected 1" % len(ker)
-        )
-    x = ker[0]
-    den = 1
-    for e in x:
-        den = den * int(e.denominator) // gcd(den, int(e.denominator))
-    ints = [int(e * den) for e in x]
-    g = linalg.content(ints)
-    ints = [a // g for a in ints]
-    first = next(a for a in ints if a)
-    if first < 0:
-        ints = [-a for a in ints]
-    return DependenceRelation(tuple(ints))
+    return _dependence(matrix(vectors))[0]
+
+
+def _dependence(m):
+    """(relation, elimination) for the rows v_0..v_n of m: the
+    fraction-free elimination of [v_1..v_n, v_0 | I] (linalg._eliminate)
+    and the linear_dependence read off its one row past the pivots, whose
+    right half times the row scales is a relation; v_0 is moved last so
+    that, when v_1..v_n are square and independent, it is never a pivot
+    row and the pivot rows' right halves are their adjugate.  Raises
+    WrongRank."""
+    e = linalg._eliminate(m[1:] + m[:1], identity=True)
+    # vectors of dimension 0 have no relation to report
+    free = len(m) - len(e.pivots) if m and m[0] else 0
+    if free != 1:
+        raise WrongRank("dependence space has dimension %d, expected 1" % free)
+    *rest, first = (x * s for x, s in zip(e.rows[-1], e.scales))
+    ints = [first] + rest
+    g = gcd(*ints)
+    if next(a for a in ints if a) < 0:
+        g = -g
+    return DependenceRelation(tuple(a // g for a in ints)), e
 
 
 def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
@@ -461,14 +462,6 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
 def lattice_from_generators(generators) -> Lattice:
     """Lattice generated over Z by arbitrary rational vectors (HNF basis)."""
     gens = matrix(generators)
-    den = 1
-    for row in gens:
-        for e in row:
-            d = int(e.denominator)
-            den = den * d // gcd(den, d)
-    scaled = [[int(e * den) for e in row] for row in gens]
-    h, _ = hnf(scaled)
-    rows = [r for r in h if any(r)]
-    basis = [tuple(Q(e, den) for e in r) for r in rows]
-    return Lattice(basis)
-
+    den = lcm(*(qden(e) for r in gens for e in r))
+    h = hnf([[qnum(e) * (den // qden(e)) for e in r] for r in gens])
+    return Lattice([tuple(Q(e, den) for e in r) for r in h if any(r)])

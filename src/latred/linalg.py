@@ -3,14 +3,17 @@
 Vectors are tuples of rationals and matrices are tuples of row vectors.
 All routines here are pure and exact; there is no floating point on any
 path.  Integer matrices (HNF/SNF) are plain nested tuples of Python ints.
-Gram-Schmidt is not here: latred's one Gram-Schmidt is the integral
-recurrence of latred.lattice (IntGSO).
+Rank, determinant and inverse, and lattice.linear_dependence, are read
+off one fraction-free (Bareiss) elimination, _eliminate, of the rows
+scaled to integers.  Gram-Schmidt is not here: latred's one Gram-Schmidt
+is the integral recurrence of latred.lattice (IntGSO).
 """
 
-from math import gcd
+from collections import namedtuple
+from math import lcm, prod
 
 from .errors import DimensionMismatch, NotIntegral, Singular
-from .rationals import Q, QONE, QZERO, qexact
+from .rationals import Q, QONE, QZERO, qden, qexact, qnum
 
 
 # ---------------------------------------------------------------------------
@@ -101,104 +104,100 @@ def gram_matrix(basis):
     return tuple(tuple(r) for r in g)
 
 
-def rank(m):
-    rows = [list(r) for r in m]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    r = 0
+def _scaled(v):
+    """(W, s): s the lcm of v's denominators and W = s v, in integers."""
+    dens = [qden(e) for e in v]
+    s = lcm(*dens)
+    return [qnum(e) * (s // q) for e, q in zip(v, dens)], s
+
+
+Elimination = namedtuple("Elimination", "d sign scales pivots rows")
+
+
+def _eliminate(m, identity=False):
+    """Fraction-free (Bareiss) elimination of the rational rows m, each
+    scaled to integers W_i = s_i m_i by the lcm s_i of its denominators;
+    every division is exact.  Columns are taken in order, and a column's
+    pivot is the first row at or below the pivots so far that is nonzero
+    there; a column with none is skipped.
+
+    Returns (d, sign, scales, pivots, rows): d the last pivot, which is
+    sign times det W when W is square and every column has a pivot, sign
+    that of the row swaps, the scales s_i, and the pivot columns.  Step k
+    leaves the pivot column zero but in the pivot row, so each row keeps
+    only the columns past it.  With identity the elimination is
+    Gauss-Jordan on [W | I], clearing the rows above the pivot too, and
+    rows are the right halves E, pivot rows first: E W is zero in the
+    rows past the pivots, which are a basis of W's left kernel, and E =
+    d W^-1 for square nonsingular W.  Without identity the rows above the
+    pivot are left as they are, and rows is of no use."""
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    rows, scales = [], []
+    for i, r in enumerate(m):
+        w, s = _scaled(r)
+        if identity:
+            w += [int(i == j) for j in range(nr)]
+        rows.append(w)
+        scales.append(s)
+    d, sign, pivots = 1, 1, []
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        k = len(pivots)
+        piv = next((i for i in range(k, nr) if rows[i][0]), None)
         if piv is None:
+            rows = [row[1:] for row in rows]
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = QONE / rows[r][c]
-        for i in range(r + 1, nr):
-            f = rows[i][c]
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        p, *top = rows[k]
+        rows[k] = top
+        for i in range(nr) if identity else range(k + 1, nr):
+            if i == k:
+                continue
+            row = rows[i]
+            f = row[0]
             if f:
-                f = f * inv
-                for j in range(c, nc):
-                    rows[i][j] -= f * rows[r][j]
-        r += 1
-        if r == nr:
-            break
-    return r
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row[1:], top)]
+            elif p != d:
+                rows[i] = [p * x // d for x in row[1:]]
+            else:
+                rows[i] = row[1:]
+        d = p
+        pivots.append(c)
+    return Elimination(d, sign, tuple(scales), tuple(pivots), rows)
+
+
+def rank(m):
+    """The number of pivots of the fraction-free elimination of m."""
+    return len(_eliminate(m).pivots)
 
 
 def determinant(m):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant, sign d / (s_1 ... s_n) from the fraction-free
+    elimination of the rows scaled to integers by s_i."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatch("determinant of non-square matrix")
-    rows = [list(r) for r in m]
-    det = QONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return QZERO
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        p = rows[c][c]
-        det *= p
-        inv = QONE / p
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f:
-                f = f * inv
-                for j in range(c, n):
-                    rows[i][j] -= f * rows[c][j]
-    return det
+    e = _eliminate(m)
+    if len(e.pivots) < n:
+        return QZERO
+    return Q(e.sign * e.d, prod(e.scales))
 
 
 def inverse(m):
-    """Exact inverse; raises Singular when det = 0."""
+    """Exact inverse, the right half of the fraction-free Gauss-Jordan
+    elimination of [W | I] over d: W^-1 = E / d and m^-1 = W^-1 S for
+    W = S m, S the row scales.  Raises Singular when det = 0."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatch("inverse of non-square matrix")
-    rows = [list(r) + list(unit_vector(n, i)) for i, r in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            raise Singular("matrix is singular")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = QONE / rows[c][c]
-        rows[c] = [e * inv for e in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return tuple(tuple(r[n:]) for r in rows)
-
-
-def nullspace(a):
-    """Basis of {x : a . x = 0} for a matrix a given as rows (maps columns)."""
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    rows = [list(r) for r in a]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = QONE / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [QZERO] * nc
-        x[fc] = QONE
-        for ri, pc in enumerate(pivots):
-            x[pc] = -rows[ri][fc]
-        basis.append(tuple(x))
-    return basis
+    e = _eliminate(m, identity=True)
+    if len(e.pivots) < n:
+        raise Singular("matrix is singular")
+    return tuple(
+        tuple(Q(x * s, e.d) for x, s in zip(row, e.scales)) for row in e.rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +218,13 @@ def _int_rows(m):
 
 
 def hnf(m):
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with H = U . m, U unimodular (det +-1).  H is in row
-    echelon form with positive pivots and entries above each pivot reduced
-    into [0, pivot).  Zero rows, if any, are at the bottom.
-    """
+    """Row-style Hermite normal form H of an integer matrix: the rows of
+    H span the same lattice as m's, H is in row echelon form with
+    positive pivots and entries above each pivot reduced into [0, pivot),
+    and zero rows, if any, are at the bottom."""
     rows = _int_rows(m)
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     r = 0
     for c in range(nc):
         # gcd-eliminate column c below row r
@@ -239,13 +235,11 @@ def hnf(m):
             piv = min(nz, key=lambda i: abs(rows[i][c]))
             if piv != r:
                 rows[r], rows[piv] = rows[piv], rows[r]
-                u[r], u[piv] = u[piv], u[r]
             done = True
             for i in range(r + 1, nr):
                 if rows[i][c]:
                     f = rows[i][c] // rows[r][c]
                     rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                    u[i] = [a - f * b for a, b in zip(u[i], u[r])]
                     if rows[i][c]:
                         done = False
             if done:
@@ -253,18 +247,15 @@ def hnf(m):
         if r < nr and rows[r][c]:
             if rows[r][c] < 0:
                 rows[r] = [-a for a in rows[r]]
-                u[r] = [-a for a in u[r]]
             p = rows[r][c]
             for i in range(r):
                 f = rows[i][c] // p
                 if f:
                     rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                    u[i] = [a - f * b for a, b in zip(u[i], u[r])]
             r += 1
             if r == nr:
                 break
-    h = tuple(tuple(row) for row in rows)
-    return h, tuple(tuple(row) for row in u)
+    return tuple(tuple(row) for row in rows)
 
 
 def snf_divisors(m):
@@ -320,9 +311,3 @@ def snf_divisors(m):
         t += 1
     return divisors
 
-
-def content(ints):
-    g = 0
-    for a in ints:
-        g = gcd(g, int(a))
-    return g

@@ -135,7 +135,7 @@ def _generates(n, coords):
     diagonal entry means a lower rank or a proper sublattice)."""
     if len(coords) < n:
         return False
-    h, _ = hnf(coords)
+    h = hnf(coords)
     return all(h[i][i] == 1 for i in range(n))
 
 

@@ -44,24 +44,22 @@ from .errors import (
     DimensionMismatch,
     PreconditionViolated,
     ScanCrossCheckFailed,
-    Singular,
 )
 from .lattice import (
-    DependenceRelation,
     IntGSO,
     Lattice,
+    _dependence,
     covolume_squared,
     lattice_from_generators,
-    linear_dependence,
 )
 from .linalg import (
     determinant,
     dot,
     gram_matrix,
     inverse,
+    matrix,
     norm_sq,
     row_times_mat,
-    vector,
     vscale,
 )
 from .rationals import Q, QONE, QZERO, is_integer, qden, qnum, qround
@@ -150,55 +148,6 @@ _SS = {}
 def _load_state(state):
     _SS.clear()
     _SS.update(state)
-
-
-def _adjugate(rows):
-    """d and an integer adj with adj * rows = d * I for a square integer
-    matrix, by fraction-free (Bareiss) Gauss-Jordan elimination of
-    [rows | I]; every division is exact and the last pivot is d.  Step k
-    leaves column k zero but in the pivot row and the earlier columns
-    diagonal, so each row keeps only the columns past k."""
-    n = len(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][0]), None)
-        if piv is None:
-            raise Singular("the generators past the first are dependent")
-        m[k], m[piv] = m[piv], m[k]
-        p, *tail = m[k]
-        for i, row in enumerate(m):
-            if i == k:
-                m[i] = tail
-            elif row[0]:
-                f = row[0]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
-            else:
-                m[i] = [p * x // prev for x in row[1:]]
-        prev = p
-    return prev, m
-
-
-def _integer_relation(vectors):
-    """The dependence of n + 1 integer vectors of dimension n whose last n
-    are independent, and the adjugate (d, adj) of those n, or None for any
-    other input.  The first generator is v_0 = (v_0 adj / d) rows, so
-    (d, -v_0 adj) divided by its content is the relation; it is checked
-    to combine the generators to 0 in integers."""
-    n = len(vectors) - 1
-    if n < 1 or any(len(v) != n or any(x.denominator != 1 for x in v) for v in vectors):
-        return None
-    ints = [[int(x) for x in v] for v in vectors]
-    try:
-        d, adj = _adjugate(ints[1:])
-    except Singular:
-        return None
-    coeffs = [d] + [-sum(map(mul, ints[0], col)) for col in zip(*adj)]
-    g = gcd(*coeffs) if d > 0 else -gcd(*coeffs)
-    coeffs = tuple(c // g for c in coeffs)
-    if any(sum(map(mul, coeffs, col)) for col in zip(*ints)):
-        raise ScanCrossCheckFailed("the adjugate relation is not a dependence")
-    return DependenceRelation(coeffs), ints[1:], d, adj
 
 
 def _scan_state(rows, d, adj, shift, maxk):
@@ -387,16 +336,21 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     after the relation check if some coefficient is a unit, since the
     downstream lift construction is already ruined in that case.
 
-    The relation and the residues come from one integer adjugate of the
-    generators past the first (_integer_relation); any other input gets
-    its relation from linear_dependence and is never scanned.  Each family
-    is a collision search between the residue vectors of the single
-    positions and of the pair sums; with workers > 1 the families run as
-    separate pool jobs."""
+    The relation and the residues come from one fraction-free elimination
+    of [v_1..v_n, v_0 | I] (lattice._dependence): its row past the pivots
+    is the relation, checked to combine the generators to 0, and for
+    square v_1..v_n its pivot rows are their adjugate.  Each family is a
+    collision search between the residue vectors of the single positions
+    and of the pair sums; with workers > 1 the families run as separate
+    pool jobs."""
     t0 = time.monotonic()
-    vectors = tuple(vector(v) for v in vectors)
-    integral = _integer_relation(vectors)
-    rel = linear_dependence(vectors) if integral is None else integral[0]
+    vectors = matrix(vectors)
+    rel, elim = _dependence(vectors)
+    # the generators times the lcm s of their denominators, in integers
+    s = lcm(*elim.scales)
+    ints = [[qnum(x) * (s // qden(x)) for x in v] for v in vectors]
+    if any(sum(map(mul, rel.coefficients, col)) for col in zip(*ints)):
+        raise ScanCrossCheckFailed("the relation is not a dependence")
     if any(c == 0 for c in rel.coefficients):
         raise ConstructionMismatch("dependence must involve every generator")
     if any(x != 0 and x != 1 for v in vectors for x in v):
@@ -415,11 +369,13 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     violations = []
     stats = {}
     if no_unit:
-        if integral is None:
-            # a unique dependence with a nonzero first coefficient leaves
-            # the generators past the first independent
+        # a unique dependence with a nonzero first coefficient leaves the
+        # generators past the first independent, and 0/1 rows unscaled
+        n = len(vectors) - 1
+        if len(vectors[0]) != n:
             raise DimensionMismatch("the generators past the first must be square")
-        _, rows, d, adj = integral
+        rows = ints[1:]
+        adj = [row[:n] for row in elim.rows[:n]]
         a1 = rel.coefficients[0]
         # the first generator's coordinates over the others
         route = dict(
@@ -427,9 +383,8 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
             shift=tuple(Q(-c, a1) for c in rel.coefficients[1:]),
             maxk=abs(a1),
         )
-        state = _scan_state(rows, d, adj, route["shift"], route["maxk"])
+        state = _scan_state(rows, elim.d, adj, route["shift"], route["maxk"])
         state.update(size=size, supports=supports)
-        n = state["n"]
         families["pairs"] = comb(n, 2)
         jobs = ["pairs"]
         if size == 5:

@@ -1,5 +1,9 @@
 """Slow reference paths for differential tests of the integer core.
 
+- `rank`, `determinant`, `inverse`, `nullspace`, `linear_dependence`: the
+  rational Gaussian eliminations, one per question, and the dependence
+  read off the nullspace of the transpose.
+- `hnf_with_transform`: the row-style HNF H with a unimodular U, H = U m.
 - `gram_schmidt`, `orthogonal_part`, `projected_tails`: the rational
   Gram-Schmidt process, with its GSO vectors, and projections by
   subtracting one GSO component after another.
@@ -8,7 +12,7 @@
 - `minkowski_reduce`, `successive_minima`, `shortest_basis`: the greedy and
   subset searches with primitivity decided by `is_primitive_tuple` (Smith
   divisors of coordinates solved over `L.basis`) and independence by
-  `linalg.rank` over the vectors themselves.
+  `rank` over the vectors themselves.
 - `coordinates`: the solve against the inverse of the basis Gram matrix.
 - `complete_to_basis`: the completion read off the inverse of the HNF
   transform of the prefix's coordinates (rank and Smith form first).
@@ -29,9 +33,8 @@
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
-from latred import linalg
 from latred.constructions import glued_params, glued_prime_lattice
 from latred.enumeration import closest_vectors_all, enumerate_up_to, shortest_vector
 from latred.errors import (
@@ -42,21 +45,22 @@ from latred.errors import (
     NotInSpan,
     NotPrimitive,
     PreconditionViolated,
+    Singular,
+    WrongRank,
 )
 from latred.lattice import (
+    DependenceRelation,
     Lattice,
     _Prefix,
     contains,
     covolume_squared,
     is_primitive_tuple,
-    linear_dependence,
 )
 from latred.lattice import integer_coordinates as lll_coordinates
 from latred.linalg import (
-    determinant,
+    _int_rows,
     dot,
     gram_matrix,
-    hnf,
     matrix,
     norm_sq,
     normalize_sign,
@@ -79,6 +83,161 @@ from latred.verification import (
     difference_lattice_basis,
     difference_lattice_min,
 )
+
+
+def rank(m):
+    rows = [list(r) for r in m]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = QONE / rows[r][c]
+        for i in range(r + 1, nr):
+            f = rows[i][c]
+            if f:
+                f = f * inv
+                for j in range(c, nc):
+                    rows[i][j] -= f * rows[r][j]
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def determinant(m):
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise DimensionMismatch("determinant of non-square matrix")
+    rows = [list(r) for r in m]
+    det = QONE
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return QZERO
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        p = rows[c][c]
+        det *= p
+        inv = QONE / p
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            if f:
+                f = f * inv
+                for j in range(c, n):
+                    rows[i][j] -= f * rows[c][j]
+    return det
+
+
+def inverse(m):
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise DimensionMismatch("inverse of non-square matrix")
+    rows = [list(r) + list(unit_vector(n, i)) for i, r in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            raise Singular("matrix is singular")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = QONE / rows[c][c]
+        rows[c] = [e * inv for e in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return tuple(tuple(r[n:]) for r in rows)
+
+
+def nullspace(a):
+    """Basis of {x : a . x = 0} for a matrix a given as rows (maps columns)."""
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    rows = [list(r) for r in a]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = QONE / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(nc) if c not in pivots]
+    basis = []
+    for fc in free:
+        x = [QZERO] * nc
+        x[fc] = QONE
+        for ri, pc in enumerate(pivots):
+            x[pc] = -rows[ri][fc]
+        basis.append(tuple(x))
+    return basis
+
+
+def linear_dependence(vectors):
+    """The relation of latred's linear_dependence from the nullspace of
+    the transpose, made integral, coprime and first-nonzero positive."""
+    ker = nullspace(transpose(matrix(vectors)))
+    if len(ker) != 1:
+        raise WrongRank("dependence space has dimension %d, expected 1" % len(ker))
+    den = lcm(*(int(e.denominator) for e in ker[0]))
+    ints = [int(e * den) for e in ker[0]]
+    g = gcd(*ints)
+    if next(a for a in ints if a) < 0:
+        g = -g
+    return DependenceRelation(tuple(a // g for a in ints))
+
+
+def hnf_with_transform(m):
+    """(H, U) with H = U m the row-style HNF of latred's hnf and U
+    unimodular."""
+    rows = _int_rows(m)
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    r = 0
+    for c in range(nc):
+        while True:
+            nz = [i for i in range(r, nr) if rows[i][c]]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(rows[i][c]))
+            if piv != r:
+                rows[r], rows[piv] = rows[piv], rows[r]
+                u[r], u[piv] = u[piv], u[r]
+            done = True
+            for i in range(r + 1, nr):
+                if rows[i][c]:
+                    f = rows[i][c] // rows[r][c]
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                    u[i] = [a - f * b for a, b in zip(u[i], u[r])]
+                    if rows[i][c]:
+                        done = False
+            if done:
+                break
+        if r < nr and rows[r][c]:
+            if rows[r][c] < 0:
+                rows[r] = [-a for a in rows[r]]
+                u[r] = [-a for a in u[r]]
+            p = rows[r][c]
+            for i in range(r):
+                f = rows[i][c] // p
+                if f:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                    u[i] = [a - f * b for a, b in zip(u[i], u[r])]
+            r += 1
+            if r == nr:
+                break
+    return tuple(map(tuple, rows)), tuple(map(tuple, u))
 
 
 @dataclass(frozen=True)
@@ -202,7 +361,7 @@ def successive_minima(L):
     def pick(vectors):
         chosen = []
         for v in vectors:
-            if linalg.rank(chosen + [v]) == len(chosen) + 1:
+            if rank(chosen + [v]) == len(chosen) + 1:
                 chosen.append(v)
                 if len(chosen) == L.rank:
                     return tuple(norm_sq(w) for w in chosen), tuple(chosen)
@@ -214,9 +373,9 @@ def _generates(L, vectors):
     if not vectors:
         return False
     coords = [integer_coordinates(L, v) for v in vectors]
-    if linalg.rank(matrix(coords)) < L.rank:
+    if rank(matrix(coords)) < L.rank:
         return False
-    h, _ = hnf(coords)
+    h, _ = hnf_with_transform(coords)
     det = 1
     for i in range(L.rank):
         det *= h[i][i]
@@ -273,7 +432,7 @@ def shortest_basis(L):
 
 @lru_cache(maxsize=64)
 def _gram_inverse(basis):
-    return linalg.inverse(gram_matrix(basis))
+    return inverse(gram_matrix(basis))
 
 
 def coordinates(L, v):
@@ -299,12 +458,12 @@ def complete_to_basis(L, prefix):
     sublattice: C . U' = [T | 0] (U' from the HNF of C^T), and the rows of
     U'^-1 are the completed coordinates."""
     coords = [integer_coordinates(L, v) for v in prefix]
-    if linalg.rank(matrix(coords)) != len(coords):
+    if rank(matrix(coords)) != len(coords):
         raise DependentTuple("tuple is linearly dependent")
     if any(d != 1 for d in snf_divisors(coords)):
         raise NotPrimitive("prefix is not a primitive tuple")
-    _, u = hnf(transpose(coords))
-    inv = linalg.inverse(matrix(transpose(u)))
+    _, u = hnf_with_transform(transpose(coords))
+    inv = inverse(matrix(transpose(u)))
     assert all(is_integer(e) for row in inv for e in row)
     return tuple(row_times_mat(row, L.basis) for row in inv)
 
@@ -372,7 +531,7 @@ def scan_state(vectors, rel):
     """dd, the residue rows and the shift residues from the rational inverse
     of the generators past the first."""
     a1 = rel.coefficients[0]
-    minv = linalg.inverse([vector(v) for v in vectors[1:]])
+    minv = inverse([vector(v) for v in vectors[1:]])
     shift = tuple(Q(-c, a1) for c in rel.coefficients[1:])
     dd = 1
     for x in [x for row in minv for x in row] + list(shift):
@@ -621,8 +780,8 @@ def kz_structure(params, claimed):
             ok_steps &= {c for c, x in enumerate(proj) if x} <= remaining
             gens.append(tuple(Q(m) * proj[c] for c in rcols))
         ok_steps &= all(is_integer(x) for g in gens for x in g)
-        ha, _ = hnf(gens)
-        hb, _ = hnf(difference_lattice_basis(m))
+        ha, _ = hnf_with_transform(gens)
+        hb, _ = hnf_with_transform(difference_lattice_basis(m))
         ok_steps &= [r for r in ha if any(r)] == [r for r in hb if any(r)]
         min_sq, _w = difference_lattice_min(m)
         ok_steps &= min_sq / (m * m) == predicted[i]

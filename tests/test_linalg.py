@@ -7,10 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import mat_mul
-from latred.errors import NotIntegral, PreconditionViolated, Singular
+from latred.errors import (
+    DependentTuple,
+    DimensionMismatch,
+    NotIntegral,
+    PreconditionViolated,
+    Singular,
+    WrongRank,
+)
+from latred.lattice import Lattice, linear_dependence
 from latred.lattice import IntGSO
 from latred.linalg import (
+    _eliminate,
     determinant,
     dot,
     gram_matrix,
@@ -18,7 +28,6 @@ from latred.linalg import (
     inverse,
     matrix,
     norm_sq,
-    nullspace,
     rank,
     snf_divisors,
     unit_vector,
@@ -68,7 +77,8 @@ def test_determinant_matches_fraction_elimination(rows):
 
 @given(int_matrices)
 def test_hnf_is_unimodular_transform(rows):
-    h, u = hnf(rows)
+    h, u = reference.hnf_with_transform(rows)
+    assert hnf(rows) == h
     assert abs(determinant(qmat(u))) == 1
     assert [list(map(int, r)) for r in mat_mul(qmat(u), qmat(rows))] == [
         list(r) for r in h
@@ -152,8 +162,9 @@ def test_inverse_multiplies_to_identity(rows):
 
 @given(int_matrices)
 def test_nullspace_annihilates(rows):
+    # the reference nullspace that the differential tests below rest on
     m = qmat(rows)
-    basis = nullspace(m)
+    basis = reference.nullspace(m)
     assert len(basis) == len(m) - rank(m)
     for v in basis:
         assert all(dot(row, v) == 0 for row in m)
@@ -184,6 +195,90 @@ def test_gram_schmidt_orthogonality(rows):
     for ns in norms:
         prod *= ns
     assert prod == determinant(m) ** 2
+
+
+def _seeded_matrices(count, seed):
+    """Seeded rational matrices: square and rectangular, full rank,
+    rank-deficient and singular, with entries of denominator up to 6 on
+    some rows, and some rows or columns zero or dependent."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.4:
+            nc = nr
+        lim = rng.choice((1, 3, 12))
+        rows = []
+        for _ in range(nr):
+            den = rng.choice((1, 1, 2, 3, 6))
+            rows.append([Q(rng.randint(-lim, lim), den) for _ in range(nc)])
+        kind = rng.random()
+        if nr > 1 and kind < 0.25:
+            # a combination of two other rows
+            i, j = rng.sample(range(nr), 2)
+            a, b = Q(rng.randint(-3, 3), rng.choice((1, 2))), Q(rng.randint(-3, 3))
+            rows[rng.randrange(nr)] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        elif kind < 0.3:
+            rows[rng.randrange(nr)] = [Q(0)] * nc
+        elif kind < 0.4:
+            # a column that is a multiple of another, or zero
+            i, j = rng.randrange(nc), rng.randrange(nc)
+            a = Q(rng.randint(-2, 2))
+            for r in rows:
+                r[i] = a * r[j]
+        out.append(tuple(tuple(r) for r in rows))
+    return out
+
+
+def test_eliminations_equal_the_rational_references():
+    # rank, determinant, inverse and linear_dependence read off the one
+    # fraction-free elimination equal the rational Gaussian loops exactly,
+    # errors included
+    cases = _seeded_matrices(400, 13)
+    kinds = dict.fromkeys(("singular", "deficient", "rectangular", "relation"), 0)
+    kinds["skipped"] = 0
+    for m in cases:
+        r = rank(m)
+        assert r == reference.rank(m)
+        # a pivot-free column before the last pivot
+        kinds["skipped"] += _eliminate(m).pivots != tuple(range(r))
+        square = len(m) == len(m[0])
+        kinds["rectangular"] += not square
+        kinds["deficient"] += r < min(len(m), len(m[0]))
+        if square:
+            assert determinant(m) == reference.determinant(m)
+            try:
+                want = reference.inverse(m)
+            except Singular:
+                kinds["singular"] += 1
+                with pytest.raises(Singular):
+                    inverse(m)
+            else:
+                assert inverse(m) == want
+        else:
+            with pytest.raises(DimensionMismatch):
+                determinant(m)
+            with pytest.raises(DimensionMismatch):
+                inverse(m)
+        try:
+            want = reference.linear_dependence(m)
+        except WrongRank as exc:
+            with pytest.raises(WrongRank, match=str(exc)):
+                linear_dependence(m)
+        else:
+            kinds["relation"] += 1
+            assert linear_dependence(m) == want
+    assert all(count >= 30 for count in kinds.values()), kinds
+
+
+def test_eliminations_keep_their_edge_values():
+    assert determinant(()) == 1 and inverse(()) == ()
+    assert rank(()) == 0 and rank([()]) == 0
+    with pytest.raises(DependentTuple):
+        Lattice([()])
+    for vectors in ([], [()], [(1,)]):
+        with pytest.raises(WrongRank, match="dimension 0"):
+            linear_dependence(vectors)
 
 
 def test_integer_normal_forms_reject_fractions():

@@ -3,7 +3,8 @@ python -O strips, or on a float.  The wall-clock `elapsed` defaults of
 the reports are the one float literal allowed.  And the package stays
 pure Python: it imports the standard library, the optional gmpy2 and
 itself, nothing else.  Its one Gram-Schmidt is the integral recurrence
-`lattice._lam_row`; the rational process lives in tests/reference.py."""
+`lattice._lam_row`, and its one elimination the fraction-free
+`linalg._eliminate`; the rational processes live in tests/reference.py."""
 
 import ast
 import sys
@@ -124,6 +125,22 @@ def test_src_has_no_rational_gram_schmidt():
         "%s: %s" % (p.name, name)
         for p in paths
         for name in _RATIONAL_GSO
+        if name in p.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
+def test_src_has_no_nullspace_or_adjugate_elimination():
+    # rank, determinant, inverse, linear_dependence and the 42-scan's
+    # relation and adjugate are read off the one fraction-free elimination
+    # linalg._eliminate; no file names a separate nullspace or adjugate
+    # routine
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = [
+        "%s: %s" % (p.name, name)
+        for p in paths
+        for name in ("nullspace", "_adjugate")
         if name in p.read_text(encoding="utf-8")
     ]
     assert found == []

@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from conftest import random_integer_lattice
-from latred import verification
+from latred import linalg, verification
 from latred.constructions import (
     _glue_vectors,
     _lifted_rows,
@@ -28,8 +28,8 @@ from latred.errors import (
     ScanCrossCheckFailed,
     WrongRank,
 )
-from latred.lattice import Lattice, contains, linear_dependence
-from latred.linalg import dot, norm_sq, row_times_mat, vscale, vsub
+from latred.lattice import Lattice, _dependence, contains, linear_dependence
+from latred.linalg import dot, matrix, norm_sq, row_times_mat, vscale, vsub
 from latred.rationals import Q
 from latred.verification import (
     _kth_root,
@@ -177,6 +177,27 @@ def test_appendix_scan_rejects_what_its_families_do_not_cover():
         appendix_scan(signed)
 
 
+def _relation_and_adjugate(vecs):
+    """The relation of the generators v_0..v_n and (d, adj) of the 0/1
+    rows v_1..v_n, from the one elimination that appendix_scan makes."""
+    rel, elim = _dependence(matrix(vecs))
+    n = len(vecs) - 1
+    return rel, elim.d, [row[:n] for row in elim.rows[:n]]
+
+
+def _tampered_elimination(monkeypatch, row, col):
+    """Make every fraction-free elimination add 1 to rows[row][col] of
+    what it returns."""
+    eliminate = linalg._eliminate
+
+    def wrong(m, identity=False):
+        e = eliminate(m, identity)
+        e.rows[row][col] += 1
+        return e
+
+    monkeypatch.setattr(linalg, "_eliminate", wrong)
+
+
 def test_scan_state_residues_equal_the_rational_inverse_ones():
     rng = random.Random(5)
     cases = [lattice42()[1], attempt21()[1]]
@@ -185,11 +206,11 @@ def test_scan_state_residues_equal_the_rational_inverse_ones():
         cases += [next(gens) for _ in range(3)]
     for vecs in cases:
         vecs = [tuple(Q(x) for x in v) for v in vecs]
-        rel = linear_dependence(vecs)
+        rel, d, adj = _relation_and_adjugate(vecs)
+        assert rel == reference.linear_dependence(vecs)
         a1 = rel.coefficients[0]
         shift = tuple(Q(-c, a1) for c in rel.coefficients[1:])
         rows = [[int(x) for x in v] for v in vecs[1:]]
-        d, adj = verification._adjugate(rows)
         got = verification._scan_state(rows, d, adj, shift, abs(a1))
         ref = reference.scan_state(vecs, rel)
         for key in ("n", "dd", "rows", "shift"):
@@ -197,15 +218,9 @@ def test_scan_state_residues_equal_the_rational_inverse_ones():
 
 
 def test_scan_state_checks_the_adjugate(monkeypatch):
-    adjugate = verification._adjugate
-
-    def wrong(rows):
-        d, adj = adjugate(rows)
-        adj[3][5] += 1
-        return d, adj
-
-    monkeypatch.setattr(verification, "_adjugate", wrong)
-    with pytest.raises(ScanCrossCheckFailed):
+    # an adjugate entry, in a pivot row of the elimination, is wrong
+    _tampered_elimination(monkeypatch, 3, 5)
+    with pytest.raises(ScanCrossCheckFailed, match=r"adj \* rows"):
         check_shortest_vectors_42()
 
 
@@ -222,16 +237,19 @@ def test_adjugate_relation_equals_the_rational_nullspace_one():
         cases.append(next(gens))
     units = 0
     for vecs in cases:
-        rel, rows, d, adj = verification._integer_relation(vecs)
-        assert rel == linear_dependence(vecs)
-        assert rows == [[int(x) for x in v] for v in vecs[1:]]
-        assert (d, adj) == verification._adjugate(rows)
+        rel, d, adj = _relation_and_adjugate(vecs)
+        assert rel == reference.linear_dependence(vecs)
+        assert abs(d) == abs(reference.determinant(vecs[1:]))
+        assert [[Q(x, d) for x in row] for row in adj] == [
+            list(row) for row in reference.inverse(vecs[1:])
+        ]
         units += not check_no_unit_coefficient(rel)
     assert len(cases) >= 32 and units >= 20
 
 
 def test_appendix_scan_falls_back_to_the_rational_nullspace(monkeypatch):
-    from conftest import count_calls
+    # inputs that have no adjugate of the generators past the first get
+    # their relation, or WrongRank, from the same elimination
 
     def vecs(*rows):
         return [tuple(Q(x) for x in r) for r in rows]
@@ -239,23 +257,18 @@ def test_appendix_scan_falls_back_to_the_rational_nullspace(monkeypatch):
     # the generators past the first are dependent: a relation that misses
     # the first generator, or a two-dimensional dependence space
     missing = vecs((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))
-    assert verification._integer_relation(missing) is None
     with pytest.raises(ConstructionMismatch, match="every generator"):
         appendix_scan(missing)
     two = vecs((1, 1, 0), (0, 1, 1), (1, 2, 1), (2, 3, 1))
     # and sets too small to hold a dependence of n + 1 vectors in n dims
     for small in (two, [], vecs(()), vecs((1,))):
-        assert verification._integer_relation(small) is None
         with pytest.raises(WrongRank):
             appendix_scan(small)
-    # attempt21 in one more coordinate: not square, so the relation comes
-    # from the nullspace and the unit coefficients stop the scan unscanned
+    # attempt21 in one more coordinate: not square, so the unit
+    # coefficients stop the scan unscanned
     padded = [tuple(v) + (Q(0),) for v in attempt21()[1]]
-    assert verification._integer_relation(padded) is None
-    calls = count_calls(monkeypatch, "lattice.linear_dependence")
     rep = appendix_scan(padded)
-    assert calls["lattice.linear_dependence"] == 1
-    assert rep.relation == linear_dependence(attempt21()[1])
+    assert rep.relation == reference.linear_dependence(attempt21()[1])
     assert not rep.no_unit_coefficient and not rep.success
     assert (rep.families_checked, rep.violations, rep.stats) == ({}, [], {})
     # scanning it anyway needs a square set
@@ -265,38 +278,34 @@ def test_appendix_scan_falls_back_to_the_rational_nullspace(monkeypatch):
 
 
 def test_appendix_scan_checks_the_adjugate_relation(monkeypatch):
-    # an adjugate error in a row that the first generator reads gives a
+    # a wrong entry in the elimination's row past the pivots gives a
     # relation that is no dependence; attempt21 builds no scan state, so
     # there only the relation check can see it
-    adjugate = verification._adjugate
-    for vecs, run in (
-        (attempt21()[1], check_attempt21),
-        (lattice42()[1], check_shortest_vectors_42),
-    ):
-        row = next(i for i, x in enumerate(vecs[0]) if x)
-
-        def wrong(rows, row=row):
-            d, adj = adjugate(rows)
-            adj[row][5] += 1
-            return d, adj
-
-        monkeypatch.setattr(verification, "_adjugate", wrong)
+    _tampered_elimination(monkeypatch, -1, 5)
+    for run in (check_attempt21, check_shortest_vectors_42):
         with pytest.raises(ScanCrossCheckFailed, match="relation"):
             run()
 
 
 def test_scans_solve_no_nullspace_and_build_no_hnf(monkeypatch):
+    # each scan makes one fraction-free elimination, for the relation and
+    # the adjugate together, and no other (no rank, inverse or HNF)
     from conftest import count_calls
 
     names = (
-        "lattice.linear_dependence",
+        "linalg._eliminate",
         "lattice.lattice_from_generators",
         "linalg.hnf",
     )
     calls = count_calls(monkeypatch, *names)
     assert check_shortest_vectors_42().success
+    assert calls["linalg._eliminate"] == 1
     assert not check_attempt21().success
-    assert calls == dict.fromkeys(names, 0)
+    assert calls == {
+        "linalg._eliminate": 2,
+        "lattice.lattice_from_generators": 0,
+        "linalg.hnf": 0,
+    }
 
 
 @pytest.mark.parametrize("dd", [1, 2, 60, 64, 97, 2**31 - 1])
