@@ -16,6 +16,7 @@ from .linalg import unit_vector, vector
 from .rationals import Q, QONE, QZERO
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+HEIGHT_SCALE = 10**4  # the default heights are 1/(HEIGHT_SCALE * q_i)
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def perturbed_lift(generators, heights) -> Lattice:
     """Lift n generators of a rank n-1 lattice by heights in a fresh
     coordinate; the dependence collapses to a short multiple of e_n."""
     gens = [vector(g) for g in generators]
-    heights = [Q(h) for h in heights]
+    heights = vector(heights)
     if len(heights) != len(gens):
         raise BadParams("one height per generator required")
     if any(not h for h in heights):
@@ -269,15 +270,15 @@ def _lifted_rows(generators, heights, relation):
     return tuple(tuple(g) + (h,) for g, h in zip(generators, heights)), s
 
 
-def default_heights(n, scale=10**4):
-    """1/(scale * q_i) with q_i the i-th prime; small, distinct, nonzero."""
+def default_heights(n):
+    """1/(HEIGHT_SCALE * q_i), q_i the i-th prime; small, distinct, nonzero."""
     primes = []
     c = 2
     while len(primes) < n:
         if all(c % p for p in primes):
             primes.append(c)
         c += 1
-    return tuple(Q(1, scale * p) for p in primes)
+    return tuple(Q(1, HEIGHT_SCALE * p) for p in primes)
 
 
 def perturbed43() -> Lattice:

@@ -41,7 +41,7 @@ from .linalg import (
     vsub,
     vscale,
 )
-from .rationals import Q, QONE, QZERO, is_integer, qden, qnum, qround
+from .rationals import Q, QONE, QZERO, is_integer, qden, qexact, qnum, qround
 
 
 # mu and squared norms of a GSO, without the GSO vectors themselves
@@ -415,6 +415,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
 
     sub = [vector(v) for v in sub]
     y0 = vector(y0)
+    lambda_next_sq = qexact(lambda_next_sq)
     try:
         held = _Prefix.of(L, sub)
     except NotPrimitive:
@@ -451,7 +452,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
         if r:
             y = vsub(y, vscale(Q(r), sub[i]))
             t = [a - r * m for a, m in zip(t, mu[i])]
-    bound = max(Q(lambda_next_sq), (sum(norms, Q(0)) + lambda_next_sq) / 4)
+    bound = max(lambda_next_sq, (sum(norms, QZERO) + lambda_next_sq) / 4)
     if norm_sq(y) > bound:
         raise PreconditionViolated("completion exceeded the size bound")
     if not held.extends(integer_coordinates(L, y)):

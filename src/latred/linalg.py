@@ -3,14 +3,15 @@
 Vectors are tuples of rationals and matrices are tuples of row vectors.
 All routines here are pure and exact; there is no floating point on any
 path.  Integer matrices (HNF/SNF) are plain nested tuples of Python ints.
-Rank, determinant and inverse, and lattice.linear_dependence, are read
-off one fraction-free (Bareiss) elimination, _eliminate, of the rows
-scaled to integers.  Gram-Schmidt is not here: latred's one Gram-Schmidt
-is the integral recurrence of latred.lattice (IntGSO).
+Rank and inverse, and lattice.linear_dependence, are read off one
+fraction-free (Bareiss) elimination, _eliminate, of the rows scaled to
+integers.  Gram-Schmidt is not here: latred's one Gram-Schmidt is the
+integral recurrence of latred.lattice (IntGSO), which also gives every
+Gram determinant latred needs, so no determinant is taken here.
 """
 
 from collections import namedtuple
-from math import lcm, prod
+from math import lcm
 
 from .errors import DimensionMismatch, NotIntegral, Singular
 from .rationals import Q, QONE, QZERO, qden, qexact, qnum
@@ -111,7 +112,7 @@ def _scaled(v):
     return [qnum(e) * (s // q) for e, q in zip(v, dens)], s
 
 
-Elimination = namedtuple("Elimination", "d sign scales pivots rows")
+Elimination = namedtuple("Elimination", "d scales pivots rows")
 
 
 def _eliminate(m, identity=False):
@@ -121,16 +122,16 @@ def _eliminate(m, identity=False):
     pivot is the first row at or below the pivots so far that is nonzero
     there; a column with none is skipped.
 
-    Returns (d, sign, scales, pivots, rows): d the last pivot, which is
-    sign times det W when W is square and every column has a pivot, sign
-    that of the row swaps, the scales s_i, and the pivot columns.  Step k
-    leaves the pivot column zero but in the pivot row, so each row keeps
-    only the columns past it.  With identity the elimination is
-    Gauss-Jordan on [W | I], clearing the rows above the pivot too, and
-    rows are the right halves E, pivot rows first: E W is zero in the
-    rows past the pivots, which are a basis of W's left kernel, and E =
-    d W^-1 for square nonsingular W.  Without identity the rows above the
-    pivot are left as they are, and rows is of no use."""
+    Returns (d, scales, pivots, rows): d the last pivot, which is +-det W
+    when W is square and every column has a pivot, the scales s_i, and
+    the pivot columns.  Step k leaves the pivot column zero but in the
+    pivot row, so each row keeps only the columns past it.  With
+    identity the elimination is Gauss-Jordan on [W | I], clearing the
+    rows above the pivot too, and rows are the right halves E, pivot rows
+    first: E W is zero in the rows past the pivots, which are a basis of
+    W's left kernel, and E = d W^-1 for square nonsingular W.  Without
+    identity the rows above the pivot are left as they are, and rows is
+    of no use."""
     nr = len(m)
     nc = len(m[0]) if m else 0
     rows, scales = [], []
@@ -140,16 +141,14 @@ def _eliminate(m, identity=False):
             w += [int(i == j) for j in range(nr)]
         rows.append(w)
         scales.append(s)
-    d, sign, pivots = 1, 1, []
+    d, pivots = 1, []
     for c in range(nc):
         k = len(pivots)
         piv = next((i for i in range(k, nr) if rows[i][0]), None)
         if piv is None:
             rows = [row[1:] for row in rows]
             continue
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
+        rows[k], rows[piv] = rows[piv], rows[k]
         p, *top = rows[k]
         rows[k] = top
         for i in range(nr) if identity else range(k + 1, nr):
@@ -165,24 +164,12 @@ def _eliminate(m, identity=False):
                 rows[i] = row[1:]
         d = p
         pivots.append(c)
-    return Elimination(d, sign, tuple(scales), tuple(pivots), rows)
+    return Elimination(d, tuple(scales), tuple(pivots), rows)
 
 
 def rank(m):
     """The number of pivots of the fraction-free elimination of m."""
     return len(_eliminate(m).pivots)
-
-
-def determinant(m):
-    """Exact determinant, sign d / (s_1 ... s_n) from the fraction-free
-    elimination of the rows scaled to integers by s_i."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatch("determinant of non-square matrix")
-    e = _eliminate(m)
-    if len(e.pivots) < n:
-        return QZERO
-    return Q(e.sign * e.d, prod(e.scales))
 
 
 def inverse(m):

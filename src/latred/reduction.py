@@ -1,9 +1,11 @@
 """Minkowski and Korkin-Zolotarev reduction, shortest bases, and the
 van der Waerden bound table with its k = 6, 7 improvements.
 
-Ties are resolved deterministically everywhere: candidate vectors are sign
-normalized and compared lexicographically, and the per-step log records how
-many candidates were tied so tests can spot tie-sensitive assertions.
+The greedy, KZ and shortest-basis searches all read L's one growing pool
+(enumeration._grow).  Ties are resolved deterministically everywhere:
+candidate vectors are sign normalized and compared lexicographically, and
+the per-step log records how many candidates were tied so tests can spot
+tie-sensitive assertions.
 """
 
 from bisect import bisect_right
@@ -16,13 +18,12 @@ from .enumeration import (
     _closest,
     _grow,
     _shortest,
-    enumerate_up_to,
     lll_rows,
 )
 from .errors import BudgetExceeded, PreconditionViolated
 from .lattice import IntGSO, Lattice, _Prefix, coordinates, integer_coordinates
 from .linalg import hnf, norm_sq, normalize_sign, row_times_mat, vsub
-from .rationals import Q, QONE
+from .rationals import Q, QONE, qden
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,6 @@ class DeltaTable:
 class ShortestBasisReport:
     basis: tuple
     max_norm_sq: object
-    pool: tuple
-    bound_sq: object
     certified: bool
 
 
@@ -170,39 +169,42 @@ def _basis_subset_search(L, pool, budget):
 
 
 def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisReport:
-    """Exact min-max basis: certify the smallest possible maximum squared
-    norm by exhausting the candidate pool level by level."""
-    kz = kz_reduce(L, node_budget).basis
-    upper = max(norm_sq(v) for v in kz)
-    pool = enumerate_up_to(L, upper, node_budget).vectors
-    _, _, coords, norms = L._pool
-    norms = norms[: len(pool)]
-    # search order: rare (large-denominator) vectors first, then by norm;
-    # the order is total, so each level's subset keeps it
-    by_order = sorted(
-        zip(pool, coords, norms),
-        key=lambda e: (-max(int(x.denominator) for x in e[0]), e[2], e[0]),
-    )
-    certified = True
-    for level in sorted(set(norms)):
-        end = bisect_right(norms, level)
-        if not _generates(L.rank, coords[:end]):
-            continue
-        ordered = [(v, c) for v, c, nsq in by_order if nsq <= level]
-        try:
-            found = _basis_subset_search(
-                L, ordered, budget=min(node_budget, 2_000_000)
-            )
-        except BudgetExceeded:
-            certified = False
-            found = None
-        if found is not None:
-            found.sort(key=lambda v: (norm_sq(v), v))
-            return ShortestBasisReport(
-                tuple(found), level, tuple(pool), upper, certified
-            )
-    # fall back to the KZ basis itself (always a basis below upper)
-    return ShortestBasisReport(tuple(kz), upper, tuple(pool), upper, False)
+    """Exact min-max basis: the least norm level of L's growing pool
+    whose vectors hold a basis, certified by exhausting every level below.
+
+    Levels are decided once each, in ascending order: one whose vectors
+    generate L is searched for a basis among them, rare (large-
+    denominator) vectors first, then in pool order.  A level holding a
+    KZ basis holds a basis, so no KZ reduction runs until a search runs
+    out of budget; then the report is uncertified, and a KZ basis caps
+    the levels still tried and is the answer if none holds a basis."""
+    end = 0  # pool index past the last decided level
+    kz = None  # (KZ basis, its maximum) once a subset search ran out
+    budget = min(node_budget, 2_000_000)
+
+    def pick(vectors):
+        nonlocal end, kz
+        _, _, coords, norms = L._pool
+        while end < len(vectors):
+            level = norms[end]
+            end = bisect_right(norms, level)
+            if _generates(L.rank, coords[:end]):
+                pairs = zip(vectors[:end], coords[:end])
+                ordered = sorted(pairs, key=lambda e: -max(map(qden, e[0])))
+                try:
+                    found = _basis_subset_search(L, ordered, budget)
+                except BudgetExceeded:
+                    found = None
+                    if kz is None:
+                        basis = kz_reduce(L, node_budget).basis
+                        kz = basis, max(map(norm_sq, basis))
+                if found is not None:
+                    found.sort(key=lambda v: (norm_sq(v), v))
+                    return ShortestBasisReport(tuple(found), level, kz is None)
+            if kz is not None and level >= kz[1]:
+                return ShortestBasisReport(*kz, False)
+
+    return _grow(L, pick, node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .enumeration import (
 )
 from .errors import (
     ConstructionMismatch,
+    DependentRows,
     DimensionMismatch,
     PreconditionViolated,
     ScanCrossCheckFailed,
@@ -48,15 +49,15 @@ from .errors import (
 from .lattice import (
     IntGSO,
     Lattice,
+    _back_substitute,
     _dependence,
+    _target_lam,
     covolume_squared,
     lattice_from_generators,
 )
 from .linalg import (
-    determinant,
     dot,
     gram_matrix,
-    inverse,
     matrix,
     norm_sq,
     row_times_mat,
@@ -321,11 +322,15 @@ def _candidate_vector(n, positions, signs):
 
 
 def _confirm_member(v, route) -> bool:
-    # independent rational-arithmetic route, no modular shortcut; the
-    # inverse is built at the first hit
-    if "minv" not in route:
-        route["minv"] = inverse(route["rows"])
-    coords = row_times_mat(v, route["minv"])
+    # a second route, no modular shortcut and no elimination: v's
+    # coordinates over the generators past the first, as in coordinates(),
+    # on their IntGSO, built at the first hit
+    if "gso" not in route:
+        route["gso"] = IntGSO.of(route["rows"])
+    gso = route["gso"]
+    lam_w, s = _target_lam(gso, v)
+    scale = gso.d[-1] * s
+    coords = [Q(z * gso.den, scale) for z in _back_substitute(gso, lam_w)]
     return integer_relation_membership(coords, route["shift"], route["maxk"])
 
 
@@ -419,10 +424,8 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     )
 
 
-def check_shortest_vectors_42(vectors=None, workers: int = 0) -> AppendixReport:
-    if vectors is None:
-        vectors = _generators42()
-    return appendix_scan(vectors, workers)
+def check_shortest_vectors_42(workers: int = 0) -> AppendixReport:
+    return appendix_scan(_generators42(), workers)
 
 
 def check_attempt21(workers: int = 0) -> AppendixReport:
@@ -896,7 +899,12 @@ def similar_to_dual_root(vectors, node_budget=DEFAULT_BUDGET) -> bool:
     def extend(chosen):
         i = len(chosen)
         if i == k:
-            return determinant(chosen) ** 2 == covolume_squared(D)
+            # det^2 is the Gram determinant, d_k / den^(2k) of their IntGSO
+            try:
+                _, d, _, den = IntGSO.of(chosen)
+            except DependentRows:
+                return False
+            return Q(d[-1], den ** (2 * k)) == covolume_squared(D)
         for w in cands:
             if norm_sq(w) * alpha != gs[i][i]:
                 continue
@@ -989,19 +997,19 @@ def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
 # the lifted 43-dimensional lattice
 
 
-def verify_height_lift(scale: int = 10**4, appendix=None) -> TheoremReport:
-    """Certify that lifting the 43 generators by heights 1/(scale * q_i)
-    produces a lattice whose shortest vector is the last-coordinate
-    multiple, and that swapping that vector for any lifted generator
-    never yields a basis."""
+def verify_height_lift(appendix=None) -> TheoremReport:
+    """Certify that lifting the 43 generators by the default heights
+    1/(HEIGHT_SCALE * q_i) produces a lattice whose shortest vector is the
+    last-coordinate multiple, and that swapping that vector for any lifted
+    generator never yields a basis."""
     t0 = time.monotonic()
     vecs = _generators42()
     if appendix is None:
-        appendix = check_shortest_vectors_42(vecs)
+        appendix = check_shortest_vectors_42()
     rep = TheoremReport("perturbed_43")
     rep.verdicts["base_scan_success"] = appendix.success
     rel = appendix.relation
-    heights = default_heights(len(vecs), scale)
+    heights = default_heights(len(vecs))
     # the lifted rows and the height s of the relation's combination, from
     # the relation the scan checked: its adjugate shows the generators past
     # the first independent, so the relation spans their dependences and

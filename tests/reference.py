@@ -2,7 +2,8 @@
 
 - `rank`, `determinant`, `inverse`, `nullspace`, `linear_dependence`: the
   rational Gaussian eliminations, one per question, and the dependence
-  read off the nullspace of the transpose.
+  read off the nullspace of the transpose.  latred itself takes no
+  determinant; tests that need one take it here.
 - `hnf_with_transform`: the row-style HNF H with a unimodular U, H = U m.
 - `gram_schmidt`, `orthogonal_part`, `projected_tails`: the rational
   Gram-Schmidt process, with its GSO vectors, and projections by
@@ -13,6 +14,10 @@
   subset searches with primitivity decided by `is_primitive_tuple` (Smith
   divisors of coordinates solved over `L.basis`) and independence by
   `rank` over the vectors themselves.
+- `shortest_basis_kz_first`: latred's min-max search as it ran on one
+  fixed-bound pool, a KZ reduction first and the pool bounded by its
+  maximum; latred walks its growing pool instead and runs KZ only when a
+  subset search runs out of budget.
 - `coordinates`: the solve against the inverse of the basis Gram matrix.
 - `complete_to_basis`: the completion read off the inverse of the HNF
   transform of the prefix's coordinates (rank and Smith form first).
@@ -26,18 +31,27 @@
   gap argument.
 - `theorem_gap`, `kz_structure`: the glued-prime verifiers on L_k itself
   (coordinate solves and determinants, enumeration, Smith form, the
-  claimed basis's rational GSO and HNF) instead of its generators.
+  claimed basis's rational GSO and HNF, and the KZ-first shortest basis)
+  instead of its generators.
 - `glued_residues`, `prefix_completion`: helpers that only tests use.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
+from latred import reduction
 from latred.constructions import glued_params, glued_prime_lattice
-from latred.enumeration import closest_vectors_all, enumerate_up_to, shortest_vector
+from latred.enumeration import (
+    DEFAULT_BUDGET,
+    closest_vectors_all,
+    enumerate_up_to,
+    shortest_vector,
+)
 from latred.errors import (
+    BudgetExceeded,
     DependentRows,
     DependentTuple,
     DimensionMismatch,
@@ -75,7 +89,6 @@ from latred.linalg import (
 from latred.rationals import Q, QONE, QZERO, is_integer, qround
 from latred.reduction import kz_reduce as _kz_reduce
 from latred.reduction import minkowski_reduce as _minkowski_reduce
-from latred.reduction import shortest_basis as _shortest_basis
 from latred.verification import (
     TheoremReport,
     _block_steps,
@@ -406,7 +419,7 @@ def _subset_search(L, pool, budget):
 
 
 def shortest_basis(L):
-    """(basis, max_norm_sq, pool, bound_sq, certified) of the min-max basis."""
+    """(basis, max_norm_sq, certified) of the min-max basis."""
     kz = kz_reduce(L)[0]
     upper = max(norm_sq(v) for v in kz)
     pool = enumerate_up_to(L, upper).vectors
@@ -426,8 +439,43 @@ def shortest_basis(L):
             found = None
         if found is not None:
             found.sort(key=lambda v: (norm_sq(v), v))
-            return tuple(found), level, tuple(pool), upper, certified
-    return tuple(kz), upper, tuple(pool), upper, False
+            return tuple(found), level, certified
+    return tuple(kz), upper, False
+
+
+def shortest_basis_kz_first(L, node_budget=DEFAULT_BUDGET):
+    """(basis, max_norm_sq, certified) of latred's min-max search run on
+    one fixed-bound pool: a KZ reduction first bounds the pool by its
+    maximum, and the levels of that pool are tried in ascending order
+    with latred's own KZ reduction, level test and subset search, looked
+    up on latred.reduction so that a patch of any of them reaches this
+    copy too."""
+    kz = reduction.kz_reduce(L, node_budget).basis
+    upper = max(norm_sq(v) for v in kz)
+    pool = enumerate_up_to(L, upper, node_budget).vectors
+    _, _, coords, norms = L._pool
+    norms = norms[: len(pool)]
+    by_order = sorted(
+        zip(pool, coords, norms),
+        key=lambda e: (-max(int(x.denominator) for x in e[0]), e[2], e[0]),
+    )
+    certified = True
+    for level in sorted(set(norms)):
+        end = bisect_right(norms, level)
+        if not reduction._generates(L.rank, coords[:end]):
+            continue
+        ordered = [(v, c) for v, c, nsq in by_order if nsq <= level]
+        try:
+            found = reduction._basis_subset_search(
+                L, ordered, budget=min(node_budget, 2_000_000)
+            )
+        except BudgetExceeded:
+            certified = False
+            found = None
+        if found is not None:
+            found.sort(key=lambda v: (norm_sq(v), v))
+            return tuple(found), level, certified
+    return tuple(kz), upper, False
 
 
 @lru_cache(maxsize=64)
@@ -656,11 +704,10 @@ def theorem_gap(params, sb_claim):
         )
         v_last_sq = norm_sq(mink.basis[-1])
         rep.witnesses["v_last"] = mink.basis[-1]
-        sb = _shortest_basis(L)
-        rep.quantities["lambda_bar_sq"] = sb.max_norm_sq
-        rep.verdicts["lambda_bar_certified"] = sb.certified
-        rep.verdicts["lambda_bar_is_5_4"] = sb.max_norm_sq == Q(5, 4)
-        bar = sb.max_norm_sq
+        _, bar, certified = shortest_basis_kz_first(L)
+        rep.quantities["lambda_bar_sq"] = bar
+        rep.verdicts["lambda_bar_certified"] = certified
+        rep.verdicts["lambda_bar_is_5_4"] = bar == Q(5, 4)
     else:
         pool = enumerate_up_to(L, 1)
         units = {unit_vector(d, i) for i in range(d)}

@@ -6,7 +6,7 @@ import random
 import time
 
 from conftest import mat_mul, random_integer_lattice, random_unimodular
-from reference import gram_schmidt
+from reference import determinant, gram_schmidt
 from latred.constructions import (
     dual_root_d,
     glued_prime_lattice,
@@ -25,7 +25,6 @@ from latred.lattice import (
     primitive_completion,
 )
 from latred.linalg import (
-    determinant,
     norm_sq,
     rank,
     unit_vector,

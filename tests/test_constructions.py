@@ -1,6 +1,7 @@
 import pytest
 
 import reference
+from reference import determinant
 from latred.constructions import (
     attempt21,
     default_heights,
@@ -22,6 +23,7 @@ from latred.errors import (
     BadParams,
     DegenerateHeights,
     NotInLattice,
+    PreconditionViolated,
     UnsupportedFieldOrder,
 )
 from latred.lattice import (
@@ -30,7 +32,7 @@ from latred.lattice import (
     integer_coordinates,
     linear_dependence,
 )
-from latred.linalg import determinant, norm_sq, unit_vector
+from latred.linalg import norm_sq, unit_vector
 from latred.rationals import Q
 
 
@@ -163,3 +165,9 @@ def test_perturbed_lift_and_validation():
         perturbed_lift(vecs, heights[:-1])
     with pytest.raises(DegenerateHeights):
         perturbed_lift(vecs, (Q(0),) * 43)
+    # heights are read as exactly as vectors: a float height is refused
+    gens = attempt21()[1]
+    with pytest.raises(PreconditionViolated):
+        perturbed_lift(gens, [0.5 ** (i + 3) for i in range(22)])
+    lifted = perturbed_lift(gens, ["1/%d" % 2 ** (i + 3) for i in range(22)])
+    assert lifted.basis[0][-1] == Q(1, 8)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import reference
+from reference import determinant
 from conftest import mat_mul, random_integer_lattice, random_unimodular
 from latred.constructions import hypercubic
 from latred.enumeration import successive_minima
@@ -28,7 +29,6 @@ from latred.lattice import (
     project_orthogonal_with_lift,
 )
 from latred.linalg import (
-    determinant,
     dot,
     norm_sq,
     row_times_mat,
@@ -50,6 +50,11 @@ def test_lattice_rejects_an_empty_basis_and_float_entries():
         Lattice(())
     with pytest.raises(PreconditionViolated):
         Lattice(((0.5, 0), (0, 1)))
+    # the completion's bound is read as exactly as its vectors
+    e = [unit_vector(3, i) for i in range(3)]
+    with pytest.raises(PreconditionViolated):
+        primitive_completion(hypercubic(3), [e[0]], e[1], 1.0)
+    assert primitive_completion(hypercubic(3), [e[0]], e[1], "1") == e[1]
 
 
 def test_contains_and_coordinates():

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from conftest import random_integer_lattice
-from reference import gram_schmidt
+from reference import determinant, gram_schmidt
 from latred.constructions import dual_root_d, hypercubic
 from latred.enumeration import shortest_vector, successive_minima
 from latred.errors import PreconditionViolated
 from latred.lattice import Lattice, contains, covolume_squared, is_primitive_tuple
-from latred.linalg import determinant, norm_sq
+from latred.linalg import norm_sq
 from latred.rationals import Q
 from latred.reduction import (
     kz_reduce,
@@ -185,19 +185,20 @@ def test_shortest_basis_certificate():
         # nothing in the enumerated pool gives a basis with smaller max
         minima = successive_minima(L)
         assert rep.max_norm_sq >= minima.minima_sq[-1]
-        assert all(norm_sq(v) <= rep.bound_sq for v in rep.pool)
+        # and no KZ basis does better
+        assert rep.max_norm_sq <= max(map(norm_sq, kz_reduce(L).basis))
 
 
 def test_shortest_basis_subset_search_honours_the_node_budget(monkeypatch):
     # D_5*'s subset search needs 9 nodes and its enumerations 29, so the
     # enumerations run at the default budget here and only the subset
     # search sees the small one
-    from latred import reduction
+    from latred import enumeration, reduction
     from latred.errors import BudgetExceeded
 
     kz, enum, search = (
         reduction.kz_reduce,
-        reduction.enumerate_up_to,
+        enumeration.enumerate_up_to,
         reduction._basis_subset_search,
     )
     exhausted = []
@@ -210,7 +211,7 @@ def test_shortest_basis_subset_search_honours_the_node_budget(monkeypatch):
             raise
 
     monkeypatch.setattr(reduction, "kz_reduce", lambda L, budget: kz(L))
-    monkeypatch.setattr(reduction, "enumerate_up_to", lambda L, r, budget: enum(L, r))
+    monkeypatch.setattr(enumeration, "enumerate_up_to", lambda L, r, budget: enum(L, r))
     monkeypatch.setattr(reduction, "_basis_subset_search", counted_search)
     rep = shortest_basis(dual_root_d(5), node_budget=8)
     assert not rep.certified
@@ -249,16 +250,16 @@ def test_lll_rejects_a_non_rational_delta():
     assert lll(L, Q(3, 4)).basis == lll(L).basis == L.basis
 
 
-def _differential_lattices():
-    """40 seeded lattices of rank 2..8: integer and rational bases, half of
-    them unimodularly re-based."""
+def _differential_lattices(count=40, seed=90, top=8):
+    """count seeded lattices of rank 2..top: integer and rational bases,
+    half of them unimodularly re-based."""
     from conftest import random_unimodular
     from conftest import mat_mul
 
-    rng = random.Random(90)
+    rng = random.Random(seed)
     out = []
-    while len(out) < 40:
-        n = rng.randint(2, 8)
+    while len(out) < count:
+        n = rng.randint(2, top)
         den = rng.choice((1, 1, 2, 3))
         rows = [
             [Q(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(n)]
@@ -288,13 +289,106 @@ def test_integer_core_matches_the_rational_reference():
         )
         if len(rows) <= 6:
             sb = shortest_basis(Lattice(rows))
-            assert (
-                sb.basis,
-                sb.max_norm_sq,
-                sb.pool,
-                sb.bound_sq,
-                sb.certified,
-            ) == reference.shortest_basis(Lattice(rows))
+            assert (sb.basis, sb.max_norm_sq, sb.certified) == (
+                reference.shortest_basis(Lattice(rows))
+            )
+
+
+def test_shortest_basis_matches_the_kz_first_reference(monkeypatch):
+    # the growing-pool walk gives exactly the (basis, max_norm_sq,
+    # certified) of the KZ-first search on one fixed-bound pool, and runs
+    # KZ only after a subset search ran out: on the 40 differential
+    # lattices at the default budget, and on 200 seeded ones, D_5* and L_1
+    # with the subset search held to 1, 3, 8 and 20 nodes, or running out
+    # on its first call only, with KZ's basis or the LLL basis as the cap;
+    # both routines see the same patched search and KZ reduction
+    import reference
+    from latred import reduction
+    from latred.constructions import glued_prime_lattice
+    from latred.errors import BudgetExceeded
+
+    search = reduction._basis_subset_search
+    kz = [reduction.kz_reduce]
+    seen = dict.fromkeys(("exhausted", "kz", "uncertified", "found_later"), 0)
+
+    def kz_counted(L, node_budget):
+        seen["kz"] += 1
+        return kz[0](L, node_budget)
+
+    monkeypatch.setattr(reduction, "kz_reduce", kz_counted)
+
+    def compare(rows, searcher=None):
+        # a fresh patched search for each routine
+        if searcher:
+            monkeypatch.setattr(reduction, "_basis_subset_search", searcher())
+        before = dict(seen)
+        sb = shortest_basis(Lattice(rows))
+        ran_out = seen["exhausted"] > before["exhausted"]
+        assert seen["kz"] - before["kz"] == ran_out
+        seen["uncertified"] += not sb.certified
+        got = (sb.basis, sb.max_norm_sq, sb.certified)
+        if searcher:
+            monkeypatch.setattr(reduction, "_basis_subset_search", searcher())
+        assert got == reference.shortest_basis_kz_first(Lattice(rows))
+
+    def held_to(nodes):
+        def held(L, pool, budget):
+            try:
+                return search(L, pool, nodes)
+            except BudgetExceeded:
+                seen["exhausted"] += 1
+                raise
+
+        return held
+
+    def first_call_runs_out():
+        calls = []
+
+        def held(L, pool, budget):
+            calls.append(budget)
+            if len(calls) == 1:
+                seen["exhausted"] += 1
+                raise BudgetExceeded("subset search budget exhausted")
+            found = search(L, pool, budget)
+            seen["found_later"] += found is not None
+            return found
+
+        return held
+
+    for rows in _differential_lattices():
+        if len(rows) <= 6:
+            compare(rows)
+    # no search ran out, so (compare) shortest_basis ran no KZ reduction
+    assert seen["exhausted"] == 0
+    cases = _differential_lattices(200, 92, 6)
+    cases += [dual_root_d(5).basis, glued_prime_lattice(1).basis]
+    for nodes in (1, 3, 8, 20):
+        for rows in cases:
+            compare(rows, lambda: held_to(nodes))
+    assert seen["uncertified"] >= 400
+    # a basis found past the level that ran out stays uncertified; the
+    # LLL basis, whose maximum is often above lambda-bar, leaves levels
+    # to search past it
+    for cap in (kz[0], lambda L, node_budget: lll(L)):
+        kz[0] = cap
+        for rows in cases:
+            compare(rows, first_call_runs_out)
+    assert seen["found_later"] >= 40
+
+
+def test_shortest_basis_after_the_greedy_reduction_reads_its_pool(monkeypatch):
+    # minkowski_reduce(L_2) leaves L_2's pool at 73/36, past lambda-bar =
+    # 5/4: the walk decides every level on that pool, with no enumeration
+    # and no KZ reduction
+    from conftest import count_calls
+    from latred.constructions import glued_prime_lattice
+
+    L = glued_prime_lattice(2)
+    minkowski_reduce(L)
+    calls = count_calls(monkeypatch, "reduction.kz_reduce", "enumeration._walk")
+    sb = shortest_basis(L)
+    assert sb.certified and sb.max_norm_sq == Q(5, 4)
+    assert calls == {"reduction.kz_reduce": 0, "enumeration._walk": 0}
 
 
 def test_kz_reduce_matches_the_completion_reference():

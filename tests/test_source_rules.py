@@ -144,3 +144,22 @@ def test_src_has_no_nullspace_or_adjugate_elimination():
         if name in p.read_text(encoding="utf-8")
     ]
     assert found == []
+
+
+def test_reduction_reads_the_one_growing_pool():
+    # greedy, KZ and shortest-basis searches all read L's pool through
+    # enumeration._grow; none runs its own fixed-bound enumeration
+    text = (SRC / "reduction.py").read_text(encoding="utf-8")
+    assert "enumerate_up_to" not in text
+
+
+def test_src_takes_no_determinant():
+    # every Gram determinant latred needs is an IntGSO's d_n; there is
+    # no determinant routine, and the elimination tracks no swap sign
+    from latred import linalg
+
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = [p.name for p in paths if "determinant(" in p.read_text(encoding="utf-8")]
+    assert found == []
+    assert linalg.Elimination._fields == ("d", "scales", "pivots", "rows")

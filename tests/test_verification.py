@@ -336,9 +336,9 @@ def test_packed_lane_addition_is_lanewise_addition_mod_dd(monkeypatch, dd):
         assert lanes(verification._pack(a, dd, width, -1)) == [-x % dd for x in a]
 
 
-def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
-    # attempt21 and the random sets are scanned despite unit coefficients
-    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
+def _scan_cases_with_hits():
+    """attempt21 and 30 random generator sets with violations, each with
+    the per-candidate reference's (families_checked, violations)."""
     vecs = attempt21()[1]
     cases = [(vecs, reference.appendix_scan(vecs))]
     rng = random.Random(6)
@@ -350,17 +350,50 @@ def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
             if ref[1]:
                 with_hits += 1
                 cases.append((vecs, ref))
+    return cases
+
+
+def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
+    # attempt21 and the random sets are scanned despite unit coefficients
+    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
     from conftest import count_calls
 
+    cases = _scan_cases_with_hits()
     calls = count_calls(monkeypatch, "linalg.inverse")
     for vecs, (families, violations) in cases:
-        before = calls["linalg.inverse"]
         rep = appendix_scan(vecs)
-        # the rational route builds its inverse at the first hit, once
-        assert calls["linalg.inverse"] - before == (1 if violations else 0)
         assert rep.families_checked == families
         assert rep.violations == violations
         assert rep.stats["hits_confirmed"] == len(violations)
+    # the second route confirms each hit on the integral recurrence
+    assert calls["linalg.inverse"] == 0
+
+
+def test_scan_hits_are_confirmed_without_an_inverse(monkeypatch):
+    # with linalg.inverse broken wherever latred binds it, every hit is
+    # still confirmed by the second route, which shares no kernel with
+    # the elimination that gives the scan its adjugate
+    from importlib import import_module
+
+    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
+    cases = _scan_cases_with_hits()
+
+    def broken(m):
+        raise AssertionError("linalg.inverse called")
+
+    real = linalg.inverse
+    for name in ("linalg", "lattice", "verification"):
+        mod = import_module("latred." + name)
+        for key, val in list(vars(mod).items()):
+            if val is real:
+                monkeypatch.setattr(mod, key, broken)
+    confirmed = 0
+    for vecs, (_, violations) in cases:
+        rep = appendix_scan(vecs)
+        assert rep.violations == violations
+        assert rep.stats["hits_confirmed"] == len(violations)
+        confirmed += len(violations)
+    assert confirmed >= 30
 
 
 def test_collision_scan_matches_the_reference_on_lattice42(appendix42_report):
@@ -560,23 +593,25 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
     # one pass of the glued-certify benchmark (gap and kz-structure for
     # k = 1..3): KZ prefixes and the k <= 2 oracle project on the integral
-    # GSO (src has no rational one, see test_source_rules), and no
-    # determinant is taken; at k = 3 the verifiers read the generators
-    # alone, so nothing generic runs at all
+    # GSO (src has no rational one, nor a determinant, see
+    # test_source_rules), and the gap's shortest basis reads the pool the
+    # greedy reduction left, with no KZ reduction; at k = 3 the verifiers
+    # read the generators alone, so nothing generic runs at all
     from conftest import count_calls
 
     names = (
         "linalg.hnf",
-        "linalg.determinant",
         "lattice.coordinates",
         "enumeration.enumerate_up_to",
         "lattice.is_primitive_tuple",
+        "reduction.kz_reduce",
     )
     calls = count_calls(monkeypatch, *names)
     for k in (1, 2, 3):
         verification.verify_theorem_gap(k)
+    assert calls["reduction.kz_reduce"] == 0
+    for k in (1, 2, 3):
         verification.verify_kz_structure(k)
-    assert calls["linalg.determinant"] == 0
     for name in calls:
         calls[name] = 0
     assert verification.verify_theorem_gap(3).success
