@@ -15,6 +15,7 @@ linear dependences are read off linalg's one fraction-free elimination.
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, pairwise
 from math import gcd, lcm
 
 from . import linalg
@@ -159,7 +160,11 @@ class Lattice:
         object.__setattr__(self, "basis", matrix(self.basis))
         if not self.basis:
             raise DimensionMismatch("a lattice needs at least one basis row")
-        if linalg.rank(self.basis) != len(self.basis):
+        # rows whose leading columns strictly increase (an HNF's) are
+        # independent by their shape; others take the elimination
+        leads = (next((c for c, x in enumerate(r) if x), -1) for r in self.basis)
+        echelon = all(a < b for a, b in pairwise(chain((-1,), leads)))
+        if not echelon and linalg.rank(self.basis) != len(self.basis):
             raise DependentTuple("basis rows are linearly dependent")
 
     @property

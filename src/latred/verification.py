@@ -69,6 +69,9 @@ from .reduction import kz_reduce, minkowski_reduce, shortest_basis, vdw_delta_ta
 
 @dataclass
 class AppendixReport:
+    """stats counts the scan's work: "probes" is one table lookup per
+    candidate key, "collisions" the table entries those lookups return."""
+
     relation: object
     no_unit_coefficient: bool
     families_checked: dict
@@ -128,9 +131,13 @@ def integer_relation_membership(v_coords, relation_shift, max_k: int) -> bool:
 # for some 0 <= j < maxk, where R_p is the residue vector of e_p's
 # coordinates over the generators past the first (common denominator dd)
 # and shift that of the first generator's.  The test is linear, so every
-# family is a collision search between a table of the R_p and a table of
-# the pair sums R_a + R_b; a collision with shared positions or not in
-# canonical order (sorted positions, first sign +) is dropped.
+# family is a collision search, and the offsets j shift live in the
+# tables: a table of the R_a + j shift and one of the pair sums
+# P(a, b) + j shift = R_a + R_b + j shift, built once per scan state and
+# shared by the families that need it.  Each candidate key (R_b, P(c, d)
+# or -sum R_t) is then looked up once, and a collision with shared
+# positions or not in canonical order (sorted positions, first sign +) is
+# dropped.
 #
 # Both tables hold packed residue vectors: lane i of one int holds entry
 # i in B = dd.bit_length() + 1 bits, so dd < 2^(B-1) and a lane sum of two
@@ -147,18 +154,36 @@ _SS = {}
 
 
 def _load_state(state):
+    """Install a scan state and build its tables: under each packed
+    R_a + j shift the positions a, and under each P(a, b) + j shift the
+    pairs a < b, with the plain pair sums P(a, b) in order."""
     _SS.clear()
     _SS.update(state)
+    packed, add = state["packed"], _lane_adder(state)
+    sums = {
+        (a, b): add(packed[a], packed[b])
+        for a, b in combinations(range(state["n"]), 2)
+    }
+    singles, pairs = {}, {}
+    for off in state["offsets"]:
+        for a, key in enumerate(packed):
+            key = add(key, off)
+            singles[key] = singles.get(key, ()) + (a,)
+        for ab, key in sums.items():
+            key = add(key, off)
+            pairs[key] = pairs.get(key, ()) + (ab,)
+    _SS.update(sums=sums, singles=singles, pairs=pairs)
 
 
 def _scan_state(rows, d, adj, shift, maxk):
     """Residues mod the common denominator dd of the coordinates of each
     unit vector with respect to the integer rows, read off their adjugate
-    (d, adj), and of the relation shift; the probes read them packed."""
+    (d, adj), and of the relation shift; the tables hold them packed."""
     n = len(rows)
-    cols = list(zip(*rows))
+    # adj * rows = d * I, summed over each column's nonzero entries
+    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*rows)]
     if any(
-        sum(map(mul, a, col)) != (d if p == c else 0)
+        sum(a[i] * x for i, x in col) != (d if p == c else 0)
         for p, a in enumerate(adj)
         for c, col in enumerate(cols)
     ):
@@ -183,7 +208,6 @@ def _scan_state(rows, d, adj, shift, maxk):
         packed=[_pack(r, dd, width) for r in res],
         negated=[_pack(r, dd, width, -1) for r in res],
         offsets=[_pack(o, dd, width) for o in offsets],
-        negated_offsets=[_pack(o, dd, width, -1) for o in offsets],
     )
 
 
@@ -192,11 +216,11 @@ def _pack(v, dd, width, sign=1):
     return sum((sign * x % dd) << (width * i) for i, x in enumerate(v))
 
 
-def _lane_adder():
+def _lane_adder(state):
     """Lane-wise (a + b) mod dd of two packed residue vectors."""
-    dd, width = _SS["dd"], _SS["width"]
+    dd, width = state["dd"], state["width"]
     top = width - 1
-    lanes = sum(1 << (width * i) for i in range(_SS["n"]))
+    lanes = sum(1 << (width * i) for i in range(state["n"]))
     carry = ((1 << top) - dd) * lanes
     high = (1 << top) * lanes
 
@@ -207,93 +231,73 @@ def _lane_adder():
     return add
 
 
-def _pair_table():
-    """The packed residue vectors of the pair sums e_a + e_b, a < b, and
-    the pairs under each."""
-    packed, add = _SS["packed"], _lane_adder()
-    sums = {}
-    table = {}
-    for a, b in combinations(range(_SS["n"]), 2):
-        key = add(packed[a], packed[b])
-        sums[a, b] = key
-        table.setdefault(key, []).append((a, b))
-    return sums, table
-
-
 def _scan_pairs(counts):
     """e_a - e_b with a < b: R_b = R_a + j shift."""
-    packed, add = _SS["packed"], _lane_adder()
-    table = {}
-    for b, key in enumerate(packed):
-        table.setdefault(key, []).append(b)
+    table = _SS["singles"]
     hits = []
-    for a, ra in enumerate(packed):
-        for off in _SS["offsets"]:
-            counts["probes"] += 1
-            for b in table.get(add(ra, off), ()):
-                counts["collisions"] += 1
-                if b == a:
-                    counts["overlapping"] += 1
-                elif b < a:
-                    counts["out_of_order"] += 1
-                else:
-                    hits.append(((a, b), 0))
+    for b, rb in enumerate(_SS["packed"]):
+        counts["probes"] += 1
+        for a in table.get(rb, ()):
+            counts["collisions"] += 1
+            if b == a:
+                counts["overlapping"] += 1
+            elif b < a:
+                counts["out_of_order"] += 1
+            else:
+                hits.append(((a, b), 0))
     return hits
 
 
 def _scan_quads(counts):
     """e_a + e_b - e_c - e_d: P(c, d) = P(a, b) + j shift, where the plus
     pair holds the smallest position a."""
-    add = _lane_adder()
-    sums, table = _pair_table()
+    table = _SS["pairs"]
     hits = []
-    for (a, b), pab in sums.items():
-        for off in _SS["offsets"]:
-            counts["probes"] += 1
-            for c, d in table.get(add(pab, off), ()):
-                counts["collisions"] += 1
-                if a in (c, d) or b in (c, d):
-                    counts["overlapping"] += 1
-                elif c < a:
-                    counts["out_of_order"] += 1
-                elif b < c:
-                    hits.append(((a, b, c, d), 0))
-                elif b < d:
-                    hits.append(((a, c, b, d), 1))
-                else:
-                    hits.append(((a, c, d, b), 2))
+    for (c, d), pcd in _SS["sums"].items():
+        counts["probes"] += 1
+        for a, b in table.get(pcd, ()):
+            counts["collisions"] += 1
+            if a in (c, d) or b in (c, d):
+                counts["overlapping"] += 1
+            elif c < a:
+                counts["out_of_order"] += 1
+            elif b < c:
+                hits.append(((a, b, c, d), 0))
+            elif b < d:
+                hits.append(((a, c, b, d), 1))
+            else:
+                hits.append(((a, c, d, b), 2))
     return hits
 
 
 def _scan_positive(counts):
     """All-positive sets of the common support size, minus the generator
-    supports: P(c, d) = -(sum over t of R) - j shift for the set's
+    supports: P(c, d) + j shift = -(sum over t of R) for the set's
     (size - 2) largest positions t and its two smallest c < d."""
     neg, n, size = _SS["negated"], _SS["n"], _SS["size"]
-    add = _lane_adder()
-    _, table = _pair_table()
+    table = _SS["pairs"]
+    add = _lane_adder(_SS)
     hits = []
     # t = u + (z,), and two positions lie below min(t)
     for u in combinations(range(2, n), size - 3):
-        heads = _SS["negated_offsets"]
+        head = 0
         for p in u:
-            heads = [add(h, neg[p]) for h in heads]
+            head = add(head, neg[p])
         for z in range(u[-1] + 1 if u else 2, n):
             low = u[0] if u else z
-            for head in heads:
-                counts["probes"] += 1
-                for c, d in table.get(add(head, neg[z]), ()):
-                    counts["collisions"] += 1
-                    if d < low:
-                        pos = (c, d) + u + (z,)
-                        if pos in _SS["supports"]:
-                            counts["supports_skipped"] += 1
-                        else:
-                            hits.append((pos, 0))
-                    elif c in u or d in u or z in (c, d):
-                        counts["overlapping"] += 1
+            counts["probes"] += 1
+            for c, d in table.get(add(head, neg[z]), ()):
+                counts["collisions"] += 1
+                if d < low:
+                    pos = (c, d) + u + (z,)
+                    if pos in _SS["supports"]:
+                        counts["supports_skipped"] += 1
                     else:
-                        counts["out_of_order"] += 1
+                        hits.append((pos, 0))
+                elif c in u or d in u or z in (c, d):
+                    counts["overlapping"] += 1
+                else:
+                    counts["out_of_order"] += 1
     return hits
 
 
@@ -345,9 +349,10 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     of [v_1..v_n, v_0 | I] (lattice._dependence): its row past the pivots
     is the relation, checked to combine the generators to 0, and for
     square v_1..v_n its pivot rows are their adjugate.  Each family is a
-    collision search between the residue vectors of the single positions
-    and of the pair sums; with workers > 1 the families run as separate
-    pool jobs."""
+    collision search of candidate keys in the tables of the single
+    positions and of the pair sums, each plus every relation offset; with
+    workers > 1 the families run as separate pool jobs, each worker
+    building the tables from the state."""
     t0 = time.monotonic()
     vectors = matrix(vectors)
     rel, elim = _dependence(vectors)

@@ -27,6 +27,8 @@
   prefix afresh.
 - `appendix_scan`: the candidate-family scan one candidate at a time, on
   residues read off the rational inverse of the generators.
+- `offset_scan`: latred's collision scan with the relation offsets on the
+  probe side, one lookup per candidate key and offset.
 - `residue_tuples`: the walk over every residue tuple of the glued-prime
   gap argument.
 - `theorem_gap`, `kz_structure`: the glued-prime verifiers on L_k itself
@@ -91,7 +93,9 @@ from latred.reduction import kz_reduce as _kz_reduce
 from latred.reduction import minkowski_reduce as _minkowski_reduce
 from latred.verification import (
     TheoremReport,
+    _SCAN_COUNTS,
     _block_steps,
+    _lane_adder,
     _slot_plan,
     difference_lattice_basis,
     difference_lattice_min,
@@ -671,6 +675,111 @@ def appendix_scan(vectors):
                 out[p] = Q(s)
             violations.append(tuple(out))
     return families, violations
+
+
+# The collision scan with the relation offsets on the probe side: the
+# tables hold the plain R_a and P(a, b), and every candidate key is looked
+# up once per offset j shift.  st is a scan state as
+# latred.verification._load_state installs it (packed residues and
+# offsets, the support size and the generator supports); each family
+# returns (hits, counts) with hits as (sorted positions, sign pattern
+# index), unsorted.
+
+
+def _negated(st, packed):
+    dd, width = st["dd"], st["width"]
+    mask = (1 << width) - 1
+    return sum(
+        (-(packed >> (width * i) & mask) % dd) << (width * i) for i in range(st["n"])
+    )
+
+
+def _offset_pairs(st, counts):
+    packed, add = st["packed"], _lane_adder(st)
+    table = {}
+    for b, key in enumerate(packed):
+        table.setdefault(key, []).append(b)
+    hits = []
+    for a, ra in enumerate(packed):
+        for off in st["offsets"]:
+            counts["probes"] += 1
+            for b in table.get(add(ra, off), ()):
+                counts["collisions"] += 1
+                if b == a:
+                    counts["overlapping"] += 1
+                elif b < a:
+                    counts["out_of_order"] += 1
+                else:
+                    hits.append(((a, b), 0))
+    return hits
+
+
+def _offset_pair_table(st):
+    packed, add = st["packed"], _lane_adder(st)
+    sums, table = {}, {}
+    for a, b in combinations(range(st["n"]), 2):
+        key = add(packed[a], packed[b])
+        sums[a, b] = key
+        table.setdefault(key, []).append((a, b))
+    return sums, table
+
+
+def _offset_quads(st, counts):
+    add = _lane_adder(st)
+    sums, table = _offset_pair_table(st)
+    hits = []
+    for (a, b), pab in sums.items():
+        for off in st["offsets"]:
+            counts["probes"] += 1
+            for c, d in table.get(add(pab, off), ()):
+                counts["collisions"] += 1
+                if a in (c, d) or b in (c, d):
+                    counts["overlapping"] += 1
+                elif c < a:
+                    counts["out_of_order"] += 1
+                elif b < c:
+                    hits.append(((a, b, c, d), 0))
+                elif b < d:
+                    hits.append(((a, c, b, d), 1))
+                else:
+                    hits.append(((a, c, d, b), 2))
+    return hits
+
+
+def _offset_positive(st, counts):
+    neg, n, size = st["negated"], st["n"], st["size"]
+    add = _lane_adder(st)
+    _, table = _offset_pair_table(st)
+    hits = []
+    negated_offsets = [_negated(st, off) for off in st["offsets"]]
+    for u in combinations(range(2, n), size - 3):
+        heads = negated_offsets
+        for p in u:
+            heads = [add(h, neg[p]) for h in heads]
+        for z in range(u[-1] + 1 if u else 2, n):
+            low = u[0] if u else z
+            for head in heads:
+                counts["probes"] += 1
+                for c, d in table.get(add(head, neg[z]), ()):
+                    counts["collisions"] += 1
+                    if d < low:
+                        pos = (c, d) + u + (z,)
+                        if pos in st["supports"]:
+                            counts["supports_skipped"] += 1
+                        else:
+                            hits.append((pos, 0))
+                    elif c in u or d in u or z in (c, d):
+                        counts["overlapping"] += 1
+                    else:
+                        counts["out_of_order"] += 1
+    return hits
+
+
+def offset_scan(st, kind):
+    """(hits, counts) of one family ("pairs", "quads" or "positive")."""
+    counts = dict.fromkeys(_SCAN_COUNTS, 0)
+    scan = {"pairs": _offset_pairs, "quads": _offset_quads}.get(kind, _offset_positive)
+    return scan(st, counts), counts
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_verify_appendix42_reports_its_scan(capsys):
         "signed_quadruples": 335790,
         "quintuples": 850625,
     }
-    assert doc["stats"]["probes"] == 32349
+    assert doc["stats"]["probes"] == 10783
     assert doc["stats"]["supports_skipped"] == 43
     assert doc["stats"]["hits_confirmed"] == 0
 

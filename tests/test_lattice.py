@@ -5,7 +5,7 @@ import pytest
 import reference
 from reference import determinant
 from conftest import mat_mul, random_integer_lattice, random_unimodular
-from latred.constructions import hypercubic
+from latred.constructions import attempt21, hypercubic, lattice42
 from latred.enumeration import successive_minima
 from latred.errors import (
     DependentTuple,
@@ -349,6 +349,57 @@ def test_lattice_from_generators_and_sublattice():
     assert all(contains(L, g) for g in gens)
     S = Lattice(gens[:2])
     assert covolume_squared(S) == 16
+
+
+def _random_generator_sets(rng):
+    """Seeded generator sets: dense integer and rational rows, and rows in
+    echelon shape, some with repeated leading columns, zero rows or
+    duplicates, of every rank up to the row count."""
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        den = rng.choice((1, 1, 2, 6))
+        rows = [
+            [Q(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.5:
+            # row i zero left of a nondecreasing lead c_i, nonzero there
+            leads = sorted(rng.randrange(n + 1) for _ in range(m))
+            for r, c in zip(rows, leads):
+                r[:c] = [Q(0)] * c
+                if c < n and not r[c]:
+                    r[c] = Q(1)
+        if m > 1 and rng.random() < 0.2:
+            rows[-1] = list(rows[rng.randrange(m - 1)])
+        yield [tuple(r) for r in rows]
+
+
+def test_lattice_independence_and_generated_rank_match_the_reference(monkeypatch):
+    from conftest import count_calls
+
+    rng = random.Random(15)
+    echelon = dependent = 0
+    for gens in _random_generator_sets(rng):
+        r = reference.rank(gens)
+        if r < len(gens):
+            dependent += 1
+            with pytest.raises(DependentTuple):
+                Lattice(gens)
+        else:
+            assert Lattice(gens).rank == len(gens)
+        if r:
+            L = lattice_from_generators(gens)
+            assert L.rank == r
+            assert all(contains(L, g) for g in gens)
+        leads = [next((c for c, x in enumerate(g) if x), None) for g in gens]
+        if None not in leads and leads == sorted(set(leads)):
+            echelon += 1
+    assert echelon >= 40 and dependent >= 60
+    # an HNF basis is independent by its shape: no elimination
+    calls = count_calls(monkeypatch, "linalg.rank")
+    for build in (lattice42, attempt21):
+        lattice_from_generators(build()[1])
+    assert calls["linalg.rank"] == 0
 
 
 def test_kz_reduce_solves_each_prefix_once(monkeypatch):

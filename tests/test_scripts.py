@@ -14,7 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "script, arg",
-    [("gap_profile.py", "2"), ("minkowski_vs_minima.py", "3"), ("run_42_scan.py", "1")],
+    [
+        ("gap_profile.py", "2"),
+        ("minkowski_vs_minima.py", "3"),
+        ("run_42_scan.py", "1"),
+        # the serial scan against two workers, each building its own tables
+        ("run_42_scan.py", "2"),
+    ],
 )
 def test_script_exits_0(script, arg):
     env = dict(os.environ)

@@ -1,5 +1,6 @@
 import multiprocessing
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -218,10 +219,18 @@ def test_scan_state_residues_equal_the_rational_inverse_ones():
 
 
 def test_scan_state_checks_the_adjugate(monkeypatch):
-    # an adjugate entry, in a pivot row of the elimination, is wrong
-    _tampered_elimination(monkeypatch, 3, 5)
-    with pytest.raises(ScanCrossCheckFailed, match=r"adj \* rows"):
-        check_shortest_vectors_42()
+    # an adjugate entry, in a pivot row of the elimination, is wrong; the
+    # check sums only each column's nonzero entries, and it still sees
+    # every tampered entry, since each generator row has a nonzero entry
+    rng = random.Random(15)
+    entries = [(3, 5), (0, 0), (41, 41)] + [
+        (rng.randrange(42), rng.randrange(42)) for _ in range(5)
+    ]
+    for p, t in entries:
+        with monkeypatch.context() as mp:
+            _tampered_elimination(mp, p, t)
+            with pytest.raises(ScanCrossCheckFailed, match=r"adj \* rows"):
+                check_shortest_vectors_42()
 
 
 def test_adjugate_relation_equals_the_rational_nullspace_one():
@@ -309,12 +318,11 @@ def test_scans_solve_no_nullspace_and_build_no_hnf(monkeypatch):
 
 
 @pytest.mark.parametrize("dd", [1, 2, 60, 64, 97, 2**31 - 1])
-def test_packed_lane_addition_is_lanewise_addition_mod_dd(monkeypatch, dd):
+def test_packed_lane_addition_is_lanewise_addition_mod_dd(dd):
     rng = random.Random(dd)
     n = 42
     width = dd.bit_length() + 1
-    monkeypatch.setattr(verification, "_SS", dict(dd=dd, n=n, width=width))
-    add = verification._lane_adder()
+    add = verification._lane_adder(dict(dd=dd, n=n, width=width))
     top = [dd - 1] * n
     pairs = [(top, top), (top, [0] * n), (top, [1 % dd] * n)]
     for _ in range(200):
@@ -336,6 +344,7 @@ def test_packed_lane_addition_is_lanewise_addition_mod_dd(monkeypatch, dd):
         assert lanes(verification._pack(a, dd, width, -1)) == [-x % dd for x in a]
 
 
+@lru_cache(maxsize=None)
 def _scan_cases_with_hits():
     """attempt21 and 30 random generator sets with violations, each with
     the per-candidate reference's (families_checked, violations)."""
@@ -350,7 +359,7 @@ def _scan_cases_with_hits():
             if ref[1]:
                 with_hits += 1
                 cases.append((vecs, ref))
-    return cases
+    return tuple(cases)
 
 
 def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
@@ -402,6 +411,43 @@ def test_collision_scan_matches_the_reference_on_lattice42(appendix42_report):
     assert appendix42_report.violations == violations == []
 
 
+def test_scan_probes_each_key_once_where_the_reference_probes_each_offset(
+    monkeypatch,
+):
+    # the offsets live in the tables: the same collisions, hits and
+    # counts as the per-offset loops, with probes fewer by the offsets
+    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
+    load = verification._load_state
+    states = []
+    monkeypatch.setattr(
+        verification, "_load_state", lambda st: (states.append(st), load(st))
+    )
+    cases = [lattice42()[1]] + [vecs for vecs, _ in _scan_cases_with_hits()]
+    sizes, hits_seen = set(), 0
+    for vecs in cases:
+        rep = appendix_scan(vecs)
+        state = states[-1]
+        load(state)
+        kinds = ("pairs", "quads", "positive")
+        if state["size"] == 3:
+            kinds = ("pairs", "positive")
+        total = dict.fromkeys(verification._SCAN_COUNTS, 0)
+        for kind in kinds:
+            counts = dict.fromkeys(verification._SCAN_COUNTS, 0)
+            hits = verification._FAMILIES[kind](counts)
+            ref_hits, ref_counts = reference.offset_scan(state, kind)
+            assert sorted(hits) == sorted(ref_hits), kind
+            offsets = len(state["offsets"])
+            assert ref_counts.pop("probes") == counts["probes"] * offsets
+            assert ref_counts == {k: v for k, v in counts.items() if k != "probes"}
+            for key, value in counts.items():
+                total[key] += value
+            hits_seen += len(hits)
+        assert {key: rep.stats[key] for key in total} == total
+        sizes.add(state["size"])
+    assert sizes == {3, 5} and hits_seen >= 30
+
+
 def test_scan_42_builds_no_inverse_and_reports_its_counts(monkeypatch):
     from conftest import count_calls
 
@@ -413,7 +459,7 @@ def test_scan_42_builds_no_inverse_and_reports_its_counts(monkeypatch):
         "single_table": 42,
         "pair_table": 861,
         "offsets": 3,
-        "probes": 32349,
+        "probes": 10783,
         "collisions": 1267,
         "overlapping": 903,
         "out_of_order": 321,
@@ -443,6 +489,7 @@ def test_appendix_scan_parallel_matches_serial(appendix42_report):
             assert parallel.families_checked == serial.families_checked, method
             assert parallel.violations == serial.violations, method
             assert parallel.relation == serial.relation, method
+            assert parallel.stats == serial.stats, method
     finally:
         multiprocessing.set_start_method(before, force=True)
     assert serial.success
