@@ -16,7 +16,7 @@ from . import constructions, latfile
 from .enumeration import successive_minima
 from .errors import LatredError, UnknownConstruction
 from .linalg import norm_sq
-from .rationals import qstr
+from .rationals import Q, QONE, qstr
 from .reduction import (
     kz_reduce,
     lll,
@@ -209,9 +209,24 @@ def cmd_verify(args) -> int:
             "improved_flags": list(better.improved),
             "elapsed_seconds": time.monotonic() - t0,
         }
-        ok = True
+        ok = _delta_tables_hold(plain.values, better.values)
     _emit(doc, args.out)
     return EXIT_PASS if ok else EXIT_FAIL
+
+
+def _delta_tables_hold(plain, better) -> bool:
+    """The closed forms of the Delta tables, Delta_i = max(1, (5/4)^(i-4))
+    and, improved, (608/625) (5/4)^(i-4) for i >= 8, with no improved
+    entry above the plain one."""
+    return (
+        all(x == max(QONE, Q(5, 4) ** (i - 4)) for i, x in enumerate(plain, 1))
+        and all(
+            x == Q(608, 625) * Q(5, 4) ** (i - 4)
+            for i, x in enumerate(better, 1)
+            if i >= 8
+        )
+        and all(b <= a for a, b in zip(plain, better))
+    )
 
 
 def _at_least(low):

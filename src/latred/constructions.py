@@ -15,7 +15,6 @@ from .lattice import Lattice, lattice_from_generators, linear_dependence
 from .linalg import unit_vector, vector
 from .rationals import Q, QONE, QZERO
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 HEIGHT_SCALE = 10**4  # the default heights are 1/(HEIGHT_SCALE * q_i)
 
 
@@ -32,6 +31,17 @@ class IncidenceStructure:
     q: int
     points: tuple
     lines: tuple
+
+
+def _primes(n):
+    """The first n primes, by trial division."""
+    primes = []
+    c = 2
+    while len(primes) < n:
+        if all(c % p for p in primes):
+            primes.append(c)
+        c += 1
+    return tuple(primes)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +87,7 @@ def dual_root_d(n: int) -> Lattice:
 def glued_params(k: int) -> GluedFamilyParams:
     if k < 1:
         raise BadParams("glued family needs k >= 1")
-    if k > len(_PRIMES):
-        raise BadParams("glued family implemented for k <= %d" % len(_PRIMES))
-    primes = _PRIMES[:k]
+    primes = _primes(k)
     dims = [1]
     for p in primes:
         dims.append(dims[-1] + p * p)
@@ -87,57 +95,73 @@ def glued_params(k: int) -> GluedFamilyParams:
     return GluedFamilyParams(k, primes, tuple(dims), blocks)
 
 
-def _glue_vector(d, lo, hi, p):
-    """(e_1 + e_{lo+1} + ... + e_hi) / p in 0-based coordinates."""
-    return tuple(
-        Q(1, p) if (j == 0 or lo <= j < hi) else QZERO for j in range(d)
-    )
+# The glued family's generators and claimed bases are built as supports
+# ({0-based coordinate: nonzero entry}); the verifiers read them as they
+# are, and the public constructors below densify them with _dense.
+
+
+def _dense(d, supports):
+    """The supports as d-long rows."""
+    out = []
+    for s in supports:
+        row = [QZERO] * d
+        for c, x in s.items():
+            row[c] = x
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _glue_vectors(params):
-    """The glue vector of every block, in block order."""
-    d = params.dims[-1]
-    return tuple(
-        _glue_vector(d, lo, hi, p) for p, (lo, hi) in zip(params.primes, params.blocks)
-    )
+    """The glue vector (e_1 + e_{lo+1} + ... + e_hi) / p of every block
+    [lo, hi), in block order."""
+    out = []
+    for p, (lo, hi) in zip(params.primes, params.blocks):
+        g = Q(1, p)
+        out.append(dict.fromkeys((0, *range(lo, hi)), g))
+    return tuple(out)
+
+
+def _kz_claim(params):
+    """The block-structured KZ basis.  The first block contributes its
+    units except the shared coordinate, with the glue vector in the third
+    slot; every later block contributes its units except the second one,
+    with the glue vector in the second slot."""
+    out = []
+    for j, (glue, (lo, hi)) in enumerate(zip(_glue_vectors(params), params.blocks)):
+        units = [{c: QONE} for c in range(lo, hi)]
+        if j == 0:
+            out += [units[0], units[1], glue] + units[2:]
+        else:
+            out += [units[0], glue] + units[2:]
+    return tuple(out)
+
+
+def _short_claim(params):
+    """The short generating basis: all glue vectors plus the unit vectors
+    e_j for j not equal to any a_i (1-based), i < k."""
+    excluded = {0} | {params.dims[i + 1] - 1 for i in range(1, params.k)}
+    units = (c for c in range(params.dims[-1]) if c not in excluded)
+    return _glue_vectors(params) + tuple({c: QONE} for c in units)
 
 
 def glued_prime_lattice(k: int) -> Lattice:
     """Z^{a_k} glued by (e_1 + g_i)/p_i over disjoint prime-squared blocks."""
     params = glued_params(k)
     d = params.dims[-1]
-    gens = [unit_vector(d, i) for i in range(d)]
-    gens.extend(_glue_vectors(params))
-    return lattice_from_generators(gens)
+    units = tuple({c: QONE} for c in range(d))
+    return lattice_from_generators(_dense(d, units + _glue_vectors(params)))
 
 
 def glued_kz_claimed_basis(k: int):
-    """The block-structured KZ basis.  The first block contributes its
-    units except the shared coordinate, with the glue vector in the third
-    slot; every later block contributes its units except the second one,
-    with the glue vector in the second slot."""
+    """_kz_claim of L_k as d-long rows."""
     params = glued_params(k)
-    d = params.dims[-1]
-    out = []
-    for j, (glue, (lo, hi)) in enumerate(zip(_glue_vectors(params), params.blocks)):
-        units = [unit_vector(d, c) for c in range(lo, hi)]
-        if j == 0:
-            block = [units[0], units[1], glue] + units[2:]
-        else:
-            block = [units[0], glue] + units[2:]
-        out.extend(block)
-    return tuple(out)
+    return _dense(params.dims[-1], _kz_claim(params))
 
 
 def glued_shortest_basis(k: int):
-    """The short generating basis: all glue vectors plus the unit vectors
-    e_j for j not equal to any a_i (1-based), i < k."""
+    """_short_claim of L_k as d-long rows."""
     params = glued_params(k)
-    d = params.dims[-1]
-    excluded = {0} | {params.dims[i + 1] - 1 for i in range(1, k)}
-    out = list(_glue_vectors(params))
-    out.extend(unit_vector(d, j) for j in range(d) if j not in excluded)
-    return tuple(out)
+    return _dense(params.dims[-1], _short_claim(params))
 
 
 def l2_small() -> Lattice:
@@ -272,13 +296,7 @@ def _lifted_rows(generators, heights, relation):
 
 def default_heights(n):
     """1/(HEIGHT_SCALE * q_i), q_i the i-th prime; small, distinct, nonzero."""
-    primes = []
-    c = 2
-    while len(primes) < n:
-        if all(c % p for p in primes):
-            primes.append(c)
-        c += 1
-    return tuple(Q(1, HEIGHT_SCALE * p) for p in primes)
+    return tuple(Q(1, HEIGHT_SCALE * p) for p in _primes(n))
 
 
 def perturbed43() -> Lattice:

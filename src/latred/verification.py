@@ -22,16 +22,17 @@ from multiprocessing import Pool
 from sys import intern
 
 from .constructions import (
+    _dense,
     _generators21,
     _generators42,
     _glue_vectors,
+    _kz_claim,
     _lifted_rows,
+    _short_claim,
     default_heights,
     dual_root_d,
-    glued_kz_claimed_basis,
     glued_params,
     glued_prime_lattice,
-    glued_shortest_basis,
 )
 from .enumeration import (
     DEFAULT_BUDGET,
@@ -41,7 +42,6 @@ from .enumeration import (
 )
 from .errors import (
     ConstructionMismatch,
-    DependentRows,
     DimensionMismatch,
     PreconditionViolated,
     ScanCrossCheckFailed,
@@ -441,15 +441,20 @@ def check_attempt21(workers: int = 0) -> AppendixReport:
 # difference lattice
 
 
-def difference_lattice_min(m: int):
-    """Minimum squared norm of span_Z(m e_i - (e_1+...+e_m)), with witness.
+def _difference_min_sq(m):
+    """Minimum squared norm of span_Z(m e_i - (e_1+...+e_m)).
 
     Members are (m a_i - sum a) e_i; shifting so every a_i is 0 or 1 with
     r ones, the squared norm is m r (m - r), minimized at r = 1."""
     if m < 2:
         raise PreconditionViolated("difference lattice needs m >= 2")
-    witness = tuple(Q(m - 1) if i == 0 else Q(-1) for i in range(m))
-    return Q(m * m - m), witness
+    return Q(m * m - m)
+
+
+def difference_lattice_min(m: int):
+    """_difference_min_sq(m) with its witness m e_1 - (e_1+...+e_m)."""
+    min_sq = _difference_min_sq(m)
+    return min_sq, tuple(Q(m - 1) if i == 0 else Q(-1) for i in range(m))
 
 
 def difference_lattice_basis(m: int):
@@ -462,13 +467,10 @@ def difference_lattice_basis(m: int):
 # the glued-prime family from its generators
 #
 # L_k is generated by the units e_c and one glue vector g_j per block.  The
-# verifiers below read the claimed vectors and the glue vectors in sparse
-# form ({coordinate: entry}) and decide every verdict by exact comparisons
-# on them; for k >= 3 none of them builds L_k.
-
-
-def _sparse(v):
-    return {i: x for i, x in enumerate(v) if x}
+# verifiers below read the claimed vectors and the glue vectors as the
+# supports ({coordinate: nonzero entry}) that constructions builds, and
+# decide every verdict by exact comparisons on them; for k >= 3 none of
+# them builds L_k or a d-long row.
 
 
 def _sq(s):
@@ -486,26 +488,24 @@ def _combine(terms):
 
 def _is_glued_basis(params, claimed):
     """Whether the claimed vectors are a basis of L_k, decided on the
-    generators: every claimed vector must equal a unit e_c or a glue vector
-    g_j, each at most once, every glue vector must be claimed, and every
-    omitted unit must be an integer combination of claimed vectors, which
-    is summed from them and compared exactly:
+    generators: every claimed support must equal that of a unit e_c with c
+    in [0, d) or of a glue vector g_j (so no entry is stored as 0), each at
+    most once, every glue vector must be claimed, and every omitted unit
+    must be an integer combination of claimed vectors, which is summed from
+    them and compared exactly:
     - e_0 = 2 g_0 - (block 0's units);
     - an omitted unit e_c of block j is p_j g_j - e_0 - (block j's other
       units), with e_0 itself or its combination.
     Then the claimed vectors generate L_k, and d of them are a basis."""
     d = params.dims[-1]
     glues = {
-        frozenset(_sparse(g).items()): ("g", j)
-        for j, g in enumerate(_glue_vectors(params))
+        frozenset(g.items()): ("g", j) for j, g in enumerate(_glue_vectors(params))
     }
     held = {}
-    for v in claimed:
-        if len(v) != d:
-            return False
-        s = _sparse(v)
+    for s in claimed:
         if len(s) == 1 and next(iter(s.values())) == 1:
-            key = ("e", next(iter(s)))
+            c = next(iter(s))
+            key = ("e", c) if 0 <= c < d else None
         else:
             key = glues.get(frozenset(s.items()))
         if key is None or key in held:
@@ -609,7 +609,7 @@ def _block_gso(params, rows):
         R = set(range(0 if j == 0 else lo, hi))
         glued = False
         for s in rows[start:end]:
-            if max(s, default=0) >= hi:
+            if max(s, default=0) >= hi or min(s, default=0) < 0:
                 return None
             complements.append((frozenset(R), glued))
             r = {c: x for c, x in s.items() if c in R}
@@ -640,18 +640,19 @@ def verify_kz_structure(k: int) -> TheoremReport:
     blocks costs at least 1 by the same residue bound.
     """
     t0 = time.monotonic()
-    rep = _kz_structure(glued_params(k), glued_kz_claimed_basis(k))
+    params = glued_params(k)
+    rep = _kz_structure(params, _kz_claim(params))
     rep.elapsed = time.monotonic() - t0
     return rep
 
 
 def _kz_structure(params, claimed) -> TheoremReport:
-    """verify_kz_structure's report on the given claimed basis."""
+    """verify_kz_structure's report on the claimed basis, given as
+    supports."""
     rep = TheoremReport("glued_prime_%d" % params.k)
-    rows = [_sparse(u) for u in claimed]
     rep.verdicts["claimed_is_basis"] = _is_glued_basis(params, claimed)
 
-    walk = _block_gso(params, rows)
+    walk = _block_gso(params, claimed)
     plan = _slot_plan(params)
     predicted = []
     for j, kind, remaining in plan:
@@ -666,7 +667,7 @@ def _kz_structure(params, claimed) -> TheoremReport:
 
     ok_steps = walk is not None
     ok_ties = True
-    for i, ((j, kind, remaining), row) in enumerate(zip(plan, rows)):
+    for i, ((j, kind, remaining), row) in enumerate(zip(plan, claimed)):
         p = params.primes[j]
         lo, hi = params.blocks[j]
         # any projected vector with content in a later block keeps those
@@ -703,13 +704,12 @@ def _kz_structure(params, claimed) -> TheoremReport:
         m = len(remaining)
         ok_steps &= walk is not None and walk[1][i] == (remaining, True)
         ok_steps &= [abs(x) for c, x in row.items() if c in remaining] == [1]
-        min_sq, _w = difference_lattice_min(m)
-        ok_steps &= min_sq / (m * m) == predicted[i]
+        ok_steps &= _difference_min_sq(m) / (m * m) == predicted[i]
         ok_ties &= _sq(row) == 1
     rep.verdicts["stepwise_minimality"] = ok_steps
     rep.verdicts["tie_breaks"] = ok_ties
 
-    rep.quantities["kz_max_norm_sq"] = max(_sq(s) for s in rows)
+    rep.quantities["kz_max_norm_sq"] = max(_sq(s) for s in claimed)
     rep.verdicts["max_is_5_4"] = rep.quantities["kz_max_norm_sq"] == Q(5, 4)
 
     if params.k <= 2:
@@ -718,17 +718,18 @@ def _kz_structure(params, claimed) -> TheoremReport:
         # claimed prefix, and the generic reduction (whose tie choices at
         # equal projected norms may differ) must reach the same norm
         # profile up to reordering
-        gso = IntGSO.of(claimed)
+        dense = _dense(params.dims[-1], claimed)
+        gso = IntGSO.of(dense)
         norms = gso.rational().norms_sq
         ok = True
         for i, nsq in enumerate(norms):
             head = IntGSO(gso.b[:i], gso.d[: i + 1], gso.lam[:i], gso.den)
-            tail = [head.project(u)[0] for u in claimed[i:]]
+            tail = [head.project(u)[0] for u in dense[i:]]
             _, sv_sq = shortest_vector(Lattice(tail))
             ok &= sv_sq == nsq
         generic = kz_reduce(glued_prime_lattice(params.k))
         ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
-            norm_sq(u) for u in claimed
+            _sq(s) for s in claimed
         )
         ok &= sorted(IntGSO.of(generic.basis).rational().norms_sq) == sorted(norms)
         rep.verdicts["matches_generic_kz"] = ok
@@ -752,13 +753,15 @@ def verify_theorem_gap(k: int) -> TheoremReport:
     final vector above k.
     """
     t0 = time.monotonic()
-    rep = _theorem_gap(glued_params(k), glued_shortest_basis(k))
+    params = glued_params(k)
+    rep = _theorem_gap(params, _short_claim(params))
     rep.elapsed = time.monotonic() - t0
     return rep
 
 
 def _theorem_gap(params, sb_claim) -> TheoremReport:
-    """verify_theorem_gap's report on the given claimed shortest basis."""
+    """verify_theorem_gap's report on the claimed shortest basis, given as
+    supports."""
     k = params.k
     rep = TheoremReport("glued_prime_%d" % k)
     prod = 1
@@ -766,7 +769,7 @@ def _theorem_gap(params, sb_claim) -> TheoremReport:
         prod *= p
 
     rep.verdicts["short_basis_valid"] = _is_glued_basis(params, sb_claim)
-    rep.quantities["short_basis_max_sq"] = max(norm_sq(u) for u in sb_claim)
+    rep.quantities["short_basis_max_sq"] = max(_sq(s) for s in sb_claim)
     rep.verdicts["short_basis_max_5_4"] = (
         rep.quantities["short_basis_max_sq"] == Q(5, 4)
     )
@@ -785,7 +788,7 @@ def _theorem_gap(params, sb_claim) -> TheoremReport:
         rep.verdicts["lambda_bar_is_5_4"] = sb.max_norm_sq == Q(5, 4)
         bar = sb.max_norm_sq
     else:
-        glues = [_sparse(g) for g in _glue_vectors(params)]
+        glues = _glue_vectors(params)
         priced = _glue_residues_priced(params, glues)
         # by the residue argument the vectors of squared norm <= 1 are
         # integral, so they are the signed units
@@ -891,6 +894,8 @@ def similar_to_dual_root(vectors, node_budget=DEFAULT_BUDGET) -> bool:
     D_k*'s candidate images."""
     k = len(vectors)
     S = lattice_from_generators(vectors)
+    if S.rank != k:
+        return False
     D = dual_root_d(k)
     ratio = covolume_squared(S) / covolume_squared(D)
     alpha = _kth_root(ratio, k)
@@ -904,12 +909,11 @@ def similar_to_dual_root(vectors, node_budget=DEFAULT_BUDGET) -> bool:
     def extend(chosen):
         i = len(chosen)
         if i == k:
-            # det^2 is the Gram determinant, d_k / den^(2k) of their IntGSO
-            try:
-                _, d, _, den = IntGSO.of(chosen)
-            except DependentRows:
-                return False
-            return Q(d[-1], den ** (2 * k)) == covolume_squared(D)
+            # alpha Gram(chosen) = gs entry by entry, so det Gram(chosen) =
+            # det(gs) / alpha^k = covolume_squared(S) / ratio =
+            # covolume_squared(D), nonzero as S has rank k: chosen spans D
+            # with D's covolume, so it is a basis of D
+            return True
         for w in cands:
             if norm_sq(w) * alpha != gs[i][i]:
                 continue

@@ -35,6 +35,10 @@
   (coordinate solves and determinants, enumeration, Smith form, the
   claimed basis's rational GSO and HNF, and the KZ-first shortest basis)
   instead of its generators.
+- `glued_kz_claimed_basis`, `glued_shortest_basis`: the glued-prime
+  claims built row by row as d-long tuples of units and glue vectors.
+- `supports`: rows as {coordinate: nonzero entry}, the form the glued
+  verifiers read.
 - `glued_residues`, `prefix_completion`: helpers that only tests use.
 """
 
@@ -984,3 +988,41 @@ def prefix_completion(L, prefix):
     basis of L, read off the tail-gcd transform of its coordinates."""
     prefix = tuple(vector(v) for v in prefix)
     return prefix + tuple(row_times_mat(r, L.basis) for r in _Prefix.of(L, prefix).rows)
+
+
+def _glue_rows(params):
+    d = params.dims[-1]
+    return [
+        tuple(Q(1, p) if (j == 0 or lo <= j < hi) else QZERO for j in range(d))
+        for p, (lo, hi) in zip(params.primes, params.blocks)
+    ]
+
+
+def glued_kz_claimed_basis(k):
+    """Block by block: block 0's units with its glue vector third, every
+    later block's units but the second with its glue vector second."""
+    params = glued_params(k)
+    d = params.dims[-1]
+    out = []
+    for j, (glue, (lo, hi)) in enumerate(zip(_glue_rows(params), params.blocks)):
+        units = [unit_vector(d, c) for c in range(lo, hi)]
+        if j == 0:
+            out.extend([units[0], units[1], glue] + units[2:])
+        else:
+            out.extend([units[0], glue] + units[2:])
+    return tuple(out)
+
+
+def glued_shortest_basis(k):
+    """The glue vectors, then the units but e_0 and the last unit of every
+    block past the first."""
+    params = glued_params(k)
+    d = params.dims[-1]
+    excluded = {0} | {params.dims[i + 1] - 1 for i in range(1, k)}
+    out = _glue_rows(params)
+    out.extend(unit_vector(d, j) for j in range(d) if j not in excluded)
+    return tuple(out)
+
+
+def supports(rows):
+    return [{c: x for c, x in enumerate(v) if x} for v in rows]

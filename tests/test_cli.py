@@ -4,6 +4,7 @@ import pytest
 
 from latred import cli, latfile
 from latred.constructions import dual_root_d
+from latred.rationals import Q
 
 
 @pytest.fixture
@@ -108,6 +109,35 @@ def test_verify_gap_and_delta(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["delta_improved"][7] == "19/8"
+
+
+def test_verify_delta_table_fails_on_a_wrong_table(capsys, monkeypatch):
+    # the suite checks the closed forms and that no improved entry exceeds
+    # the plain one; a wrong table exits 1 with the same JSON fields
+    from latred.reduction import DeltaTable, vdw_delta_table
+
+    def wrong(at, value, improved):
+        def table(K, use_improvements):
+            t = vdw_delta_table(K, use_improvements)
+            if use_improvements != improved:
+                return t
+            values = list(t.values)
+            values[at] = value
+            return DeltaTable(tuple(values), t.improved)
+
+        return table
+
+    code, out = run(capsys, ["verify", "delta-table", "10"])
+    keys = set(json.loads(out))
+    for at, value, improved in (
+        (4, Q(2), False),  # plain Delta_5 off its closed form 5/4
+        (8, Q(3), True),  # improved Delta_9 off (608/625) (5/4)^5
+        (5, Q(2), True),  # improved Delta_6 above the plain 25/16
+    ):
+        monkeypatch.setattr(cli, "vdw_delta_table", wrong(at, value, improved))
+        code, out = run(capsys, ["verify", "delta-table", "10"])
+        assert code == 1
+        assert set(json.loads(out)) == keys
 
 
 def test_verify_kz_structure(capsys):

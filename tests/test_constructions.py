@@ -3,6 +3,11 @@ import pytest
 import reference
 from reference import determinant
 from latred.constructions import (
+    _dense,
+    _glue_vectors,
+    _kz_claim,
+    _primes,
+    _short_claim,
     attempt21,
     default_heights,
     dual_root_d,
@@ -91,6 +96,36 @@ def test_glued_shortest_basis_certifiable():
         coords = [integer_coordinates(L, v) for v in basis]
         assert abs(determinant([[Q(c) for c in r] for r in coords])) == 1
         assert max(norm_sq(v) for v in basis) == Q(5, 4)
+
+
+def test_glued_claims_densify_to_the_row_by_row_claims():
+    # one builder per claim, in supports; the public claims are their
+    # densified rows and equal the claims built row by row
+    for k in range(1, 7):
+        params = glued_params(k)
+        d = params.dims[-1]
+        for builder, public, rows in (
+            (_kz_claim, glued_kz_claimed_basis, reference.glued_kz_claimed_basis),
+            (_short_claim, glued_shortest_basis, reference.glued_shortest_basis),
+        ):
+            want = rows(k)
+            assert _dense(d, builder(params)) == public(k) == want
+            assert list(builder(params)) == reference.supports(want)
+        glues = reference.glued_shortest_basis(k)[:k]
+        assert list(_glue_vectors(params)) == reference.supports(glues)
+
+
+def test_primes_have_no_cap():
+    # one prime generator for the glued family and the default heights;
+    # glued_params takes every k >= 1
+    sieve = [c for c in range(2, 200) if all(c % p for p in range(2, c))]
+    assert _primes(43) == tuple(sieve[:43])
+    assert default_heights(43)[-1] == Q(1, 10**4 * 191)
+    params = glued_params(11)
+    assert params.primes[-1] == 31 and params.dims[-1] == 2398 + 31 * 31
+    assert glued_params(20).dims[-1] == 30008
+    with pytest.raises(BadParams):
+        glued_params(0)
 
 
 def test_glued_residues():

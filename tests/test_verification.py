@@ -9,7 +9,9 @@ from conftest import random_integer_lattice
 from latred import linalg, verification
 from latred.constructions import (
     _glue_vectors,
+    _kz_claim,
     _lifted_rows,
+    _short_claim,
     attempt21,
     default_heights,
     dual_root_d,
@@ -565,6 +567,36 @@ def test_similar_to_dual_root_positive_and_negative():
     scaled = [vscale(Q(3), v) for v in dual_root_d(6).basis]
     assert similar_to_dual_root(scaled)
     assert not similar_to_dual_root(list(root_d(6).basis))
+    # rank 1 < k = 2, with the perfect-square ratio 4
+    assert not similar_to_dual_root([(1, 0), (2, 0)])
+
+
+def test_similar_to_dual_root_leaf_identity():
+    # the search reaches depth k only with alpha Gram(chosen) = gs, so
+    # det Gram(chosen) = det(gs) / alpha^k = covolume^2(D_k*): the leaf
+    # needs no recheck.  Here chosen is D_k*'s basis under a unimodular U
+    # and S its image scaled by 2, so alpha = 4
+    from conftest import mat_mul, random_unimodular
+    from latred.lattice import covolume_squared, lattice_from_generators
+
+    rng = random.Random(6)
+    for k in (6, 7):
+        D = dual_root_d(k)
+        chosen = mat_mul(random_unimodular(rng, k), D.basis)
+        scaled = [vscale(Q(2), v) for v in chosen]
+        S = lattice_from_generators(scaled)
+        ratio = covolume_squared(S) / covolume_squared(D)
+        alpha = verification._kth_root(ratio, k)
+        gs = linalg.gram_matrix(S.basis)
+        assert alpha == 4
+        assert reference.determinant(gs) == covolume_squared(S)
+        gram = linalg.gram_matrix(chosen)
+        assert [[alpha * x for x in r] for r in gram] == [
+            list(r) for r in linalg.gram_matrix(scaled)
+        ]
+        assert reference.determinant(gram) == covolume_squared(D)
+        assert reference.determinant(gs) / alpha**k == covolume_squared(D)
+        assert similar_to_dual_root(list(S.basis))
 
 
 def test_minkowski_bounds_passes_its_node_budget_to_the_similarity_check(
@@ -673,16 +705,24 @@ def _report_tables(rep):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_glued_verifiers_match_the_generic_reference(k):
+    # the structural verifiers read the supports the claim builders make,
+    # the reference the public dense claims
     params = glued_params(k)
-    for structural, generic, claimed in (
-        (verification._theorem_gap, reference.theorem_gap, glued_shortest_basis(k)),
+    for structural, generic, supports, claimed in (
+        (
+            verification._theorem_gap,
+            reference.theorem_gap,
+            _short_claim(params),
+            glued_shortest_basis(k),
+        ),
         (
             verification._kz_structure,
             reference.kz_structure,
+            _kz_claim(params),
             glued_kz_claimed_basis(k),
         ),
     ):
-        got = structural(params, claimed)
+        got = structural(params, supports)
         assert got.success or (k, structural) == (1, verification._theorem_gap)
         assert _report_tables(got) == _report_tables(generic(params, claimed))
 
@@ -754,7 +794,7 @@ def _tampered(claimed, how, params):
 def test_tampered_shortest_basis_fails_on_both_routes(how):
     params = glued_params(3)
     claimed = _tampered(glued_shortest_basis(3), how, params)
-    got = verification._theorem_gap(params, claimed)
+    got = verification._theorem_gap(params, reference.supports(claimed))
     want = reference.theorem_gap(params, claimed)
     assert not got.verdicts["short_basis_valid"]
     assert _report_tables(got) == _report_tables(want)
@@ -766,7 +806,7 @@ def test_tampered_shortest_basis_fails_on_both_routes(how):
 def test_tampered_kz_basis_fails_on_both_routes(how):
     params = glued_params(3)
     claimed = _tampered(glued_kz_claimed_basis(3), how, params)
-    got = verification._kz_structure(params, claimed)
+    got = verification._kz_structure(params, reference.supports(claimed))
     want = reference.kz_structure(params, claimed)
     failed = {name for name, ok in got.verdicts.items() if not ok}
     if how == "glue_doubled":
@@ -791,23 +831,79 @@ def test_kz_basis_the_generic_route_cannot_finish_is_refused(how, error):
 
     params = glued_params(3)
     claimed = _tampered(glued_kz_claimed_basis(3), how, params)
-    got = verification._kz_structure(params, claimed)
+    rows = reference.supports(claimed)
+    got = verification._kz_structure(params, rows)
     assert not got.verdicts["claimed_is_basis"]
     assert not got.verdicts["gso_norms_match"]
     assert not got.verdicts["stepwise_minimality"]
-    rows = [verification._sparse(v) for v in claimed]
     assert verification._block_gso(params, rows) is None
     with pytest.raises(getattr(errors, error)):
         reference.kz_structure(params, claimed)
+
+
+@pytest.mark.parametrize("how", ["unit_at_d", "negative_coordinate", "stored_zero"])
+def test_tampered_supports_are_no_basis(how):
+    # malformed supports with no dense counterpart: a unit past the last
+    # coordinate or before the first (which would stand in for the unit
+    # they replace) and an entry stored as 0
+    params = glued_params(3)
+    d = params.dims[-1]
+    for verify, builder, verdict in (
+        (verification._theorem_gap, _short_claim, "short_basis_valid"),
+        (verification._kz_structure, _kz_claim, "claimed_is_basis"),
+    ):
+        rows = list(builder(params))
+        (c,) = rows[-1]
+        rows[-1] = {
+            "unit_at_d": {d: Q(1)},
+            "negative_coordinate": {-1: Q(1)},
+            "stored_zero": {c: Q(1), 0: Q(0)},
+        }[how]
+        assert not verify(params, rows).verdicts[verdict]
+    # the KZ walk places no row off [0, d), not even beside a unit; a 0
+    # stored on a spanned coordinate leaves the vector e_c, which it places
+    if how != "stored_zero":
+        assert verification._block_gso(params, rows) is None
+        rows[-1] = {**rows[-1], c: Q(1)}
+        assert verification._block_gso(params, rows) is None
+
+
+def test_glued_verifiers_past_k_2_build_no_dense_row(monkeypatch):
+    # at k >= 3 the verifiers read the claims' supports: no d-long unit, no
+    # densified claim and no dense constructor (the one d-long tuple is the
+    # reported witness); at k <= 2 the generic oracle densifies
+    from conftest import count_calls
+
+    names = (
+        "linalg.unit_vector",
+        "constructions._dense",
+        "constructions.glued_kz_claimed_basis",
+        "constructions.glued_shortest_basis",
+        "constructions.glued_prime_lattice",
+    )
+    calls = count_calls(monkeypatch, *names)
+    assert verify_theorem_gap(5).success
+    assert verify_kz_structure(5).success
+    assert calls == dict.fromkeys(names, 0)
+    assert verify_kz_structure(2).success
+    assert calls["constructions._dense"] == 2
+
+
+def test_glued_verifiers_pass_past_the_old_cap():
+    # k = 11 (dim 3,359), the first k past the old ten-prime table
+    gap = verify_theorem_gap(11)
+    assert gap.success, gap.verdicts
+    assert len(gap.witnesses["v_last"]) == 3359
+    assert gap.quantities["v_last_sq"] > 11
+    kz = verify_kz_structure(11)
+    assert kz.success, kz.verdicts
 
 
 def test_block_gso_equals_the_rational_gso():
     for k in (1, 2, 3):
         params = glued_params(k)
         claimed = glued_kz_claimed_basis(k)
-        norms, complements = verification._block_gso(
-            params, [verification._sparse(v) for v in claimed]
-        )
+        norms, complements = verification._block_gso(params, _kz_claim(params))
         assert norms == list(reference.gram_schmidt(claimed).norms_sq)
         # the complement before each step is the one the slot plan names
         plan = verification._slot_plan(params)
@@ -833,7 +929,7 @@ def test_residue_tuples_equal_the_walk():
 
 def test_glue_residue_argument_needs_every_premise():
     params = glued_params(3)
-    glues = [verification._sparse(g) for g in _glue_vectors(params)]
+    glues = list(_glue_vectors(params))
     assert verification._glue_residues_priced(params, glues)
     lo, _ = params.blocks[1]
     for change in (
