@@ -26,6 +26,7 @@ from .reduction import (
 )
 from .verification import (
     check_shortest_vectors_42,
+    verify_height_lift,
     verify_kz_structure,
     verify_minkowski_bounds,
     verify_theorem_gap,
@@ -151,6 +152,7 @@ def _report_doc(rep) -> dict:
 # parameters each verify suite takes
 _VERIFY_ARITY = {
     "appendix42": 0,
+    "height-lift": 0,
     "gap": 1,
     "kz-structure": 1,
     "minkowski-bounds": 1,
@@ -183,6 +185,10 @@ def cmd_verify(args) -> int:
             "stats": dict(rep.stats),
             "elapsed_seconds": rep.elapsed,
         }
+        ok = rep.success
+    elif suite == "height-lift":
+        rep = verify_height_lift()
+        doc = {"operation": "verify", "suite": suite, **_report_doc(rep)}
         ok = rep.success
     elif suite == "gap":
         rep = verify_theorem_gap(int(params[0]))

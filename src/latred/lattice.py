@@ -8,8 +8,9 @@ alone, so Lattice values are safe to share.  Coordinates, covolume and the
 enumeration's mu and norms are all read off that one IntGSO.  A prefix of
 lattice vectors gets its own IntGSO, grown one _lam_row at a time, and
 its projections are the same integer back-substitution as coordinates:
-there is no rational Gram-Schmidt anywhere.  Independence of a basis and
-linear dependences are read off linalg's one fraction-free elimination.
+there is no rational Gram-Schmidt anywhere.  Independence of a basis is
+read off linalg's fraction-free elimination, and linear dependences off
+one HNF of the vectors with the identity appended.
 """
 
 from collections import namedtuple
@@ -383,28 +384,32 @@ def linear_dependence(vectors) -> DependenceRelation:
     Requires the n vectors to span an (n-1)-dimensional space; the sign is
     normalized so the first nonzero coefficient is positive.
     """
-    return _dependence(matrix(vectors))[0]
+    return _dependence(linalg._scaled_rows(matrix(vectors))[0])[0]
 
 
-def _dependence(m):
-    """(relation, elimination) for the rows v_0..v_n of m: the
-    fraction-free elimination of [v_1..v_n, v_0 | I] (linalg._eliminate)
-    and the linear_dependence read off its one row past the pivots, whose
-    right half times the row scales is a relation; v_0 is moved last so
-    that, when v_1..v_n are square and independent, it is never a pivot
-    row and the pivot rows' right halves are their adjugate.  Raises
+def _dependence(w):
+    """(relation, H) for the integer rows w_0..w_n, read off one
+    row-style HNF (linalg.hnf) of [w | I].  Its rows with a nonzero left
+    part are H, the HNF basis of the lattice the w_i generate, and the
+    right part of its one row with a zero left part is the
+    linear_dependence: HNF is a unimodular transform U of [w | I], so that
+    row is U's, a primitive vector with U w zero there.  Raises
     WrongRank."""
-    e = linalg._eliminate(m[1:] + m[:1], identity=True)
+    nr = len(w)
+    nc = len(w[0]) if w else 0
     # vectors of dimension 0 have no relation to report
-    free = len(m) - len(e.pivots) if m and m[0] else 0
+    if not nc:
+        raise WrongRank("dependence space has dimension 0, expected 1")
+    h = linalg.hnf([*r, *(int(i == j) for j in range(nr))] for i, r in enumerate(w))
+    basis = [r[:nc] for r in h if any(r[:nc])]
+    free = nr - len(basis)
     if free != 1:
         raise WrongRank("dependence space has dimension %d, expected 1" % free)
-    *rest, first = (x * s for x, s in zip(e.rows[-1], e.scales))
-    ints = [first] + rest
+    ints = h[-1][nc:]
     g = gcd(*ints)
     if next(a for a in ints if a) < 0:
         g = -g
-    return DependenceRelation(tuple(a // g for a in ints)), e
+    return DependenceRelation(tuple(a // g for a in ints)), basis
 
 
 def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
@@ -467,7 +472,6 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
 
 def lattice_from_generators(generators) -> Lattice:
     """Lattice generated over Z by arbitrary rational vectors (HNF basis)."""
-    gens = matrix(generators)
-    den = lcm(*(qden(e) for r in gens for e in r))
-    h = hnf([[qnum(e) * (den // qden(e)) for e in r] for r in gens])
+    w, den = linalg._scaled_rows(matrix(generators))
+    h = hnf(w)
     return Lattice([tuple(Q(e, den) for e in r) for r in h if any(r)])

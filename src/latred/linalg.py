@@ -3,11 +3,12 @@
 Vectors are tuples of rationals and matrices are tuples of row vectors.
 All routines here are pure and exact; there is no floating point on any
 path.  Integer matrices (HNF/SNF) are plain nested tuples of Python ints.
-Rank and inverse, and lattice.linear_dependence, are read off one
-fraction-free (Bareiss) elimination, _eliminate, of the rows scaled to
-integers.  Gram-Schmidt is not here: latred's one Gram-Schmidt is the
-integral recurrence of latred.lattice (IntGSO), which also gives every
-Gram determinant latred needs, so no determinant is taken here.
+Rank and inverse are read off one fraction-free (Bareiss) elimination,
+_eliminate, of the rows scaled to integers, and lattice.linear_dependence
+off one HNF of the integer rows with the identity appended.  Gram-Schmidt
+is not here: latred's one Gram-Schmidt is the integral recurrence of
+latred.lattice (IntGSO), which also gives every Gram determinant latred
+needs, so no determinant is taken here.
 """
 
 from collections import namedtuple
@@ -112,6 +113,14 @@ def _scaled(v):
     return [qnum(e) * (s // q) for e, q in zip(v, dens)], s
 
 
+def _scaled_rows(m):
+    """(W, s): s the lcm of all of m's denominators and W = s m, in
+    integers."""
+    dens = [[qden(e) for e in r] for r in m]
+    s = lcm(*(q for r in dens for q in r))
+    return [[qnum(e) * (s // q) for e, q in zip(r, qs)] for r, qs in zip(m, dens)], s
+
+
 Elimination = namedtuple("Elimination", "d scales pivots rows")
 
 
@@ -126,12 +135,11 @@ def _eliminate(m, identity=False):
     when W is square and every column has a pivot, the scales s_i, and
     the pivot columns.  Step k leaves the pivot column zero but in the
     pivot row, so each row keeps only the columns past it.  With
-    identity the elimination is Gauss-Jordan on [W | I], clearing the
-    rows above the pivot too, and rows are the right halves E, pivot rows
-    first: E W is zero in the rows past the pivots, which are a basis of
-    W's left kernel, and E = d W^-1 for square nonsingular W.  Without
-    identity the rows above the pivot are left as they are, and rows is
-    of no use."""
+    identity, which inverse uses, the elimination is Gauss-Jordan on
+    [W | I], clearing the rows above the pivot too, and rows are the
+    right halves E, pivot rows first: E = d W^-1 for square nonsingular
+    W.  Without identity the rows above the pivot are left as they are,
+    and rows is of no use."""
     nr = len(m)
     nc = len(m[0]) if m else 0
     rows, scales = [], []

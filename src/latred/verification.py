@@ -14,11 +14,10 @@ closed form.
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, prod
 from operator import mul
-from multiprocessing import Pool
 from sys import intern
 
 from .constructions import (
@@ -56,6 +55,7 @@ from .lattice import (
     lattice_from_generators,
 )
 from .linalg import (
+    _scaled_rows,
     dot,
     gram_matrix,
     matrix,
@@ -127,22 +127,29 @@ def integer_relation_membership(v_coords, relation_shift, max_k: int) -> bool:
 # all-positive quintuple; for t = 3, e_i - e_j or an all-positive triple.
 # Scanning those families therefore certifies the lattice minimum.
 #
-# A candidate sum s_p e_p is a member iff sum s_p R_p + j shift = 0 mod dd
-# for some 0 <= j < maxk, where R_p is the residue vector of e_p's
-# coordinates over the generators past the first (common denominator dd)
-# and shift that of the first generator's.  The test is linear, so every
-# family is a collision search, and the offsets j shift live in the
-# tables: a table of the R_a + j shift and one of the pair sums
-# P(a, b) + j shift = R_a + R_b + j shift, built once per scan state and
-# shared by the families that need it.  Each candidate key (R_b, P(c, d)
-# or -sum R_t) is then looked up once, and a collision with shared
-# positions or not in canonical order (sorted positions, first sign +) is
-# dropped.
+# The lattice L is generated by the integer rows of the generators, and
+# one HNF of [generators | I] (lattice._dependence) gives both the
+# relation and an HNF basis H of L.  A candidate sum x = sum s_p e_p is in
+# L iff x H^-1 is integral.  Scaled by the exponent dd of Z^n / L (the
+# lcm of H^-1's denominators), the residue vector R_p of e_p is row p of
+# dd H^-1 mod dd, so x is in L iff sum s_p R_p = 0 mod dd.  A lane that is
+# 0 for every position says nothing and is dropped: H^-1's column c is
+# integral whenever H's column c is e_c.  The residue map is linear, and
+# every generator's residues are checked to sum to 0, so it vanishes on
+# L: a candidate with a nonzero residue sum is not in L whatever H was,
+# and a scan with no hits is complete.  A hit is refused unless the
+# second route (_confirm_member) confirms it.
+#
+# Each family is then a collision search: a table of the R_a and one of
+# the pair sums P(a, b) = R_a + R_b, built once per scan state and shared
+# by the families that need it.  Each candidate key (R_b, P(c, d) or
+# -sum R_t) is looked up once, and a collision with shared positions or
+# not in canonical order (sorted positions, first sign +) is dropped.
 #
 # Both tables hold packed residue vectors: lane i of one int holds entry
 # i in B = dd.bit_length() + 1 bits, so dd < 2^(B-1) and a lane sum of two
 # residues stays below 2^B.  Adding K, which repeats 2^(B-1) - dd, sets a
-# lane's top bit (mask H) exactly where its sum is at least dd, and
+# lane's top bit (mask M) exactly where its sum is at least dd, and
 # subtracting dd there reduces every lane at once (_lane_adder).  Packing
 # is a bijection on reduced vectors, so probes and collisions are those of
 # the tuples.
@@ -154,61 +161,71 @@ _SS = {}
 
 
 def _load_state(state):
-    """Install a scan state and build its tables: under each packed
-    R_a + j shift the positions a, and under each P(a, b) + j shift the
-    pairs a < b, with the plain pair sums P(a, b) in order."""
+    """Install a scan state and build its tables: under each packed R_a
+    the positions a, and under each P(a, b) the pairs a < b, with the
+    pair sums P(a, b) in order."""
     _SS.clear()
     _SS.update(state)
     packed, add = state["packed"], _lane_adder(state)
-    sums = {
-        (a, b): add(packed[a], packed[b])
-        for a, b in combinations(range(state["n"]), 2)
-    }
-    singles, pairs = {}, {}
-    for off in state["offsets"]:
-        for a, key in enumerate(packed):
-            key = add(key, off)
-            singles[key] = singles.get(key, ()) + (a,)
-        for ab, key in sums.items():
-            key = add(key, off)
-            pairs[key] = pairs.get(key, ()) + (ab,)
+    singles, sums, pairs = {}, {}, {}
+    for a, key in enumerate(packed):
+        singles[key] = singles.get(key, ()) + (a,)
+    for a, b in combinations(range(state["n"]), 2):
+        key = sums[a, b] = add(packed[a], packed[b])
+        pairs[key] = pairs.get(key, ()) + ((a, b),)
     _SS.update(sums=sums, singles=singles, pairs=pairs)
 
 
-def _scan_state(rows, d, adj, shift, maxk):
-    """Residues mod the common denominator dd of the coordinates of each
-    unit vector with respect to the integer rows, read off their adjugate
-    (d, adj), and of the relation shift; the tables hold them packed."""
-    n = len(rows)
-    # adj * rows = d * I, summed over each column's nonzero entries
-    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*rows)]
-    if any(
-        sum(a[i] * x for i, x in col) != (d if p == c else 0)
-        for p, a in enumerate(adj)
-        for c, col in enumerate(cols)
-    ):
-        raise ScanCrossCheckFailed("adj * rows differs from d * I")
-    dd = 1
-    for row in adj:
-        for x in row:
-            dd = lcm(dd, d // gcd(x, d))
-    for x in shift:
-        dd = lcm(dd, qden(x))
-    s_row = tuple(int(x * dd) % dd for x in shift)
-    res = [tuple(x * dd // d % dd for x in row) for row in adj]
-    # the distinct j * shift, 0 <= j < maxk, in order of j
-    offsets = dict.fromkeys(tuple(j * s % dd for s in s_row) for j in range(maxk))
+def _residues(h):
+    """(dd, rows): the residue vectors of the unit vectors over the square
+    HNF basis h, mod the exponent dd of Z^n / L, in the lanes that are not
+    0 for every position.
+
+    Row p of N h^-1, N the product of h's diagonal, is the integer y with
+    y h = N e_p, solved column by column.  A column of h that is e_c is
+    e_c in h^-1 too, so only the other columns are solved, and only they
+    can be fractional."""
+    n = len(h)
+    big = prod(h[c][c] for c in range(n))
+    # column c's entries above the diagonal, as (rows, entries)
+    cols = {}
+    for c in range(n):
+        above = [i for i in range(c) if h[i][c]]
+        if above or h[c][c] != 1:
+            cols[c] = (above, [h[i][c] for i in above])
+    ys = []
+    for p in range(n):
+        y = [0] * n
+        y[p] = big
+        for c, (above, xs) in cols.items():
+            y[c] = (y[c] - sum(map(mul, map(y.__getitem__, above), xs))) // h[c][c]
+        ys.append([y[c] for c in cols])
+    # dd, the lcm of big / gcd(x, big) over the entries x, is big / g
+    g = gcd(big, *(x for y in ys for x in y))
+    dd = big // g
+    rows = [[x // g % dd for x in y] for y in ys]
+    lanes = [i for i, col in enumerate(zip(*rows)) if any(col)]
+    return dd, [tuple(r[i] for i in lanes) for r in rows]
+
+
+def _scan_state(h, supports):
+    """The residues over h (_residues), packed.  Raises
+    ScanCrossCheckFailed unless the residues of every 0/1 generator, given
+    by its support, sum to 0."""
+    dd, rows = _residues(h)
     width = dd.bit_length() + 1
-    return dict(
-        n=n,
+    state = dict(
+        n=len(rows),
+        lanes=len(rows[0]),
         dd=dd,
-        rows=res,
-        shift=s_row,
         width=width,
-        packed=[_pack(r, dd, width) for r in res],
-        negated=[_pack(r, dd, width, -1) for r in res],
-        offsets=[_pack(o, dd, width) for o in offsets],
+        packed=[_pack(r, dd, width) for r in rows],
+        negated=[_pack(r, dd, width, -1) for r in rows],
     )
+    add, packed = _lane_adder(state), state["packed"]
+    if any(reduce(add, (packed[p] for p in sup), 0) for sup in supports):
+        raise ScanCrossCheckFailed("the residues do not vanish on the generators")
+    return state
 
 
 def _pack(v, dd, width, sign=1):
@@ -216,13 +233,17 @@ def _pack(v, dd, width, sign=1):
     return sum((sign * x % dd) << (width * i) for i, x in enumerate(v))
 
 
-def _lane_adder(state):
-    """Lane-wise (a + b) mod dd of two packed residue vectors."""
+def _lane_constants(state):
+    """(dd, top, carry, high) of _lane_adder's lane-wise reduction."""
     dd, width = state["dd"], state["width"]
     top = width - 1
-    lanes = sum(1 << (width * i) for i in range(state["n"]))
-    carry = ((1 << top) - dd) * lanes
-    high = (1 << top) * lanes
+    lanes = sum(1 << (width * i) for i in range(state["lanes"]))
+    return dd, top, ((1 << top) - dd) * lanes, (1 << top) * lanes
+
+
+def _lane_adder(state):
+    """Lane-wise (a + b) mod dd of two packed residue vectors."""
+    dd, top, carry, high = _lane_constants(state)
 
     def add(a, b):
         s = a + b
@@ -232,7 +253,7 @@ def _lane_adder(state):
 
 
 def _scan_pairs(counts):
-    """e_a - e_b with a < b: R_b = R_a + j shift."""
+    """e_a - e_b with a < b: R_b = R_a."""
     table = _SS["singles"]
     hits = []
     for b, rb in enumerate(_SS["packed"]):
@@ -249,8 +270,8 @@ def _scan_pairs(counts):
 
 
 def _scan_quads(counts):
-    """e_a + e_b - e_c - e_d: P(c, d) = P(a, b) + j shift, where the plus
-    pair holds the smallest position a."""
+    """e_a + e_b - e_c - e_d: P(c, d) = P(a, b), where the plus pair holds
+    the smallest position a."""
     table = _SS["pairs"]
     hits = []
     for (c, d), pcd in _SS["sums"].items():
@@ -272,21 +293,28 @@ def _scan_quads(counts):
 
 def _scan_positive(counts):
     """All-positive sets of the common support size, minus the generator
-    supports: P(c, d) + j shift = -(sum over t of R) for the set's
-    (size - 2) largest positions t and its two smallest c < d."""
+    supports: P(c, d) = -(sum over t of R) for the set's (size - 2)
+    largest positions t and its two smallest c < d."""
     neg, n, size = _SS["negated"], _SS["n"], _SS["size"]
-    table = _SS["pairs"]
+    lookup = _SS["pairs"].get
     add = _lane_adder(_SS)
+    # add(head, neg[z]) inlined in the loop over z
+    dd, top, carry, high = _lane_constants(_SS)
     hits = []
     # t = u + (z,), and two positions lie below min(t)
     for u in combinations(range(2, n), size - 3):
         head = 0
         for p in u:
             head = add(head, neg[p])
-        for z in range(u[-1] + 1 if u else 2, n):
+        first = u[-1] + 1 if u else 2
+        counts["probes"] += n - first
+        for z in range(first, n):
+            key = head + neg[z]
+            found = lookup(key - (((key + carry) & high) >> top) * dd)
+            if not found:
+                continue
             low = u[0] if u else z
-            counts["probes"] += 1
-            for c, d in table.get(add(head, neg[z]), ()):
+            for c, d in found:
                 counts["collisions"] += 1
                 if d < low:
                     pos = (c, d) + u + (z,)
@@ -345,27 +373,25 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     after the relation check if some coefficient is a unit, since the
     downstream lift construction is already ruined in that case.
 
-    The relation and the residues come from one fraction-free elimination
-    of [v_1..v_n, v_0 | I] (lattice._dependence): its row past the pivots
-    is the relation, checked to combine the generators to 0, and for
-    square v_1..v_n its pivot rows are their adjugate.  Each family is a
-    collision search of candidate keys in the tables of the single
-    positions and of the pair sums, each plus every relation offset; with
-    workers > 1 the families run as separate pool jobs, each worker
-    building the tables from the state."""
+    The relation and the residues come from one HNF of [generators | I]
+    (lattice._dependence): its row with a zero left part is the relation,
+    checked to combine the generators to 0, and its other rows are an HNF
+    basis H of the lattice, over which the residues are read.  Each family
+    is a collision search of candidate keys in the tables of the single
+    positions and of the pair sums; with workers > 1 the families run as
+    separate pool jobs, each worker building the tables from the state."""
     t0 = time.monotonic()
     vectors = matrix(vectors)
-    rel, elim = _dependence(vectors)
     # the generators times the lcm s of their denominators, in integers
-    s = lcm(*elim.scales)
-    ints = [[qnum(x) * (s // qden(x)) for x in v] for v in vectors]
+    ints, s = _scaled_rows(vectors)
+    rel, basis = _dependence(ints)
     if any(sum(map(mul, rel.coefficients, col)) for col in zip(*ints)):
         raise ScanCrossCheckFailed("the relation is not a dependence")
     if any(c == 0 for c in rel.coefficients):
         raise ConstructionMismatch("dependence must involve every generator")
-    if any(x != 0 and x != 1 for v in vectors for x in v):
+    if s != 1 or any(x != 0 and x != 1 for v in ints for x in v):
         raise ConstructionMismatch("generators must be 0/1 vectors")
-    supports = frozenset(tuple(i for i, x in enumerate(v) if x) for v in vectors)
+    supports = frozenset(tuple(i for i, x in enumerate(v) if x) for v in ints)
     sizes = {len(sup) for sup in supports}
     if len(sizes) != 1:
         raise ConstructionMismatch("generators must share a support size")
@@ -384,8 +410,6 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
         n = len(vectors) - 1
         if len(vectors[0]) != n:
             raise DimensionMismatch("the generators past the first must be square")
-        rows = ints[1:]
-        adj = [row[:n] for row in elim.rows[:n]]
         a1 = rel.coefficients[0]
         # the first generator's coordinates over the others
         route = dict(
@@ -393,7 +417,7 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
             shift=tuple(Q(-c, a1) for c in rel.coefficients[1:]),
             maxk=abs(a1),
         )
-        state = _scan_state(rows, elim.d, adj, route["shift"], route["maxk"])
+        state = _scan_state(basis, supports)
         state.update(size=size, supports=supports)
         families["pairs"] = comb(n, 2)
         jobs = ["pairs"]
@@ -404,6 +428,8 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
         families[positive] = comb(n, size) - len(supports)
         jobs.append("positive")
         if workers and workers > 1:
+            from multiprocessing import Pool
+
             with Pool(
                 min(workers, len(jobs)), initializer=_load_state, initargs=(state,)
             ) as pool:
@@ -411,9 +437,7 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
         else:
             _load_state(state)
             results = [_scan_family(job) for job in jobs]
-        stats = dict(
-            single_table=n, pair_table=comb(n, 2), offsets=len(state["offsets"])
-        )
+        stats = dict(single_table=n, pair_table=comb(n, 2))
         stats.update(dict.fromkeys(_SCAN_COUNTS, 0))
         for hits, counts in results:
             for key, value in counts.items():
@@ -1020,9 +1044,9 @@ def verify_height_lift(appendix=None) -> TheoremReport:
     rel = appendix.relation
     heights = default_heights(len(vecs))
     # the lifted rows and the height s of the relation's combination, from
-    # the relation the scan checked: its adjugate shows the generators past
-    # the first independent, so the relation spans their dependences and
-    # s != 0 keeps the lifted rows independent
+    # the relation the scan checked: its HNF shows the generators'
+    # dependences one-dimensional, so the relation spans them and s != 0
+    # keeps the lifted rows independent
     rows, s = _lifted_rows(vecs, heights, rel)
     rep.quantities["shortest_sq"] = s * s
     # the base minimum is 5 (the scan exhausts everything shorter), so a

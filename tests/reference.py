@@ -684,8 +684,10 @@ def appendix_scan(vectors):
 # The collision scan with the relation offsets on the probe side: the
 # tables hold the plain R_a and P(a, b), and every candidate key is looked
 # up once per offset j shift.  st is a scan state as
-# latred.verification._load_state installs it (packed residues and
-# offsets, the support size and the generator supports); each family
+# latred.verification._load_state installs it (packed residues, the
+# support size and the generator supports) with the packed offsets under
+# "offsets"; latred's residues over an HNF basis of the lattice itself
+# have the one offset 0.  Each family
 # returns (hits, counts) with hits as (sorted positions, sign pattern
 # index), unsorted.
 
@@ -694,7 +696,8 @@ def _negated(st, packed):
     dd, width = st["dd"], st["width"]
     mask = (1 << width) - 1
     return sum(
-        (-(packed >> (width * i) & mask) % dd) << (width * i) for i in range(st["n"])
+        (-(packed >> (width * i) & mask) % dd) << (width * i)
+        for i in range(st["lanes"])
     )
 
 

@@ -60,6 +60,7 @@ def test_verify_checks_its_parameter_count(capsys, dnstar5):
         ["verify", "delta-table"],
         ["verify", "delta-table", "7", "extra"],
         ["verify", "appendix42", "foo"],
+        ["verify", "height-lift", "43"],
     ):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -162,6 +163,35 @@ def test_verify_appendix42_reports_its_scan(capsys):
     assert doc["stats"]["hits_confirmed"] == 0
 
 
+def test_verify_height_lift(capsys, monkeypatch):
+    import reference
+    from latred import cli as cli_module
+    from latred.constructions import default_heights, lattice42
+    from latred.rationals import qstr
+
+    code, out = run(capsys, ["verify", "height-lift"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["suite"] == "height-lift" and doc["lattice"] == "perturbed_43"
+    assert doc["verdicts"]["base_scan_success"] is True
+    assert all(doc["verdicts"].values())
+    # s^2, s the heights' combination by the rational nullspace's relation
+    rel = reference.linear_dependence(lattice42()[1])
+    s = sum((a * h for a, h in zip(rel.coefficients, default_heights(43))), Q(0))
+    assert doc["quantities"]["shortest_sq"] == qstr(s * s)
+    # one failed verdict is exit 1
+    real = cli_module.verify_height_lift
+
+    def failing():
+        rep = real()
+        rep.verdicts["no_swap_gives_basis"] = False
+        return rep
+
+    monkeypatch.setattr(cli_module, "verify_height_lift", failing)
+    code, out = run(capsys, ["verify", "height-lift"])
+    assert code == 1 and json.loads(out)["verdicts"]["no_swap_gives_basis"] is False
+
+
 def test_verify_minkowski_bounds_file(capsys, dnstar5):
     code, out = run(capsys, ["verify", "minkowski-bounds", dnstar5])
     assert code == 2  # rank 5 violates the rank >= 6 precondition
@@ -216,13 +246,13 @@ def test_out_flag_writes_report(capsys, tmp_path, dnstar5):
 def test_flags_a_command_would_ignore_are_rejected(capsys, dnstar5, monkeypatch):
     # construct takes no budget and only the appendix42 scan is parallel;
     # fewer than 1 worker or a negative budget is a usage error, and no
-    # rejected command starts a pool
-    from latred import verification
+    # rejected command starts a pool (the scan imports Pool when it runs)
+    import multiprocessing
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a rejected command started a pool")
 
-    monkeypatch.setattr(verification, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     for argv in (
         ["construct", "zn", "3", "--node-budget", "5"],
         ["construct", "zn", "3", "--parallel", "2"],

@@ -242,9 +242,9 @@ def _seeded_matrices(count, seed):
 
 
 def test_eliminations_equal_the_rational_references():
-    # rank, inverse and linear_dependence read off the one fraction-free
-    # elimination equal the rational Gaussian loops exactly, errors
-    # included
+    # rank and inverse read off the fraction-free elimination, and
+    # linear_dependence read off the HNF of [W | I], equal the rational
+    # Gaussian loops exactly, errors included
     cases = _seeded_matrices(400, 13)
     kinds = dict.fromkeys(("singular", "deficient", "rectangular", "relation"), 0)
     kinds["skipped"] = 0

@@ -1,6 +1,8 @@
 import multiprocessing
 import random
 from functools import lru_cache
+from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -32,7 +34,7 @@ from latred.errors import (
     WrongRank,
 )
 from latred.lattice import Lattice, _dependence, contains, linear_dependence
-from latred.linalg import dot, matrix, norm_sq, row_times_mat, vscale, vsub
+from latred.linalg import dot, norm_sq, row_times_mat, vscale, vsub
 from latred.rationals import Q
 from latred.verification import (
     _kth_root,
@@ -180,87 +182,129 @@ def test_appendix_scan_rejects_what_its_families_do_not_cover():
         appendix_scan(signed)
 
 
-def _relation_and_adjugate(vecs):
-    """The relation of the generators v_0..v_n and (d, adj) of the 0/1
-    rows v_1..v_n, from the one elimination that appendix_scan makes."""
-    rel, elim = _dependence(matrix(vecs))
-    n = len(vecs) - 1
-    return rel, elim.d, [row[:n] for row in elim.rows[:n]]
+def _residue_hits(vecs):
+    """(relation, hits): the relation and H of the one HNF that
+    appendix_scan makes, and the family candidates whose residue sums over
+    H vanish, tested one candidate at a time."""
+    w = [[int(x) for x in v] for v in vecs]
+    rel, h = _dependence(w)
+    dd, rows = verification._residues(h)
+    n = len(rows)
+
+    def member(pos, signs):
+        return all(
+            sum(s * rows[p][c] for p, s in zip(pos, signs)) % dd == 0
+            for c in range(len(rows[0]))
+        )
+
+    supports = {tuple(i for i, x in enumerate(v) if x) for v in w}
+    (size,) = {len(sup) for sup in supports}
+    families = [(combinations(range(n), 2), ((1, -1),))]
+    if size == 5:
+        families.append((combinations(range(n), 4), verification._QUAD_PATTERNS))
+    positive = (pos for pos in combinations(range(n), size) if pos not in supports)
+    families.append((positive, ((1,) * size,)))
+    hits = []
+    for candidates, patterns in families:
+        for pos in candidates:
+            for signs in patterns:
+                if member(pos, signs):
+                    out = [Q(0)] * n
+                    for p, x in zip(pos, signs):
+                        out[p] = Q(x)
+                    hits.append(tuple(out))
+    return rel, hits
 
 
-def _tampered_elimination(monkeypatch, row, col):
-    """Make every fraction-free elimination add 1 to rows[row][col] of
-    what it returns."""
-    eliminate = linalg._eliminate
-
-    def wrong(m, identity=False):
-        e = eliminate(m, identity)
-        e.rows[row][col] += 1
-        return e
-
-    monkeypatch.setattr(linalg, "_eliminate", wrong)
-
-
-def test_scan_state_residues_equal_the_rational_inverse_ones():
-    rng = random.Random(5)
-    cases = [lattice42()[1], attempt21()[1]]
-    for size, n in ((3, 6), (5, 8), (3, 9), (5, 9)):
-        gens = _generator_sets(rng, n, size)
-        cases += [next(gens) for _ in range(3)]
-    for vecs in cases:
-        vecs = [tuple(Q(x) for x in v) for v in vecs]
-        rel, d, adj = _relation_and_adjugate(vecs)
-        assert rel == reference.linear_dependence(vecs)
-        a1 = rel.coefficients[0]
-        shift = tuple(Q(-c, a1) for c in rel.coefficients[1:])
-        rows = [[int(x) for x in v] for v in vecs[1:]]
-        got = verification._scan_state(rows, d, adj, shift, abs(a1))
-        ref = reference.scan_state(vecs, rel)
-        for key in ("n", "dd", "rows", "shift"):
-            assert got[key] == ref[key], key
-
-
-def test_scan_state_checks_the_adjugate(monkeypatch):
-    # an adjugate entry, in a pivot row of the elimination, is wrong; the
-    # check sums only each column's nonzero entries, and it still sees
-    # every tampered entry, since each generator row has a nonzero entry
-    rng = random.Random(15)
-    entries = [(3, 5), (0, 0), (41, 41)] + [
-        (rng.randrange(42), rng.randrange(42)) for _ in range(5)
-    ]
-    for p, t in entries:
-        with monkeypatch.context() as mp:
-            _tampered_elimination(mp, p, t)
-            with pytest.raises(ScanCrossCheckFailed, match=r"adj \* rows"):
-                check_shortest_vectors_42()
-
-
-def test_adjugate_relation_equals_the_rational_nullspace_one():
-    # random sets of support 3 all have unit coefficients at these sizes,
-    # and about one in ten of support 5 and dimension 12 has none
+def test_hnf_residue_hits_equal_the_reference_scan():
+    # the residues over the HNF basis H have the hits of the residues over
+    # the rational inverse of the generators past the first, and the HNF's
+    # relation row is the rational nullspace's relation; random sets of
+    # support 3 all have unit coefficients at these sizes, and about one in
+    # ten of support 5 and dimension 12 has none
     rng = random.Random(7)
-    cases = [lattice42()[1], attempt21()[1]]
+    cases = [attempt21()[1]]
     for size, n in ((3, 6), (3, 8), (5, 8), (5, 10)):
         gens = _generator_sets(rng, n, size)
         cases += [next(gens) for _ in range(6)]
     gens = _generator_sets(rng, 12, 5)
     while sum(check_no_unit_coefficient(linear_dependence(v)) for v in cases) < 8:
         cases.append(next(gens))
-    units = 0
+    units = hits_seen = 0
     for vecs in cases:
-        rel, d, adj = _relation_and_adjugate(vecs)
+        rel, hits = _residue_hits(vecs)
         assert rel == reference.linear_dependence(vecs)
-        assert abs(d) == abs(reference.determinant(vecs[1:]))
-        assert [[Q(x, d) for x in row] for row in adj] == [
-            list(row) for row in reference.inverse(vecs[1:])
-        ]
+        assert hits == reference.appendix_scan(vecs)[1]
         units += not check_no_unit_coefficient(rel)
-    assert len(cases) >= 32 and units >= 20
+        hits_seen += len(hits)
+    assert len(cases) >= 32 and units >= 20 and hits_seen >= 30
+    # on lattice42, the relation and the dd and residues of the rational
+    # inverse of H, lanes that are 0 for every position dropped
+    vecs = lattice42()[1]
+    rel, h = _dependence([[int(x) for x in v] for v in vecs])
+    assert rel == reference.linear_dependence(vecs)
+    assert h == [row for row in reference.hnf_with_transform(vecs)[0] if any(row)]
+    inv = reference.inverse(h)
+    dd = lcm(*(x.denominator for row in inv for x in row))
+    rows = [[int(x * dd) % dd for x in row] for row in inv]
+    lanes = [c for c, col in enumerate(zip(*rows)) if any(col)]
+    assert verification._residues(h) == (
+        dd,
+        [tuple(row[c] for c in lanes) for row in rows],
+    )
+    assert (dd, len(lanes)) == (20, 21)
+
+
+def _add_one(monkeypatch, name, row, col):
+    """Make every call of latred's `name` (linalg.hnf or
+    verification._residues) add 1 to entry [row][col] of its matrix."""
+    module, attr = name.split(".")
+    module = {"linalg": linalg, "verification": verification}[module]
+    real = getattr(module, attr)
+
+    def wrong(m):
+        out = real(m)
+        rows = out[1] if attr == "_residues" else out
+        rows = [list(r) for r in rows]
+        rows[row][col] += 1
+        return (out[0], rows) if attr == "_residues" else rows
+
+    monkeypatch.setattr(module, attr, wrong)
+
+
+def test_scan_state_checks_the_generators(monkeypatch):
+    # an entry of H, above the diagonal, or of a residue row is wrong: the
+    # residues then miss a generator, whatever the entry
+    rng = random.Random(15)
+    entries = [(3, 5), (0, 0), (41, 41), (0, 41), (8, 11)] + [
+        tuple(sorted((rng.randrange(42), rng.randrange(42)))) for _ in range(5)
+    ]
+    for p, t in entries:
+        with monkeypatch.context() as mp:
+            _add_one(mp, "linalg.hnf", p, t)
+            with pytest.raises(ScanCrossCheckFailed, match="vanish"):
+                check_shortest_vectors_42()
+    for p, t in ((0, 0), (17, 3), (41, 20)):
+        with monkeypatch.context() as mp:
+            _add_one(mp, "verification._residues", p, t)
+            with pytest.raises(ScanCrossCheckFailed, match="vanish"):
+                check_shortest_vectors_42()
+    # with three lanes dropped the residues still vanish on the generators,
+    # and so on L, but on vectors outside L too: the second route refuses
+    # those hits
+    residues = verification._residues
+    monkeypatch.setattr(
+        verification,
+        "_residues",
+        lambda h: (lambda dd, rows: (dd, [r[3:] for r in rows]))(*residues(h)),
+    )
+    with pytest.raises(ScanCrossCheckFailed, match="routes differ"):
+        check_shortest_vectors_42()
 
 
 def test_appendix_scan_falls_back_to_the_rational_nullspace(monkeypatch):
-    # inputs that have no adjugate of the generators past the first get
-    # their relation, or WrongRank, from the same elimination
+    # inputs whose generators past the first are no basis get their
+    # relation, or WrongRank, from the same HNF
 
     def vecs(*rows):
         return [tuple(Q(x) for x in r) for r in rows]
@@ -288,34 +332,35 @@ def test_appendix_scan_falls_back_to_the_rational_nullspace(monkeypatch):
         appendix_scan(padded)
 
 
-def test_appendix_scan_checks_the_adjugate_relation(monkeypatch):
-    # a wrong entry in the elimination's row past the pivots gives a
-    # relation that is no dependence; attempt21 builds no scan state, so
-    # there only the relation check can see it
-    _tampered_elimination(monkeypatch, -1, 5)
-    for run in (check_attempt21, check_shortest_vectors_42):
-        with pytest.raises(ScanCrossCheckFailed, match="relation"):
-            run()
+def test_appendix_scan_checks_the_hnf_relation(monkeypatch):
+    # a wrong entry in the HNF's row with a zero left part gives a relation
+    # that is no dependence; attempt21 builds no scan state, so there only
+    # the relation check can see it
+    for run, n in ((check_attempt21, 21), (check_shortest_vectors_42, 42)):
+        with monkeypatch.context() as mp:
+            _add_one(mp, "linalg.hnf", -1, n + 5)
+            with pytest.raises(ScanCrossCheckFailed, match="relation"):
+                run()
 
 
-def test_scans_solve_no_nullspace_and_build_no_hnf(monkeypatch):
-    # each scan makes one fraction-free elimination, for the relation and
-    # the adjugate together, and no other (no rank, inverse or HNF)
+def test_scans_make_one_hnf_and_no_elimination(monkeypatch):
+    # each scan makes one HNF, for the relation and the residues together,
+    # and no elimination (no rank or inverse) and no lattice HNF
     from conftest import count_calls
 
     names = (
+        "linalg.hnf",
         "linalg._eliminate",
         "lattice.lattice_from_generators",
-        "linalg.hnf",
     )
     calls = count_calls(monkeypatch, *names)
     assert check_shortest_vectors_42().success
-    assert calls["linalg._eliminate"] == 1
+    assert calls["linalg.hnf"] == 1
     assert not check_attempt21().success
     assert calls == {
-        "linalg._eliminate": 2,
+        "linalg.hnf": 2,
+        "linalg._eliminate": 0,
         "lattice.lattice_from_generators": 0,
-        "linalg.hnf": 0,
     }
 
 
@@ -324,7 +369,7 @@ def test_packed_lane_addition_is_lanewise_addition_mod_dd(dd):
     rng = random.Random(dd)
     n = 42
     width = dd.bit_length() + 1
-    add = verification._lane_adder(dict(dd=dd, n=n, width=width))
+    add = verification._lane_adder(dict(dd=dd, lanes=n, width=width))
     top = [dd - 1] * n
     pairs = [(top, top), (top, [0] * n), (top, [1 % dd] * n)]
     for _ in range(200):
@@ -383,7 +428,7 @@ def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
 def test_scan_hits_are_confirmed_without_an_inverse(monkeypatch):
     # with linalg.inverse broken wherever latred binds it, every hit is
     # still confirmed by the second route, which shares no kernel with
-    # the elimination that gives the scan its adjugate
+    # the HNF that gives the scan its residues
     from importlib import import_module
 
     monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
@@ -416,8 +461,9 @@ def test_collision_scan_matches_the_reference_on_lattice42(appendix42_report):
 def test_scan_probes_each_key_once_where_the_reference_probes_each_offset(
     monkeypatch,
 ):
-    # the offsets live in the tables: the same collisions, hits and
-    # counts as the per-offset loops, with probes fewer by the offsets
+    # the tables hold the plain residues over the HNF basis, so the
+    # reference's per-offset loops, given the one zero offset, make the
+    # same probes, collisions, hits and counts
     monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
     load = verification._load_state
     states = []
@@ -437,11 +483,9 @@ def test_scan_probes_each_key_once_where_the_reference_probes_each_offset(
         for kind in kinds:
             counts = dict.fromkeys(verification._SCAN_COUNTS, 0)
             hits = verification._FAMILIES[kind](counts)
-            ref_hits, ref_counts = reference.offset_scan(state, kind)
+            ref_hits, ref_counts = reference.offset_scan(dict(state, offsets=[0]), kind)
             assert sorted(hits) == sorted(ref_hits), kind
-            offsets = len(state["offsets"])
-            assert ref_counts.pop("probes") == counts["probes"] * offsets
-            assert ref_counts == {k: v for k, v in counts.items() if k != "probes"}
+            assert ref_counts == counts, kind
             for key, value in counts.items():
                 total[key] += value
             hits_seen += len(hits)
@@ -460,7 +504,6 @@ def test_scan_42_builds_no_inverse_and_reports_its_counts(monkeypatch):
     assert rep.stats == {
         "single_table": 42,
         "pair_table": 861,
-        "offsets": 3,
         "probes": 10783,
         "collisions": 1267,
         "overlapping": 903,
