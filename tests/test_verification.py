@@ -216,13 +216,10 @@ def _residue_hits(vecs):
     return rel, hits
 
 
-def test_hnf_residue_hits_equal_the_reference_scan():
-    # the residues over the HNF basis H have the hits of the residues over
-    # the rational inverse of the generators past the first, and the HNF's
-    # relation row is the rational nullspace's relation; random sets of
-    # support 3 all have unit coefficients at these sizes, and about one in
-    # ten of support 5 and dimension 12 has none
-    rng = random.Random(7)
+def _scan_cases(rng):
+    """attempt21 and seeded random generator sets: those of support 3 all
+    have unit coefficients at these sizes, and about one in ten of support
+    5 and dimension 12 has none."""
     cases = [attempt21()[1]]
     for size, n in ((3, 6), (3, 8), (5, 8), (5, 10)):
         gens = _generator_sets(rng, n, size)
@@ -230,29 +227,53 @@ def test_hnf_residue_hits_equal_the_reference_scan():
     gens = _generator_sets(rng, 12, 5)
     while sum(check_no_unit_coefficient(linear_dependence(v)) for v in cases) < 8:
         cases.append(next(gens))
-    units = hits_seen = 0
+    return cases
+
+
+def test_adjugate_relation_equals_the_rational_nullspace_one():
+    # the relation that appendix_scan reads off the HNF's row with a zero
+    # left part (where it once solved an adjugate) is the rational
+    # nullspace's relation, with and without unit coefficients
+    cases = _scan_cases(random.Random(7)) + [lattice42()[1]]
+    units = 0
+    for vecs in cases:
+        rel, _ = _dependence([[int(x) for x in v] for v in vecs])
+        assert rel == reference.linear_dependence(vecs)
+        units += not check_no_unit_coefficient(rel)
+    assert len(cases) >= 33 and units >= 20
+
+
+def test_scan_state_residues_equal_the_rational_inverse_ones():
+    # H is the reference HNF basis, and the residues over H are the dd and
+    # rows of its rational inverse, lanes that are 0 for every position
+    # dropped
+    cases = [lattice42()[1]] + _scan_cases(random.Random(5))
+    for vecs in cases:
+        _, h = _dependence([[int(x) for x in v] for v in vecs])
+        assert h == [row for row in reference.hnf_with_transform(vecs)[0] if any(row)]
+        inv = reference.inverse(h)
+        dd = lcm(*(x.denominator for row in inv for x in row))
+        rows = [[int(x * dd) % dd for x in row] for row in inv]
+        lanes = [c for c, col in enumerate(zip(*rows)) if any(col)]
+        assert verification._residues(h) == (
+            dd,
+            [tuple(row[c] for c in lanes) for row in rows],
+        )
+        if vecs is cases[0]:
+            assert (dd, len(lanes)) == (20, 21)
+
+
+def test_hnf_residue_hits_equal_the_reference_scan():
+    # the residues over the HNF basis H have the hits of the residues over
+    # the rational inverse of the generators past the first
+    cases = _scan_cases(random.Random(7))
+    hits_seen = 0
     for vecs in cases:
         rel, hits = _residue_hits(vecs)
         assert rel == reference.linear_dependence(vecs)
         assert hits == reference.appendix_scan(vecs)[1]
-        units += not check_no_unit_coefficient(rel)
         hits_seen += len(hits)
-    assert len(cases) >= 32 and units >= 20 and hits_seen >= 30
-    # on lattice42, the relation and the dd and residues of the rational
-    # inverse of H, lanes that are 0 for every position dropped
-    vecs = lattice42()[1]
-    rel, h = _dependence([[int(x) for x in v] for v in vecs])
-    assert rel == reference.linear_dependence(vecs)
-    assert h == [row for row in reference.hnf_with_transform(vecs)[0] if any(row)]
-    inv = reference.inverse(h)
-    dd = lcm(*(x.denominator for row in inv for x in row))
-    rows = [[int(x * dd) % dd for x in row] for row in inv]
-    lanes = [c for c, col in enumerate(zip(*rows)) if any(col)]
-    assert verification._residues(h) == (
-        dd,
-        [tuple(row[c] for c in lanes) for row in rows],
-    )
-    assert (dd, len(lanes)) == (20, 21)
+    assert hits_seen >= 30
 
 
 def _add_one(monkeypatch, name, row, col):
