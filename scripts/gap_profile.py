@@ -3,11 +3,11 @@ family, with the exact per-step norm profiles of the structured KZ basis.
 
 Usage: python scripts/gap_profile.py [max_k]
 
-The KZ GSO norms are the ones the structural verifier reads off the
-claimed basis's supports block by block.  Each verifier's time is printed
-on its own: at k = 10 (dimension 2,398) the gap takes about 0.1 s and the
-KZ structure 0.3 s, and the whole run to k = 10 under 2 s (Python 3.11,
-Fraction backend); k has no cap.  Exits 1 if a KZ
+The KZ GSO norms are the exact ones the structural verifier's one pass
+reads off the claimed basis's supports, block by block.  Each verifier's
+time is printed on its own: at k = 10 (dimension 2,398) the gap takes
+about 0.1 s and the KZ structure 0.13 s, and the whole run to k = 10
+under 2 s (Python 3.11, Fraction backend); k has no cap.  Exits 1 if a KZ
 structural check or a gap verdict fails.  L_1 has no strict gap (its last
 greedy vector meets the 5/4 maximum), so there strict_gap must be false.
 """
@@ -17,7 +17,7 @@ import time
 
 from latred.constructions import _kz_claim, glued_params
 from latred.rationals import qstr
-from latred.verification import _block_gso, verify_kz_structure, verify_theorem_gap
+from latred.verification import _kz_walk, verify_kz_structure, verify_theorem_gap
 
 
 def main() -> int:
@@ -33,8 +33,8 @@ def main() -> int:
         print("k=%d (dim %d)" % (k, params.dims[-1]))
         print("  kz-structure verified in %.2fs, gap in %.2fs" % (t1 - t0, t2 - t1))
         print("  KZ structural check: %s" % ("ok" if kz.success else "FAILED"))
-        walk = _block_gso(params, _kz_claim(params))
-        norms = "unconfirmed" if walk is None else " ".join(qstr(x) for x in walk[0])
+        norms, _, _ = _kz_walk(params, _kz_claim(params))
+        norms = "unconfirmed" if norms is None else " ".join(qstr(x) for x in norms)
         print("  KZ GSO norms^2: %s" % norms)
         print("  KZ max norm^2:  %s" % qstr(kz.quantities["kz_max_norm_sq"]))
         print("  last greedy vector norm^2: %s" % qstr(gap.quantities["v_last_sq"]))

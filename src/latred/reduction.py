@@ -20,7 +20,7 @@ from .enumeration import (
     _shortest,
     lll_rows,
 )
-from .errors import BudgetExceeded, PreconditionViolated
+from .errors import BadParams, BudgetExceeded, PreconditionViolated
 from .lattice import IntGSO, Lattice, _Prefix, coordinates, integer_coordinates
 from .linalg import hnf, norm_sq, normalize_sign, row_times_mat, vsub
 from .rationals import Q, QONE, qden
@@ -215,6 +215,8 @@ def vdw_delta_table(K: int, use_improvements: bool) -> DeltaTable:
     """Exact Delta_1..Delta_K from the size-reduction recurrence
     Delta_{k+1} = max(1, (sum_i Delta_i + 1) / 4), optionally substituting
     the proven Delta_6 = 3/2 and Delta_7 = 7/4."""
+    if K < 1:
+        raise BadParams("the Delta table needs K >= 1")
     values = []
     improved = []
     total = Q(0)

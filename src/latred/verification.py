@@ -13,9 +13,10 @@ closed form.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd, prod
 from operator import mul
 from sys import intern
@@ -575,50 +576,33 @@ def _glue_residues_priced(params, glues):
             return False
         if any(qden(x) != p for x in g.values()):
             return False
-        block = [qnum(x) for c, x in g.items() if c]
+        # r g_j's cost on block j depends only on its numerators mod p_j:
+        # each distinct one is priced once, times its count
+        counts = Counter(qnum(x) % p for c, x in g.items() if c).items()
         for r in range(1, p):
-            if sum(min(t, p - t) ** 2 for t in (r * a % p for a in block)) < p * p:
+            ts = [(r * a % p, n) for a, n in counts]
+            if sum(n * min(t, p - t) ** 2 for t, n in ts) < p * p:
                 return False
     return True
 
 
-def _block_steps(params, j):
-    """Global step range [start, end) of block j in the claimed basis."""
-    start = params.dims[j] - (1 if j == 0 else 0)
-    size = 5 if j == 0 else params.primes[j] ** 2
-    return start, start + size
+def _kz_walk(params, claimed):
+    """One pass over the claimed KZ basis, given as supports, block by
+    block: (GSO norms, the verdicts gso_norms_match, stepwise_minimality
+    and tie_breaks, the largest squared norm).  The norms are None where a
+    row leaves the shapes below.
 
+    The layout claims block 0's units e_lo and e_lo+1, its glue vector,
+    then e_lo+2 .. e_hi-1, and every later block's e_lo, its glue vector,
+    then e_lo+2 .. e_hi-1.  Before each step it leaves m block coordinates
+    unspanned (block 0's include the shared one); before the step of e_c
+    past the glue vector they are keep and [c, hi), with keep the shared
+    coordinate in block 0 and lo + 1 in the later blocks.
 
-def _slot_plan(params):
-    """Per-step metadata for the claimed KZ basis: (block, kind, remaining
-    unspanned block coordinates)."""
-    plan = []
-    for j, (p, (lo, hi)) in enumerate(zip(params.primes, params.blocks)):
-        if j == 0:
-            remaining = set(range(0, hi))
-            unit_slots = [lo, lo + 1]
-        else:
-            remaining = set(range(lo, hi))
-            unit_slots = [lo]
-        for c in unit_slots:
-            plan.append((j, "unit", frozenset(remaining)))
-            remaining.discard(c)
-        plan.append((j, "glue", frozenset(remaining)))
-        for c in range(lo + 2, hi):
-            plan.append((j, "diff", frozenset(remaining)))
-            remaining.discard(c)
-    return plan
-
-
-def _block_gso(params, rows):
-    """(GSO norms, complements) of sparse rows laid out as the claimed KZ
-    basis, block by block, or None where a row leaves the shapes below.
-
-    Block j's rows may touch only its own coordinates C_j (block 0's
-    include the shared one) and the earlier blocks' ones, which the
-    earlier blocks span.  So each row is projected onto the complement of
-    its prefix inside C_j, which is R^R for a coordinate set R or its
-    sum-zero hyperplane S_R; complements[i] is (R, whether S_R) at step i.
+    Block j's rows may touch only its own coordinates C_j and the earlier
+    blocks' ones, which the earlier blocks span.  So each row is projected
+    onto the complement of its prefix inside C_j, which is R^R for a
+    coordinate set R or its sum-zero hyperplane S_R.
     - On R^R a row whose restriction to R is x e_c projects to x e_c and
       leaves R^(R - c); one that is a constant v on all of R (the glue
       vector) projects to v 1_R and leaves S_R.
@@ -626,31 +610,95 @@ def _block_gso(params, rows):
       x (e_c - 1_R / m), of squared norm x^2 (1 - 1/m), and leaves
       S_(R - c).
     A block ends spanned, with R^{} or S_R for a single R.  A zero
-    projection means a dependent row."""
-    norms, complements = [], []
-    for j, (lo, hi) in enumerate(params.blocks):
-        start, end = _block_steps(params, j)
+    projection means a dependent row.  R and the layout's coordinates
+    start equal in every block, so they are equal while the coordinates
+    removed from each are: `moved` holds their symmetric difference."""
+    sqs = [_sq(s) for s in claimed]
+    norms = []
+    placed = match = ok_steps = ok_ties = True
+    i = 0
+    for j, (p, (lo, hi)) in enumerate(zip(params.primes, params.blocks)):
+        pp = p * p
+        keep = 0 if j == 0 else lo + 1
         R = set(range(0 if j == 0 else lo, hi))
+        m = len(R)
         glued = False
-        for s in rows[start:end]:
-            if max(s, default=0) >= hi or min(s, default=0) < 0:
-                return None
-            complements.append((frozenset(R), glued))
-            r = {c: x for c, x in s.items() if c in R}
+        moved = set()
+        units = (lo, lo + 1) if j == 0 else (lo,)
+        for c in chain(units, (None,), range(lo + 2, hi)):
+            if i == len(claimed):
+                break
+            s, sq = claimed[i], sqs[i]
+            i += 1
+            if c is None:
+                predicted = Q(pp - 1, pp)
+                # r = 1 is the cheapest residue: m / p^2 prices every
+                # competitor
+                ok_steps &= Q(m, pp) == predicted < 1
+                # every projected-norm minimizer has all remaining
+                # coordinates at +/-1/p plus fractional entries on the
+                # hi - lo + (j == 0) - m block coordinates already spanned
+                # and, outside block 0, on the shared coordinate, so its
+                # full squared norm is at least the glue vector's; a
+                # nonzero residue in any other block costs a further >= 1
+                floor = predicted + Q(hi - lo + 1 - m, pp)
+                ok_ties &= sq == floor and predicted + 1 > floor
+            elif c in units:
+                predicted = QONE
+                # fractional in-block competitors cost at least m / p^2
+                ok_steps &= m >= pp
+                ok_ties &= sq == 1
+            else:
+                # diff step: the block-supported part of the projected
+                # lattice is generated by the projections of the block's
+                # rows from here on.  With the complement S_R that the
+                # layout names, the walk places each of them, at its own
+                # step, as x e_c for a distinct c in R, so they project
+                # to x (m e_c - 1_R) / m; every diff step checks its x is
+                # +-1.  m - 1 of the m difference-lattice rows m e_c - 1_R
+                # (whose sum is 0) generate the whole difference lattice.
+                # The walk's R is the layout's when nothing is moved, and
+                # then it is glued too: the layout has removed one
+                # coordinate fewer than the block has had rows
+                predicted = QONE - Q(1, m)
+                ok_steps &= not moved
+                ok_steps &= [
+                    abs(x) for a, x in s.items() if a == keep or c <= a < hi
+                ] == [1]
+                ok_steps &= _difference_min_sq(m) / (m * m) == predicted
+                ok_ties &= sq == 1
+            # any projected vector with content in a later block keeps
+            # those coordinates untouched and pays at least 1 there
+            ok_steps &= predicted <= 1
+            if c is not None:
+                m -= 1
+                moved ^= {c}
+            if not placed or max(s, default=0) >= hi or min(s, default=0) < 0:
+                placed = False
+                continue
+            r = {a: x for a, x in s.items() if a in R}
             if len(r) == 1:
-                ((c, x),) = r.items()
-                norms.append(x * x * (1 - Q(1, len(R))) if glued else x * x)
-                R.discard(c)
+                ((a, x),) = r.items()
+                norm = x * x * (1 - Q(1, len(R))) if glued else x * x
+                R.discard(a)
+                moved ^= {a}
             elif not glued and len(r) == len(R) and len(set(r.values())) == 1:
-                norms.append(r[min(r)] ** 2 * len(R))
+                norm = next(iter(r.values())) ** 2 * len(R)
                 glued = True
             else:
-                return None
-            if not norms[-1]:
-                return None
-        if len(R) != glued:
-            return None
-    return (norms, complements) if len(norms) == len(rows) else None
+                placed = False
+                continue
+            placed = norm != 0
+            norms.append(norm)
+            match &= norm == predicted
+        placed &= len(R) == glued
+    placed &= i == len(claimed)
+    checks = {
+        "gso_norms_match": placed and match,
+        "stepwise_minimality": placed and ok_steps,
+        "tie_breaks": ok_ties,
+    }
+    return (norms if placed else None), checks, max(sqs)
 
 
 def verify_kz_structure(k: int) -> TheoremReport:
@@ -675,66 +723,10 @@ def _kz_structure(params, claimed) -> TheoremReport:
     supports."""
     rep = TheoremReport("glued_prime_%d" % params.k)
     rep.verdicts["claimed_is_basis"] = _is_glued_basis(params, claimed)
-
-    walk = _block_gso(params, claimed)
-    plan = _slot_plan(params)
-    predicted = []
-    for j, kind, remaining in plan:
-        p = params.primes[j]
-        if kind == "unit":
-            predicted.append(QONE)
-        elif kind == "glue":
-            predicted.append(Q(p * p - 1, p * p))
-        else:
-            predicted.append(QONE - Q(1, len(remaining)))
-    rep.verdicts["gso_norms_match"] = walk is not None and walk[0] == predicted
-
-    ok_steps = walk is not None
-    ok_ties = True
-    for i, ((j, kind, remaining), row) in enumerate(zip(plan, claimed)):
-        p = params.primes[j]
-        lo, hi = params.blocks[j]
-        # any projected vector with content in a later block keeps those
-        # coordinates untouched and pays at least 1 there
-        ok_steps &= predicted[i] <= 1
-        if kind == "unit":
-            # fractional in-block competitors cost at least |R| / p^2
-            ok_steps &= Q(len(remaining), p * p) >= 1
-            ok_ties &= _sq(row) == 1
-            continue
-        if kind == "glue":
-            bound = min(
-                Q(len(remaining) * min(r, p - r) ** 2, p * p) for r in range(1, p)
-            )
-            ok_steps &= bound == predicted[i] and predicted[i] < 1
-            # every projected-norm minimizer has all remaining coordinates
-            # at +/-1/p plus fractional entries on the block coordinates
-            # already spanned (and the shared coordinate), so its full
-            # squared norm is at least the glue vector's
-            spanned_in_block = (hi - lo + (1 if j == 0 else 0)) - len(remaining)
-            extra = spanned_in_block + (0 if 0 in remaining else 1)
-            floor = predicted[i] + Q(extra, p * p)
-            ok_ties &= _sq(row) == floor
-            # a nonzero residue in any other block costs a further >= 1
-            ok_ties &= predicted[i] + 1 > floor
-            continue
-        # diff step: the block-supported part of the projected lattice is
-        # generated by the projections of the block's rows from here on.
-        # With the complement S_R that the plan names, the walk placed each
-        # of them, at its own step, as x e_c for a distinct c in R, so they
-        # project to x (m e_c - 1_R) / m; every diff step checks its x is
-        # +-1.  m - 1 of the m difference-lattice rows m e_c - 1_R (whose
-        # sum is 0) generate the whole difference lattice
-        m = len(remaining)
-        ok_steps &= walk is not None and walk[1][i] == (remaining, True)
-        ok_steps &= [abs(x) for c, x in row.items() if c in remaining] == [1]
-        ok_steps &= _difference_min_sq(m) / (m * m) == predicted[i]
-        ok_ties &= _sq(row) == 1
-    rep.verdicts["stepwise_minimality"] = ok_steps
-    rep.verdicts["tie_breaks"] = ok_ties
-
-    rep.quantities["kz_max_norm_sq"] = max(_sq(s) for s in claimed)
-    rep.verdicts["max_is_5_4"] = rep.quantities["kz_max_norm_sq"] == Q(5, 4)
+    _, checks, max_sq = _kz_walk(params, claimed)
+    rep.verdicts.update(checks)
+    rep.quantities["kz_max_norm_sq"] = max_sq
+    rep.verdicts["max_is_5_4"] = max_sq == Q(5, 4)
 
     if params.k <= 2:
         # enumeration oracle: the claimed GSO norm at each step must equal

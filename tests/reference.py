@@ -34,7 +34,8 @@
 - `theorem_gap`, `kz_structure`: the glued-prime verifiers on L_k itself
   (coordinate solves and determinants, enumeration, Smith form, the
   claimed basis's rational GSO and HNF, and the KZ-first shortest basis)
-  instead of its generators.
+  instead of its generators; `kz_layout` gives kz_structure the claimed
+  KZ basis's steps, read off `glued_kz_claimed_basis` below.
 - `glued_kz_claimed_basis`, `glued_shortest_basis`: the glued-prime
   claims built row by row as d-long tuples of units and glue vectors.
 - `supports`: rows as {coordinate: nonzero entry}, the form the glued
@@ -98,9 +99,7 @@ from latred.reduction import minkowski_reduce as _minkowski_reduce
 from latred.verification import (
     TheoremReport,
     _SCAN_COUNTS,
-    _block_steps,
     _lane_adder,
-    _slot_plan,
     difference_lattice_basis,
     difference_lattice_min,
 )
@@ -891,6 +890,33 @@ def _gap_witness(params, residues, prod):
     return tuple(w)
 
 
+def kz_layout(params):
+    """(block, kind, remaining, end) per step of the claimed KZ basis, read
+    off glued_kz_claimed_basis row by row.  A row belongs to the block of
+    its last nonzero coordinate; its kind is "glue" for the fractional row
+    and, for a unit, "diff" past its block's glue row and "unit" before
+    it; remaining is the set of block coordinates (block 0's with the
+    shared one) that no earlier unit of the block claims; end is the
+    index past the block's last step."""
+    ends = [hi for _, hi in params.blocks]
+    steps = []
+    block = None
+    for v in glued_kz_claimed_basis(params.k):
+        top = max(c for c, x in enumerate(v) if x)
+        j = bisect_right(ends, top)
+        if j != block:
+            lo, hi = params.blocks[j]
+            block, remaining, glued = j, set(range(0 if j == 0 else lo, hi)), False
+        if not all(is_integer(x) for x in v):
+            steps.append([j, "glue", frozenset(remaining)])
+            glued = True
+        else:
+            steps.append([j, "diff" if glued else "unit", frozenset(remaining)])
+            remaining.discard(top)
+    last = {j: i + 1 for i, (j, _, _) in enumerate(steps)}
+    return [(j, kind, remaining, last[j]) for j, kind, remaining in steps]
+
+
 def kz_structure(params, claimed):
     """verify_kz_structure's report on the given claimed basis."""
     k = params.k
@@ -901,9 +927,9 @@ def kz_structure(params, claimed):
     rep.verdicts["claimed_is_basis"] = abs(determinant(coord_rows)) == 1
 
     gso = gram_schmidt(claimed)
-    plan = _slot_plan(params)
+    plan = kz_layout(params)
     predicted = []
-    for j, kind, remaining in plan:
+    for j, kind, remaining, _ in plan:
         p = params.primes[j]
         if kind == "unit":
             predicted.append(Q(1))
@@ -916,7 +942,7 @@ def kz_structure(params, claimed):
     ok_steps = True
     ok_ties = True
     tails = projected_tails(claimed, gso)
-    for i, ((j, kind, remaining), tail) in enumerate(zip(plan, tails)):
+    for i, ((j, kind, remaining, bend), tail) in enumerate(zip(plan, tails)):
         p = params.primes[j]
         lo, hi = params.blocks[j]
         ok_steps &= predicted[i] <= 1
@@ -935,7 +961,6 @@ def kz_structure(params, claimed):
             ok_ties &= norm_sq(claimed[i]) == floor
             ok_ties &= predicted[i] + 1 > floor
             continue
-        _, bend = _block_steps(params, j)
         m = len(remaining)
         rcols = sorted(remaining)
         gens = []

@@ -70,6 +70,16 @@ def test_verify_checks_its_parameter_count(capsys, dnstar5):
     assert code == 0 and json.loads(out)["suite"] == "delta-table"
 
 
+def test_verify_delta_table_rejects_an_empty_table(capsys):
+    # K < 1 leaves no entry to check, so it is a usage error like every
+    # other suite's out-of-range parameter, not a pass
+    for K in ("0", "-2"):
+        assert cli.main(["verify", "delta-table", K]) == 2, K
+        captured = capsys.readouterr()
+        assert captured.out == "", K
+        assert captured.err == "error: the Delta table needs K >= 1\n", K
+
+
 def test_reduce_minkowski(capsys, dnstar5):
     code, out = run(capsys, ["reduce", "--alg", "minkowski", dnstar5])
     assert code == 0

@@ -1,5 +1,5 @@
 """The scripts in scripts/ run to exit 0 on small inputs.  They import
-private names of latred (`_block_gso`, `_kz_claim`), so a refactor that
+private names of latred (`_kz_walk`, `_kz_claim`), so a refactor that
 renames one breaks them; each run here takes about a second."""
 
 import os

@@ -3,8 +3,10 @@ python -O strips, or on a float.  The wall-clock `elapsed` defaults of
 the reports are the one float literal allowed.  And the package stays
 pure Python: it imports the standard library, the optional gmpy2 and
 itself, nothing else.  Its one Gram-Schmidt is the integral recurrence
-`lattice._lam_row`, and its one elimination the fraction-free
-`linalg._eliminate`; the rational processes live in tests/reference.py."""
+`lattice._lam_row`.  Rank and inverse come from the fraction-free
+elimination `linalg._eliminate`, and `linear_dependence` and the 42-scan's
+relation and residues from `linalg.hnf`; latred takes no determinant and
+builds no adjugate.  The rational processes live in tests/reference.py."""
 
 import ast
 import sys
@@ -131,10 +133,10 @@ def test_src_has_no_rational_gram_schmidt():
 
 
 def test_src_has_no_nullspace_or_adjugate_elimination():
-    # rank, determinant, inverse, linear_dependence and the 42-scan's
-    # relation and adjugate are read off the one fraction-free elimination
-    # linalg._eliminate; no file names a separate nullspace or adjugate
-    # routine
+    # rank and inverse are read off the fraction-free elimination
+    # linalg._eliminate, and linear_dependence and the 42-scan's relation
+    # and residues off one linalg.hnf of the generators with the identity
+    # appended; no file names a separate nullspace or adjugate routine
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     found = [

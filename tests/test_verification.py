@@ -816,6 +816,12 @@ def test_gap_witness_off_the_covolume_is_refused(monkeypatch):
     assert rep.verdicts["norm_one_vectors_are_units"]
 
 
+def _block_start(rows, params, j):
+    """Index of the first row that touches block j's coordinates."""
+    lo, hi = params.blocks[j]
+    return next(i for i, v in enumerate(rows) if any(v[lo:hi]))
+
+
 def _tampered(claimed, how, params):
     rows = list(claimed)
     if how == "glue_doubled":
@@ -840,14 +846,14 @@ def _tampered(claimed, how, params):
     elif how == "first_unit_moved":
         # the second block's first unit slot holds its second unit, which
         # also completes a basis but spans the block in another order
-        start, _ = verification._block_steps(params, 1)
+        start = _block_start(rows, params, 1)
         second = params.blocks[1][0] + 1
         rows[start] = tuple(Q(int(c == second)) for c in range(len(rows[0])))
     elif how == "diff_doubled":
-        start, _ = verification._block_steps(params, 1)
+        start = _block_start(rows, params, 1)
         rows[start + 2] = tuple(2 * x for x in rows[start + 2])
     else:  # two diff slots of the second block swapped
-        start, _ = verification._block_steps(params, 1)
+        start = _block_start(rows, params, 1)
         rows[start + 2], rows[start + 3] = rows[start + 3], rows[start + 2]
     return tuple(rows)
 
@@ -900,9 +906,118 @@ def test_kz_basis_the_generic_route_cannot_finish_is_refused(how, error):
     assert not got.verdicts["claimed_is_basis"]
     assert not got.verdicts["gso_norms_match"]
     assert not got.verdicts["stepwise_minimality"]
-    assert verification._block_gso(params, rows) is None
+    norms, _, _ = verification._kz_walk(params, rows)
+    assert norms is None
     with pytest.raises(getattr(errors, error)):
         reference.kz_structure(params, claimed)
+
+
+def _kz_tampering(k, how, seed):
+    """The dense KZ claim of L_k tampered as `how` says, at places drawn
+    from a generator seeded with `seed`."""
+    params = glued_params(k)
+    rows = list(glued_kz_claimed_basis(k))
+    d = len(rows[0])
+    steps = reference.kz_layout(params)
+    rng = random.Random(seed)
+    i = rng.randrange(len(rows))
+
+    def unit(c):
+        return tuple(Q(int(t == c)) for t in range(d))
+
+    if how == "swap":
+        # two rows of one block
+        j = rng.randrange(k)
+        a, b = rng.sample([t for t, step in enumerate(steps) if step[0] == j], 2)
+        rows[a], rows[b] = rows[b], rows[a]
+    elif how == "other_unit":
+        # a unit slot holds another unit of its block; at k <= 2 only the
+        # unclaimed one, so the generic oracle meets independent rows
+        a = rng.choice([t for t, step in enumerate(steps) if step[1] == "unit"])
+        j, _, remaining, _ = steps[a]
+        own = next(c for c, x in enumerate(rows[a]) if x)
+        if k <= 2:
+            lo, _ = params.blocks[j]
+            choices = [0 if j == 0 else lo + 1]
+        else:
+            choices = sorted(remaining - {own})
+        rows[a] = unit(rng.choice(choices))
+    elif how == "negated":
+        rows[i] = tuple(-x for x in rows[i])
+    elif how == "doubled":
+        rows[i] = tuple(2 * x for x in rows[i])
+    elif how == "dropped":
+        del rows[i]
+    elif how == "repeated":
+        rows.insert(i, rows[i])
+    else:  # appended: a unit past the layout
+        rows.append(unit(rng.randrange(d)))
+    return params, tuple(rows)
+
+
+_KZ_TAMPERINGS = [
+    (k, how, seed)
+    for k, counts in (
+        (2, {"swap": 3, "other_unit": 3, "negated": 2, "doubled": 2, "dropped": 2}),
+        (
+            3,
+            {
+                "swap": 4,
+                "other_unit": 3,
+                "negated": 2,
+                "doubled": 2,
+                "dropped": 2,
+                "repeated": 2,
+                "appended": 2,
+            },
+        ),
+    )
+    for how, n in counts.items()
+    for seed in range(n)
+]
+
+
+@pytest.mark.parametrize("k, how, seed", _KZ_TAMPERINGS)
+def test_tampered_kz_claims_match_the_reference(k, how, seed):
+    # the one block walk against the reference's rational GSO, projected
+    # tails and HNF on its own layout; where the reference cannot finish,
+    # the walk must confirm nothing
+    from latred.errors import LatredError
+
+    params, claimed = _kz_tampering(k, how, seed)
+    got = verification._kz_structure(params, reference.supports(claimed))
+    try:
+        want = reference.kz_structure(params, claimed)
+    except LatredError:
+        for name in ("claimed_is_basis", "gso_norms_match", "stepwise_minimality"):
+            assert not got.verdicts[name], name
+        return
+    if how == "negated":
+        # the generator check takes each claimed support exactly as a unit
+        # or a glue vector, so it refuses the negated one that the
+        # reference's determinant still counts as a basis row
+        assert not got.verdicts["claimed_is_basis"]
+        assert want.verdicts["claimed_is_basis"]
+        got.verdicts["claimed_is_basis"] = True
+    assert _report_tables(got) == _report_tables(want)
+
+
+def test_unspanned_unit_in_the_last_kz_diff_slot_passes():
+    # block 1's last diff slot of L_3 holds e_(lo+1), which the layout keeps
+    # unspanned, instead of e_(hi-1): the complement before the step is the
+    # layout's S_R with R = {lo+1, hi-1}, the row projects to the same norm
+    # 1/2, and the rows still complete a basis, so every verdict holds on
+    # both routes although the step removes another coordinate than the
+    # layout's
+    params = glued_params(3)
+    lo, hi = params.blocks[1]
+    rows = list(glued_kz_claimed_basis(3))
+    end = max(t for t, (j, *_) in enumerate(reference.kz_layout(params)) if j == 1)
+    assert rows[end][hi - 1] == 1
+    rows[end] = tuple(Q(int(c == lo + 1)) for c in range(len(rows[end])))
+    got = verification._kz_structure(params, reference.supports(rows))
+    assert got.success, got.verdicts
+    assert _report_tables(got) == _report_tables(reference.kz_structure(params, rows))
 
 
 @pytest.mark.parametrize("how", ["unit_at_d", "negative_coordinate", "stored_zero"])
@@ -927,9 +1042,9 @@ def test_tampered_supports_are_no_basis(how):
     # the KZ walk places no row off [0, d), not even beside a unit; a 0
     # stored on a spanned coordinate leaves the vector e_c, which it places
     if how != "stored_zero":
-        assert verification._block_gso(params, rows) is None
+        assert verification._kz_walk(params, rows)[0] is None
         rows[-1] = {**rows[-1], c: Q(1)}
-        assert verification._block_gso(params, rows) is None
+        assert verification._kz_walk(params, rows)[0] is None
 
 
 def test_glued_verifiers_past_k_2_build_no_dense_row(monkeypatch):
@@ -967,12 +1082,19 @@ def test_block_gso_equals_the_rational_gso():
     for k in (1, 2, 3):
         params = glued_params(k)
         claimed = glued_kz_claimed_basis(k)
-        norms, complements = verification._block_gso(params, _kz_claim(params))
-        assert norms == list(reference.gram_schmidt(claimed).norms_sq)
-        # the complement before each step is the one the slot plan names
-        plan = verification._slot_plan(params)
-        assert [r for r, _ in complements] == [r for _, _, r in plan]
-        assert [g for _, g in complements] == [kind == "diff" for _, kind, _ in plan]
+        gso = reference.gram_schmidt(claimed)
+        norms, checks, _ = verification._kz_walk(params, _kz_claim(params))
+        assert norms == list(gso.norms_sq)
+        # the complement before each step is the one the layout names:
+        # every GSO vector lies on it, and fills it from the glue step on;
+        # and the walk's complement is the layout's at every diff step
+        for (_, kind, remaining, _), b in zip(reference.kz_layout(params), gso.bstar):
+            support = {c for c, x in enumerate(b) if x}
+            assert support <= remaining
+            assert (support == remaining) == (kind != "unit")
+        assert checks == dict.fromkeys(
+            ("gso_norms_match", "stepwise_minimality", "tie_breaks"), True
+        )
 
 
 
