@@ -13,7 +13,7 @@ from .errors import PreconditionViolated
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is an optional extra
     from fractions import Fraction as Q
 
 QZERO = Q(0)

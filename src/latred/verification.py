@@ -502,62 +502,46 @@ def _sq(s):
     return sum((x * x for x in s.values()), QZERO)
 
 
-def _combine(terms):
-    """sum of a * s over the (integer a, sparse s) terms, sparse."""
-    out = {}
-    for a, s in terms:
-        for i, x in s.items():
-            out[i] = out.get(i, QZERO) + a * x
-    return {i: x for i, x in out.items() if x}
-
-
 def _is_glued_basis(params, claimed):
-    """Whether the claimed vectors are a basis of L_k, decided on the
-    generators: every claimed support must equal that of a unit e_c with c
-    in [0, d) or of a glue vector g_j (so no entry is stored as 0), each at
-    most once, every glue vector must be claimed, and every omitted unit
-    must be an integer combination of claimed vectors, which is summed from
-    them and compared exactly:
-    - e_0 = 2 g_0 - (block 0's units);
-    - an omitted unit e_c of block j is p_j g_j - e_0 - (block j's other
-      units), with e_0 itself or its combination.
-    Then the claimed vectors generate L_k, and d of them are a basis."""
+    """Whether the claimed vectors are a basis of L_k, decided by a count
+    over the generators e_0 .. e_{d-1} and g_0 .. g_{k-1}: every claimed
+    support must be +-e_c with c in [0, d) or +-g_j (so no entry is stored
+    as 0), no generator may be claimed twice up to sign, the claim must
+    hold all k glue vectors and d - k units, and no block [lo, hi) may
+    omit two of its own units.
+
+    The count is complete.  The relations among the generators are the
+    integer combinations of rho_j = p_j g_j - e_0 - (block j's units): a
+    block coordinate forces g_j's coefficient into p_j Z, and once those
+    multiples of rho_j are taken off, what is left is a relation among
+    the units, which is 0.  So d claimed generators are a basis iff the
+    k x k matrix of the rho_j on the k omitted generators is unimodular.
+    An omitted g_j gives the column p_j e_j, a factor p_j of the
+    determinant; an omitted unit of block j gives -e_j and e_0 all -1s,
+    and k such columns are unimodular iff no two of them are equal, that
+    is iff no block omits two of its units."""
     d = params.dims[-1]
-    glues = {
-        frozenset(g.items()): ("g", j) for j, g in enumerate(_glue_vectors(params))
-    }
-    held = {}
+    glues = _glue_vectors(params)
+    ending = {hi - 1: j for j, (_, hi) in enumerate(params.blocks)}
+    held = set()
     for s in claimed:
-        if len(s) == 1 and next(iter(s.values())) == 1:
-            c = next(iter(s))
-            key = ("e", c) if 0 <= c < d else None
+        if len(s) == 1:
+            ((c, x),) = s.items()
+            key = ("e", c) if x in (1, -1) and 0 <= c < d else None
         else:
-            key = glues.get(frozenset(s.items()))
+            j = ending.get(max(s, default=None))
+            if s.get(0, 0) < 0:  # -g_j, as g_j is positive there
+                s = {c: -x for c, x in s.items()}
+            key = ("g", j) if j is not None and s == glues[j] else None
         if key is None or key in held:
             return False
-        held[key] = s
-    # an omitted glue vector is no integer combination of the others, which
-    # are integral on its block
-    if len(held) != d or any(("g", j) not in held for j in range(params.k)):
+        held.add(key)
+    if len(held) != d or sum(kind == "g" for kind, _ in held) != params.k:
         return False
-    combos = {}
-    if ("e", 0) not in held:
-        block0 = range(*params.blocks[0])
-        combos[("e", 0)] = {("g", 0): 2, **{("e", c): -1 for c in block0}}
-    e0 = combos.get(("e", 0), {("e", 0): 1})
-    for j, (p, (lo, hi)) in enumerate(zip(params.primes, params.blocks)):
-        for c in range(lo, hi):
-            if ("e", c) in held:
-                continue
-            combo = {("g", j): p, **{("e", t): -1 for t in range(lo, hi) if t != c}}
-            for key, a in e0.items():
-                combo[key] = combo.get(key, 0) - a
-            combos[("e", c)] = combo
-    for (_, c), combo in combos.items():
-        terms = [(a, held.get(key)) for key, a in combo.items() if a]
-        if any(s is None for _, s in terms) or _combine(terms) != {c: QONE}:
-            return False
-    return True
+    return all(
+        sum(("e", c) not in held for c in range(lo, hi)) <= 1
+        for lo, hi in params.blocks
+    )
 
 
 def _glue_residues_priced(params, glues):
@@ -780,9 +764,7 @@ def _theorem_gap(params, sb_claim) -> TheoremReport:
     supports."""
     k = params.k
     rep = TheoremReport("glued_prime_%d" % k)
-    prod = 1
-    for p in params.primes:
-        prod *= p
+    index = prod(params.primes)  # [L_k : Z^d]
 
     rep.verdicts["short_basis_valid"] = _is_glued_basis(params, sb_claim)
     rep.quantities["short_basis_max_sq"] = max(_sq(s) for s in sb_claim)
@@ -810,23 +792,23 @@ def _theorem_gap(params, sb_claim) -> TheoremReport:
         # integral, so they are the signed units
         rep.verdicts["norm_one_vectors_are_units"] = priced
         # a completion w of the unit prefix is a basis iff |w_0| equals
-        # the covolume 1/prod, which forces its residue tuple to satisfy
+        # the covolume 1/index, which forces its residue tuple to satisfy
         # a unit congruence; every such tuple is priced blockwise
-        tuples = _residue_tuples(params.primes, prod)
+        tuples = _residue_tuples(params.primes, index)
         best = None
         best_tuple = None
         for t in tuples:
             val = sum(
                 (Q(min(c, p - c) ** 2) for c, p in zip(t, params.primes)), QZERO
-            ) + Q(1, prod * prod)
+            ) + Q(1, index * index)
             if best is None or val < best:
                 best, best_tuple = val, t
-        witness = _gap_witness(params, glues, best_tuple, prod)
+        witness = _gap_witness(params, glues, best_tuple, index)
         # the witness is an integer combination of generators, so it lies
         # in L_k, and [e_1..e_{d-1}; w] has determinant +-w_0: with
-        # |w_0| = 1/prod, the covolume, it is a basis
+        # |w_0| = 1/index, the covolume, it is a basis
         rep.verdicts["unit_prefix_primitive"] = (
-            priced and abs(witness[0]) * prod == 1
+            priced and abs(witness[0]) * index == 1
         )
         # the units span only Z^d, which misses the first glue vector
         rep.verdicts["all_units_not_basis"] = any(
@@ -867,17 +849,16 @@ def _gap_witness(params, glues, residues, prod):
     r_j the residues' representatives of least magnitude and n the integer
     that puts the shared coordinate w_0 nearest to 0, or one step further
     when that is not at distance 1/prod."""
-    terms = []
-    frac = QZERO
+    w = [QZERO] * params.dims[-1]
     for c, p, g in zip(residues, params.primes, glues):
         r = c if c <= p - c else c - p
-        terms.append((r, g))
-        frac += r * g.get(0, QZERO)
-    n = qround(frac)
-    if abs(frac - n) * prod != 1:
-        n += -1 if frac < n else 1
-    w = _combine(terms + [(-n, {0: QONE})])
-    return tuple(w.get(i, QZERO) for i in range(params.dims[-1]))
+        for i, x in g.items():
+            w[i] += r * x
+    n = qround(w[0])
+    if abs(w[0] - n) * prod != 1:
+        n += -1 if w[0] < n else 1
+    w[0] -= n
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------

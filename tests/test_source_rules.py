@@ -2,7 +2,7 @@
 python -O strips, or on a float.  The wall-clock `elapsed` defaults of
 the reports are the one float literal allowed.  And the package stays
 pure Python: it imports the standard library, the optional gmpy2 and
-itself, nothing else.  Its one Gram-Schmidt is the integral recurrence
+itself, nothing else, and its metadata requires nothing at install.  Its one Gram-Schmidt is the integral recurrence
 `lattice._lam_row`.  Rank and inverse come from the fraction-free
 elimination `linalg._eliminate`, and `linear_dependence` and the 42-scan's
 relation and residues from `linalg.hnf`; latred takes no determinant and
@@ -11,6 +11,8 @@ builds no adjugate.  The rational processes live in tests/reference.py."""
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latred"
 
@@ -88,6 +90,14 @@ def test_src_imports_only_the_stdlib_gmpy2_and_itself():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     assert [v for p in paths for v in foreign_imports(p)] == []
+
+
+def test_gmpy2_is_an_optional_extra():
+    tomllib = pytest.importorskip("tomllib")
+    text = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    meta = tomllib.loads(text)["project"]
+    assert meta["dependencies"] == []
+    assert meta["optional-dependencies"]["gmpy2"] == ["gmpy2>=2.1"]
 
 
 def test_the_import_rule_catches_third_party_imports(tmp_path):

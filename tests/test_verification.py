@@ -19,6 +19,7 @@ from latred.constructions import (
     dual_root_d,
     glued_kz_claimed_basis,
     glued_params,
+    glued_prime_lattice,
     glued_shortest_basis,
     lattice42,
     perturbed_lift,
@@ -992,13 +993,6 @@ def test_tampered_kz_claims_match_the_reference(k, how, seed):
         for name in ("claimed_is_basis", "gso_norms_match", "stepwise_minimality"):
             assert not got.verdicts[name], name
         return
-    if how == "negated":
-        # the generator check takes each claimed support exactly as a unit
-        # or a glue vector, so it refuses the negated one that the
-        # reference's determinant still counts as a basis row
-        assert not got.verdicts["claimed_is_basis"]
-        assert want.verdicts["claimed_is_basis"]
-        got.verdicts["claimed_is_basis"] = True
     assert _report_tables(got) == _report_tables(want)
 
 
@@ -1020,11 +1014,13 @@ def test_unspanned_unit_in_the_last_kz_diff_slot_passes():
     assert _report_tables(got) == _report_tables(reference.kz_structure(params, rows))
 
 
-@pytest.mark.parametrize("how", ["unit_at_d", "negative_coordinate", "stored_zero"])
+@pytest.mark.parametrize(
+    "how", ["unit_at_d", "negative_coordinate", "stored_zero", "empty"]
+)
 def test_tampered_supports_are_no_basis(how):
     # malformed supports with no dense counterpart: a unit past the last
     # coordinate or before the first (which would stand in for the unit
-    # they replace) and an entry stored as 0
+    # they replace) and an entry stored as 0; and the zero vector
     params = glued_params(3)
     d = params.dims[-1]
     for verify, builder, verdict in (
@@ -1037,14 +1033,103 @@ def test_tampered_supports_are_no_basis(how):
             "unit_at_d": {d: Q(1)},
             "negative_coordinate": {-1: Q(1)},
             "stored_zero": {c: Q(1), 0: Q(0)},
+            "empty": {},
         }[how]
         assert not verify(params, rows).verdicts[verdict]
     # the KZ walk places no row off [0, d), not even beside a unit; a 0
     # stored on a spanned coordinate leaves the vector e_c, which it places
-    if how != "stored_zero":
+    if how not in ("stored_zero", "empty"):
         assert verification._kz_walk(params, rows)[0] is None
         rows[-1] = {**rows[-1], c: Q(1)}
         assert verification._kz_walk(params, rows)[0] is None
+
+
+def _glued_generators(params):
+    """L_k's generators as dense rows, built here: e_0 .. e_(d-1), then the
+    glue vectors g_0 .. g_(k-1)."""
+    d = params.dims[-1]
+    units = [tuple(Q(int(c == i)) for c in range(d)) for i in range(d)]
+    return units + reference._glue_rows(params)
+
+
+def _assert_basis_verdicts_match(params, claims):
+    """_is_glued_basis on the supports of each (name, rows) claim equals
+    the reference's rule for short_basis_valid, |det(integer coordinates
+    over L_k)| = 1; returns the reference verdicts."""
+    L = glued_prime_lattice(params.k)
+    wants = []
+    for name, rows in claims:
+        coords = [reference.lll_coordinates(L, u) for u in rows]
+        want = abs(reference.determinant(coords)) == 1
+        got = verification._is_glued_basis(params, reference.supports(rows))
+        assert got == want, (name, want)
+        wants.append(want)
+    return wants
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_glued_basis_count_matches_the_determinant_on_every_omission(k):
+    # every claim that leaves out k of the d + k generators: of those that
+    # keep the glue vectors (5 at k = 1, 91 at k = 2) the bases are the
+    # omissions with no two units of one block (5 and 49); leaving out a
+    # glue vector never gives one
+    params = glued_params(k)
+    gens = _glued_generators(params)
+    d = params.dims[-1]
+    omissions = list(combinations(range(len(gens)), k))
+    claims = [
+        (omitted, [g for i, g in enumerate(gens) if i not in omitted])
+        for omitted in omissions
+    ]
+    wants = _assert_basis_verdicts_match(params, claims)
+    units_only = [w for omitted, w in zip(omissions, wants) if max(omitted) < d]
+    assert (len(units_only), sum(units_only), sum(wants)) == {
+        1: (5, 5, 5),
+        2: (91, 49, 49),
+    }[k]
+
+
+def test_glued_basis_without_e0_and_a_block_0_unit_is_a_basis():
+    # at k = 2, leaving out e_0 and e_1 keeps a basis: e_0 = 3 g_1 - (block
+    # 1's units), and then e_1 = 2 g_0 - e_0 - (block 0's other units)
+    params = glued_params(2)
+    gens = _glued_generators(params)
+    claim = gens[2:]
+    assert _assert_basis_verdicts_match(params, [("e_0, e_1", claim)]) == [True]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_glued_basis_count_matches_the_determinant_on_signed_claims(seed):
+    # a basis of L_3 (one unit left out per block, or e_0 for one block's)
+    # in a shuffled order, with a unit negated, a glue vector negated, and
+    # a unit replaced by the negation of another claimed unit, so that
+    # +-e_c are both claimed
+    rng = random.Random(seed)
+    params = glued_params(3)
+    gens = _glued_generators(params)
+    d = params.dims[-1]
+    omitted = {rng.randrange(lo, hi) for lo, hi in params.blocks}
+    if rng.randrange(2):
+        omitted = omitted - {rng.choice(sorted(omitted))} | {0}
+    basis = [g for i, g in enumerate(gens) if i not in omitted]
+    rng.shuffle(basis)
+    units = [i for i, u in enumerate(basis) if sum(u) == 1]
+    glues = [i for i in range(d) if i not in units]
+
+    def negated(rows, i, source=None):
+        rows = list(rows)
+        rows[i] = tuple(-x for x in rows[i if source is None else source])
+        return rows
+
+    a, b = rng.sample(units, 2)
+    claims = [
+        ("basis", basis),
+        ("negated unit", negated(basis, rng.choice(units))),
+        ("negated glue", negated(basis, rng.choice(glues))),
+        ("negated unit and glue", negated(negated(basis, a), rng.choice(glues))),
+        ("+-e_c", negated(basis, a, source=b)),
+    ]
+    assert _assert_basis_verdicts_match(params, claims) == [True] * 4 + [False]
 
 
 def test_glued_verifiers_past_k_2_build_no_dense_row(monkeypatch):
