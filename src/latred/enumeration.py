@@ -1,20 +1,23 @@
 """Exact shortest-vector, bounded-norm, and closest-vector enumeration.
 
-Depth-first enumeration over the exact Gram-Schmidt data of an
-LLL-preprocessed basis, read off the integral LLL's d and lambda.  All
-pruning uses exact interval bounds; there is no floating point anywhere.
-A node budget turns out-of-desk-scale instances into an explicit
-BudgetExceeded error instead of a long stall.
+Depth-first Fincke-Pohst enumeration over the integral Gram-Schmidt data
+(d, lambda, den) that the integral LLL ends with.  The walk is integral:
+each level's centre and cost are integers over one common denominator,
+and pruning is one isqrt per node, exact.  Pools sort on integers, and a
+kept vector's entries and norm become rationals once.  There is no
+floating point anywhere.  A node budget turns out-of-desk-scale
+instances into an explicit BudgetExceeded error instead of a long stall.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from .errors import BudgetExceeded
-from .lattice import IntGSO, Lattice, _Prefix
+from .lattice import IntGSO, Lattice, _Prefix, _target_lam
 from .linalg import matrix, norm_sq, row_times_mat
-from .rationals import Q, QZERO, qexact, qfloor, qnum, qden, qround
+from .rationals import Q, qexact, qnum, qden
 
 DEFAULT_BUDGET = 10**8
 
@@ -103,27 +106,42 @@ class _Budget:
             raise BudgetExceeded("enumeration node budget exhausted")
 
 
-def _level_range(center, remaining, ck):
-    """Integer x with ck * (x - center)^2 <= remaining, as [lo, hi]."""
-    t = remaining / ck
-    p = qnum(center)
-    q = qden(center)
-    s = isqrt(qfloor(t * q * q))
-    lo = -((s - p) // q)  # ceil((p - s) / q)
-    hi = (p + s) // q
-    return lo, hi
+def _weights(gso, s=1):
+    """(M, w): over the IntGSO gso (b, d, lam, den) and a target scale s,
+    M = s^2 den^2 lcm_k(d_k d_{k+1}) and w_k = M / (s^2 den^2 d_k d_{k+1}),
+    so that the walk's level-k cost |b*_k|^2 (x_k - centre_k)^2 is
+    w_k e^2 / M with e the integer of _walk's docstring."""
+    _, d, _, den = gso
+    pairs = [a * b for a, b in zip(d, d[1:])]
+    m = lcm(*pairs)
+    return m * (s * den) ** 2, [m // p for p in pairs]
 
 
-def _walk(mu, c, y, bound, budget):
-    """Yield (x, |sum_k x_k b_k - t|^2) for the integer x within bound[0]
-    of the target t = sum_k y[k] b*_k, over the GSO mu, c = |b*_k|^2 of a
-    basis b (Fincke-Pohst).  Level k centers on y[k] - sum_{i>k} x_i mu_ik.
-    With y None the target is 0 and the walk yields the nonzero x, one per
-    +/- pair (topmost nonzero coefficient positive).  Every node reads the
-    bound afresh, so a consumer may lower bound[0] between yields; leaves
-    past a lowered bound may still arrive.  Each internal node spends one
-    budget node."""
-    n = len(c)
+def _walk(gso, target, bound, budget):
+    """Yield (x, rho) for the integer x within bound[0] of the target t:
+    rho = M |sum_k x_k b_k - t|^2, an integer, over the rows b of the
+    IntGSO gso (b, d, lam, den) and M, w = _weights(gso, s) (Fincke-Pohst).
+    The target is (lam_t, s) of _target_lam, or None for t = 0 with s = 1,
+    and bound[0] is an integer over the same M.
+
+    The walk is integral.  Level k's centre y_k - sum_{i>k} x_i mu_ik times
+    s d_{k+1} is the integer N_k = lam_t[k] den - s sum_{i>k} x_i lam_ik,
+    and with e = x_k s d_{k+1} - N_k its cost is w_k e^2, so level k takes
+    the x_k with |e| <= isqrt((bound[0] - rho) // w_k), ascending.  With
+    no target the walk yields the nonzero x, one per +/- pair (topmost
+    nonzero coefficient positive).  Every node reads the bound afresh, so
+    a consumer may lower bound[0] between yields; leaves past a lowered
+    bound may still arrive.  Each internal node spends one budget node."""
+    _, d, lam, den = gso
+    n = len(d) - 1
+    lam_t, s = target or ((0,) * n, 1)
+    _, w = _weights(gso, s)
+    top = [t * den for t in lam_t]
+    step = [s * d[k + 1] for k in range(n)]
+    # the nonzero s lam_ik, i > k, that level k's centre reads
+    above = [
+        [(i, s * lam[i][k]) for i in range(k + 1, n) if lam[i][k]] for k in range(n)
+    ]
     x = [0] * n
 
     def rec(k, rho, allzero):
@@ -135,46 +153,55 @@ def _walk(mu, c, y, bound, budget):
         remaining = bound[0] - rho
         if remaining < 0:
             return
-        center = QZERO if y is None else y[k]
-        for i in range(k + 1, n):
+        centre = top[k]
+        for i, a in above[k]:
             if x[i]:
-                center -= x[i] * mu[i][k]
-        lo, hi = _level_range(center, remaining, c[k])
+                centre -= x[i] * a
+        q = step[k]
+        r = isqrt(remaining // w[k])
+        lo = -((r - centre) // q)  # ceil((centre - r) / q)
+        hi = (centre + r) // q
         if allzero and lo < 0:
             lo = 0
+        wk = w[k]
         for xk in range(lo, hi + 1):
-            d = xk - center
+            e = xk * q - centre
             x[k] = xk
-            yield from rec(k - 1, rho + c[k] * d * d, allzero and xk == 0)
+            yield from rec(k - 1, rho + wk * e * e, allzero and xk == 0)
         x[k] = 0
 
-    yield from rec(n - 1, QZERO, y is None)
+    try:
+        yield from rec(n - 1, 0, target is None)
+    finally:
+        del rec  # rec's closure holds rec: free the walk without the cyclic GC
 
 
-def _closest(mu, c, y, budget):
-    """(every x minimizing |sum_k x_k b_k - t|^2, that minimum) for the
-    target t = sum_k y[k] b*_k: the walk starts at the distance of Babai's
-    nearest-plane point and lowers its bound as nearer leaves arrive."""
-    n = len(c)
+def _closest(gso, v, budget):
+    """(every x minimizing |sum_k x_k b_k - v|^2 over the rows b of the
+    IntGSO gso, that minimum): the walk starts at the distance of Babai's
+    nearest-plane point and lowers its bound as nearer leaves arrive.
+    Raises NotInSpan when v is outside the rows' span."""
+    lam_t, s = _target_lam(gso, v)
+    _, d, lam, den = gso
+    n = len(lam_t)
+    m, w = _weights(gso, s)
     x = [0] * n
-    dist = QZERO
+    dist = 0
     for k in range(n - 1, -1, -1):
-        center = y[k]
-        for i in range(k + 1, n):
-            if x[i]:
-                center -= x[i] * mu[i][k]
-        x[k] = qround(center)
-        d = x[k] - center
-        dist += c[k] * d * d
+        centre = lam_t[k] * den - s * sum(x[i] * lam[i][k] for i in range(k + 1, n))
+        q = s * d[k + 1]
+        x[k] = (2 * centre + q) // (2 * q)  # halves rounded up
+        e = x[k] * q - centre
+        dist += w[k] * e * e
     bound = [dist]
     found = []
-    for coeffs, rho in _walk(mu, c, y, bound, budget):
+    for coeffs, rho in _walk(gso, (lam_t, s), bound, budget):
         if rho < bound[0]:
             bound[0] = rho
             found.clear()
         if rho == bound[0]:
             found.append(coeffs)
-    return found, bound[0]
+    return found, Q(bound[0], m)
 
 
 def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorList:
@@ -187,21 +214,23 @@ def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorL
     bound_sq = qexact(bound_sq)
     held, vectors, _, norms = L._pool
     if bound_sq > held:
-        b, _, _, den = L._lll[2]
-        cols = tuple(zip(*b))
-        budget = _Budget(node_budget)
-        gso = L._lll_gso
+        gso = L._lll[2]
+        cols = tuple(zip(*gso.b))
+        m, _ = _weights(gso)
         out = []
-        for coeffs, nsq in _walk(gso.mu, gso.norms_sq, None, [bound_sq], budget):
+        bound = [qnum(bound_sq) * m // qden(bound_sq)]
+        for coeffs, rho in _walk(gso, None, bound, _Budget(node_budget)):
             # v = coeffs . LLL basis, over the scaled integer rows
-            w = [sum(c * x for c, x in zip(coeffs, col) if c) for col in cols]
+            w = tuple(sum(map(mul, coeffs, col)) for col in cols)
             # sign normalization: the first nonzero entry positive
             if next(a for a in w if a) < 0:
-                w, coeffs = [-a for a in w], tuple(-t for t in coeffs)
-            out.append((nsq, tuple(Q(a, den) for a in w), coeffs))
+                w, coeffs = tuple(-a for a in w), tuple(-t for t in coeffs)
+            out.append((rho, w, coeffs))
+        # (rho, w) is (|v|^2, v) scaled by M and den: the same order
         out.sort()
-        norms = tuple(t[0] for t in out)
-        vectors = tuple(t[1] for t in out)
+        den = gso.den
+        norms = tuple(Q(t[0], m) for t in out)
+        vectors = tuple(tuple(Q(a, den) for a in t[1]) for t in out)
         coords = tuple(t[2] for t in out)
         object.__setattr__(L, "_pool", (bound_sq, vectors, coords, norms))
     return VectorList(vectors[: bisect_right(norms, bound_sq)], bound_sq)
@@ -260,9 +289,6 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
 
 def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
     """All v in L minimizing |target - v|^2, plus the squared distance."""
-    # target = sum_k y_k b*_k over the GSO of the LLL basis
-    y = L._lll[2].star_coordinates(target)
-    gso = L._lll_gso
-    found, dist = _closest(gso.mu, gso.norms_sq, y, _Budget(node_budget))
+    found, dist = _closest(L._lll[2], target, _Budget(node_budget))
     # distinct coefficient vectors of a basis give distinct lattice points
     return tuple(sorted(row_times_mat(x, L._lll[0]) for x in found)), dist

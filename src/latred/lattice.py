@@ -5,7 +5,7 @@ caches its LLL basis with the LLL transform and the integral Gram-Schmidt
 data that the integral LLL ends with (IntGSO), and the largest
 short-vector pool enumerated from it; every result depends on the basis
 alone, so Lattice values are safe to share.  Coordinates, covolume and the
-enumeration's mu and norms are all read off that one IntGSO.  A prefix of
+enumeration's integer walk all read that one IntGSO.  A prefix of
 lattice vectors gets its own IntGSO, grown one _lam_row at a time, and
 its projections are the same integer back-substitution as coordinates:
 there is no rational Gram-Schmidt anywhere.  Independence of a basis is
@@ -188,11 +188,6 @@ class Lattice:
         from .enumeration import lll_rows
 
         return lll_rows(self.basis)
-
-    @cached_property
-    def _lll_gso(self):
-        """mu and squared norms of the LLL basis's GSO, read off its IntGSO."""
-        return self._lll[2].rational()
 
 
 @dataclass(frozen=True)

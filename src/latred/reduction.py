@@ -94,13 +94,11 @@ def _kz_candidates(L, prefix, held, gso, node_budget):
     if not prefix:
         return _grow(L, _shortest, node_budget)
     proj, lifts = held.project(L, gso)
-    mu, norms = gso.rational()
     cands = set()
     for p in _grow(proj, _shortest, node_budget):
         y = row_times_mat(coordinates(proj, p), lifts)
         # pull the in-span component y - p toward the prefix sublattice
-        t = gso.star_coordinates(vsub(y, p))
-        found, _ = _closest(mu, norms, t, _Budget(node_budget))
+        found, _ = _closest(gso, vsub(y, p), _Budget(node_budget))
         for x in found:
             cands.add(normalize_sign(vsub(y, row_times_mat(x, prefix))))
     return _shortest(sorted(cands, key=lambda v: (norm_sq(v), v)))

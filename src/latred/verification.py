@@ -964,10 +964,11 @@ def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
     kwargs = {} if node_budget is None else {"node_budget": node_budget}
     mink = minkowski_reduce(L, **kwargs)
     minima = successive_minima(L, **kwargs)
-    # keys are interned and values shared, and the verdict, equality and
-    # (empty) witness tables, which most lattices of a rank have in common,
-    # are shared read-only: a caller holding the reports of many lattices
-    # holds one copy of each key, value and table
+    # keys are interned and values shared, and every table is shared
+    # read-only: the quantities of a lattice met again, and the verdict,
+    # equality and (empty) witness tables, which most lattices of a rank
+    # have in common.  A caller holding the reports of many lattices holds
+    # one copy of each key, value and table
     quantities, verdicts, equalities = {}, {}, {}
     table = vdw_delta_table(L.rank, True)
     all_delta = True
@@ -990,7 +991,7 @@ def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
     verdicts["improved_delta_bounds"] = all_delta
     rep = TheoremReport(
         intern("rank_%d" % L.rank),
-        quantities,
+        _shared_table(quantities),
         _shared_table(verdicts),
         _shared_table(equalities),
         _shared_table({}),

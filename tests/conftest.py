@@ -81,3 +81,19 @@ def count_calls(monkeypatch, *names):
                 if val is fn:
                     monkeypatch.setattr(m, key, counted)
     return counts
+
+
+def count_nodes(monkeypatch):
+    """Count the enumeration nodes spent (enumeration._Budget.spend);
+    returns a one-element list holding the count so far."""
+    from latred.enumeration import _Budget
+
+    spent = [0]
+    spend = _Budget.spend
+
+    def counted(self):
+        spent[0] += 1
+        spend(self)
+
+    monkeypatch.setattr(_Budget, "spend", counted)
+    return spent

@@ -10,6 +10,10 @@
   subtracting one GSO component after another.
 - `lll_rows`: the rational LLL that rebuilds the exact Gram-Schmidt data
   after every swap.
+- `walk`, `closest`: the Fincke-Pohst walk and its closest-vector search
+  over the rational mu and |b*_k|^2, centring and pricing every node in
+  rationals (`level_range` gives a level's coefficients); latred walks
+  the integers of the IntGSO instead.
 - `minkowski_reduce`, `successive_minima`, `shortest_basis`: the greedy and
   subset searches with primitivity decided by `is_primitive_tuple` (Smith
   divisors of coordinates solved over `L.basis`) and independence by
@@ -47,7 +51,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from latred import reduction
 from latred.constructions import glued_params, glued_prime_lattice
@@ -93,7 +97,7 @@ from latred.linalg import (
     vscale,
     vsub,
 )
-from latred.rationals import Q, QONE, QZERO, is_integer, qround
+from latred.rationals import Q, QONE, QZERO, is_integer, qden, qfloor, qnum, qround
 from latred.reduction import kz_reduce as _kz_reduce
 from latred.reduction import minkowski_reduce as _minkowski_reduce
 from latred.verification import (
@@ -339,6 +343,79 @@ def lll_rows(rows, delta=Q(3, 4)):
             c = list(gso.norms_sq)
             k = max(k - 1, 1)
     return tuple(b)
+
+
+def level_range(center, remaining, ck):
+    """Integer x with ck * (x - center)^2 <= remaining, as [lo, hi]."""
+    t = remaining / ck
+    p = qnum(center)
+    q = qden(center)
+    s = isqrt(qfloor(t * q * q))
+    lo = -((s - p) // q)  # ceil((p - s) / q)
+    hi = (p + s) // q
+    return lo, hi
+
+
+def walk(mu, c, y, bound, budget):
+    """Yield (x, |sum_k x_k b_k - t|^2) for the integer x within bound[0]
+    of the target t = sum_k y[k] b*_k, over the GSO mu, c = |b*_k|^2 of a
+    basis b (Fincke-Pohst).  Level k centers on y[k] - sum_{i>k} x_i mu_ik.
+    With y None the target is 0 and the walk yields the nonzero x, one per
+    +/- pair (topmost nonzero coefficient positive).  Every node reads the
+    bound afresh, so a consumer may lower bound[0] between yields.  Each
+    internal node spends one budget node."""
+    n = len(c)
+    x = [0] * n
+
+    def rec(k, rho, allzero):
+        if k < 0:
+            if not allzero:
+                yield tuple(x), rho
+            return
+        budget.spend()
+        remaining = bound[0] - rho
+        if remaining < 0:
+            return
+        center = QZERO if y is None else y[k]
+        for i in range(k + 1, n):
+            if x[i]:
+                center -= x[i] * mu[i][k]
+        lo, hi = level_range(center, remaining, c[k])
+        if allzero and lo < 0:
+            lo = 0
+        for xk in range(lo, hi + 1):
+            d = xk - center
+            x[k] = xk
+            yield from rec(k - 1, rho + c[k] * d * d, allzero and xk == 0)
+        x[k] = 0
+
+    yield from rec(n - 1, QZERO, y is None)
+
+
+def closest(mu, c, y, budget):
+    """(every x minimizing |sum_k x_k b_k - t|^2, that minimum) for the
+    target t = sum_k y[k] b*_k: walk from the distance of Babai's
+    nearest-plane point, lowering the bound as nearer leaves arrive."""
+    n = len(c)
+    x = [0] * n
+    dist = QZERO
+    for k in range(n - 1, -1, -1):
+        center = y[k]
+        for i in range(k + 1, n):
+            if x[i]:
+                center -= x[i] * mu[i][k]
+        x[k] = qround(center)
+        d = x[k] - center
+        dist += c[k] * d * d
+    bound = [dist]
+    found = []
+    for coeffs, rho in walk(mu, c, y, bound, budget):
+        if rho < bound[0]:
+            bound[0] = rho
+            found.clear()
+        if rho == bound[0]:
+            found.append(coeffs)
+    return found, bound[0]
 
 
 def extends(L, prefix, v):

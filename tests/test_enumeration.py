@@ -303,8 +303,7 @@ def test_integral_gso_matches_the_rational_references():
     lattices += [glued_prime_lattice(2), glued_prime_lattice(3)]
     for L in lattices:
         want = gram_schmidt(L._lll[0])
-        assert L._lll_gso.mu == want.mu
-        assert L._lll_gso.norms_sq == want.norms_sq
+        assert L._lll[2].rational() == (want.mu, want.norms_sq)
         assert covolume_squared(L) == determinant(gram_matrix(L.basis))
 
 
@@ -357,3 +356,155 @@ def test_pool_coordinates_give_the_pool_vectors():
         for v, c, nsq in zip(vectors, coords, norms):
             assert all(isinstance(x, int) for x in c)
             assert row_times_mat(c, L._lll[0]) == v and norm_sq(v) == nsq
+
+
+def _walk_cases():
+    """Seeded lattices for the walker's differential tests: random bases
+    of rank 2..7 with entries in [-4, 4], L_1..L_3 and D_5*..D_7*."""
+    from latred.constructions import dual_root_d, glued_prime_lattice
+
+    rng = random.Random(2020)
+    out = [random_integer_lattice(rng, n, 4) for n in range(2, 8) for _ in range(3)]
+    out += [glued_prime_lattice(k) for k in (1, 2, 3)]
+    out += [dual_root_d(n) for n in (5, 6, 7)]
+    return out
+
+
+def _run(walk, budget):
+    """(what walk(budget) yields before it ends or runs out of a budget
+    of that many nodes, whether it ran out, the nodes it spent)."""
+    from latred.enumeration import _Budget
+
+    spend = _Budget(budget)
+    got = []
+    try:
+        for item in walk(spend):
+            got.append(item)
+    except BudgetExceeded:
+        return got, True, budget - spend.left
+    return got, False, budget - spend.left
+
+
+def test_integer_walk_matches_the_rational_walk():
+    # the same leaves in the same order, rho = M times the rational
+    # squared norm, the same nodes spent, and the same leaves before the
+    # budget runs out at a third and at one node short of the whole walk
+    import reference
+    from latred.enumeration import _walk, _weights
+
+    for L in _walk_cases():
+        gso = L._lll[2]
+        mu, c = gso.rational()
+        m, _ = _weights(gso)
+        # twice the longest LLL row (once on L_3, whose walk is then
+        # already a thousand nodes)
+        bound = max(map(norm_sq, L._lll[0])) * (2 if L.rank < 20 else 1)
+        scaled = qfloor(bound * m)
+        want = _run(lambda b: reference.walk(mu, c, None, [bound], b), 10**6)
+        got = _run(lambda b: _walk(gso, None, [scaled], b), 10**6)
+        assert got[1:] == want[1:] == (False, want[2])
+        assert [(x, Q(rho, m)) for x, rho in got[0]] == want[0] and want[0]
+        for budget in (want[2] // 3, want[2] - 1):
+            got = _run(lambda b: _walk(gso, None, [scaled], b), budget)
+            ref = _run(lambda b: reference.walk(mu, c, None, [bound], b), budget)
+            assert got[1] and got[1:] == ref[1:]
+            assert [(x, Q(rho, m)) for x, rho in got[0]] == ref[0]
+
+
+def test_integer_closest_matches_the_rational_closest(monkeypatch):
+    # random rational targets, on the LLL basis and on a prefix of the
+    # basis in its span (the KZ lifts' case): the same minimizers in the
+    # same order, the same distance, nodes and budget exhaustion, also
+    # where the walk lowers its bound below Babai's as nearer leaves arrive
+    import reference
+    from latred.enumeration import _closest
+    from latred.lattice import IntGSO
+
+    bounds = []
+    walk = reference.walk
+
+    def watched(mu, c, y, bound, budget):
+        bounds.append((bound, bound[0]))
+        return walk(mu, c, y, bound, budget)
+
+    monkeypatch.setattr(reference, "walk", watched)
+    rng = random.Random(2021)
+    for L in _walk_cases():
+        # a prefix of up to 4 rows, and the whole LLL basis but on L_3,
+        # where the rational walk takes seconds per target
+        gsos = [IntGSO.of(L.basis[: max(1, min(L.rank, 8) // 2)])]
+        gsos += [L._lll[2]] if L.rank < 20 else []
+        for gso in gsos:
+            mu, c = gso.rational()
+            rows = [tuple(Q(x, gso.den) for x in r) for r in gso.b]
+            for _ in range(3):
+                a = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in rows]
+                v = row_times_mat(a, rows)
+                y = gso.star_coordinates(v)
+                want = _run(lambda b: [reference.closest(mu, c, y, b)], 10**6)
+                got = _run(lambda b: [_closest(gso, v, b)], 10**6)
+                assert got == want and not got[1]
+                short = want[2] - 1
+                got = _run(lambda b: [_closest(gso, v, b)], short)
+                assert got[1] and got == _run(
+                    lambda b: [reference.closest(mu, c, y, b)], short
+                )
+    assert sum(bound[0] < babai for bound, babai in bounds) >= 10
+
+
+def test_enumeration_builds_no_rational_per_node(monkeypatch):
+    # a fresh enumerate_up_to on a lattice whose LLL is done makes the
+    # entries and the norm of each kept vector rationals, with one call of
+    # enumeration.Q each, and on the Fraction backend no other Fraction:
+    # at most (dim + 1) per kept vector, and none per walker node
+    from fractions import Fraction
+
+    from latred import enumeration
+    from latred.constructions import dual_root_d, glued_prime_lattice
+
+    calls = {"Q": 0, "Fraction": 0}
+
+    def counted(*args):
+        calls["Q"] += 1
+        return Q(*args)
+
+    fraction = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        calls["Fraction"] += 1
+        return fraction(cls, *args, **kwargs)
+
+    rng = random.Random(2022)
+    cases = [(random_integer_lattice(rng, 6, 4), Q(40)) for _ in range(3)]
+    cases += [(glued_prime_lattice(2), Q(5, 4)), (dual_root_d(6), Q(3, 2))]
+    for L, _ in cases:
+        L._lll  # the LLL makes rationals of its own
+    monkeypatch.setattr(enumeration, "Q", counted)
+    monkeypatch.setattr(Fraction, "__new__", new)
+    for L, bound in cases:
+        calls.update(Q=0, Fraction=0)
+        vectors = enumerate_up_to(L, bound).vectors
+        most = (L.ambient_dim + 1) * len(vectors)
+        assert vectors and calls["Fraction"] == calls["Q"] <= most
+
+
+def test_walks_leave_no_reference_cycle():
+    # a finished walk is freed by reference counting, not left to the
+    # cyclic collector: pools, closest vectors and KZ lifts make no cycle
+    import gc
+
+    from latred.constructions import dual_root_d
+    from latred.reduction import kz_reduce
+
+    rng = random.Random(2023)
+    L = random_integer_lattice(rng, 6, 4)
+    target = tuple(Q(rng.randint(-9, 9), 4) for _ in range(6))
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_up_to(L, Q(40))
+        closest_vectors_all(L, target)
+        kz_reduce(dual_root_d(5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

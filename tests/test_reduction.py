@@ -391,6 +391,23 @@ def test_shortest_basis_after_the_greedy_reduction_reads_its_pool(monkeypatch):
     assert calls == {"reduction.kz_reduce": 0, "enumeration._walk": 0}
 
 
+def test_enumeration_node_counts_are_pinned(monkeypatch):
+    # the walker's nodes are deterministic: KZ on D_5* and L_2 and a
+    # fresh shortest basis of L_2, each on a lattice that holds no pool
+    from conftest import count_nodes
+    from latred.constructions import dual_root_d, glued_prime_lattice
+
+    spent = count_nodes(monkeypatch)
+    for run, nodes in (
+        (lambda: kz_reduce(dual_root_d(5)), 110),
+        (lambda: kz_reduce(glued_prime_lattice(2)), 1296),
+        (lambda: shortest_basis(glued_prime_lattice(2)), 467),
+    ):
+        spent[0] = 0
+        run()
+        assert spent[0] == nodes
+
+
 def test_kz_reduce_matches_the_completion_reference():
     # bases and tie counts equal the reference that completes every prefix
     # by HNF and solves coordinates by the Gram inverse, on 40 seeded

@@ -704,10 +704,10 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
     # the criterion-2 population of the random-minkowski benchmark: rank
     # from {6, 7}, entries in [-4, 4].  Greedy primitivity and minima
     # independence read the pool's integer coordinates, so no coordinate
-    # solve, Smith form or inverse is left, and L._lll_gso is read off the
+    # solve, Smith form or inverse is left, and the walker runs on the
     # integral LLL's d and lam (src has no rational GSO to build, see
-    # test_source_rules).
-    from conftest import count_calls
+    # test_source_rules).  One pass spends a pinned number of nodes.
+    from conftest import count_calls, count_nodes
     from latred.errors import LatredError
 
     rng = random.Random(2026)
@@ -719,6 +719,7 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
             lattices.append(Lattice(rows))
         except LatredError:
             pass
+    spent = count_nodes(monkeypatch)
     calls = count_calls(
         monkeypatch,
         "lattice.coordinates",
@@ -732,6 +733,7 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
         "linalg.snf_divisors": 0,
         "linalg.inverse": 0,
     }
+    assert spent[0] == 6410
 
 
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
@@ -1226,13 +1228,14 @@ def test_minkowski_bounds_reports_share_keys_and_values():
         other = next(k for k in b.quantities if k == key)
         assert other is key and b.quantities[key] is value
     assert not hasattr(a, "__dict__")
-    # and each verdict, equality and witness table once, read-only; a
-    # report still copies, pickles and serializes as plain dicts do
+    # and each quantity, verdict, equality and witness table once,
+    # read-only; a report still copies and pickles as plain dicts do, and
+    # its tables of booleans serialize as they do
     import copy
     import json
     import pickle
 
-    for name in ("verdicts", "equalities", "witnesses"):
+    for name in ("quantities", "verdicts", "equalities", "witnesses"):
         table = getattr(a, name)
         assert table is getattr(b, name) and isinstance(table, dict)
         with pytest.raises(TypeError):
@@ -1241,7 +1244,8 @@ def test_minkowski_bounds_reports_share_keys_and_values():
             table.update(extra=True)
         assert table == getattr(pickle.loads(pickle.dumps(a)), name)
         assert table == getattr(copy.deepcopy(a), name)
-        assert json.loads(json.dumps(table)) == table
+        if name != "quantities":  # its values are rationals
+            assert json.loads(json.dumps(table)) == table
     assert a.equalities == {"equality_at_6": True} and a.witnesses == {}
     c = verification.verify_minkowski_bounds(dual_root_d(7))
     assert c.verdicts is not a.verdicts and c.success
