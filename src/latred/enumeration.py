@@ -42,38 +42,54 @@ def lll_rows(rows, delta=Q(3, 4)):
     """Exact LLL reduction of independent rows: (new rows, T, gso) with
     T . rows = new rows, T unimodular, and gso the IntGSO of new rows.
 
-    Integral LLL (Cohen, Alg. 2.6.7) from IntGSO.of(rows), which scales
-    the rows by the lcm den of their denominators and raises DependentRows:
-    the Gram-Schmidt data is held as the integers d[i] (Gram determinant of
-    the first i scaled rows) and lam[i][j] = d[j + 1] * mu[i][j], which a
-    swap updates in place.  Row k
-    is size-reduced against every earlier row, rounding mu halves up,
-    before the Lovasz test q * (d[k+1] d[k-1] + lam^2) >= p * d[k]^2 for
-    delta = p / q.  Every row step is applied to T as well.  Everything
-    returned is nested tuples."""
+    _lll of IntGSO.of(rows), which scales the rows by the lcm den of their
+    denominators and raises DependentRows, with T starting at the
+    identity.  Everything returned is nested tuples."""
     rows = matrix(rows)
     n = len(rows)
     trans = [[int(i == j) for j in range(n)] for i in range(n)]
-    b, d, lam, den = IntGSO.of(rows)
+    gso = _lll(IntGSO.of(rows), 0, delta, trans)
+    den = gso.den
+    return (
+        tuple(tuple(Q(x, den) for x in r) for r in gso.b),
+        tuple(map(tuple, trans)),
+        gso,
+    )
+
+
+def _lll(gso, lo, delta=Q(3, 4), trans=None):
+    """The IntGSO of the rows of gso LLL-reduced past the first lo, which
+    stay as they are (Cohen, Alg. 2.6.7, integral).
+
+    The Gram-Schmidt data is held as the integers d[i] (Gram determinant
+    of the first i rows) and lam[i][j] = d[j + 1] * mu[i][j], which a swap
+    updates in place.  Row k >= lo is size-reduced against every earlier
+    row, rounding mu halves up; past row lo it then takes the Lovasz test
+    q * (d[k+1] d[k-1] + lam^2) >= p * d[k]^2 for delta = p / q.  Every
+    row step is applied to the rows of trans too, when given."""
+    b, d, lam, den = gso
+    n = len(b)
     b, d = [list(r) for r in b], list(d)
     lam = [list(r) + [0] * (n - len(r)) for r in lam]
     p, q = qnum(delta), qden(delta)
-    k = 1
+    k = max(lo, 1)
     while k < n:
         for j in range(k - 1, -1, -1):
             r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
             if r:
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                trans[k] = [x - r * y for x, y in zip(trans[k], trans[j])]
+                if trans is not None:
+                    trans[k] = [x - r * y for x, y in zip(trans[k], trans[j])]
                 lam[k][j] -= r * d[j + 1]
                 for t in range(j):
                     lam[k][t] -= r * lam[j][t]
         m = lam[k][k - 1]
-        if q * (d[k + 1] * d[k - 1] + m * m) >= p * d[k] * d[k]:
+        if k == lo or q * (d[k + 1] * d[k - 1] + m * m) >= p * d[k] * d[k]:
             k += 1
             continue
         b[k - 1], b[k] = b[k], b[k - 1]
-        trans[k - 1], trans[k] = trans[k], trans[k - 1]
+        if trans is not None:
+            trans[k - 1], trans[k] = trans[k], trans[k - 1]
         for j in range(k - 1):
             lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
         new = (d[k - 1] * d[k + 1] + m * m) // d[k]
@@ -82,12 +98,21 @@ def lll_rows(rows, delta=Q(3, 4)):
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
             lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
         d[k] = new
-        k = max(k - 1, 1)
-    return (
-        tuple(tuple(Q(x, den) for x in r) for r in b),
-        tuple(map(tuple, trans)),
-        IntGSO(tuple(map(tuple, b)), tuple(d), tuple(map(tuple, lam)), den),
-    )
+        k = max(k - 1, lo, 1)
+    return IntGSO(tuple(map(tuple, b)), tuple(d), tuple(map(tuple, lam)), den)
+
+
+def _completed(L: Lattice, held, gso):
+    """The IntGSO of a basis of L that starts with the rows of gso, a
+    prefix of L that held (its _Prefix over L.basis) holds: the
+    completion lifts held.rows . L.basis follow, in integers over gso's
+    denominator, and are LLL-reduced with the prefix fixed."""
+    den = gso.den
+    cols = tuple(zip(*([qnum(e) * (den // qden(e)) for e in r] for r in L.basis)))
+    lo = len(gso.b)
+    for r in held.rows:
+        gso = gso.appended(tuple(sum(map(mul, r, col)) for col in cols))
+    return _lll(gso, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +142,7 @@ def _weights(gso, s=1):
     return m * (s * den) ** 2, [m // p for p in pairs]
 
 
-def _walk(gso, target, bound, budget):
+def _walk(gso, target, bound, budget, lo=0, top=None):
     """Yield (x, rho) for the integer x within bound[0] of the target t:
     rho = M |sum_k x_k b_k - t|^2, an integer, over the rows b of the
     IntGSO gso (b, d, lam, den) and M, w = _weights(gso, s) (Fincke-Pohst).
@@ -131,21 +156,31 @@ def _walk(gso, target, bound, budget):
     no target the walk yields the nonzero x, one per +/- pair (topmost
     nonzero coefficient positive).  Every node reads the bound afresh, so
     a consumer may lower bound[0] between yields; leaves past a lowered
-    bound may still arrive.  Each internal node spends one budget node."""
+    bound may still arrive.  Each internal node spends one budget node.
+
+    With lo, the walk stops above level lo: it yields x with x_0..x_lo-1
+    zero, and rho prices the projection past the first lo rows.  top =
+    (x_lo..x_{n-1}, rho) from such a walk with no target fixes those
+    levels; the walk then runs the levels below them."""
     _, d, lam, den = gso
     n = len(d) - 1
     lam_t, s = target or ((0,) * n, 1)
     _, w = _weights(gso, s)
-    top = [t * den for t in lam_t]
+    centres = [t * den for t in lam_t]
     step = [s * d[k + 1] for k in range(n)]
+    x = [0] * n
+    hi, rho0 = n, 0
+    if top is not None:
+        fixed, rho0 = top
+        hi = n - len(fixed)
+        x[hi:] = fixed
     # the nonzero s lam_ik, i > k, that level k's centre reads
     above = [
         [(i, s * lam[i][k]) for i in range(k + 1, n) if lam[i][k]] for k in range(n)
     ]
-    x = [0] * n
 
     def rec(k, rho, allzero):
-        if k < 0:
+        if k < lo:
             if not allzero:
                 yield tuple(x), rho
             return
@@ -153,27 +188,71 @@ def _walk(gso, target, bound, budget):
         remaining = bound[0] - rho
         if remaining < 0:
             return
-        centre = top[k]
+        centre = centres[k]
         for i, a in above[k]:
             if x[i]:
                 centre -= x[i] * a
         q = step[k]
         r = isqrt(remaining // w[k])
-        lo = -((r - centre) // q)  # ceil((centre - r) / q)
-        hi = (centre + r) // q
-        if allzero and lo < 0:
-            lo = 0
+        lo_k = -((r - centre) // q)  # ceil((centre - r) / q)
+        hi_k = (centre + r) // q
+        if allzero and lo_k < 0:
+            lo_k = 0
         wk = w[k]
-        for xk in range(lo, hi + 1):
+        for xk in range(lo_k, hi_k + 1):
             e = xk * q - centre
             x[k] = xk
             yield from rec(k - 1, rho + wk * e * e, allzero and xk == 0)
         x[k] = 0
 
     try:
-        yield from rec(n - 1, 0, target is None)
+        yield from rec(hi - 1, rho0, target is None and top is None)
     finally:
         del rec  # rec's closure holds rec: free the walk without the cyclic GC
+
+
+def _least(leaves, bound):
+    """The x of the leaves (x, rho) at the least rho: the walks that yield
+    them read bound, which is lowered to each shorter rho as it arrives."""
+    found = []
+    for x, rho in leaves:
+        if rho < bound[0]:
+            bound[0] = rho
+            found.clear()
+        if rho == bound[0]:
+            found.append(x)
+    return found
+
+
+def _projected_shortest(gso, i, budget):
+    """(tops, rho): every x_i..x_{n-1}, one per +/- pair, minimizing the
+    projection past the first i rows of sum_k x_k b_k over the IntGSO
+    gso, and that minimum, rho = M |pi_i|^2 over M = _weights(gso)[0].
+    One walk of levels i..n-1, its bound starting at |b*_i|^2, b_i's own
+    projection."""
+    _, w = _weights(gso)
+    bound = [w[i] * gso.d[i + 1] ** 2]
+    tops = _least(_walk(gso, None, bound, budget, lo=i), bound)
+    return [x[i:] for x in tops], bound[0]
+
+
+def _nearest_plane(gso, target, x, hi=None):
+    """The rho of _walk's leaf at Babai's nearest-plane point: x_k for the
+    levels below hi (all of them by default) rounded to its centre,
+    halves up, with x_hi.. as given; x is filled in place."""
+    _, d, lam, den = gso
+    n = len(x)
+    hi = n if hi is None else hi
+    lam_t, s = target or ((0,) * n, 1)
+    _, w = _weights(gso, s)
+    rho = 0
+    for k in range(hi - 1, -1, -1):
+        centre = lam_t[k] * den - s * sum(x[i] * lam[i][k] for i in range(k + 1, n))
+        q = s * d[k + 1]
+        x[k] = (2 * centre + q) // (2 * q)  # halves rounded up
+        e = x[k] * q - centre
+        rho += w[k] * e * e
+    return rho
 
 
 def _closest(gso, v, budget):
@@ -181,27 +260,10 @@ def _closest(gso, v, budget):
     IntGSO gso, that minimum): the walk starts at the distance of Babai's
     nearest-plane point and lowers its bound as nearer leaves arrive.
     Raises NotInSpan when v is outside the rows' span."""
-    lam_t, s = _target_lam(gso, v)
-    _, d, lam, den = gso
-    n = len(lam_t)
-    m, w = _weights(gso, s)
-    x = [0] * n
-    dist = 0
-    for k in range(n - 1, -1, -1):
-        centre = lam_t[k] * den - s * sum(x[i] * lam[i][k] for i in range(k + 1, n))
-        q = s * d[k + 1]
-        x[k] = (2 * centre + q) // (2 * q)  # halves rounded up
-        e = x[k] * q - centre
-        dist += w[k] * e * e
-    bound = [dist]
-    found = []
-    for coeffs, rho in _walk(gso, (lam_t, s), bound, budget):
-        if rho < bound[0]:
-            bound[0] = rho
-            found.clear()
-        if rho == bound[0]:
-            found.append(coeffs)
-    return found, Q(bound[0], m)
+    target = _target_lam(gso, v)
+    bound = [_nearest_plane(gso, target, [0] * len(target[0]))]
+    found = _least(_walk(gso, target, bound, budget), bound)
+    return found, Q(bound[0], _weights(gso, target[1])[0])
 
 
 def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorList:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -40,14 +41,8 @@ from .linalg import (
     snf_divisors,
     transpose,
     vector,
-    vsub,
-    vscale,
 )
-from .rationals import Q, QONE, QZERO, is_integer, qden, qexact, qnum, qround
-
-
-# mu and squared norms of a GSO, without the GSO vectors themselves
-GSO = namedtuple("GSO", "mu norms_sq")
+from .rationals import Q, QZERO, is_integer, qden, qexact, qnum
 
 
 class IntGSO(namedtuple("IntGSO", "b d lam den")):
@@ -55,7 +50,8 @@ class IntGSO(namedtuple("IntGSO", "b d lam den")):
     b the rows scaled by a common denominator den, d[i] the Gram
     determinant of b[:i] (d[0] = 1), and lam[i][j] = d[j + 1] mu[i][j]
     for j < i (zero where lam[i] runs past i), all integers in nested
-    tuples."""
+    tuples.  The squared norm |b*_i|^2 of the rational rows' GSO is
+    d[i + 1] / (d[i] den^2)."""
 
     __slots__ = ()
 
@@ -69,52 +65,19 @@ class IntGSO(namedtuple("IntGSO", "b d lam den")):
         return gso
 
     def extended(self, v):
-        """The IntGSO with the row v appended, one _lam_row; den v must
-        be integral.  Raises DependentRows when v is in the rows' span."""
+        """The IntGSO with the row v appended; den v must be integral."""
+        den = self.den
+        return self.appended(tuple(qnum(e) * (den // qden(e)) for e in v))
+
+    def appended(self, w):
+        """The IntGSO with the integer row w, already scaled by den,
+        appended: one _lam_row.  Raises DependentRows when w is in the
+        rows' span."""
         b, d, lam, den = self
-        w = tuple(qnum(e) * (den // qden(e)) for e in v)
         row = _lam_row(b, d, lam, w)
         if not row[-1]:
             raise DependentRows("row %d depends on the previous rows" % len(b))
         return IntGSO(b + (w,), d + (row[-1],), lam + (tuple(row[:-1]),), den)
-
-    def rational(self):
-        """mu and squared norms of the rows' GSO: mu_ij = lam_ij / d_{j+1}
-        and |b*_i|^2 = d_{i+1} / (d_i den^2)."""
-        _, d, lam, den = self
-        n = len(d) - 1
-        mu = tuple(
-            tuple(
-                Q(lam[i][j], d[j + 1]) if j < i else QONE if j == i else QZERO
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        norms = tuple(Q(d[i + 1], d[i] * den * den) for i in range(n))
-        return GSO(mu, norms)
-
-    def project(self, v):
-        """(v*, |v*|^2): the part of v orthogonal to the rows.  With
-        W = s v integral, the back-substitution of coordinates gives the
-        dz_j = d_n z_j of W's part sum_j z_j b_j in the span, so
-        d_n s v* = d_n W - sum_j dz_j b_j; the last entry of W's _lam_row
-        is the Gram determinant of [b; W], which is d_n |W*|^2."""
-        b, d, lam, _ = self
-        w, s = _scaled(v)
-        row = _lam_row(b, d, lam, w)
-        dz = _back_substitute(self, row[:-1])
-        scale = d[-1] * s
-        perp = tuple(
-            Q(d[-1] * x - sum(z * r[c] for z, r in zip(dz, b) if z), scale)
-            for c, x in enumerate(w)
-        )
-        return perp, Q(row[-1], scale * s)
-
-    def star_coordinates(self, v):
-        """y with v = sum_k y_k b*_k over the GSO of the rational rows, from
-        _target_lam; raises NotInSpan."""
-        lam_w, s = _target_lam(self, v)
-        return [Q(t * self.den, self.d[k + 1] * s) for k, t in enumerate(lam_w)]
 
 
 def _lam_row(b, d, lam, w):
@@ -149,6 +112,21 @@ def _back_substitute(gso, lam_w):
                 acc -= lam[i][j] * dz[i]
         dz[j] = acc // d[j + 1]
     return dz
+
+
+def _perp(gso, i, w, lam_w):
+    """The part of w / den orthogonal to the first i rows of the IntGSO
+    gso, as rationals, for an integer row w over gso's den with
+    lam_w[j] = d[j + 1] mu_wj for j < i: _back_substitute gives the
+    dz_j = d_i z_j of w's part sum_j z_j b_j in the span of those rows, so
+    d_i den w* = d_i w - sum_j dz_j b_j."""
+    b, d, _, den = gso
+    dz = _back_substitute(gso, lam_w[:i])
+    scale = d[i] * den
+    return tuple(
+        Q(d[i] * x - sum(z * r[c] for z, r in zip(dz, b) if z), scale)
+        for c, x in enumerate(w)
+    )
 
 
 @dataclass(frozen=True)
@@ -356,21 +334,34 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
             self.primitive and abs(tail[p]) == 1,
         )
 
-    def project(self, L, gso):
-        """(P, lifts): the completion rows over L.basis, and P with their
-        parts orthogonal to the prefix, whose IntGSO is gso, as basis."""
-        lifts = tuple(row_times_mat(r, L.basis) for r in self.rows)
-        return Lattice([gso.project(w)[0] for w in lifts]), lifts
-
 
 def project_orthogonal_with_lift(L: Lattice, prefix):
     """Projection lattice onto span(prefix)^perp plus lift rows in L.
 
     Returns (P, lifts): P.basis[i] is the orthogonal projection of lifts[i],
-    and the lifts complete the prefix to a basis of L.
+    and the lifts complete the prefix to a basis of L.  Both are read off
+    the IntGSO of [prefix; lifts], over L's denominator.
     """
     prefix = [vector(p) for p in prefix]
-    return _Prefix.of(L, prefix).project(L, IntGSO.of(prefix))
+    held = _Prefix.of(L, prefix)
+    lifts = tuple(row_times_mat(r, L.basis) for r in held.rows)
+    gso = _prefix_gso(L, prefix)
+    for w in lifts:
+        gso = gso.extended(w)
+    i = len(prefix)
+    return (
+        Lattice([_perp(gso, i, gso.b[t], gso.lam[t]) for t in range(i, len(gso.b))]),
+        lifts,
+    )
+
+
+def _prefix_gso(L: Lattice, prefix):
+    """The IntGSO of vectors of L over the denominator of L's LLL basis,
+    which clears the denominators of every vector of L."""
+    gso = IntGSO((), (1,), (), L._lll[2].den)
+    for v in prefix:
+        gso = gso.extended(v)
+    return gso
 
 
 def linear_dependence(vectors) -> DependenceRelation:
@@ -416,7 +407,13 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     lattice and size-reduce it against the sub tuple so every Gram-Schmidt
     coordinate has magnitude at most half the corresponding pivot.
     """
-    from .enumeration import shortest_vector
+    from .enumeration import (
+        DEFAULT_BUDGET,
+        _Budget,
+        _completed,
+        _projected_shortest,
+        _weights,
+    )
 
     sub = [vector(v) for v in sub]
     y0 = vector(y0)
@@ -431,33 +428,53 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
         raise PreconditionViolated("y0 is not in the lattice") from None
     if norm_sq(y0) > lambda_next_sq:
         raise PreconditionViolated("y0 is longer than the given minimum")
-    gso = IntGSO.of(sub)
-    _, y0_perp_sq = gso.project(y0)
-    if not y0_perp_sq:
-        raise PreconditionViolated("y0 lies in the span of sub")
+    gso = _prefix_gso(L, sub)
+    try:
+        _, d, _, den = gso.extended(y0)
+    except DependentRows:
+        raise PreconditionViolated("y0 lies in the span of sub") from None
+    y0_perp_sq = Q(d[-1], d[-2] * den * den)
 
     if held.extends(y0_coords):
         return y0
 
-    proj, lifts = held.project(L, gso)
-    p, p_nsq = shortest_vector(proj)
+    # a shortest projection of L past sub, by one walk of the levels past
+    # sub on a basis [sub; completion]: the lexicographically first, sign
+    # normalized, as enumeration.shortest_vector would pick on the
+    # projection lattice
+    i = len(sub)
+    gso = _completed(L, held, gso)
+    b, d, lam, den = gso
+    tops, rho = _projected_shortest(gso, i, _Budget(DEFAULT_BUDGET))
     # non-primitivity of the projection of y0 forces a factor-2 shrink
-    if 4 * p_nsq > y0_perp_sq:
+    if 4 * Q(rho, _weights(gso)[0]) > y0_perp_sq:
         raise PreconditionViolated(
             "projection shrink factor violated; inputs inconsistent"
         )
-    x = coordinates(proj, p)
-    y = row_times_mat(x, lifts)
-    # size-reduce coordinate by coordinate, last pivot first, on the GSO
-    # coordinates t of y; p is orthogonal to sub, so y's are y - p's
-    mu, norms = gso.rational()
-    t = gso.star_coordinates(vsub(y, p))
-    for i in range(len(sub) - 1, -1, -1):
-        r = qround(t[i])
+
+    def projected(top):
+        # (p, x, lam_w): the projection p of sum_k x_k b_k, whose x is top
+        # past sub, and its lam_w[j] = d_{j+1} mu_j on sub's rows, all
+        # signed so that p is sign normalized
+        x = [0] * i + list(top)
+        lam_w = [sum(a * r[j] for a, r in zip(top, lam[i:])) for j in range(i)]
+        p = _perp(gso, i, [sum(map(mul, x, col)) for col in zip(*b)], lam_w)
+        if next(a for a in p if a) > 0:
+            return p, x, lam_w
+        return tuple(-a for a in p), [-a for a in x], [-a for a in lam_w]
+
+    _, x, lam_w = min(map(projected, tops))
+    # size-reduce that lift against sub, last pivot first: taking r b_j
+    # off it subtracts r lam_j from lam_w
+    for j in range(i - 1, -1, -1):
+        r = (2 * lam_w[j] + d[j + 1]) // (2 * d[j + 1])  # halves rounded up
         if r:
-            y = vsub(y, vscale(Q(r), sub[i]))
-            t = [a - r * m for a, m in zip(t, mu[i])]
-    bound = max(lambda_next_sq, (sum(norms, QZERO) + lambda_next_sq) / 4)
+            x[j] -= r
+            for t in range(j):
+                lam_w[t] -= r * lam[j][t]
+    y = tuple(Q(sum(map(mul, x, col)), den) for col in zip(*b))
+    pivots = sum((Q(d[j + 1], d[j] * den * den) for j in range(i)), QZERO)
+    bound = max(lambda_next_sq, (pivots + lambda_next_sq) / 4)
     if norm_sq(y) > bound:
         raise PreconditionViolated("completion exceeded the size bound")
     if not held.extends(integer_coordinates(L, y)):

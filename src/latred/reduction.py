@@ -1,8 +1,9 @@
 """Minkowski and Korkin-Zolotarev reduction, shortest bases, and the
 van der Waerden bound table with its k = 6, 7 improvements.
 
-The greedy, KZ and shortest-basis searches all read L's one growing pool
-(enumeration._grow).  Ties are resolved deterministically everywhere:
+The greedy and shortest-basis searches and KZ's first step read L's one
+growing pool (enumeration._grow); every later KZ step walks the levels of
+one IntGSO past its prefix.  Ties are resolved deterministically everywhere:
 candidate vectors are sign normalized and compared lexicographically, and
 the per-step log records how many candidates were tied so tests can spot
 tie-sensitive assertions.
@@ -10,19 +11,25 @@ tie-sensitive assertions.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Rational
+from operator import mul
 
 from .enumeration import (
     DEFAULT_BUDGET,
     _Budget,
-    _closest,
+    _completed,
     _grow,
+    _least,
+    _nearest_plane,
+    _projected_shortest,
     _shortest,
+    _walk,
     lll_rows,
 )
 from .errors import BadParams, BudgetExceeded, PreconditionViolated
-from .lattice import IntGSO, Lattice, _Prefix, coordinates, integer_coordinates
-from .linalg import hnf, norm_sq, normalize_sign, row_times_mat, vsub
+from .lattice import Lattice, _Prefix, _prefix_gso, integer_coordinates
+from .linalg import hnf, norm_sq, normalize_sign
 from .rationals import Q, QONE, qden
 
 
@@ -86,34 +93,45 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     return ReductionResult(tuple(basis), "minkowski", tuple(log))
 
 
-def _kz_candidates(L, prefix, held, gso, node_budget):
-    """Lifts of all shortest vectors projected past prefix (held is its
-    _Prefix, gso its IntGSO), size-minimized over the prefix sublattice,
-    sign normalized (p and -p, whose closest sublattice vectors are
-    negated, give the same)."""
-    if not prefix:
-        return _grow(L, _shortest, node_budget)
-    proj, lifts = held.project(L, gso)
-    cands = set()
-    for p in _grow(proj, _shortest, node_budget):
-        y = row_times_mat(coordinates(proj, p), lifts)
-        # pull the in-span component y - p toward the prefix sublattice
-        found, _ = _closest(gso, vsub(y, p), _Budget(node_budget))
-        for x in found:
-            cands.add(normalize_sign(vsub(y, row_times_mat(x, prefix))))
-    return _shortest(sorted(cands, key=lambda v: (norm_sq(v), v)))
+def _kz_candidates(L, held, gso, budget):
+    """The vectors of L whose projection past a nonempty prefix (held its
+    _Prefix, gso its IntGSO) is shortest, and whose full norm is least
+    among those, sign normalized and in lexicographic order.
+
+    On a basis [prefix; completion] of L (_completed), one walk of the
+    levels past the prefix finds every projected minimizer, one per +/-
+    pair.  Each is carried down the prefix's levels, its own fixed, under
+    one full-norm bound that starts at the first one's nearest-plane lift
+    and is lowered as shorter lifts arrive."""
+    i = len(gso.b)
+    gso = _completed(L, held, gso)
+    tops, rho = _projected_shortest(gso, i, budget)
+    bound = [rho + _nearest_plane(gso, None, [0] * i + list(tops[0]), i)]
+    lifts = (_walk(gso, None, bound, budget, top=(top, rho)) for top in tops)
+    found = _least(chain.from_iterable(lifts), bound)
+    cols = tuple(zip(*gso.b))
+    cands = {normalize_sign(tuple(sum(map(mul, x, c)) for c in cols)) for x in found}
+    return [tuple(Q(a, gso.den) for a in v) for v in sorted(cands)]
 
 
 def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     """Korkin-Zolotarev reduction: at each step the new vector minimizes the
     projected norm and, among those minimizers, the full norm.  The
-    prefix's IntGSO grows by one row per step, over L's denominator."""
+    prefix's IntGSO grows by one row per step, over L's denominator.
+
+    node_budget bounds each step's enumeration on its own: step 0 reads
+    L's growing pool, each enumeration it runs with node_budget nodes, and
+    every later step's walks share one _Budget of node_budget nodes.  An
+    exhausted budget raises BudgetExceeded."""
     prefix = []
     held = _Prefix.empty(L.rank)
-    gso = IntGSO((), (1,), (), L._lll[2].den)
+    gso = _prefix_gso(L, ())
     log = []
     for i in range(L.rank):
-        cands = _kz_candidates(L, prefix, held, gso, node_budget)
+        if i:
+            cands = _kz_candidates(L, held, gso, _Budget(node_budget))
+        else:
+            cands = _grow(L, _shortest, node_budget)
         chosen = cands[0]
         held = held.extended(integer_coordinates(L, chosen))
         gso = gso.extended(chosen)

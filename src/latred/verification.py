@@ -15,9 +15,9 @@ closed form.
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cmp_to_key, lru_cache, reduce
 from itertools import chain, combinations
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from sys import intern
 
@@ -36,8 +36,10 @@ from .constructions import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    _Budget,
+    _walk,
+    _weights,
     enumerate_up_to,
-    shortest_vector,
     successive_minima,
 )
 from .errors import (
@@ -48,7 +50,6 @@ from .errors import (
 )
 from .lattice import (
     IntGSO,
-    Lattice,
     _back_substitute,
     _dependence,
     _target_lam,
@@ -64,7 +65,7 @@ from .linalg import (
     row_times_mat,
     vscale,
 )
-from .rationals import Q, QONE, QZERO, is_integer, qden, qnum, qround
+from .rationals import Q, QZERO, is_integer, qden, qnum, qround
 from .reduction import kz_reduce, minkowski_reduce, shortest_basis, vdw_delta_table
 
 
@@ -473,12 +474,12 @@ def _difference_min_sq(m):
     r ones, the squared norm is m r (m - r), minimized at r = 1."""
     if m < 2:
         raise PreconditionViolated("difference lattice needs m >= 2")
-    return Q(m * m - m)
+    return m * m - m
 
 
 def difference_lattice_min(m: int):
     """_difference_min_sq(m) with its witness m e_1 - (e_1+...+e_m)."""
-    min_sq = _difference_min_sq(m)
+    min_sq = Q(_difference_min_sq(m))
     return min_sq, tuple(Q(m - 1) if i == 0 else Q(-1) for i in range(m))
 
 
@@ -500,6 +501,13 @@ def difference_lattice_basis(m: int):
 
 def _sq(s):
     return sum((x * x for x in s.values()), QZERO)
+
+
+def _sq_ratio(s):
+    """_sq(s) as integers (N, D), N / D, D the squared lcm of the entries'
+    denominators."""
+    den = lcm(*map(qden, s.values()))
+    return sum((qnum(x) * (den // qden(x))) ** 2 for x in s.values()), den * den
 
 
 def _is_glued_basis(params, claimed):
@@ -597,7 +605,7 @@ def _kz_walk(params, claimed):
     projection means a dependent row.  R and the layout's coordinates
     start equal in every block, so they are equal while the coordinates
     removed from each are: `moved` holds their symmetric difference."""
-    sqs = [_sq(s) for s in claimed]
+    sqs = [_sq_ratio(s) for s in claimed]
     norms = []
     placed = match = ok_steps = ok_ties = True
     i = 0
@@ -612,48 +620,54 @@ def _kz_walk(params, claimed):
         for c in chain(units, (None,), range(lo + 2, hi)):
             if i == len(claimed):
                 break
-            s, sq = claimed[i], sqs[i]
+            s, (sq, sq_den) = claimed[i], sqs[i]
             i += 1
+            # the predicted GSO norm is pn / pd, and the row's squared
+            # norm sq / sq_den: every comparison is of integers
             if c is None:
-                predicted = Q(pp - 1, pp)
+                pn, pd = pp - 1, pp
                 # r = 1 is the cheapest residue: m / p^2 prices every
                 # competitor
-                ok_steps &= Q(m, pp) == predicted < 1
+                ok_steps &= m == pn
                 # every projected-norm minimizer has all remaining
                 # coordinates at +/-1/p plus fractional entries on the
                 # hi - lo + (j == 0) - m block coordinates already spanned
                 # and, outside block 0, on the shared coordinate, so its
-                # full squared norm is at least the glue vector's; a
-                # nonzero residue in any other block costs a further >= 1
-                floor = predicted + Q(hi - lo + 1 - m, pp)
-                ok_ties &= sq == floor and predicted + 1 > floor
+                # full squared norm is at least the glue vector's, floor /
+                # p^2; a nonzero residue in any other block costs a
+                # further >= 1
+                floor = pn + hi - lo + 1 - m
+                ok_ties &= sq * pp == floor * sq_den and pn + pp > floor
             elif c in units:
-                predicted = QONE
+                pn = pd = 1
                 # fractional in-block competitors cost at least m / p^2
                 ok_steps &= m >= pp
-                ok_ties &= sq == 1
+                ok_ties &= sq == sq_den
             else:
                 # diff step: the block-supported part of the projected
                 # lattice is generated by the projections of the block's
                 # rows from here on.  With the complement S_R that the
                 # layout names, the walk places each of them, at its own
                 # step, as x e_c for a distinct c in R, so they project
-                # to x (m e_c - 1_R) / m; every diff step checks its x is
-                # +-1.  m - 1 of the m difference-lattice rows m e_c - 1_R
-                # (whose sum is 0) generate the whole difference lattice.
-                # The walk's R is the layout's when nothing is moved, and
-                # then it is glued too: the layout has removed one
-                # coordinate fewer than the block has had rows
-                predicted = QONE - Q(1, m)
+                # to x (m e_c - 1_R) / m; every diff step checks x^2 is
+                # 1.  m - 1 of the m difference-lattice rows m e_c - 1_R
+                # (whose sum is 0) generate the whole difference lattice,
+                # of minimum m (m - 1), so the projected minimum is
+                # (m - 1) / m.  The walk's R is the layout's when nothing
+                # is moved, and then it is glued too: the layout has
+                # removed one coordinate fewer than the block has had rows
+                pn, pd = m - 1, m
                 ok_steps &= not moved
                 ok_steps &= [
-                    abs(x) for a, x in s.items() if a == keep or c <= a < hi
-                ] == [1]
-                ok_steps &= _difference_min_sq(m) / (m * m) == predicted
-                ok_ties &= sq == 1
+                    (qnum(x) ** 2, qden(x))
+                    for a, x in s.items()
+                    if a == keep or c <= a < hi
+                ] == [(1, 1)]
+                ok_steps &= _difference_min_sq(m) == m * pn
+                ok_ties &= sq == sq_den
             # any projected vector with content in a later block keeps
             # those coordinates untouched and pays at least 1 there
-            ok_steps &= predicted <= 1
+            ok_steps &= pn <= pd
             if c is not None:
                 m -= 1
                 moved ^= {c}
@@ -663,18 +677,22 @@ def _kz_walk(params, claimed):
             r = {a: x for a, x in s.items() if a in R}
             if len(r) == 1:
                 ((a, x),) = r.items()
-                norm = x * x * (1 - Q(1, len(R))) if glued else x * x
+                if glued:  # x^2 (1 - 1/|R|) on S_R
+                    norm = qnum(x) ** 2 * (len(R) - 1), qden(x) ** 2 * len(R)
+                else:
+                    norm = qnum(x) ** 2, qden(x) ** 2
                 R.discard(a)
                 moved ^= {a}
             elif not glued and len(r) == len(R) and len(set(r.values())) == 1:
-                norm = next(iter(r.values())) ** 2 * len(R)
+                x = next(iter(r.values()))
+                norm = qnum(x) ** 2 * len(R), qden(x) ** 2
                 glued = True
             else:
                 placed = False
                 continue
-            placed = norm != 0
+            placed = norm[0] != 0
             norms.append(norm)
-            match &= norm == predicted
+            match &= norm[0] * pd == pn * norm[1]
         placed &= len(R) == glued
     placed &= i == len(claimed)
     checks = {
@@ -682,7 +700,8 @@ def _kz_walk(params, claimed):
         "stepwise_minimality": placed and ok_steps,
         "tie_breaks": ok_ties,
     }
-    return (norms if placed else None), checks, max(sqs)
+    top = max(sqs, key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
+    return ([Q(*t) for t in norms] if placed else None), checks, Q(*top)
 
 
 def verify_kz_structure(k: int) -> TheoremReport:
@@ -702,6 +721,12 @@ def verify_kz_structure(k: int) -> TheoremReport:
     return rep
 
 
+def _gso_norms(gso):
+    """The squared norms |b*_i|^2 = d_{i+1} / (d_i den^2) of an IntGSO."""
+    _, d, _, den = gso
+    return [Q(a, b * den * den) for a, b in zip(d[1:], d)]
+
+
 def _kz_structure(params, claimed) -> TheoremReport:
     """verify_kz_structure's report on the claimed basis, given as
     supports."""
@@ -714,24 +739,24 @@ def _kz_structure(params, claimed) -> TheoremReport:
 
     if params.k <= 2:
         # enumeration oracle: the claimed GSO norm at each step must equal
-        # the shortest-vector norm of the lattice projected past the
-        # claimed prefix, and the generic reduction (whose tie choices at
+        # the shortest norm of the lattice projected past the claimed
+        # prefix, so a walk of the levels past it, under |b*_i|^2, finds
+        # no shorter leaf; and the generic reduction (whose tie choices at
         # equal projected norms may differ) must reach the same norm
         # profile up to reordering
-        dense = _dense(params.dims[-1], claimed)
-        gso = IntGSO.of(dense)
-        norms = gso.rational().norms_sq
+        gso = IntGSO.of(_dense(params.dims[-1], claimed))
+        _, w = _weights(gso)
+        d = gso.d
         ok = True
-        for i, nsq in enumerate(norms):
-            head = IntGSO(gso.b[:i], gso.d[: i + 1], gso.lam[:i], gso.den)
-            tail = [head.project(u)[0] for u in dense[i:]]
-            _, sv_sq = shortest_vector(Lattice(tail))
-            ok &= sv_sq == nsq
+        for i, wi in enumerate(w):
+            shorter = [wi * d[i + 1] ** 2 - 1]
+            walk = _walk(gso, None, shorter, _Budget(DEFAULT_BUDGET), lo=i)
+            ok &= next(walk, None) is None
         generic = kz_reduce(glued_prime_lattice(params.k))
         ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
             _sq(s) for s in claimed
         )
-        ok &= sorted(IntGSO.of(generic.basis).rational().norms_sq) == sorted(norms)
+        ok &= sorted(_gso_norms(IntGSO.of(generic.basis))) == sorted(_gso_norms(gso))
         rep.verdicts["matches_generic_kz"] = ok
     return rep
 

@@ -8,6 +8,9 @@
 - `gram_schmidt`, `orthogonal_part`, `projected_tails`: the rational
   Gram-Schmidt process, with its GSO vectors, and projections by
   subtracting one GSO component after another.
+- `int_rational`, `int_project`, `int_star_coordinates`: mu and the
+  squared norms, projections and GSO coordinates read off an IntGSO's
+  integers, which latred itself no longer needs in rationals.
 - `lll_rows`: the rational LLL that rebuilds the exact Gram-Schmidt data
   after every swap.
 - `walk`, `closest`: the Fincke-Pohst walk and its closest-vector search
@@ -29,6 +32,10 @@
   and the size-reduced completion on the rational GSO of the prefix.
 - `kz_reduce`: KZ reduction on those, each step completing its whole
   prefix afresh.
+- `kz_reduce_on_projections`: latred's KZ reduction as it ran on one
+  projection `Lattice` per step, LLL-reduced and enumerated afresh, each
+  shortest projection lifted through `coordinates` and the closest
+  vectors of the prefix sublattice; latred walks one IntGSO instead.
 - `appendix_scan`: the candidate-family scan one candidate at a time, on
   residues read off the rational inverse of the generators.
 - `offset_scan`: latred's collision scan with the relation offsets on the
@@ -37,7 +44,8 @@
   gap argument.
 - `theorem_gap`, `kz_structure`: the glued-prime verifiers on L_k itself
   (coordinate solves and determinants, enumeration, Smith form, the
-  claimed basis's rational GSO and HNF, and the KZ-first shortest basis)
+  claimed basis's rational GSO and HNF, the KZ-first shortest basis, and
+  `kz_reduce` above as the generic KZ reduction)
   instead of its generators; `kz_layout` gives kz_structure the claimed
   KZ basis's steps, read off `glued_kz_claimed_basis` below.
 - `glued_kz_claimed_basis`, `glued_shortest_basis`: the glued-prime
@@ -57,6 +65,10 @@ from latred import reduction
 from latred.constructions import glued_params, glued_prime_lattice
 from latred.enumeration import (
     DEFAULT_BUDGET,
+    _Budget,
+    _closest,
+    _grow,
+    _shortest,
     closest_vectors_all,
     enumerate_up_to,
     shortest_vector,
@@ -75,15 +87,21 @@ from latred.errors import (
 )
 from latred.lattice import (
     DependenceRelation,
+    IntGSO,
     Lattice,
+    _back_substitute,
+    _lam_row,
     _Prefix,
+    _target_lam,
     contains,
     covolume_squared,
     is_primitive_tuple,
 )
+from latred.lattice import coordinates as lll_solve
 from latred.lattice import integer_coordinates as lll_coordinates
 from latred.linalg import (
     _int_rows,
+    _scaled,
     dot,
     gram_matrix,
     matrix,
@@ -98,7 +116,7 @@ from latred.linalg import (
     vsub,
 )
 from latred.rationals import Q, QONE, QZERO, is_integer, qden, qfloor, qnum, qround
-from latred.reduction import kz_reduce as _kz_reduce
+from latred.reduction import ReductionResult, StepRecord
 from latred.reduction import minkowski_reduce as _minkowski_reduce
 from latred.verification import (
     TheoremReport,
@@ -316,6 +334,47 @@ def projected_tails(basis, gso):
             mu = gso.mu[t][i]
             if mu:
                 rows[t] = vsub(rows[t], vscale(mu, bs))
+
+
+def int_rational(gso):
+    """(mu, squared norms) of the GSO of an IntGSO's rational rows:
+    mu_ij = lam_ij / d_{j+1} and |b*_i|^2 = d_{i+1} / (d_i den^2)."""
+    _, d, lam, den = gso
+    n = len(d) - 1
+    mu = tuple(
+        tuple(
+            Q(lam[i][j], d[j + 1]) if j < i else QONE if j == i else QZERO
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    norms = tuple(Q(d[i + 1], d[i] * den * den) for i in range(n))
+    return mu, norms
+
+
+def int_project(gso, v):
+    """(v*, |v*|^2): the part of v orthogonal to an IntGSO's rows.  With
+    W = s v integral, _back_substitute gives the dz_j = d_n z_j of W's
+    part sum_j z_j b_j in the span, so d_n s v* = d_n W - sum_j dz_j b_j;
+    the last entry of W's _lam_row is the Gram determinant of [b; W],
+    which is d_n |W*|^2."""
+    b, d, lam, _ = gso
+    w, s = _scaled(v)
+    row = _lam_row(b, d, lam, w)
+    dz = _back_substitute(gso, row[:-1])
+    scale = d[-1] * s
+    perp = tuple(
+        Q(d[-1] * x - sum(z * r[c] for z, r in zip(dz, b) if z), scale)
+        for c, x in enumerate(w)
+    )
+    return perp, Q(row[-1], scale * s)
+
+
+def int_star_coordinates(gso, v):
+    """y with v = sum_k y_k b*_k over the GSO of an IntGSO's rational rows,
+    from _target_lam; raises NotInSpan."""
+    lam_w, s = _target_lam(gso, v)
+    return [Q(t * gso.den, gso.d[k + 1] * s) for k, t in enumerate(lam_w)]
 
 
 def lll_rows(rows, delta=Q(3, 4)):
@@ -628,6 +687,43 @@ def kz_reduce(L):
         prefix.append(cands[0])
         ties.append(len(cands))
     return tuple(prefix), tuple(ties)
+
+
+def _kz_candidates_on_projections(L, prefix, held, gso, node_budget):
+    """Lifts of all shortest vectors projected past prefix (held is its
+    _Prefix, gso its IntGSO), size-minimized over the prefix sublattice,
+    sign normalized (p and -p, whose closest sublattice vectors are
+    negated, give the same)."""
+    if not prefix:
+        return _grow(L, _shortest, node_budget)
+    lifts = tuple(row_times_mat(r, L.basis) for r in held.rows)
+    proj = Lattice([int_project(gso, w)[0] for w in lifts])
+    cands = set()
+    for p in _grow(proj, _shortest, node_budget):
+        y = row_times_mat(lll_solve(proj, p), lifts)
+        # pull the in-span component y - p toward the prefix sublattice
+        found, _ = _closest(gso, vsub(y, p), _Budget(node_budget))
+        for x in found:
+            cands.add(normalize_sign(vsub(y, row_times_mat(x, prefix))))
+    return _shortest(sorted(cands, key=lambda v: (norm_sq(v), v)))
+
+
+def kz_reduce_on_projections(L, node_budget=DEFAULT_BUDGET):
+    """latred's KZ reduction as a ReductionResult, each step on its own
+    projection Lattice; the prefix's IntGSO grows by one row per step,
+    over L's denominator."""
+    prefix = []
+    held = _Prefix.empty(L.rank)
+    gso = IntGSO((), (1,), (), L._lll[2].den)
+    log = []
+    for i in range(L.rank):
+        cands = _kz_candidates_on_projections(L, prefix, held, gso, node_budget)
+        chosen = cands[0]
+        held = held.extended(lll_coordinates(L, chosen))
+        gso = gso.extended(chosen)
+        prefix.append(chosen)
+        log.append(StepRecord(i, chosen, norm_sq(chosen), len(cands)))
+    return ReductionResult(tuple(prefix), "kz", tuple(log))
 
 
 def project_orthogonal_with_lift(L, prefix):
@@ -1062,13 +1158,20 @@ def kz_structure(params, claimed):
         for tail, nsq in zip(projected_tails(claimed, gso), gso.norms_sq):
             _, sv_sq = shortest_vector(Lattice(tail))
             ok &= sv_sq == nsq
-        generic = _kz_reduce(L)
-        ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
+        generic = _glued_kz_basis(k)
+        ok &= sorted(norm_sq(u) for u in generic) == sorted(
             norm_sq(u) for u in claimed
         )
-        ok &= sorted(gram_schmidt(generic.basis).norms_sq) == sorted(gso.norms_sq)
+        ok &= sorted(gram_schmidt(generic).norms_sq) == sorted(gso.norms_sq)
         rep.verdicts["matches_generic_kz"] = ok
     return rep
+
+
+@lru_cache(maxsize=None)
+def _glued_kz_basis(k):
+    """kz_reduce's basis of L_k, which kz_structure compares every claim
+    with."""
+    return kz_reduce(glued_prime_lattice(k))[0]
 
 
 def glued_residues(k, w):

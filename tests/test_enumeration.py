@@ -296,14 +296,14 @@ def test_integral_gso_matches_the_rational_references():
     # the LLL rows, and d_n / den^(2n) the Gram determinant of the basis
     from latred.constructions import glued_prime_lattice
     from latred.lattice import covolume_squared
-    from reference import gram_schmidt
+    from reference import gram_schmidt, int_rational
     from latred.linalg import gram_matrix
 
     lattices = [Lattice(rows) for rows in _lll_inputs()]
     lattices += [glued_prime_lattice(2), glued_prime_lattice(3)]
     for L in lattices:
         want = gram_schmidt(L._lll[0])
-        assert L._lll[2].rational() == (want.mu, want.norms_sq)
+        assert int_rational(L._lll[2]) == (want.mu, want.norms_sq)
         assert covolume_squared(L) == determinant(gram_matrix(L.basis))
 
 
@@ -324,19 +324,17 @@ def test_lll_rows_output_keys_the_benchmark_tracer():
         assert d[0] == 1 and len(d) == len(red) + 1 and len(lam) == len(red)
 
 
-def test_lll_rows_builds_no_gram_schmidt(monkeypatch):
+def test_lll_rows_builds_no_gram_schmidt():
     # the integral LLL keeps d and lam alone and reads no rational GSO
-    # off them; no latred module defines or imports a rational
-    # gram_schmidt (test_source_rules checks the source text too)
+    # off them: IntGSO has no rational reading at all (the tests' one is
+    # reference.int_rational); no latred module defines or imports a
+    # rational gram_schmidt (test_source_rules checks the source text too)
     from importlib import import_module
 
     from latred.constructions import glued_prime_lattice
     from latred.lattice import IntGSO
 
-    def refuse(self):
-        raise AssertionError("lll_rows read a rational GSO")
-
-    monkeypatch.setattr(IntGSO, "rational", refuse)
+    assert not hasattr(IntGSO, "rational")
     lll_rows(glued_prime_lattice(3).basis)
     lll_rows(_lll_inputs()[0])
     for name in ("linalg", "lattice", "enumeration", "reduction", "verification"):
@@ -394,7 +392,7 @@ def test_integer_walk_matches_the_rational_walk():
 
     for L in _walk_cases():
         gso = L._lll[2]
-        mu, c = gso.rational()
+        mu, c = reference.int_rational(gso)
         m, _ = _weights(gso)
         # twice the longest LLL row (once on L_3, whose walk is then
         # already a thousand nodes)
@@ -435,12 +433,12 @@ def test_integer_closest_matches_the_rational_closest(monkeypatch):
         gsos = [IntGSO.of(L.basis[: max(1, min(L.rank, 8) // 2)])]
         gsos += [L._lll[2]] if L.rank < 20 else []
         for gso in gsos:
-            mu, c = gso.rational()
+            mu, c = reference.int_rational(gso)
             rows = [tuple(Q(x, gso.den) for x in r) for r in gso.b]
             for _ in range(3):
                 a = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in rows]
                 v = row_times_mat(a, rows)
-                y = gso.star_coordinates(v)
+                y = reference.int_star_coordinates(gso, v)
                 want = _run(lambda b: [reference.closest(mu, c, y, b)], 10**6)
                 got = _run(lambda b: [_closest(gso, v, b)], 10**6)
                 assert got == want and not got[1]

@@ -190,11 +190,11 @@ def test_gram_schmidt_orthogonality(rows):
     if determinant(m) == 0:
         return
     gso = IntGSO.of(m)
-    mu, norms = gso.rational()
+    mu, norms = reference.int_rational(gso)
     bstar = []
     for i in range(len(m)):
         head = IntGSO(gso.b[:i], gso.d[: i + 1], gso.lam[:i], gso.den)
-        bs, nsq = head.project(m[i])
+        bs, nsq = reference.int_project(head, m[i])
         assert nsq == norm_sq(bs) == norms[i]
         assert all(dot(bs, b) == 0 for b in bstar)
         rec = bs

@@ -158,15 +158,16 @@ def test_kz_tie_break_smallest_full_norm():
 
 
 def test_kz_reduce_runs_one_lll_per_step(monkeypatch):
-    # each lift search runs on the prefix's GSO, so the LLL runs are L's
-    # and one per projection: rank calls, not 2 rank - 1, same tie counts
+    # every step past the first walks one IntGSO of [prefix; completion],
+    # whose tail the integral LLL core reduces in place: the one lll_rows
+    # call is L's own, with the same tie counts
     from conftest import count_calls
     from latred.constructions import glued_prime_lattice
 
     calls = count_calls(monkeypatch, "enumeration.lll_rows")
     for L, lll_calls, ties in (
-        (dual_root_d(5), 5, (5, 4, 16, 3, 2)),
-        (glued_prime_lattice(2), 14, (14, 13, 1, 8, 7, 6, 5, 4, 3, 2, 4, 16, 3, 2)),
+        (dual_root_d(5), 1, (5, 4, 16, 3, 2)),
+        (glued_prime_lattice(2), 1, (14, 13, 1, 8, 7, 6, 5, 4, 3, 2, 4, 16, 3, 2)),
     ):
         calls["enumeration.lll_rows"] = 0
         res = kz_reduce(L)
@@ -400,7 +401,7 @@ def test_enumeration_node_counts_are_pinned(monkeypatch):
     spent = count_nodes(monkeypatch)
     for run, nodes in (
         (lambda: kz_reduce(dual_root_d(5)), 110),
-        (lambda: kz_reduce(glued_prime_lattice(2)), 1296),
+        (lambda: kz_reduce(glued_prime_lattice(2)), 1195),
         (lambda: shortest_basis(glued_prime_lattice(2)), 467),
     ):
         spent[0] = 0
@@ -408,14 +409,11 @@ def test_enumeration_node_counts_are_pinned(monkeypatch):
         assert spent[0] == nodes
 
 
-def test_kz_reduce_matches_the_completion_reference():
-    # bases and tie counts equal the reference that completes every prefix
-    # by HNF and solves coordinates by the Gram inverse, on 40 seeded
-    # lattices of rank 2..7 (half unimodularly re-based), L_2 and D_5*
-    import reference
-    from conftest import random_unimodular
+def _kz_cases():
+    """40 seeded bases of rank 2..7 with entries of denominator up to 3,
+    half of them unimodularly re-based, after L_2 and D_5*."""
+    from conftest import mat_mul, random_unimodular
     from latred.constructions import glued_prime_lattice
-    from conftest import mat_mul
 
     rng = random.Random(91)
     cases = [glued_prime_lattice(2).basis, dual_root_d(5).basis]
@@ -431,7 +429,73 @@ def test_kz_reduce_matches_the_completion_reference():
         if rng.random() < 0.5:
             rows = mat_mul(random_unimodular(rng, n), rows)
         cases.append(rows)
-    for rows in cases:
+    return cases
+
+
+def test_kz_reduce_matches_the_completion_reference():
+    # bases and tie counts equal the reference that completes every prefix
+    # by HNF and solves coordinates by the Gram inverse, on 40 seeded
+    # lattices of rank 2..7 (half unimodularly re-based), L_2 and D_5*
+    import reference
+
+    for rows in _kz_cases():
         kz = kz_reduce(Lattice(rows))
         got = (kz.basis, tuple(rec.ties for rec in kz.step_log))
         assert got == reference.kz_reduce(Lattice(rows))
+
+
+def test_kz_reduce_matches_the_projection_lattice_reference():
+    # the walks past each prefix on one IntGSO give the bases and step
+    # records of the reduction that enumerated one projection Lattice per
+    # step, and the tie counts of the completion reference, on the cases
+    # above and L_1, D_6*, D_7*.  At small budgets each either raises
+    # BudgetExceeded or returns the whole reduction; at 0 both raise
+    import reference
+    from latred.constructions import glued_prime_lattice
+    from latred.errors import BudgetExceeded
+
+    def outcome(kz, rows, budget):
+        try:
+            return kz(Lattice(rows), budget)
+        except BudgetExceeded:
+            return None
+
+    cases = _kz_cases() + [
+        glued_prime_lattice(1).basis,
+        dual_root_d(6).basis,
+        dual_root_d(7).basis,
+    ]
+    for rows in cases:
+        got = kz_reduce(Lattice(rows))
+        assert got == reference.kz_reduce_on_projections(Lattice(rows))
+        ties = tuple(rec.ties for rec in got.step_log)
+        assert (got.basis, ties) == reference.kz_reduce(Lattice(rows))
+        for kz in (kz_reduce, reference.kz_reduce_on_projections):
+            assert outcome(kz, rows, 0) is None
+            assert outcome(kz, rows, 10) in (None, got)
+            assert outcome(kz, rows, 40) in (None, got)
+
+
+def test_kz_reduce_budget_bounds_each_step(monkeypatch):
+    # node_budget bounds every _Budget that kz_reduce makes: one per
+    # enumeration of step 0's pool, and one per later step for all of its
+    # walks.  The most any of them spends on L_2 is just enough
+    from latred import enumeration
+    from latred.constructions import glued_prime_lattice
+    from latred.errors import BudgetExceeded
+
+    made = []
+    init = enumeration._Budget.__init__
+
+    def recorded(self, n):
+        init(self, n)
+        made.append((self, n))
+
+    monkeypatch.setattr(enumeration._Budget, "__init__", recorded)
+    want = kz_reduce(glued_prime_lattice(2))
+    need = max(n - budget.left for budget, n in made)
+    assert kz_reduce(glued_prime_lattice(2), node_budget=need) == want
+    with pytest.raises(BudgetExceeded):
+        kz_reduce(glued_prime_lattice(2), node_budget=need - 1)
+    with pytest.raises(BudgetExceeded):
+        kz_reduce(glued_prime_lattice(2), node_budget=50)

@@ -622,7 +622,7 @@ def test_projected_tails_match_sequential_projection():
                     w = vsub(w, vscale(c, gso.bstar[t]))
                 expected.append(w)
             assert tail == expected, (k, i)
-            assert [head.project(w) for w in claimed[i:]] == [
+            assert [reference.int_project(head, w) for w in claimed[i:]] == [
                 (w, norm_sq(w)) for w in expected
             ], (k, i)
 
@@ -753,11 +753,19 @@ def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
         "reduction.kz_reduce",
     )
     calls = count_calls(monkeypatch, *names)
+    lll = count_calls(monkeypatch, "enumeration.lll_rows")
     for k in (1, 2, 3):
         verification.verify_theorem_gap(k)
     assert calls["reduction.kz_reduce"] == 0
-    for k in (1, 2, 3):
+    # the k <= 2 oracle walks the claim's own IntGSO, and the generic
+    # kz_reduce runs L_k's one LLL and reads one pool: no LLL, pool or
+    # Lattice per projection
+    for k in (1, 2):
+        calls["enumeration.enumerate_up_to"] = lll["enumeration.lll_rows"] = 0
         verification.verify_kz_structure(k)
+        assert calls["enumeration.enumerate_up_to"] == 1
+        assert lll["enumeration.lll_rows"] == 1
+    verification.verify_kz_structure(3)
     for name in calls:
         calls[name] = 0
     assert verification.verify_theorem_gap(3).success
