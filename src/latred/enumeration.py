@@ -11,6 +11,7 @@ instances into an explicit BudgetExceeded error instead of a long stall.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt, lcm
 from operator import mul
 
@@ -35,10 +36,10 @@ class VectorList:
 
 
 # ---------------------------------------------------------------------------
-# LLL preprocessing (plumbing, not a contribution; delta = 3/4 by default)
+# LLL preprocessing (plumbing, not a contribution; delta = 3/4)
 
 
-def lll_rows(rows, delta=Q(3, 4)):
+def lll_rows(rows):
     """Exact LLL reduction of independent rows: (new rows, T, gso) with
     T . rows = new rows, T unimodular, and gso the IntGSO of new rows.
 
@@ -48,7 +49,7 @@ def lll_rows(rows, delta=Q(3, 4)):
     rows = matrix(rows)
     n = len(rows)
     trans = [[int(i == j) for j in range(n)] for i in range(n)]
-    gso = _lll(IntGSO.of(rows), 0, delta, trans)
+    gso = _lll(IntGSO.of(rows), 0, trans)
     den = gso.den
     return (
         tuple(tuple(Q(x, den) for x in r) for r in gso.b),
@@ -57,21 +58,20 @@ def lll_rows(rows, delta=Q(3, 4)):
     )
 
 
-def _lll(gso, lo, delta=Q(3, 4), trans=None):
+def _lll(gso, lo, trans=None):
     """The IntGSO of the rows of gso LLL-reduced past the first lo, which
-    stay as they are (Cohen, Alg. 2.6.7, integral).
+    stay as they are (Cohen, Alg. 2.6.7, integral, delta = 3/4).
 
     The Gram-Schmidt data is held as the integers d[i] (Gram determinant
     of the first i rows) and lam[i][j] = d[j + 1] * mu[i][j], which a swap
     updates in place.  Row k >= lo is size-reduced against every earlier
     row, rounding mu halves up; past row lo it then takes the Lovasz test
-    q * (d[k+1] d[k-1] + lam^2) >= p * d[k]^2 for delta = p / q.  Every
-    row step is applied to the rows of trans too, when given."""
+    4 (d[k+1] d[k-1] + lam^2) >= 3 d[k]^2.  Every row step is applied to
+    the rows of trans too, when given."""
     b, d, lam, den = gso
     n = len(b)
     b, d = [list(r) for r in b], list(d)
     lam = [list(r) + [0] * (n - len(r)) for r in lam]
-    p, q = qnum(delta), qden(delta)
     k = max(lo, 1)
     while k < n:
         for j in range(k - 1, -1, -1):
@@ -84,7 +84,7 @@ def _lll(gso, lo, delta=Q(3, 4), trans=None):
                 for t in range(j):
                     lam[k][t] -= r * lam[j][t]
         m = lam[k][k - 1]
-        if k == lo or q * (d[k + 1] * d[k - 1] + m * m) >= p * d[k] * d[k]:
+        if k == lo or 4 * (d[k + 1] * d[k - 1] + m * m) >= 3 * d[k] * d[k]:
             k += 1
             continue
         b[k - 1], b[k] = b[k], b[k - 1]
@@ -102,17 +102,21 @@ def _lll(gso, lo, delta=Q(3, 4), trans=None):
     return IntGSO(tuple(map(tuple, b)), tuple(d), tuple(map(tuple, lam)), den)
 
 
-def _completed(L: Lattice, held, gso):
-    """The IntGSO of a basis of L that starts with the rows of gso, a
-    prefix of L that held (its _Prefix over L.basis) holds: the
-    completion lifts held.rows . L.basis follow, in integers over gso's
-    denominator, and are LLL-reduced with the prefix fixed."""
-    den = gso.den
-    cols = tuple(zip(*([qnum(e) * (den // qden(e)) for e in r] for r in L.basis)))
-    lo = len(gso.b)
-    for r in held.rows:
-        gso = gso.appended(tuple(sum(map(mul, r, col)) for col in cols))
-    return _lll(gso, lo)
+def _put(gso, i, x):
+    """The IntGSO of a basis with the rows of gso before i, then
+    sum_k x_k b_k, then rows LLL-reduced past it, over the rows b of gso
+    and an integer x whose entries from i on have gcd 1.
+
+    _Prefix completes x[i:] to a unimodular [x[i:]; rows], so the rows
+    sum_k rows_r[k] b_{i+k} complete the first i rows and the new row i
+    to a basis of the same lattice."""
+    b, d, lam, den = gso
+    cols = tuple(zip(*b))
+    tail = _Prefix.empty(len(b) - i).extended(x[i:]).rows
+    out = IntGSO(b[:i], d[: i + 1], lam[:i], den)
+    for r in chain((x,), ((0,) * i + r for r in tail)):
+        out = out.appended(tuple(sum(map(mul, r, col)) for col in cols))
+    return _lll(out, i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,29 +303,28 @@ def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorL
 
 
 def _grow(L: Lattice, pick, node_budget):
-    """The first non-None pick(vectors) over pools of L, from the held bound
-    (at least the shortest LLL row) up by 3/2.  Pools are complete and in
-    (norm, lex) order, so the result does not depend on the bound."""
+    """The first non-None pick(vectors, coords, norms) over pools of L cut
+    at a bound, from the held bound (at least the shortest LLL row) up by
+    3/2; coords are the integer coordinates over the LLL basis.  Pools are
+    complete and in (norm, lex) order, so the result does not depend on
+    the bound."""
     b, _, _, den = L._lll[2]
     shortest_row = Q(min(sum(x * x for x in r) for r in b), den * den)
     bound = max(shortest_row, L._pool[0])
     while True:
-        got = pick(enumerate_up_to(L, bound, node_budget).vectors)
+        enumerate_up_to(L, bound, node_budget)
+        _, vectors, coords, norms = L._pool
+        end = bisect_right(norms, bound)
+        got = pick(vectors[:end], coords[:end], norms[:end])
         if got is not None:
             return got
         bound = bound * 3 / 2
 
 
-def _shortest(vectors):
-    """The vectors of least norm in a (norm, lex) sorted list, or None."""
-    if vectors:
-        return vectors[: bisect_right(vectors, norm_sq(vectors[0]), key=norm_sq)]
-
-
 def shortest_vector(L: Lattice, node_budget=DEFAULT_BUDGET):
     """A shortest nonzero vector and its squared norm, deterministic
     tie-break: lexicographically smallest after sign normalization."""
-    v = _grow(L, _shortest, node_budget)[0]
+    v = _grow(L, lambda vectors, *_: vectors[0] if vectors else None, node_budget)
     return v, norm_sq(v)
 
 
@@ -329,11 +332,10 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
     """Greedy successive minima with witnesses over a growing-bound pool;
     independence is decided on the pool's integer coordinates."""
 
-    def pick(vectors):
+    def pick(vectors, coords, norms):
         held = _Prefix.empty(L.rank)
         chosen = []
         minima = []
-        _, _, coords, norms = L._pool
         for v, c, nsq in zip(vectors, coords, norms):
             if held.independent(c):
                 held = held.extended(c)

@@ -5,12 +5,13 @@ caches its LLL basis with the LLL transform and the integral Gram-Schmidt
 data that the integral LLL ends with (IntGSO), and the largest
 short-vector pool enumerated from it; every result depends on the basis
 alone, so Lattice values are safe to share.  Coordinates, covolume and the
-enumeration's integer walk all read that one IntGSO.  A prefix of
-lattice vectors gets its own IntGSO, grown one _lam_row at a time, and
-its projections are the same integer back-substitution as coordinates:
-there is no rational Gram-Schmidt anywhere.  Independence of a basis is
-read off linalg's fraction-free elimination, and linear dependences off
-one HNF of the vectors with the identity appended.
+enumeration's integer walk all read that one IntGSO, and a completion
+carries it to a basis that starts with a given prefix
+(enumeration._put); projections past the prefix are the same integer
+back-substitution as coordinates: there is no rational Gram-Schmidt
+anywhere.  Independence of a basis is read off linalg's fraction-free
+elimination, and linear dependences off one HNF of the vectors with the
+identity appended.
 """
 
 from collections import namedtuple
@@ -37,7 +38,6 @@ from .linalg import (
     hnf,
     matrix,
     norm_sq,
-    row_times_mat,
     snf_divisors,
     transpose,
     vector,
@@ -230,11 +230,28 @@ def contains(L: Lattice, v) -> bool:
     return all(is_integer(c) for c in x)
 
 
+def _solve(gso, v):
+    """The integers x with sum_k x_k b_k = den v over the rows b of the
+    IntGSO gso: _back_substitute gives dz = d_n x s / den for W = s v, as
+    in coordinates.  Raises NotInSpan, or NotInLattice when an x_k is not
+    an integer."""
+    lam_w, s = _target_lam(gso, v)
+    scale = gso.d[-1] * s
+    x = []
+    for dz in _back_substitute(gso, lam_w):
+        q, r = divmod(dz * gso.den, scale)
+        if r:
+            raise NotInLattice("vector is not in the lattice")
+        x.append(q)
+    return tuple(x)
+
+
 def integer_coordinates(L: Lattice, v):
-    x = coordinates(L, v)
-    if not all(is_integer(c) for c in x):
-        raise NotInLattice("vector is not in the lattice")
-    return tuple(int(c) for c in x)
+    """The integer x with x . basis = v: _solve on the LLL basis, mapped
+    back through T; raises NotInSpan or NotInLattice."""
+    _, trans, gso = L._lll
+    z = _solve(gso, v)
+    return tuple(sum(a * r[c] for a, r in zip(z, trans) if a) for c in range(L.rank))
 
 
 def covolume_squared(L: Lattice):
@@ -335,35 +352,6 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
         )
 
 
-def project_orthogonal_with_lift(L: Lattice, prefix):
-    """Projection lattice onto span(prefix)^perp plus lift rows in L.
-
-    Returns (P, lifts): P.basis[i] is the orthogonal projection of lifts[i],
-    and the lifts complete the prefix to a basis of L.  Both are read off
-    the IntGSO of [prefix; lifts], over L's denominator.
-    """
-    prefix = [vector(p) for p in prefix]
-    held = _Prefix.of(L, prefix)
-    lifts = tuple(row_times_mat(r, L.basis) for r in held.rows)
-    gso = _prefix_gso(L, prefix)
-    for w in lifts:
-        gso = gso.extended(w)
-    i = len(prefix)
-    return (
-        Lattice([_perp(gso, i, gso.b[t], gso.lam[t]) for t in range(i, len(gso.b))]),
-        lifts,
-    )
-
-
-def _prefix_gso(L: Lattice, prefix):
-    """The IntGSO of vectors of L over the denominator of L's LLL basis,
-    which clears the denominators of every vector of L."""
-    gso = IntGSO((), (1,), (), L._lll[2].den)
-    for v in prefix:
-        gso = gso.extended(v)
-    return gso
-
-
 def linear_dependence(vectors) -> DependenceRelation:
     """Coprime integer coefficients a with sum a_i v_i = 0, unique up to sign.
 
@@ -410,8 +398,8 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     from .enumeration import (
         DEFAULT_BUDGET,
         _Budget,
-        _completed,
         _projected_shortest,
+        _put,
         _weights,
     )
 
@@ -428,26 +416,25 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
         raise PreconditionViolated("y0 is not in the lattice") from None
     if norm_sq(y0) > lambda_next_sq:
         raise PreconditionViolated("y0 is longer than the given minimum")
-    gso = _prefix_gso(L, sub)
-    try:
-        _, d, _, den = gso.extended(y0)
-    except DependentRows:
-        raise PreconditionViolated("y0 lies in the span of sub") from None
-    y0_perp_sq = Q(d[-1], d[-2] * den * den)
-
+    if not held.independent(y0_coords):
+        raise PreconditionViolated("y0 lies in the span of sub")
     if held.extends(y0_coords):
         return y0
 
-    # a shortest projection of L past sub, by one walk of the levels past
-    # sub on a basis [sub; completion]: the lexicographically first, sign
-    # normalized, as enumeration.shortest_vector would pick on the
-    # projection lattice
+    # a basis [sub; completion] of L, carried from L's LLL basis by
+    # putting each sub vector in its place; then a shortest projection of
+    # L past sub, by one walk of the levels past sub: the lexicographically
+    # first, sign normalized, as enumeration.shortest_vector would pick on
+    # the projection lattice
     i = len(sub)
-    gso = _completed(L, held, gso)
+    gso = L._lll[2]
+    for t, v in enumerate(sub):
+        gso = _put(gso, t, _solve(gso, v))
     b, d, lam, den = gso
     tops, rho = _projected_shortest(gso, i, _Budget(DEFAULT_BUDGET))
     # non-primitivity of the projection of y0 forces a factor-2 shrink
-    if 4 * Q(rho, _weights(gso)[0]) > y0_perp_sq:
+    _, dy, _, _ = IntGSO(b[:i], d[: i + 1], lam[:i], den).extended(y0)
+    if 4 * Q(rho, _weights(gso)[0]) > Q(dy[-1], dy[-2] * den * den):
         raise PreconditionViolated(
             "projection shrink factor violated; inputs inconsistent"
         )

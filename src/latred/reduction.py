@@ -1,35 +1,33 @@
 """Minkowski and Korkin-Zolotarev reduction, shortest bases, and the
 van der Waerden bound table with its k = 6, 7 improvements.
 
-The greedy and shortest-basis searches and KZ's first step read L's one
-growing pool (enumeration._grow); every later KZ step walks the levels of
-one IntGSO past its prefix.  Ties are resolved deterministically everywhere:
-candidate vectors are sign normalized and compared lexicographically, and
-the per-step log records how many candidates were tied so tests can spot
-tie-sensitive assertions.
+The greedy and shortest-basis searches read L's one growing pool
+(enumeration._grow); KZ carries one basis of L from step to step and
+walks the levels of its IntGSO past the prefix.  Ties are resolved
+deterministically everywhere: candidate vectors are sign normalized and
+compared lexicographically, and the per-step log records how many
+candidates were tied so tests can spot tie-sensitive assertions.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Rational
 from operator import mul
 
 from .enumeration import (
     DEFAULT_BUDGET,
     _Budget,
-    _completed,
     _grow,
     _least,
     _nearest_plane,
     _projected_shortest,
-    _shortest,
+    _put,
     _walk,
     lll_rows,
 )
-from .errors import BadParams, BudgetExceeded, PreconditionViolated
-from .lattice import Lattice, _Prefix, _prefix_gso, integer_coordinates
-from .linalg import hnf, norm_sq, normalize_sign
+from .errors import BadParams, BudgetExceeded
+from .lattice import Lattice, _Prefix
+from .linalg import hnf, norm_sq
 from .rationals import Q, QONE, qden
 
 
@@ -61,11 +59,9 @@ class ShortestBasisReport:
     certified: bool
 
 
-def lll(L: Lattice, delta=Q(3, 4)) -> ReductionResult:
-    if not (isinstance(delta, Rational) and Q(1, 4) < delta < 1):
-        raise PreconditionViolated("delta must be a rational in (1/4, 1)")
-    rows = lll_rows(L.basis, delta)[0]
-    return ReductionResult(rows, "lll", ())
+def lll(L: Lattice) -> ReductionResult:
+    """LLL reduction with delta = 3/4."""
+    return ReductionResult(lll_rows(L.basis)[0], "lll", ())
 
 
 def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
@@ -76,9 +72,8 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     basis = []
     log = []
 
-    def pick(vectors):
+    def pick(vectors, coords, norms):
         # the first primitive extension, then its ties: those of equal norm
-        _, _, coords, norms = L._pool
         i = next((i for i in range(len(vectors)) if prefix.extends(coords[i])), None)
         if i is not None:
             end = bisect_right(norms, norms[i])
@@ -93,51 +88,48 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     return ReductionResult(tuple(basis), "minkowski", tuple(log))
 
 
-def _kz_candidates(L, held, gso, budget):
-    """The vectors of L whose projection past a nonempty prefix (held its
-    _Prefix, gso its IntGSO) is shortest, and whose full norm is least
-    among those, sign normalized and in lexicographic order.
+def _kz_candidates(gso, i, budget):
+    """(candidates, x): the vectors of the lattice of the IntGSO gso whose
+    projection past its first i rows is shortest, and whose full norm is
+    least among those, sign normalized and in lexicographic order, and x
+    the first one's integer coordinates over the rows of gso.
 
-    On a basis [prefix; completion] of L (_completed), one walk of the
-    levels past the prefix finds every projected minimizer, one per +/-
-    pair.  Each is carried down the prefix's levels, its own fixed, under
-    one full-norm bound that starts at the first one's nearest-plane lift
-    and is lowered as shorter lifts arrive."""
-    i = len(gso.b)
-    gso = _completed(L, held, gso)
+    One walk of the levels from i on finds every projected minimizer, one
+    per +/- pair.  Each is carried down the levels below i, its own fixed,
+    under one full-norm bound that starts at the first one's nearest-plane
+    lift and is lowered as shorter lifts arrive."""
     tops, rho = _projected_shortest(gso, i, budget)
     bound = [rho + _nearest_plane(gso, None, [0] * i + list(tops[0]), i)]
     lifts = (_walk(gso, None, bound, budget, top=(top, rho)) for top in tops)
-    found = _least(chain.from_iterable(lifts), bound)
     cols = tuple(zip(*gso.b))
-    cands = {normalize_sign(tuple(sum(map(mul, x, c)) for c in cols)) for x in found}
-    return [tuple(Q(a, gso.den) for a in v) for v in sorted(cands)]
+    cands = {}
+    for x in _least(chain.from_iterable(lifts), bound):
+        v = tuple(sum(map(mul, x, c)) for c in cols)
+        # sign normalization: the first nonzero entry positive
+        if next(a for a in v if a) < 0:
+            v, x = tuple(-a for a in v), tuple(-a for a in x)
+        cands[v] = x
+    order = sorted(cands)
+    return [tuple(Q(a, gso.den) for a in v) for v in order], cands[order[0]]
 
 
 def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     """Korkin-Zolotarev reduction: at each step the new vector minimizes the
-    projected norm and, among those minimizers, the full norm.  The
-    prefix's IntGSO grows by one row per step, over L's denominator.
+    projected norm and, among those minimizers, the full norm.  One basis
+    of L is carried from step to step, starting at the LLL basis: step i
+    walks its IntGSO past row i and puts the chosen vector there
+    (enumeration._put), so its first rows are the KZ prefix.
 
-    node_budget bounds each step's enumeration on its own: step 0 reads
-    L's growing pool, each enumeration it runs with node_budget nodes, and
-    every later step's walks share one _Budget of node_budget nodes.  An
-    exhausted budget raises BudgetExceeded."""
-    prefix = []
-    held = _Prefix.empty(L.rank)
-    gso = _prefix_gso(L, ())
+    node_budget bounds each step's walks on its own: every step, step 0
+    included, spends one _Budget of node_budget nodes.  An exhausted budget
+    raises BudgetExceeded."""
+    gso = L._lll[2]
     log = []
     for i in range(L.rank):
-        if i:
-            cands = _kz_candidates(L, held, gso, _Budget(node_budget))
-        else:
-            cands = _grow(L, _shortest, node_budget)
-        chosen = cands[0]
-        held = held.extended(integer_coordinates(L, chosen))
-        gso = gso.extended(chosen)
-        prefix.append(chosen)
-        log.append(StepRecord(i, chosen, norm_sq(chosen), len(cands)))
-    return ReductionResult(tuple(prefix), "kz", tuple(log))
+        cands, x = _kz_candidates(gso, i, _Budget(node_budget))
+        gso = _put(gso, i, x)
+        log.append(StepRecord(i, cands[0], norm_sq(cands[0]), len(cands)))
+    return ReductionResult(tuple(rec.vector for rec in log), "kz", tuple(log))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +190,8 @@ def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisRepor
     kz = None  # (KZ basis, its maximum) once a subset search ran out
     budget = min(node_budget, 2_000_000)
 
-    def pick(vectors):
+    def pick(vectors, coords, norms):
         nonlocal end, kz
-        _, _, coords, norms = L._pool
         while end < len(vectors):
             level = norms[end]
             end = bisect_right(norms, level)

@@ -68,7 +68,6 @@ from latred.enumeration import (
     _Budget,
     _closest,
     _grow,
-    _shortest,
     closest_vectors_all,
     enumerate_up_to,
     shortest_vector,
@@ -687,6 +686,12 @@ def kz_reduce(L):
         prefix.append(cands[0])
         ties.append(len(cands))
     return tuple(prefix), tuple(ties)
+
+
+def _shortest(vectors, *_):
+    """The vectors of least norm in a (norm, lex) sorted list, or None."""
+    if vectors:
+        return vectors[: bisect_right(vectors, norm_sq(vectors[0]), key=norm_sq)]
 
 
 def _kz_candidates_on_projections(L, prefix, held, gso, node_budget):

@@ -26,7 +26,6 @@ from latred.lattice import (
     lattice_from_generators,
     linear_dependence,
     primitive_completion,
-    project_orthogonal_with_lift,
 )
 from latred.linalg import (
     dot,
@@ -262,13 +261,6 @@ def test_primitive_completion_preconditions():
         primitive_completion(L, [unit_vector(2, 0)], (Q(3), Q(0)), Q(9))
 
 
-def test_project_orthogonal_scaling():
-    L = Lattice(((Q(1), Q(0)), (Q(1, 3), Q(1, 3))))
-    P, _ = project_orthogonal_with_lift(L, [unit_vector(2, 0)])
-    assert P.rank == 1 and norm_sq(P.basis[0]) == Q(1, 9)
-
-
-
 def _gso_cases():
     """300 seeded (L, primitive prefix, probe vectors): rank 2..6 lattices
     of rational rows, with denominators, in dimension rank to rank + 2; the
@@ -300,7 +292,7 @@ def _gso_cases():
 
 def test_integral_prefix_gso_matches_the_rational_reference():
     # mu, norms, projections, GSO coordinates of in-span vectors and the
-    # projection lattice with its lifts, all exactly equal
+    # projections of the reference's completion lifts, all exactly equal
     from latred.lattice import IntGSO
 
     for L, prefix, probes in _gso_cases():
@@ -318,9 +310,8 @@ def test_integral_prefix_gso_matches_the_rational_reference():
         if off_sq:
             with pytest.raises(NotInSpan):
                 reference.int_star_coordinates(gso, vsub(inside, off))
-        assert project_orthogonal_with_lift(
-            L, prefix
-        ) == reference.project_orthogonal_with_lift(L, prefix)
+        P, lifts = reference.project_orthogonal_with_lift(L, prefix)
+        assert P.basis == tuple(reference.int_project(gso, w)[0] for w in lifts)
 
 
 def test_primitive_completion_matches_the_rational_reference():
@@ -403,9 +394,9 @@ def test_lattice_independence_and_generated_rank_match_the_reference(monkeypatch
 
 
 def test_kz_reduce_solves_each_prefix_once(monkeypatch):
-    # kz_reduce extends one _Prefix by each chosen vector: one coordinate
-    # solve per step (14 for the 14-dimensional L_2), and no Gram inverse,
-    # Smith form or HNF
+    # kz_reduce carries the chosen vector's coefficients over the rows it
+    # walked into the next basis, so it solves no coordinates over
+    # L.basis, and takes no Gram inverse, Smith form or HNF
     from conftest import count_calls
     from latred.constructions import glued_prime_lattice
     from latred.reduction import kz_reduce
@@ -420,7 +411,7 @@ def test_kz_reduce_solves_each_prefix_once(monkeypatch):
     )
     kz_reduce(L)
     assert calls == {
-        "lattice.integer_coordinates": 14,
+        "lattice.integer_coordinates": 0,
         "linalg.inverse": 0,
         "linalg.snf_divisors": 0,
         "linalg.hnf": 0,
@@ -560,7 +551,7 @@ def test_completion_error_classes():
         for complete in (
             reference.prefix_completion,
             reference.complete_to_basis,
-            project_orthogonal_with_lift,
+            reference.project_orthogonal_with_lift,
         ):
             with pytest.raises(error):
                 complete(L, prefix)

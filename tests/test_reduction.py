@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 
@@ -6,7 +7,6 @@ from conftest import random_integer_lattice
 from reference import determinant, gram_schmidt
 from latred.constructions import dual_root_d, hypercubic
 from latred.enumeration import shortest_vector, successive_minima
-from latred.errors import PreconditionViolated
 from latred.lattice import Lattice, contains, covolume_squared, is_primitive_tuple
 from latred.linalg import norm_sq
 from latred.rationals import Q
@@ -139,7 +139,7 @@ def test_kz_projected_minimality_small():
         assert res.kind == "kz"
         assert_is_basis(L, res.basis)
         gso = gram_schmidt(res.basis)
-        from latred.lattice import project_orthogonal_with_lift
+        from reference import project_orthogonal_with_lift
 
         _, lam1 = shortest_vector(L)
         assert gso.norms_sq[0] == lam1
@@ -158,9 +158,10 @@ def test_kz_tie_break_smallest_full_norm():
 
 
 def test_kz_reduce_runs_one_lll_per_step(monkeypatch):
-    # every step past the first walks one IntGSO of [prefix; completion],
-    # whose tail the integral LLL core reduces in place: the one lll_rows
-    # call is L's own, with the same tie counts
+    # one basis of L is carried from its LLL basis through every step,
+    # and each step's completion is LLL-reduced past the chosen vector by
+    # the integral LLL core in place: the one lll_rows call is L's own,
+    # with the same tie counts
     from conftest import count_calls
     from latred.constructions import glued_prime_lattice
 
@@ -238,17 +239,6 @@ def test_delta_table_improved_entries():
     assert t.values[7] == Q(19, 8)
     assert t.improved[5] and t.improved[6] and t.improved[7]
     assert not t.improved[0]
-
-
-def test_lll_rejects_a_non_rational_delta():
-    L = hypercubic(3)
-    for bad in (0.75, "3/4", None):
-        with pytest.raises(PreconditionViolated):
-            lll(L, bad)
-    for outside in (Q(1, 4), Q(1), 2):
-        with pytest.raises(PreconditionViolated):
-            lll(L, outside)
-    assert lll(L, Q(3, 4)).basis == lll(L).basis == L.basis
 
 
 def _differential_lattices(count=40, seed=90, top=8):
@@ -401,7 +391,7 @@ def test_enumeration_node_counts_are_pinned(monkeypatch):
     spent = count_nodes(monkeypatch)
     for run, nodes in (
         (lambda: kz_reduce(dual_root_d(5)), 110),
-        (lambda: kz_reduce(glued_prime_lattice(2)), 1195),
+        (lambda: kz_reduce(glued_prime_lattice(2)), 1200),
         (lambda: shortest_basis(glued_prime_lattice(2)), 467),
     ):
         spent[0] = 0
@@ -430,6 +420,61 @@ def _kz_cases():
             rows = mat_mul(random_unimodular(rng, n), rows)
         cases.append(rows)
     return cases
+
+
+def test_put_and_solve_keep_the_lattice():
+    # _put keeps the rows before i, puts x . b at row i and LLL-reduces
+    # the rows past it, on a basis of the same lattice: d_n is the same
+    # and the old rows have integral _solve coordinates over the new ones.
+    # _solve is the integer solve on any IntGSO; on the LLL basis's it is
+    # coordinates through T.  Seeded random x with x[i:] of gcd 1, each
+    # put on the basis the last one left.  The x that _kz_candidates
+    # gives with its candidates is the first one's, sign included
+    from math import gcd
+
+    from latred.enumeration import _Budget, _put
+    from latred.lattice import IntGSO, _solve, coordinates
+    from latred.linalg import row_times_mat
+    from latred.reduction import _kz_candidates
+
+    rng = random.Random(47)
+    puts = 0
+    for rows in _kz_cases():
+        L = Lattice(rows)
+        _, trans, gso = L._lll
+        n = L.rank
+        for _ in range(3):
+            v = row_times_mat([rng.randint(-3, 3) for _ in range(n)], L.basis)
+            assert coordinates(L, v) == row_times_mat(_solve(gso, v), trans)
+        for _ in range(4):
+            i = rng.randrange(n)
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            if gcd(*x[i:]) != 1:
+                continue
+            cands, y = _kz_candidates(gso, i, _Budget(10**6))
+            assert row_times_mat(y, gso.b) == tuple(a * gso.den for a in cands[0])
+            out = _put(gso, i, x)
+            b, d, lam, den = out
+            assert den == gso.den and b[:i] == gso.b[:i] and d[-1] == gso.d[-1]
+            assert b[i] == tuple(sum(map(mul, x, col)) for col in zip(*gso.b))
+            # d and lam are the rows' own
+            again = IntGSO((), (1,), (), den)
+            for r in b:
+                again = again.appended(r)
+            assert again.d == d
+            assert all(tuple(lam[k][:k]) == again.lam[k] for k in range(n))
+            for r in gso.b:
+                z = _solve(out, [Q(a, den) for a in r])
+                assert all(isinstance(a, int) for a in z)
+            # size-reduced past i, and Lovasz past i + 1 (delta = 3/4)
+            for k in range(i + 1, n):
+                assert all(abs(2 * lam[k][j]) <= d[j + 1] for j in range(k))
+                if k > i + 1:
+                    m = lam[k][k - 1]
+                    assert 4 * (d[k + 1] * d[k - 1] + m * m) >= 3 * d[k] ** 2
+            gso = out
+            puts += 1
+    assert puts >= 60
 
 
 def test_kz_reduce_matches_the_completion_reference():
@@ -478,8 +523,8 @@ def test_kz_reduce_matches_the_projection_lattice_reference():
 
 def test_kz_reduce_budget_bounds_each_step(monkeypatch):
     # node_budget bounds every _Budget that kz_reduce makes: one per
-    # enumeration of step 0's pool, and one per later step for all of its
-    # walks.  The most any of them spends on L_2 is just enough
+    # step, step 0 included, for all of its walks.  The most any of them
+    # spends on L_2 is just enough
     from latred import enumeration
     from latred.constructions import glued_prime_lattice
     from latred.errors import BudgetExceeded

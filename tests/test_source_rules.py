@@ -159,10 +159,13 @@ def test_src_has_no_nullspace_or_adjugate_elimination():
 
 
 def test_reduction_reads_the_one_growing_pool():
-    # greedy, KZ and shortest-basis searches all read L's pool through
-    # enumeration._grow; none runs its own fixed-bound enumeration
+    # the greedy and shortest-basis searches read L's pool through
+    # enumeration._grow, which hands their picks its vectors, coordinates
+    # and norms; none runs its own fixed-bound enumeration or unpacks the
+    # pool.  KZ walks the basis it carries and solves no coordinates
     text = (SRC / "reduction.py").read_text(encoding="utf-8")
-    assert "enumerate_up_to" not in text
+    for name in ("enumerate_up_to", "_pool", "integer_coordinates"):
+        assert name not in text, name
 
 
 def test_src_takes_no_determinant():

@@ -738,7 +738,7 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
 
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
     # one pass of the glued-certify benchmark (gap and kz-structure for
-    # k = 1..3): KZ prefixes and the k <= 2 oracle project on the integral
+    # k = 1..3): KZ and the k <= 2 oracle walk projections on the integral
     # GSO (src has no rational one, nor a determinant, see
     # test_source_rules), and the gap's shortest basis reads the pool the
     # greedy reduction left, with no KZ reduction; at k = 3 the verifiers
@@ -758,12 +758,12 @@ def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
         verification.verify_theorem_gap(k)
     assert calls["reduction.kz_reduce"] == 0
     # the k <= 2 oracle walks the claim's own IntGSO, and the generic
-    # kz_reduce runs L_k's one LLL and reads one pool: no LLL, pool or
-    # Lattice per projection
+    # kz_reduce runs L_k's one LLL and walks the basis it carries from
+    # it: no pool, and no LLL or Lattice per projection
     for k in (1, 2):
         calls["enumeration.enumerate_up_to"] = lll["enumeration.lll_rows"] = 0
         verification.verify_kz_structure(k)
-        assert calls["enumeration.enumerate_up_to"] == 1
+        assert calls["enumeration.enumerate_up_to"] == 0
         assert lll["enumeration.lll_rows"] == 1
     verification.verify_kz_structure(3)
     for name in calls:
