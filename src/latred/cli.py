@@ -45,13 +45,16 @@ def _qmat(rows):
     return [_qvec(r) for r in rows]
 
 
-def _emit(doc, out):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text, out):
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc, out):
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _budget_kwargs(args):
@@ -80,12 +83,7 @@ def cmd_construct(args) -> int:
             "construction %r takes %d parameter(s)" % (args.name, arity)
         )
     L = build([int(x) for x in args.params])
-    text = latfile.serialize(L)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(latfile.serialize(L), args.out)
     return EXIT_PASS
 
 

@@ -9,9 +9,12 @@ enumeration's integer walk all read that one IntGSO, and a completion
 carries it to a basis that starts with a given prefix
 (enumeration._put); projections past the prefix are the same integer
 back-substitution as coordinates: there is no rational Gram-Schmidt
-anywhere.  Independence of a basis is read off linalg's fraction-free
-elimination, and linear dependences off one HNF of the vectors with the
-identity appended.
+anywhere.  The primitive completion decides dependence, membership and
+primitivity on the coordinates over the one basis it carries.
+Independence of a basis is read off linalg's fraction-free elimination,
+linear dependences off one HNF of the vectors with the identity
+appended, and primitivity certificates off Smith divisors, which linalg
+reads off HNFs too.
 """
 
 from collections import namedtuple
@@ -29,7 +32,6 @@ from .errors import (
     NotFullRank,
     NotInLattice,
     NotInSpan,
-    NotPrimitive,
     PreconditionViolated,
     WrongRank,
 )
@@ -42,7 +44,7 @@ from .linalg import (
     transpose,
     vector,
 )
-from .rationals import Q, QZERO, is_integer, qden, qexact, qnum
+from .rationals import Q, QZERO, qden, qexact, qnum
 
 
 class IntGSO(namedtuple("IntGSO", "b d lam den")):
@@ -114,18 +116,16 @@ def _back_substitute(gso, lam_w):
     return dz
 
 
-def _perp(gso, i, w, lam_w):
-    """The part of w / den orthogonal to the first i rows of the IntGSO
-    gso, as rationals, for an integer row w over gso's den with
-    lam_w[j] = d[j + 1] mu_wj for j < i: _back_substitute gives the
-    dz_j = d_i z_j of w's part sum_j z_j b_j in the span of those rows, so
-    d_i den w* = d_i w - sum_j dz_j b_j."""
-    b, d, _, den = gso
-    dz = _back_substitute(gso, lam_w[:i])
-    scale = d[i] * den
+def _perp(gso, w):
+    """d_n den w*, w* the part of w / den orthogonal to the rows of the
+    IntGSO gso, for an integer row w over gso's den: _back_substitute
+    gives the dz_j = d_n z_j of w's part sum_j z_j b_j in the span of the
+    rows, so d_n den w* = d_n w - sum_j dz_j b_j, in integers.  It has
+    the sign and lexicographic order of w*, d_n den being positive."""
+    b, d, lam, _ = gso
+    dz = _back_substitute(gso, _lam_row(b, d, lam, w)[:-1])
     return tuple(
-        Q(d[i] * x - sum(z * r[c] for z, r in zip(dz, b) if z), scale)
-        for c, x in enumerate(w)
+        d[-1] * x - sum(z * r[c] for z, r in zip(dz, b) if z) for c, x in enumerate(w)
     )
 
 
@@ -219,15 +219,13 @@ def _target_lam(gso, v):
 
 
 def contains(L: Lattice, v) -> bool:
-    """True iff v is an integer combination of the basis rows."""
-    v = vector(v)
-    if len(v) != L.ambient_dim:
-        raise DimensionMismatch("vector has wrong ambient dimension")
+    """True iff v is an integer combination of the basis rows: one _solve
+    on the LLL basis's IntGSO."""
     try:
-        x = coordinates(L, v)
-    except NotInSpan:
+        _solve(L._lll[2], v)
+    except (NotInSpan, NotInLattice):
         return False
-    return all(is_integer(c) for c in x)
+    return True
 
 
 def _solve(gso, v):
@@ -302,17 +300,6 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
     def empty(cls, n):
         eye = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
         return cls(eye, eye, True)
-
-    @classmethod
-    def of(cls, L, vectors):
-        """The prefix of vectors of L, over L.basis; raises DependentTuple,
-        or NotPrimitive when they are independent but not primitive."""
-        held = cls.empty(L.rank)
-        for v in vectors:
-            held = held.extended(integer_coordinates(L, v))
-        if not held.primitive:
-            raise NotPrimitive("prefix is not a primitive tuple")
-        return held
 
     def _tail(self, c):
         return [sum(x * y for x, y in zip(c, col)) for col in self.cols]
@@ -398,6 +385,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     from .enumeration import (
         DEFAULT_BUDGET,
         _Budget,
+        _lll,
         _projected_shortest,
         _put,
         _weights,
@@ -406,65 +394,69 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     sub = [vector(v) for v in sub]
     y0 = vector(y0)
     lambda_next_sq = qexact(lambda_next_sq)
+    # a basis of L whose first rows span sub, carried from L's LLL basis:
+    # each sub vector's coordinates past the rows so far, divided by their
+    # gcd, are put in its place.  The rows stay a basis of L, so a later
+    # vector is solved as over L.basis, and sub is primitive iff every gcd
+    # is 1; then the rows are [sub; completion]
+    gso = L._lll[2]
+    primitive = True
+    for t, v in enumerate(sub):
+        x = _solve(gso, v)
+        g = gcd(*x[t:])
+        if not g:
+            raise DependentTuple("tuple is linearly dependent")
+        primitive &= g == 1
+        gso = _put(gso, t, x[:t] + tuple(a // g for a in x[t:]))
+    if not primitive:
+        raise PreconditionViolated("sub is not a primitive tuple")
+    # y0 lies in the span of sub iff its coordinates past sub are zero,
+    # and extends sub iff their gcd is 1
+    i = len(sub)
     try:
-        held = _Prefix.of(L, sub)
-    except NotPrimitive:
-        raise PreconditionViolated("sub is not a primitive tuple") from None
-    try:
-        y0_coords = integer_coordinates(L, y0)
+        tail = _solve(gso, y0)[i:]
     except (NotInSpan, NotInLattice):
         raise PreconditionViolated("y0 is not in the lattice") from None
     if norm_sq(y0) > lambda_next_sq:
         raise PreconditionViolated("y0 is longer than the given minimum")
-    if not held.independent(y0_coords):
+    if not any(tail):
         raise PreconditionViolated("y0 lies in the span of sub")
-    if held.extends(y0_coords):
+    if gcd(*tail) == 1:
         return y0
 
-    # a basis [sub; completion] of L, carried from L's LLL basis by
-    # putting each sub vector in its place; then a shortest projection of
-    # L past sub, by one walk of the levels past sub: the lexicographically
-    # first, sign normalized, as enumeration.shortest_vector would pick on
-    # the projection lattice
-    i = len(sub)
-    gso = L._lll[2]
-    for t, v in enumerate(sub):
-        gso = _put(gso, t, _solve(gso, v))
+    # a shortest projection of L past sub, by one walk of the levels past
+    # sub: the lexicographically first, sign normalized, as
+    # enumeration.shortest_vector would pick on the projection lattice
     b, d, lam, den = gso
+    pre = IntGSO(b[:i], d[: i + 1], lam[:i], den)
     tops, rho = _projected_shortest(gso, i, _Budget(DEFAULT_BUDGET))
     # non-primitivity of the projection of y0 forces a factor-2 shrink
-    _, dy, _, _ = IntGSO(b[:i], d[: i + 1], lam[:i], den).extended(y0)
+    dy = pre.extended(y0).d
     if 4 * Q(rho, _weights(gso)[0]) > Q(dy[-1], dy[-2] * den * den):
         raise PreconditionViolated(
             "projection shrink factor violated; inputs inconsistent"
         )
 
-    def projected(top):
-        # (p, x, lam_w): the projection p of sum_k x_k b_k, whose x is top
-        # past sub, and its lam_w[j] = d_{j+1} mu_j on sub's rows, all
-        # signed so that p is sign normalized
-        x = [0] * i + list(top)
-        lam_w = [sum(a * r[j] for a, r in zip(top, lam[i:])) for j in range(i)]
-        p = _perp(gso, i, [sum(map(mul, x, col)) for col in zip(*b)], lam_w)
+    def lift(top):
+        # (p, w): the lift w = sum_k x_k b_k, whose x is top past sub, and
+        # p = d_i den times its projection past sub, both signed so that p
+        # is sign normalized
+        w = tuple(sum(map(mul, top, col)) for col in zip(*b[i:]))
+        p = _perp(pre, w)
         if next(a for a in p if a) > 0:
-            return p, x, lam_w
-        return tuple(-a for a in p), [-a for a in x], [-a for a in lam_w]
+            return p, w
+        return tuple(-a for a in p), tuple(-a for a in w)
 
-    _, x, lam_w = min(map(projected, tops))
-    # size-reduce that lift against sub, last pivot first: taking r b_j
-    # off it subtracts r lam_j from lam_w
-    for j in range(i - 1, -1, -1):
-        r = (2 * lam_w[j] + d[j + 1]) // (2 * d[j + 1])  # halves rounded up
-        if r:
-            x[j] -= r
-            for t in range(j):
-                lam_w[t] -= r * lam[j][t]
-    y = tuple(Q(sum(map(mul, x, col)), den) for col in zip(*b))
+    _, w = min(map(lift, tops))
+    # size-reduce that lift against sub as the integral LLL does row i,
+    # rounding mu halves up: it takes no Lovasz test at its first row,
+    # and there is no row past i
+    y = tuple(Q(a, den) for a in _lll(pre.appended(w), i).b[i])
     pivots = sum((Q(d[j + 1], d[j] * den * den) for j in range(i)), QZERO)
     bound = max(lambda_next_sq, (pivots + lambda_next_sq) / 4)
     if norm_sq(y) > bound:
         raise PreconditionViolated("completion exceeded the size bound")
-    if not held.extends(integer_coordinates(L, y)):
+    if gcd(*_solve(gso, y)[i:]) != 1:
         raise PreconditionViolated("completion failed to be primitive")
     return y
 

@@ -4,15 +4,16 @@ Vectors are tuples of rationals and matrices are tuples of row vectors.
 All routines here are pure and exact; there is no floating point on any
 path.  Integer matrices (HNF/SNF) are plain nested tuples of Python ints.
 Rank and inverse are read off one fraction-free (Bareiss) elimination,
-_eliminate, of the rows scaled to integers, and lattice.linear_dependence
-off one HNF of the integer rows with the identity appended.  Gram-Schmidt
-is not here: latred's one Gram-Schmidt is the integral recurrence of
-latred.lattice (IntGSO), which also gives every Gram determinant latred
-needs, so no determinant is taken here.
+_eliminate, of the rows scaled to integers, lattice.linear_dependence
+off one HNF of the integer rows with the identity appended, and the
+Smith divisors off row HNFs of a matrix and its transpose, in turn.
+Gram-Schmidt is not here: latred's one Gram-Schmidt is the integral
+recurrence of latred.lattice (IntGSO), which also gives every Gram
+determinant latred needs, so no determinant is taken here.
 """
 
 from collections import namedtuple
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotIntegral, Singular
 from .rationals import Q, QONE, QZERO, qden, qexact, qnum
@@ -257,52 +258,19 @@ def snf_divisors(m):
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
 
     Returns min(rows, cols) nonnegative integers; trailing zeros indicate
-    rank deficiency.
+    rank deficiency.  Row HNFs of the matrix and of its transpose, in
+    turn, reach a diagonal matrix (Kannan and Bachem): each pair of
+    passes leaves the top-left pivot no larger, and once it is unchanged
+    its row and column are clear.  Replacing diagonal pairs by their gcd
+    and lcm then gives the divisibility chain, zeros last.
     """
-    a = _int_rows(m)
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    k = min(nr, nc)
-    divisors = []
-    t = 0
-    while t < k:
-        # the pivot: a smallest nonzero entry of the trailing block
-        nonzero = [
-            (abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]
-        ]
-        if not nonzero:
-            divisors.extend([0] * (k - t))
-            break
-        _, i0, j0 = min(nonzero)
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        # Euclid down column t, then reduce row t (column steps that, with
-        # column t clear, change row t alone); a remainder in row t is the
-        # next, smaller pivot.  Mixing the two passes blows entries up.
-        while True:
-            for i in range(t + 1, nr):
-                while a[i][t]:
-                    f = a[i][t] // a[t][t]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-            for j in range(t + 1, nc):
-                a[t][j] %= a[t][t]
-            j = next((j for j in range(t + 1, nc) if a[t][j]), None)
-            if j is None:
-                break
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-        # divisibility: pivot must divide every remaining entry
-        p = abs(a[t][t])
-        offender = next(
-            (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
-        )
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        divisors.append(p)
-        t += 1
+    a = hnf(m)
+    k = min(len(a), len(a[0]) if a else 0)
+    while any(x for i, r in enumerate(a) for j, x in enumerate(r) if i != j):
+        a = hnf(transpose(a))
+    divisors = [a[i][i] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            x, y = divisors[i], divisors[j]
+            divisors[i], divisors[j] = gcd(x, y), lcm(x, y)
     return divisors
-

@@ -23,7 +23,6 @@ from .enumeration import (
     _projected_shortest,
     _put,
     _walk,
-    lll_rows,
 )
 from .errors import BadParams, BudgetExceeded
 from .lattice import Lattice, _Prefix
@@ -60,8 +59,8 @@ class ShortestBasisReport:
 
 
 def lll(L: Lattice) -> ReductionResult:
-    """LLL reduction with delta = 3/4."""
-    return ReductionResult(lll_rows(L.basis)[0], "lll", ())
+    """LLL reduction with delta = 3/4: the LLL basis L caches."""
+    return ReductionResult(L._lll[0], "lll", ())
 
 
 def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:

@@ -979,16 +979,15 @@ def _table(items):
     return _SharedTable(items)
 
 
-def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
+def verify_minkowski_bounds(L, node_budget=DEFAULT_BUDGET) -> TheoremReport:
     """Check the greedy-reduction norm bounds against the successive
     minima: the k/4 factor at k = 6, 7 (with similarity to D_k* exactly
     at equality) and the improved Delta table everywhere."""
     t0 = time.monotonic()
     if L.rank < 6:
         raise PreconditionViolated("needs rank >= 6")
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    mink = minkowski_reduce(L, **kwargs)
-    minima = successive_minima(L, **kwargs)
+    mink = minkowski_reduce(L, node_budget)
+    minima = successive_minima(L, node_budget)
     # keys are interned and values shared, and every table is shared
     # read-only: the quantities of a lattice met again, and the verdict,
     # equality and (empty) witness tables, which most lattices of a rank
@@ -1011,7 +1010,7 @@ def verify_minkowski_bounds(L, node_budget=None) -> TheoremReport:
             equalities[intern("equality_at_%d" % (i + 1))] = eq
             if eq:
                 verdicts[intern("similar_to_dual_root_%d" % (i + 1))] = (
-                    similar_to_dual_root(mink.basis[: i + 1], **kwargs)
+                    similar_to_dual_root(mink.basis[: i + 1], node_budget)
                 )
     verdicts["improved_delta_bounds"] = all_delta
     rep = TheoremReport(

@@ -26,6 +26,8 @@
   maximum; latred walks its growing pool instead and runs KZ only when a
   subset search runs out of budget.
 - `coordinates`: the solve against the inverse of the basis Gram matrix.
+- `snf_divisors`: the Smith divisors by Euclid steps on a smallest pivot,
+  with a divisibility repair; latred reads them off alternating HNFs.
 - `complete_to_basis`: the completion read off the inverse of the HNF
   transform of the prefix's coordinates (rank and Smith form first).
 - `project_orthogonal_with_lift`, `primitive_completion`: the projection
@@ -52,7 +54,9 @@
   claims built row by row as d-long tuples of units and glue vectors.
 - `supports`: rows as {coordinate: nonzero entry}, the form the glued
   verifiers read.
-- `glued_residues`, `prefix_completion`: helpers that only tests use.
+- `glued_residues`, `prefix_completion`: helpers that only tests use;
+  `prefix_completion` completes a prefix with the tail-gcd transform
+  over `L.basis`, which latred's completion no longer builds.
 """
 
 from bisect import bisect_right
@@ -107,7 +111,6 @@ from latred.linalg import (
     norm_sq,
     normalize_sign,
     row_times_mat,
-    snf_divisors,
     transpose,
     unit_vector,
     vector,
@@ -641,6 +644,61 @@ def integer_coordinates(L, v):
     if not all(is_integer(c) for c in x):
         raise NotInLattice("vector is not in the lattice")
     return tuple(int(c) for c in x)
+
+
+def snf_divisors(m):
+    """Elementary divisors d_1 | d_2 | ... of an integer matrix, by
+    Euclid steps on a smallest pivot and a divisibility repair.
+
+    Returns min(rows, cols) nonnegative integers; trailing zeros indicate
+    rank deficiency.
+    """
+    a = _int_rows(m)
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    k = min(nr, nc)
+    divisors = []
+    t = 0
+    while t < k:
+        # the pivot: a smallest nonzero entry of the trailing block
+        nonzero = [
+            (abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]
+        ]
+        if not nonzero:
+            divisors.extend([0] * (k - t))
+            break
+        _, i0, j0 = min(nonzero)
+        a[t], a[i0] = a[i0], a[t]
+        for row in a:
+            row[t], row[j0] = row[j0], row[t]
+        # Euclid down column t, then reduce row t (column steps that, with
+        # column t clear, change row t alone); a remainder in row t is the
+        # next, smaller pivot.  Mixing the two passes blows entries up.
+        while True:
+            for i in range(t + 1, nr):
+                while a[i][t]:
+                    f = a[i][t] // a[t][t]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+            for j in range(t + 1, nc):
+                a[t][j] %= a[t][t]
+            j = next((j for j in range(t + 1, nc) if a[t][j]), None)
+            if j is None:
+                break
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+        # divisibility: pivot must divide every remaining entry
+        p = abs(a[t][t])
+        offender = next(
+            (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
+        )
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            continue
+        divisors.append(p)
+        t += 1
+    return divisors
 
 
 def complete_to_basis(L, prefix):
@@ -1198,9 +1256,16 @@ def glued_residues(k, w):
 
 def prefix_completion(L, prefix):
     """The (primitive) prefix followed by the rows that complete it to a
-    basis of L, read off the tail-gcd transform of its coordinates."""
+    basis of L, read off the tail-gcd transform of its coordinates over
+    L.basis; raises DependentTuple, or NotPrimitive when the prefix is
+    independent but not primitive."""
     prefix = tuple(vector(v) for v in prefix)
-    return prefix + tuple(row_times_mat(r, L.basis) for r in _Prefix.of(L, prefix).rows)
+    held = _Prefix.empty(L.rank)
+    for v in prefix:
+        held = held.extended(integer_coordinates(L, v))
+    if not held.primitive:
+        raise NotPrimitive("prefix is not a primitive tuple")
+    return prefix + tuple(row_times_mat(r, L.basis) for r in held.rows)
 
 
 def _glue_rows(params):

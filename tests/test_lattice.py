@@ -333,6 +333,26 @@ def test_primitive_completion_matches_the_rational_reference():
         assert primitive_completion(L, sub, y0, lam_sq) == want
         done += 1
 
+
+def test_primitive_completion_size_reduces_a_combined_lift():
+    # the projection past e_0 is hexagonal, with three shortest pairs, so
+    # the lexicographically first one is often the sum or difference of
+    # two rows of the carried basis, whose lift is not size-reduced until
+    # the completion reduces it
+    rng = random.Random(3)
+    for _ in range(40):
+        a, b = (Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
+        hexa = [
+            (Q(1), Q(0), Q(0), Q(0)),
+            (a, Q(1), Q(-1), Q(0)),
+            (b, Q(0), Q(1), Q(-1)),
+        ]
+        L = Lattice(mat_mul(random_unimodular(rng, 3), hexa))
+        y0 = vscale(2, hexa[1])
+        y = primitive_completion(L, hexa[:1], y0, norm_sq(y0))
+        assert y == reference.primitive_completion(L, hexa[:1], y0, norm_sq(y0))
+        assert y[1:] == (0, 1, -1) and abs(y[0]) <= Q(1, 2)
+
 def test_lattice_from_generators_and_sublattice():
     gens = [(Q(2), Q(0)), (Q(0), Q(2)), (Q(1), Q(1))]
     L = lattice_from_generators(gens)
@@ -420,24 +440,18 @@ def test_kz_reduce_solves_each_prefix_once(monkeypatch):
 
 def test_primitive_completion_solves_each_vector_once(monkeypatch):
     # the coordinates of sub (3), of y0 (1) and of the completion (1) are
-    # solved once each and shared by the certificates and the completion
-    from latred import lattice
+    # solved once each, on the basis the completion carries, and decide
+    # the error classes, the primitivity checks and the completion
+    from conftest import count_calls
 
-    calls = []
-    solve = lattice.integer_coordinates
-
-    def counted(L, v):
-        calls.append(v)
-        return solve(L, v)
-
-    monkeypatch.setattr(lattice, "integer_coordinates", counted)
+    calls = count_calls(monkeypatch, "lattice._solve", "lattice.integer_coordinates")
     e = [unit_vector(6, i) for i in range(6)]
     half = tuple((a + b) / 2 for a, b in zip(e[0], e[3]))
     L = Lattice([e[0], e[1], e[2], half, e[4], e[5]])
     # e_3 is not primitive over e_0..e_2 (its projection is twice e_3 / 2)
     y = primitive_completion(L, e[:3], e[3], Q(1))
     assert y == (Q(-1, 2), 0, 0, Q(1, 2), 0, 0)
-    assert len(calls) == 5
+    assert calls == {"lattice._solve": 5, "lattice.integer_coordinates": 0}
 
 
 def _solve_cases():
@@ -534,7 +548,8 @@ def test_coordinates_off_the_basis_denominator_match_the_reference():
 
 def test_completion_error_classes():
     # a dependent prefix is DependentTuple even when an earlier vector is
-    # not primitive; a non-primitive one is NotPrimitive, as in the reference
+    # not primitive; a non-primitive one is NotPrimitive, as in the
+    # reference, and primitive_completion's PreconditionViolated
     import reference
 
     L = hypercubic(3)
@@ -546,6 +561,7 @@ def test_completion_error_classes():
         ([vscale(2, e[0])], NotPrimitive),
         ([e[0], vscale(3, e[1])], NotPrimitive),
         ([vscale(Q(1, 2), e[0])], NotInLattice),
+        ([vscale(2, e[0]), e[0]], DependentTuple),
     ]
     for prefix, error in cases:
         for complete in (
@@ -555,5 +571,7 @@ def test_completion_error_classes():
         ):
             with pytest.raises(error):
                 complete(L, prefix)
-    with pytest.raises(DependentTuple):
-        primitive_completion(L, [vscale(2, e[0]), vscale(4, e[0])], e[1], Q(1))
+        if error is NotPrimitive:
+            error = PreconditionViolated
+        with pytest.raises(error):
+            primitive_completion(L, prefix, e[2], Q(1))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import mat_mul
+from conftest import mat_mul, random_unimodular
 from reference import determinant
 from latred.errors import (
     DependentRows,
@@ -157,6 +157,33 @@ def test_snf_does_not_blow_up_on_interleaved_passes():
         (45, -23, -21, 33, 38, -19, -55),
     ]
     assert snf_divisors(rows) == [1] * 6 == minor_divisors(rows)
+
+
+def test_snf_matches_the_euclid_reference_on_larger_matrices():
+    # the divisors read off alternating HNFs equal those of the Euclid
+    # elimination on shapes where the minors' gcds are out of reach:
+    # random matrices, rank-deficient ones and ones with a common factor,
+    # and products U D V of a diagonal D between random unimodular
+    # matrices, which often take three or four HNFs to diagonalize
+    rng = random.Random(31)
+    cases = []
+    for _ in range(120):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        lim = rng.choice([1, 5, 100])
+        rows = [[rng.randint(-lim, lim) for _ in range(nc)] for _ in range(nr)]
+        if nr > 2 and rng.random() < 0.3:
+            rows[-1] = [3 * a - b for a, b in zip(rows[0], rows[1])]
+        if rng.random() < 0.2:
+            rows = [[6 * a for a in r] for r in rows]
+        cases.append(rows)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        diag = [rng.choice((0, 1, 2, 3, 4, 6, 12)) for _ in range(n)]
+        d = [[diag[i] * (i == j) for j in range(n)] for i in range(n)]
+        u, v = random_unimodular(rng, n), random_unimodular(rng, n)
+        cases.append(mat_mul(mat_mul(u, d), v))
+    for rows in cases:
+        assert snf_divisors(rows) == reference.snf_divisors(rows)
 
 
 @settings(max_examples=40)

@@ -4,9 +4,12 @@ the reports are the one float literal allowed.  And the package stays
 pure Python: it imports the standard library, the optional gmpy2 and
 itself, nothing else, and its metadata requires nothing at install.  Its one Gram-Schmidt is the integral recurrence
 `lattice._lam_row`.  Rank and inverse come from the fraction-free
-elimination `linalg._eliminate`, and `linear_dependence` and the 42-scan's
-relation and residues from `linalg.hnf`; latred takes no determinant and
-builds no adjugate.  The rational processes live in tests/reference.py."""
+elimination `linalg._eliminate`, and `linear_dependence`, the 42-scan's
+relation and residues and the Smith divisors from `linalg.hnf`; latred
+takes no determinant and builds no adjugate.  `primitive_completion`
+decides primitivity on the one basis it carries, with no tail-gcd
+transform over `L.basis`.  The rational processes live in
+tests/reference.py."""
 
 import ast
 import sys
@@ -178,3 +181,25 @@ def test_src_takes_no_determinant():
     found = [p.name for p in paths if "determinant(" in p.read_text(encoding="utf-8")]
     assert found == []
     assert linalg.Elimination._fields == ("d", "scales", "pivots", "rows")
+
+
+def _names_in(path, function):
+    """The names that the top-level function reads in the file path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    node = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
+    )
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_primitive_completion_decides_on_its_carried_basis():
+    # the completion solves sub, y0 and its result on the basis it
+    # carries (lattice._solve), not over L.basis through the tail-gcd
+    # transform
+    names = _names_in(SRC / "lattice.py", "primitive_completion")
+    assert "_solve" in names
+    assert not names & {"_Prefix", "integer_coordinates"}
+
+
+def test_smith_divisors_are_read_off_the_hnf():
+    assert "hnf" in _names_in(SRC / "linalg.py", "snf_divisors")
