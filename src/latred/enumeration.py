@@ -3,13 +3,17 @@
 Depth-first Fincke-Pohst enumeration over the integral Gram-Schmidt data
 (d, lambda, den) that the integral LLL ends with.  The walk is integral:
 each level's centre and cost are integers over one common denominator,
-and pruning is one isqrt per node, exact.  Pools sort on integers, and a
-kept vector's entries and norm become rationals once.  There is no
-floating point anywhere.  A node budget turns out-of-desk-scale
-instances into an explicit BudgetExceeded error instead of a long stall.
+and pruning is one isqrt per node, exact.  A lattice's pool of short
+vectors is held in integers (_Pool: M |v|^2, den v and the coordinates
+over the LLL basis), and the greedy, minima and shortest-basis picks
+compare those; rationals are built only for the vectors and norms that
+leave.  There is no floating point anywhere.  A node budget turns
+out-of-desk-scale instances into an explicit BudgetExceeded error
+instead of a long stall.
 """
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, lcm
@@ -17,7 +21,7 @@ from operator import mul
 
 from .errors import BudgetExceeded
 from .lattice import IntGSO, Lattice, _Prefix, _target_lam
-from .linalg import matrix, norm_sq, row_times_mat
+from .linalg import matrix, row_times_mat
 from .rationals import Q, qexact, qnum, qden
 
 DEFAULT_BUDGET = 10**8
@@ -270,21 +274,54 @@ def _closest(gso, v, budget):
     return found, Q(bound[0], _weights(gso, target[1])[0])
 
 
-def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorList:
-    """All nonzero v in L with |v|^2 <= bound_sq, one per +/- pair,
-    sorted by (squared norm, lexicographic order of the entries).
+class _Pool(namedtuple("_Pool", "bound start m den rhos ws coords")):
+    """A lattice's pool of short vectors, in integers: every nonzero v of
+    L with |v|^2 <= p/q, (p, q) = bound, one per +/- pair, sign normalized
+    (first nonzero entry positive) and in (norm, lex) order.  rhos[i] =
+    M |v_i|^2, ws[i] = den v_i and coords[i] the integer coordinates of v_i
+    over the LLL basis, with M = _weights(gso)[0] and den of the LLL
+    basis's IntGSO gso, both fixed for the lattice; start = (p, q) is the
+    squared norm of the shortest LLL row.
 
-    L keeps the largest pool enumerated so far.  A request at or below its
-    bound is served from that pool and spends no nodes; the node budget
-    bounds every enumeration actually run."""
-    bound_sq = qexact(bound_sq)
-    held, vectors, _, norms = L._pool
-    if bound_sq > held:
+    Every rho is an integer, so the cut at a rational bound b is
+    bisect_right(rhos, qnum(b) M // qden(b)), and (rho, w) sorts in
+    (norm, lex) order.  Fractions are built only for what leaves:
+    vector(i) and norm_sq(i)."""
+
+    __slots__ = ()
+
+    def vector(self, i):
+        return tuple(Q(a, self.den) for a in self.ws[i])
+
+    def norm_sq(self, i):
+        return Q(self.rhos[i], self.m)
+
+
+def _held_pool(L: Lattice):
+    """L's pool; an empty one, with M, den and the shortest LLL row, the
+    first time."""
+    pool = L._pool
+    if pool is None:
+        gso = L._lll[2]
+        b, _, _, den = gso
+        start = min(sum(x * x for x in r) for r in b), den * den
+        pool = _Pool((0, 1), start, _weights(gso)[0], den, (), (), ())
+        object.__setattr__(L, "_pool", pool)
+    return pool
+
+
+def _pool_to(L: Lattice, p, q, node_budget):
+    """L's pool, enumerated afresh up to the bound p/q (q > 0) when that is
+    past the held bound.  A walk is complete and (rho, w) is unique per
+    +/- pair, so a larger pool starts with the smaller one, in the same
+    order: indices into a pool stay valid as it grows."""
+    pool = _held_pool(L)
+    hp, hq = pool.bound
+    if p * hq > hp * q:
         gso = L._lll[2]
         cols = tuple(zip(*gso.b))
-        m, _ = _weights(gso)
         out = []
-        bound = [qnum(bound_sq) * m // qden(bound_sq)]
+        bound = [p * pool.m // q]
         for coeffs, rho in _walk(gso, None, bound, _Budget(node_budget)):
             # v = coeffs . LLL basis, over the scaled integer rows
             w = tuple(sum(map(mul, coeffs, col)) for col in cols)
@@ -294,57 +331,78 @@ def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorL
             out.append((rho, w, coeffs))
         # (rho, w) is (|v|^2, v) scaled by M and den: the same order
         out.sort()
-        den = gso.den
-        norms = tuple(Q(t[0], m) for t in out)
-        vectors = tuple(tuple(Q(a, den) for a in t[1]) for t in out)
-        coords = tuple(t[2] for t in out)
-        object.__setattr__(L, "_pool", (bound_sq, vectors, coords, norms))
-    return VectorList(vectors[: bisect_right(norms, bound_sq)], bound_sq)
+        rhos, ws, coords = map(tuple, zip(*out)) if out else ((), (), ())
+        pool = pool._replace(bound=(p, q), rhos=rhos, ws=ws, coords=coords)
+        object.__setattr__(L, "_pool", pool)
+    return pool
+
+
+def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorList:
+    """All nonzero v in L with |v|^2 <= bound_sq, one per +/- pair,
+    sorted by (squared norm, lexicographic order of the entries).
+
+    L keeps the largest pool enumerated so far.  A request at or below its
+    bound is served from that pool and spends no nodes; the node budget
+    bounds every enumeration actually run."""
+    bound_sq = qexact(bound_sq)
+    p, q = qnum(bound_sq), qden(bound_sq)
+    pool = _pool_to(L, p, q, node_budget)
+    end = bisect_right(pool.rhos, p * pool.m // q)
+    return VectorList(tuple(map(pool.vector, range(end))), bound_sq)
 
 
 def _grow(L: Lattice, pick, node_budget):
-    """The first non-None pick(vectors, coords, norms) over pools of L cut
-    at a bound, from the held bound (at least the shortest LLL row) up by
-    3/2; coords are the integer coordinates over the LLL basis.  Pools are
-    complete and in (norm, lex) order, so the result does not depend on
-    the bound."""
-    b, _, _, den = L._lll[2]
-    shortest_row = Q(min(sum(x * x for x in r) for r in b), den * den)
-    bound = max(shortest_row, L._pool[0])
+    """The first non-None pick(pool, end) over L's pool cut at a bound,
+    end the index past the cut: from the held bound (at least the
+    shortest LLL row) up by 3/2, the bound held as an integer pair.  Pools
+    are complete and in (norm, lex) order, so the result does not depend
+    on the bound, and a pick may keep indices from one round to the
+    next."""
+    pool = _held_pool(L)
+    (p, q), (hp, hq) = pool.start, pool.bound
+    if hp * q > p * hq:
+        p, q = hp, hq
     while True:
-        enumerate_up_to(L, bound, node_budget)
-        _, vectors, coords, norms = L._pool
-        end = bisect_right(norms, bound)
-        got = pick(vectors[:end], coords[:end], norms[:end])
+        pool = _pool_to(L, p, q, node_budget)
+        got = pick(pool, bisect_right(pool.rhos, p * pool.m // q))
         if got is not None:
             return got
-        bound = bound * 3 / 2
+        p, q = 3 * p, 2 * q
 
 
 def shortest_vector(L: Lattice, node_budget=DEFAULT_BUDGET):
     """A shortest nonzero vector and its squared norm, deterministic
     tie-break: lexicographically smallest after sign normalization."""
-    v = _grow(L, lambda vectors, *_: vectors[0] if vectors else None, node_budget)
-    return v, norm_sq(v)
+    pool = _grow(L, lambda pool, end: pool if end else None, node_budget)
+    return pool.vector(0), pool.norm_sq(0)
 
 
 def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
     """Greedy successive minima with witnesses over a growing-bound pool;
-    independence is decided on the pool's integer coordinates."""
+    independence is decided on the pool's integer coordinates.
 
-    def pick(vectors, coords, norms):
-        held = _Prefix.empty(L.rank)
-        chosen = []
-        minima = []
-        for v, c, nsq in zip(vectors, coords, norms):
+    One scan serves every growth round: a vector in the span of the
+    chosen prefix is in the span of every larger prefix, so a round that
+    found too few resumes at the end of its cut, with the prefix held."""
+    held = _Prefix.empty(L.rank)
+    chosen = []
+    start = 0
+
+    def pick(pool, end):
+        nonlocal held, start
+        for i in range(start, end):
+            c = pool.coords[i]
             if held.independent(c):
                 held = held.extended(c)
-                chosen.append(v)
-                minima.append(nsq)
+                chosen.append(i)
                 if len(chosen) == L.rank:
-                    return MinimaReport(tuple(minima), tuple(chosen))
+                    return pool
+        start = end
 
-    return _grow(L, pick, node_budget)
+    pool = _grow(L, pick, node_budget)
+    return MinimaReport(
+        tuple(map(pool.norm_sq, chosen)), tuple(map(pool.vector, chosen))
+    )
 
 
 # ---------------------------------------------------------------------------

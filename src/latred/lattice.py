@@ -154,10 +154,11 @@ class Lattice:
     def ambient_dim(self):
         return len(self.basis[0])
 
-    # (bound, vectors, coordinates, squared norms) of the largest
-    # enumerate_up_to so far, in its order; coordinates[i] is the integer
-    # coefficient tuple of vectors[i] over the LLL basis _lll[0]
-    _pool = (Q(0), (), (), ())
+    # the largest short-vector pool enumerated so far, in integers
+    # (enumeration._Pool): M |v|^2, den v and the integer coordinates over
+    # the LLL basis _lll[0] of each vector, with the fixed M and den of the
+    # LLL basis's IntGSO; None until the first enumeration
+    _pool = None
 
     @cached_property
     def _lll(self):

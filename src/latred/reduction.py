@@ -2,7 +2,8 @@
 van der Waerden bound table with its k = 6, 7 improvements.
 
 The greedy and shortest-basis searches read L's one growing pool
-(enumeration._grow); KZ carries one basis of L from step to step and
+(enumeration._grow) in integers and build rationals only for the vectors
+and norms they return; KZ carries one basis of L from step to step and
 walks the levels of its IntGSO past the prefix.  Ties are resolved
 deterministically everywhere: candidate vectors are sign normalized and
 compared lexicographically, and the per-step log records how many
@@ -12,6 +13,7 @@ candidates were tied so tests can spot tie-sensitive assertions.
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
 from operator import mul
 
 from .enumeration import (
@@ -27,7 +29,7 @@ from .enumeration import (
 from .errors import BadParams, BudgetExceeded
 from .lattice import Lattice, _Prefix
 from .linalg import hnf, norm_sq
-from .rationals import Q, QONE, qden
+from .rationals import Q, QONE, qden, qnum
 
 
 @dataclass(frozen=True)
@@ -65,26 +67,41 @@ def lll(L: Lattice) -> ReductionResult:
 
 def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     """Greedy reduction: each b_i is a shortest vector keeping the prefix
-    primitive, found by scanning the bounded enumeration in norm order and
-    deciding primitivity on the pool's integer coordinates."""
-    prefix = _Prefix.empty(L.rank)
-    basis = []
-    log = []
+    primitive, found by scanning L's pool (enumeration._grow) in norm
+    order and deciding primitivity on its integer coordinates.
 
-    def pick(vectors, coords, norms):
-        # the first primitive extension, then its ties: those of equal norm
-        i = next((i for i in range(len(vectors)) if prefix.extends(coords[i])), None)
-        if i is not None:
-            end = bisect_right(norms, norms[i])
-            ties = 1 + sum(map(prefix.extends, coords[i + 1 : end]))
-            return vectors[i], coords[i], norms[i], ties
+    One scan serves every step and growth round.  The prefix P is
+    primitive, so L/P is free, and a candidate that does not extend P has
+    image 0 or g u with g >= 2 in L/P, and keeps such an image in L/P'
+    for every larger primitive P'.  So step k + 1 resumes right after step k's
+    pick, and a round that found nothing resumes at the end of its cut.
+    Ties are counted over the pick's whole norm level: the candidates of
+    that level before the pick do not extend the prefix either."""
+    n = L.rank
+    prefix = _Prefix.empty(n)
+    picks = []  # (pool index, ties) per step
+    start = 0
 
-    for i in range(L.rank):
-        chosen, c, nsq, ties = _grow(L, pick, node_budget)
-        prefix = prefix.extended(c)
-        basis.append(chosen)
-        log.append(StepRecord(i, chosen, nsq, ties))
-    return ReductionResult(tuple(basis), "minkowski", tuple(log))
+    def pick(pool, end):
+        nonlocal prefix, start
+        rhos, coords = pool.rhos, pool.coords
+        for i in range(start, end):
+            c = coords[i]
+            if prefix.extends(c):
+                level = bisect_right(rhos, rhos[i])
+                ties = 1 + sum(map(prefix.extends, coords[i + 1 : level]))
+                prefix = prefix.extended(c)
+                picks.append((i, ties))
+                if len(picks) == n:
+                    return pool
+        start = end
+
+    pool = _grow(L, pick, node_budget)
+    log = tuple(
+        StepRecord(k, pool.vector(i), pool.norm_sq(i), ties)
+        for k, (i, ties) in enumerate(picks)
+    )
+    return ReductionResult(tuple(rec.vector for rec in log), "minkowski", log)
 
 
 def _kz_candidates(gso, i, budget):
@@ -147,7 +164,8 @@ def _generates(n, coords):
 
 def _basis_subset_search(L, pool, budget):
     """Depth-first search for a primitive rank-subset of the pool, a list
-    of (vector, integer coordinates) pairs.
+    of (item, integer coordinates) pairs: the items of the first one
+    found, in pool order.
 
     Pool order is the search order; prefixes are pruned by primitivity (one
     _Prefix per level) and by the number of pool vectors left.
@@ -164,10 +182,10 @@ def _basis_subset_search(L, pool, budget):
             nodes[0] += 1
             if nodes[0] > budget:
                 raise BudgetExceeded("subset search budget exhausted")
-            v, c = pool[idx]
+            item, c = pool[idx]
             if not held.extends(c):
                 continue
-            got = rec(prefix + [v], held.extended(c), idx + 1)
+            got = rec(prefix + [item], held.extended(c), idx + 1)
             if got is not None:
                 return got
         return None
@@ -179,36 +197,45 @@ def shortest_basis(L: Lattice, node_budget=DEFAULT_BUDGET) -> ShortestBasisRepor
     """Exact min-max basis: the least norm level of L's growing pool
     whose vectors hold a basis, certified by exhausting every level below.
 
-    Levels are decided once each, in ascending order: one whose vectors
-    generate L is searched for a basis among them, rare (large-
-    denominator) vectors first, then in pool order.  A level holding a
-    KZ basis holds a basis, so no KZ reduction runs until a search runs
-    out of budget; then the report is uncertified, and a KZ basis caps
-    the levels still tried and is the answer if none holds a basis."""
-    end = 0  # pool index past the last decided level
-    kz = None  # (KZ basis, its maximum) once a subset search ran out
+    Levels are decided once each, in ascending order of M |v|^2: one whose
+    vectors generate L is searched for a basis among them, rare (large-
+    denominator) vectors first, then in pool order.  The largest entry
+    denominator of v = w / den is den / min_c gcd(den, w_c).  A level
+    holding a KZ basis holds a basis, so no KZ reduction runs until a
+    search runs out of budget; then the report is uncertified, and a KZ
+    basis caps the levels still tried and is the answer if none holds a
+    basis."""
+    done = 0  # pool index past the last decided level
+    kz = None  # (KZ basis, its maximum, that times M) once a search ran out
     budget = min(node_budget, 2_000_000)
 
-    def pick(vectors, coords, norms):
-        nonlocal end, kz
-        while end < len(vectors):
-            level = norms[end]
-            end = bisect_right(norms, level)
-            if _generates(L.rank, coords[:end]):
-                pairs = zip(vectors[:end], coords[:end])
-                ordered = sorted(pairs, key=lambda e: -max(map(qden, e[0])))
+    def pick(pool, end):
+        nonlocal done, kz
+        rhos, coords, den = pool.rhos, pool.coords, pool.den
+        while done < end:
+            first = done
+            done = bisect_right(rhos, rhos[first])
+            if _generates(L.rank, coords[:done]):
+                # a stable sort: pool order among equally rare vectors
+                rare = sorted(
+                    range(done), key=lambda i: min(gcd(den, a) for a in pool.ws[i])
+                )
                 try:
-                    found = _basis_subset_search(L, ordered, budget)
+                    found = _basis_subset_search(
+                        L, [(i, coords[i]) for i in rare], budget
+                    )
                 except BudgetExceeded:
                     found = None
                     if kz is None:
                         basis = kz_reduce(L, node_budget).basis
-                        kz = basis, max(map(norm_sq, basis))
+                        top = max(map(norm_sq, basis))
+                        kz = basis, top, qnum(top) * pool.m // qden(top)
                 if found is not None:
-                    found.sort(key=lambda v: (norm_sq(v), v))
-                    return ShortestBasisReport(tuple(found), level, kz is None)
-            if kz is not None and level >= kz[1]:
-                return ShortestBasisReport(*kz, False)
+                    # pool order is (norm, lex) order
+                    basis = tuple(map(pool.vector, sorted(found)))
+                    return ShortestBasisReport(basis, pool.norm_sq(first), kz is None)
+            if kz is not None and rhos[first] >= kz[2]:
+                return ShortestBasisReport(kz[0], kz[1], False)
 
     return _grow(L, pick, node_budget)
 

@@ -19,6 +19,21 @@ def random_integer_lattice(rng: random.Random, n: int, limit: int = 3) -> Lattic
             continue
 
 
+def minkowski_population(seed, count):
+    """count lattices like the random-minkowski benchmark's: rank from
+    {6, 7}, integer entries in [-4, 4], seeded."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((6, 7))
+        rows = [[Q(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        try:
+            out.append(Lattice(rows))
+        except LatredError:
+            pass
+    return out
+
+
 def random_unimodular(rng: random.Random, n: int, steps: int = 20):
     """Random unimodular integer matrix from elementary row operations."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -13,6 +13,9 @@
   integers, which latred itself no longer needs in rationals.
 - `lll_rows`: the rational LLL that rebuilds the exact Gram-Schmidt data
   after every swap.
+- `fraction_pool`: the short-vector pool with every kept vector's
+  entries and norm a rational, sorted in rationals; latred holds its pool
+  in integers and makes rationals only of what it returns.
 - `walk`, `closest`: the Fincke-Pohst walk and its closest-vector search
   over the rational mu and |b*_k|^2, centring and pricing every node in
   rationals (`level_range` gives a level's coefficients); latred walks
@@ -71,7 +74,8 @@ from latred.enumeration import (
     DEFAULT_BUDGET,
     _Budget,
     _closest,
-    _grow,
+    _walk,
+    _weights,
     closest_vectors_all,
     enumerate_up_to,
     shortest_vector,
@@ -486,6 +490,31 @@ def extends(L, prefix, v):
         return False
 
 
+def fraction_pool(L, bound_sq, node_budget=DEFAULT_BUDGET):
+    """(vectors, coordinates, squared norms) of every nonzero v of L with
+    |v|^2 <= bound_sq, one per +/- pair, in (norm, lex) order: the pool
+    as latred built it before it held its pool in integers, each kept
+    vector's entries and norm a rational, here sign normalized and
+    sorted in rationals too.  The coordinates are over the LLL basis,
+    from one walk of its IntGSO."""
+    bound_sq = Q(bound_sq)
+    gso = L._lll[2]
+    m, _ = _weights(gso)
+    bound = [qnum(bound_sq) * m // qden(bound_sq)]
+    out = []
+    for x, _ in _walk(gso, None, bound, _Budget(node_budget)):
+        v = row_times_mat(x, L._lll[0])
+        if next(a for a in v if a) < 0:
+            v, x = vscale(-1, v), tuple(-a for a in x)
+        out.append((norm_sq(v), v, x))
+    out.sort()
+    return (
+        tuple(e[1] for e in out),
+        tuple(e[2] for e in out),
+        tuple(e[0] for e in out),
+    )
+
+
 def _pool_until(L, pick):
     """pick(vectors) over complete pools of growing bound until not None."""
     bound = min(norm_sq(r) for r in lll_rows(L.basis))
@@ -598,8 +627,8 @@ def shortest_basis_kz_first(L, node_budget=DEFAULT_BUDGET):
     kz = reduction.kz_reduce(L, node_budget).basis
     upper = max(norm_sq(v) for v in kz)
     pool = enumerate_up_to(L, upper, node_budget).vectors
-    _, _, coords, norms = L._pool
-    norms = norms[: len(pool)]
+    coords = L._pool.coords[: len(pool)]
+    norms = tuple(map(norm_sq, pool))
     by_order = sorted(
         zip(pool, coords, norms),
         key=lambda e: (-max(int(x.denominator) for x in e[0]), e[2], e[0]),
@@ -746,10 +775,16 @@ def kz_reduce(L):
     return tuple(prefix), tuple(ties)
 
 
-def _shortest(vectors, *_):
-    """The vectors of least norm in a (norm, lex) sorted list, or None."""
-    if vectors:
-        return vectors[: bisect_right(vectors, norm_sq(vectors[0]), key=norm_sq)]
+def _shortest(vectors):
+    """The vectors of least norm in a nonempty (norm, lex) sorted list."""
+    return vectors[: bisect_right(vectors, norm_sq(vectors[0]), key=norm_sq)]
+
+
+def _shortest_all(L, node_budget):
+    """Every shortest vector of L, sign normalized, in lexicographic
+    order: shortest_vector's pool cut at its norm."""
+    _, nsq = shortest_vector(L, node_budget)
+    return enumerate_up_to(L, nsq, node_budget).vectors
 
 
 def _kz_candidates_on_projections(L, prefix, held, gso, node_budget):
@@ -758,11 +793,11 @@ def _kz_candidates_on_projections(L, prefix, held, gso, node_budget):
     sign normalized (p and -p, whose closest sublattice vectors are
     negated, give the same)."""
     if not prefix:
-        return _grow(L, _shortest, node_budget)
+        return _shortest_all(L, node_budget)
     lifts = tuple(row_times_mat(r, L.basis) for r in held.rows)
     proj = Lattice([int_project(gso, w)[0] for w in lifts])
     cands = set()
-    for p in _grow(proj, _shortest, node_budget):
+    for p in _shortest_all(proj, node_budget):
         y = row_times_mat(lll_solve(proj, p), lifts)
         # pull the in-span component y - p toward the prefix sublattice
         found, _ = _closest(gso, vsub(y, p), _Budget(node_budget))

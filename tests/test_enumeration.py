@@ -338,18 +338,24 @@ def test_lll_rows_builds_no_gram_schmidt():
 
 
 def test_pool_coordinates_give_the_pool_vectors():
-    # each held vector is its coordinate tuple over the LLL basis, with
-    # the sign flipped along with the vector's, and its held norm is its
-    # squared norm
+    # each held vector is w = den v with v its coordinate tuple over the
+    # LLL basis, the sign flipped along with the vector's, and its held
+    # rho is M |v|^2, M and den those of the LLL basis's IntGSO
+    from latred.enumeration import _weights
+
     rng = random.Random(31)
     for _ in range(10):
         L = random_integer_lattice(rng, 5, 4)
         got = enumerate_up_to(L, Q(rng.randint(10, 30))).vectors
-        _, vectors, coords, norms = L._pool
-        assert vectors == got and len(coords) == len(norms) == len(vectors)
-        for v, c, nsq in zip(vectors, coords, norms):
-            assert all(isinstance(x, int) for x in c)
-            assert row_times_mat(c, L._lll[0]) == v and norm_sq(v) == nsq
+        pool = L._pool
+        gso = L._lll[2]
+        assert (pool.m, pool.den) == (_weights(gso)[0], gso.den)
+        assert len(pool.rhos) == len(pool.ws) == len(pool.coords) == len(got)
+        for v, rho, w, c in zip(got, pool.rhos, pool.ws, pool.coords):
+            assert all(isinstance(x, int) for x in (rho, *w, *c))
+            assert row_times_mat(c, L._lll[0]) == v
+            assert tuple(Q(a, pool.den) for a in w) == v
+            assert Q(rho, pool.m) == norm_sq(v)
 
 
 def _walk_cases():
@@ -362,6 +368,58 @@ def _walk_cases():
     out += [glued_prime_lattice(k) for k in (1, 2, 3)]
     out += [dual_root_d(n) for n in (5, 6, 7)]
     return out
+
+
+def test_integer_pool_matches_the_fraction_pool():
+    # the integer pool's vectors, coordinates, norms and order, and every
+    # cut the public enumerate_up_to serves from it, equal the Fraction
+    # builder's, on the walker's cases and 20 random-minkowski lattices,
+    # held bound the longest LLL row
+    import reference
+    from bisect import bisect_right
+
+    from conftest import minkowski_population
+
+    for L in _walk_cases() + minkowski_population(2028, 20):
+        top = max(map(norm_sq, L._lll[0]))
+        got = enumerate_up_to(L, top)
+        pool = L._pool
+        vectors, coords, norms = reference.fraction_pool(L, top)
+        assert vectors and got.vectors == vectors
+        assert tuple(map(pool.vector, range(len(pool.rhos)))) == vectors
+        assert pool.coords == coords
+        assert tuple(map(pool.norm_sq, range(len(pool.rhos)))) == norms
+        for cut in (top / 3, norms[0], norms[len(norms) // 2], top):
+            want = vectors[: bisect_right(norms, cut)]
+            assert enumerate_up_to(L, cut, node_budget=0).vectors == want
+
+
+def test_pool_picks_match_the_rational_reference():
+    # greedy bases with their StepRecords, successive minima and shortest
+    # bases from the integer pool equal the references built on Fraction
+    # pools, is_primitive_tuple and linalg.rank, on the walker's cases
+    # below rank 20 and 20 random-minkowski lattices
+    import reference
+    from conftest import minkowski_population
+    from latred.reduction import minkowski_reduce, shortest_basis
+
+    cases = [L for L in _walk_cases() if L.rank < 20]
+    for L in cases + minkowski_population(2029, 20):
+        rows = L.basis
+        mink = minkowski_reduce(Lattice(rows))
+        basis, ties = reference.minkowski_reduce(Lattice(rows))
+        assert mink.basis == basis
+        assert [(r.index, r.vector, r.norm_sq, r.ties) for r in mink.step_log] == [
+            (i, v, norm_sq(v), t) for i, (v, t) in enumerate(zip(basis, ties))
+        ]
+        minima = successive_minima(Lattice(rows))
+        assert (minima.minima_sq, minima.witnesses) == reference.successive_minima(
+            Lattice(rows)
+        )
+        sb = shortest_basis(Lattice(rows))
+        assert (sb.basis, sb.max_norm_sq, sb.certified) == reference.shortest_basis(
+            Lattice(rows)
+        )
 
 
 def _run(walk, budget):
@@ -478,8 +536,64 @@ def test_enumeration_builds_no_rational_per_node(monkeypatch):
     for L, bound in cases:
         calls.update(Q=0, Fraction=0)
         vectors = enumerate_up_to(L, bound).vectors
-        most = (L.ambient_dim + 1) * len(vectors)
+        most = L.ambient_dim * len(vectors)
         assert vectors and calls["Fraction"] == calls["Q"] <= most
+
+
+def test_growth_starts_at_the_held_bound(monkeypatch):
+    # a pool that enumerate_up_to left is grown from its bound, up by 3/2,
+    # not from the shortest LLL row again: after D_5*'s pool at 4/3 the
+    # greedy reduction enumerates nothing, and after L_2's at 6/5 it
+    # spends a pinned number of nodes
+    from conftest import count_nodes
+    from latred.constructions import dual_root_d, glued_prime_lattice
+    from latred.reduction import minkowski_reduce
+
+    spent = count_nodes(monkeypatch)
+    for L, bound, nodes in (
+        (dual_root_d(5), Q(4, 3), 0),
+        (glued_prime_lattice(2), Q(6, 5), 6544),
+    ):
+        enumerate_up_to(L, bound)
+        spent[0] = 0
+        minkowski_reduce(L)
+        assert spent[0] == nodes
+
+
+def test_pool_picks_build_rationals_only_for_what_they_return(monkeypatch):
+    # on a lattice whose LLL is done, the greedy reduction and the
+    # successive minima compare the pool's integers and build Fractions
+    # only for the rank vectors and norms they return: at most
+    # rank (dim + 1) each, whatever the pool's size and growth rounds
+    from fractions import Fraction
+
+    from conftest import minkowski_population
+    from latred.constructions import dual_root_d, glued_prime_lattice
+    from latred.reduction import minkowski_reduce
+
+    made = [0]
+    fraction = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        made[0] += 1
+        return fraction(cls, *args, **kwargs)
+
+    bases = [L.basis for L in minkowski_population(2027, 6)]
+    bases += [glued_prime_lattice(2).basis, dual_root_d(7).basis]
+    cases = []
+    for basis in bases:
+        shared = Lattice(basis)
+        # each on a fresh lattice, and the minima after the greedy
+        # reduction on a shared one, as verify_minkowski_bounds runs them
+        cases += [(Lattice(basis), minkowski_reduce), (Lattice(basis), successive_minima)]
+        cases += [(shared, minkowski_reduce), (shared, successive_minima)]
+    for L, _ in cases:
+        L._lll  # the LLL makes rationals of its own
+    monkeypatch.setattr(Fraction, "__new__", new)
+    for L, run in cases:
+        made[0] = 0
+        run(L)
+        assert 0 < made[0] <= L.rank * (L.ambient_dim + 1)
 
 
 def test_walks_leave_no_reference_cycle():

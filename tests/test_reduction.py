@@ -193,14 +193,14 @@ def test_shortest_basis_certificate():
 
 def test_shortest_basis_subset_search_honours_the_node_budget(monkeypatch):
     # D_5*'s subset search needs 9 nodes and its enumerations 29, so the
-    # enumerations run at the default budget here and only the subset
-    # search sees the small one
+    # enumerations (enumeration._pool_to, the pool builder) run at the
+    # default budget here and only the subset search sees the small one
     from latred import enumeration, reduction
     from latred.errors import BudgetExceeded
 
     kz, enum, search = (
         reduction.kz_reduce,
-        enumeration.enumerate_up_to,
+        enumeration._pool_to,
         reduction._basis_subset_search,
     )
     exhausted = []
@@ -213,7 +213,11 @@ def test_shortest_basis_subset_search_honours_the_node_budget(monkeypatch):
             raise
 
     monkeypatch.setattr(reduction, "kz_reduce", lambda L, budget: kz(L))
-    monkeypatch.setattr(enumeration, "enumerate_up_to", lambda L, r, budget: enum(L, r))
+    monkeypatch.setattr(
+        enumeration,
+        "_pool_to",
+        lambda L, p, q, budget: enum(L, p, q, enumeration.DEFAULT_BUDGET),
+    )
     monkeypatch.setattr(reduction, "_basis_subset_search", counted_search)
     rep = shortest_basis(dual_root_d(5), node_budget=8)
     assert not rep.certified

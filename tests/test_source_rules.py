@@ -163,12 +163,20 @@ def test_src_has_no_nullspace_or_adjugate_elimination():
 
 def test_reduction_reads_the_one_growing_pool():
     # the greedy and shortest-basis searches read L's pool through
-    # enumeration._grow, which hands their picks its vectors, coordinates
-    # and norms; none runs its own fixed-bound enumeration or unpacks the
-    # pool.  KZ walks the basis it carries and solves no coordinates
+    # enumeration._grow, which hands their picks the pool's integers (M
+    # |v|^2, den v and coordinates) and the index past its cut; none runs
+    # its own fixed-bound enumeration or unpacks L's pool.  KZ walks the
+    # basis it carries and solves no coordinates
     text = (SRC / "reduction.py").read_text(encoding="utf-8")
     for name in ("enumerate_up_to", "_pool", "integer_coordinates"):
         assert name not in text, name
+
+
+def test_the_pool_is_built_in_integers():
+    # the pool builder, the held pool and the growth loop make no
+    # rational: only _Pool.vector and _Pool.norm_sq do, for what leaves
+    for function in ("_pool_to", "_held_pool", "_grow"):
+        assert "Q" not in _names_in(SRC / "enumeration.py", function), function
 
 
 def test_src_takes_no_determinant():

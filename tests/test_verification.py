@@ -706,20 +706,22 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
     # independence read the pool's integer coordinates, so no coordinate
     # solve, Smith form or inverse is left, and the walker runs on the
     # integral LLL's d and lam (src has no rational GSO to build, see
-    # test_source_rules).  One pass spends a pinned number of nodes.
-    from conftest import count_calls, count_nodes
-    from latred.errors import LatredError
+    # test_source_rules).  One pass spends a pinned number of nodes and
+    # of _Prefix tails: the greedy and minima scans resume where they
+    # stopped instead of rescanning their pool from the start.
+    from conftest import count_calls, count_nodes, minkowski_population
+    from latred.lattice import _Prefix
 
-    rng = random.Random(2026)
-    lattices = []
-    while len(lattices) < 60:
-        n = rng.choice((6, 7))
-        rows = [[Q(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        try:
-            lattices.append(Lattice(rows))
-        except LatredError:
-            pass
+    lattices = minkowski_population(2026, 60)
     spent = count_nodes(monkeypatch)
+    tails = [0]
+    tail = _Prefix._tail
+
+    def counted_tail(self, c):
+        tails[0] += 1
+        return tail(self, c)
+
+    monkeypatch.setattr(_Prefix, "_tail", counted_tail)
     calls = count_calls(
         monkeypatch,
         "lattice.coordinates",
@@ -734,6 +736,7 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
         "linalg.inverse": 0,
     }
     assert spent[0] == 6410
+    assert tails[0] == 3296
 
 
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
