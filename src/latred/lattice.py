@@ -12,9 +12,10 @@ back-substitution as coordinates: there is no rational Gram-Schmidt
 anywhere.  The primitive completion decides dependence, membership and
 primitivity on the coordinates over the one basis it carries.
 Independence of a basis is read off linalg's fraction-free elimination,
-linear dependences off one HNF of the vectors with the identity
-appended, and primitivity certificates off Smith divisors, which linalg
-reads off HNFs too.
+linear dependences off one gcd echelon of the vectors with the identity
+appended, taken over the vectors' own columns, with the HNF of their
+lattice back-reduced from its pivot rows, and primitivity certificates
+off Smith divisors, which linalg reads off HNFs too.
 """
 
 from collections import namedtuple
@@ -350,27 +351,32 @@ def linear_dependence(vectors) -> DependenceRelation:
 
 
 def _dependence(w):
-    """(relation, H) for the integer rows w_0..w_n, read off one
-    row-style HNF (linalg.hnf) of [w | I].  Its rows with a nonzero left
-    part are H, the HNF basis of the lattice the w_i generate, and the
-    right part of its one row with a zero left part is the
-    linear_dependence: HNF is a unimodular transform U of [w | I], so that
-    row is U's, a primitive vector with U w zero there.  Raises
-    WrongRank."""
+    """(relation, H) for the integer rows w_0..w_n, read off one gcd
+    echelon (linalg._echelon) of [w | I] over w's columns alone.  The
+    echelon is a unimodular transform U of [w | I], so the right part of
+    its one row with a zero left part is a row of U, a primitive vector
+    with U w zero there: the linear_dependence.  Its pivot rows' left
+    parts are echelon already, and their linalg.hnf, which has only to
+    reduce above the pivots, is H, the HNF basis of the lattice the w_i
+    generate, a list of tuples.  The identity block is never
+    back-reduced.  Raises WrongRank."""
     nr = len(w)
     nc = len(w[0]) if w else 0
     # vectors of dimension 0 have no relation to report
     if not nc:
         raise WrongRank("dependence space has dimension 0, expected 1")
-    h = linalg.hnf([*r, *(int(i == j) for j in range(nr))] for i, r in enumerate(w))
-    basis = [r[:nc] for r in h if any(r[:nc])]
-    free = nr - len(basis)
+    rows = [[*r, *[0] * nr] for r in w]
+    for i, row in enumerate(rows):
+        row[nc + i] = 1
+    rk = len(linalg._echelon(rows, nc))
+    free = nr - rk
     if free != 1:
         raise WrongRank("dependence space has dimension %d, expected 1" % free)
-    ints = h[-1][nc:]
+    ints = rows[-1][nc:]
     g = gcd(*ints)
     if next(a for a in ints if a) < 0:
         g = -g
+    basis = list(linalg.hnf([row[:nc] for row in rows[:rk]]))
     return DependenceRelation(tuple(a // g for a in ints)), basis
 
 

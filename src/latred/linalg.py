@@ -4,9 +4,13 @@ Vectors are tuples of rationals and matrices are tuples of row vectors.
 All routines here are pure and exact; there is no floating point on any
 path.  Integer matrices (HNF/SNF) are plain nested tuples of Python ints.
 Rank and inverse are read off one fraction-free (Bareiss) elimination,
-_eliminate, of the rows scaled to integers, lattice.linear_dependence
-off one HNF of the integer rows with the identity appended, and the
-Smith divisors off row HNFs of a matrix and its transpose, in turn.
+_eliminate, of the rows scaled to integers, and the Smith divisors off
+row HNFs of a matrix and its transpose, in turn.  An HNF is two phases:
+the gcd echelon below the pivots (_echelon) and the reductions above
+them (_back_reduce), each row step starting at its column.
+lattice.linear_dependence runs the echelon alone on the integer rows
+with the identity appended, over the rows' own columns, and back-reduces
+only the pivot rows' left parts.
 Gram-Schmidt is not here: latred's one Gram-Schmidt is the integral
 recurrence of latred.lattice (IntGSO), which also gives every Gram
 determinant latred needs, so no determinant is taken here.
@@ -201,29 +205,35 @@ def inverse(m):
 
 
 def _int_rows(m):
-    rows = []
-    for r in m:
-        row = []
-        for e in r:
-            ie = int(e)
-            if ie != e:
-                raise NotIntegral("integer matrix expected")
-            row.append(ie)
-        rows.append(row)
-    return rows
+    """m's rows as lists of ints.  An int is taken as it is; any other
+    entry is read by qexact, which refuses floats, and must then be an
+    integer."""
+    return [[e if type(e) is int else _int(e) for e in r] for r in m]
 
 
-def hnf(m):
-    """Row-style Hermite normal form H of an integer matrix: the rows of
-    H span the same lattice as m's, H is in row echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot),
-    and zero rows, if any, are at the bottom."""
-    rows = _int_rows(m)
+def _int(e):
+    q = qexact(e)
+    if qden(q) != 1:
+        raise NotIntegral("integer matrix expected")
+    return qnum(q)
+
+
+def _echelon(rows, ncols):
+    """Gcd elimination below the pivots of the integer rows (lists,
+    changed in place) over their first ncols columns.  A column's pivot is
+    its smallest nonzero entry at or below the pivots so far; the rows
+    under it are reduced by floor quotients until it is the only nonzero
+    entry left, and it is made positive.  Returns the pivot columns, pivot
+    k in row k; the rows past the pivots are zero in the first ncols
+    columns.  The rows from the current pivot row down are zero before
+    the current column, so a row step touches only the pivot row's
+    nonzero entries from that column on."""
     nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(nc):
-        # gcd-eliminate column c below row r
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
         while True:
             nz = [i for i in range(r, nr) if rows[i][c]]
             if not nz:
@@ -231,26 +241,51 @@ def hnf(m):
             piv = min(nz, key=lambda i: abs(rows[i][c]))
             if piv != r:
                 rows[r], rows[piv] = rows[piv], rows[r]
+            top = rows[r]
+            live = [(j, top[j]) for j in range(c, len(top)) if top[j]]
             done = True
             for i in range(r + 1, nr):
-                if rows[i][c]:
-                    f = rows[i][c] // rows[r][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                    if rows[i][c]:
+                row = rows[i]
+                if row[c]:
+                    f = row[c] // top[c]
+                    for j, x in live:
+                        row[j] -= f * x
+                    if row[c]:
                         done = False
             if done:
                 break
-        if r < nr and rows[r][c]:
-            if rows[r][c] < 0:
-                rows[r] = [-a for a in rows[r]]
-            p = rows[r][c]
-            for i in range(r):
-                f = rows[i][c] // p
-                if f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-            if r == nr:
-                break
+        top = rows[r]
+        if top[c]:
+            if top[c] < 0:
+                top[c:] = [-a for a in top[c:]]
+            pivots.append(c)
+    return pivots
+
+
+def _back_reduce(rows, pivots):
+    """Reduce the entries above each pivot of _echelon's rows into
+    [0, pivot), pivots taken left to right so that no step undoes an
+    earlier one; a step touches only the pivot row's nonzero entries,
+    which start at the pivot column."""
+    for k, c in enumerate(pivots):
+        top = rows[k]
+        live = [(j, top[j]) for j in range(c, len(top)) if top[j]]
+        for i in range(k):
+            row = rows[i]
+            f = row[c] // top[c]
+            if f:
+                for j, x in live:
+                    row[j] -= f * x
+
+
+def hnf(m):
+    """Row-style Hermite normal form H of an integer matrix: the rows of
+    H span the same lattice as m's, H is in row echelon form with
+    positive pivots and entries above each pivot reduced into [0, pivot),
+    and zero rows, if any, are at the bottom.  A float is refused with
+    PreconditionViolated, a rational that is no integer with NotIntegral."""
+    rows = _int_rows(m)
+    _back_reduce(rows, _echelon(rows, len(rows[0]) if rows else 0))
     return tuple(tuple(row) for row in rows)
 
 

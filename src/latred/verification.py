@@ -130,12 +130,15 @@ def integer_relation_membership(v_coords, relation_shift, max_k: int) -> bool:
 # Scanning those families therefore certifies the lattice minimum.
 #
 # The lattice L is generated by the integer rows of the generators, and
-# one HNF of [generators | I] (lattice._dependence) gives both the
-# relation and an HNF basis H of L.  A candidate sum x = sum s_p e_p is in
-# L iff x H^-1 is integral.  Scaled by the exponent dd of Z^n / L (the
-# lcm of H^-1's denominators), the residue vector R_p of e_p is row p of
-# dd H^-1 mod dd, so x is in L iff sum s_p R_p = 0 mod dd.  A lane that is
-# 0 for every position says nothing and is dropped: H^-1's column c is
+# one gcd echelon of [generators | I] over the generators' columns
+# (lattice._dependence) gives both the relation, the right part of its
+# row with a zero left part, and an HNF basis H of L, its pivot rows'
+# left parts reduced above their pivots; the identity block is never
+# back-reduced.  A candidate sum x = sum s_p e_p is in L iff x H^-1 is
+# integral.  Scaled by the exponent dd of Z^n / L (the lcm of H^-1's
+# denominators), the residue vector R_p of e_p is row p of dd H^-1 mod
+# dd, so x is in L iff sum s_p R_p = 0 mod dd.  A lane that is 0 for
+# every position says nothing and is dropped: H^-1's column c is
 # integral whenever H's column c is e_c.  The residue map is linear, and
 # every generator's residues are checked to sum to 0, so it vanishes on
 # L: a candidate with a nonzero residue sum is not in L whatever H was,
@@ -375,11 +378,13 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     after the relation check if some coefficient is a unit, since the
     downstream lift construction is already ruined in that case.
 
-    The relation and the residues come from one HNF of [generators | I]
-    (lattice._dependence): its row with a zero left part is the relation,
-    checked to combine the generators to 0, and its other rows are an HNF
-    basis H of the lattice, over which the residues are read.  Each family
-    is a collision search of candidate keys in the tables of the single
+    The relation and the residues come from one echelon of
+    [generators | I] over the generators' columns (lattice._dependence):
+    the right part of its row with a zero left part is the relation,
+    checked to combine the generators to 0, and the left parts of its
+    other rows, reduced above their pivots, are an HNF basis H of the
+    lattice, over which the residues are read.  Each family is a
+    collision search of candidate keys in the tables of the single
     positions and of the pair sums; with workers > 1 the families run as
     separate pool jobs, each worker building the tables from the state."""
     t0 = time.monotonic()

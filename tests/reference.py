@@ -65,7 +65,7 @@
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import gcd, isqrt, lcm
 
 from latred import reduction
@@ -515,9 +515,14 @@ def fraction_pool(L, bound_sq, node_budget=DEFAULT_BUDGET):
     )
 
 
-def _pool_until(L, pick):
-    """pick(vectors) over complete pools of growing bound until not None."""
-    bound = min(norm_sq(r) for r in lll_rows(L.basis))
+def _start_bound(L):
+    """The smallest squared norm of a row of L's reference LLL basis."""
+    return min(norm_sq(r) for r in lll_rows(L.basis))
+
+
+def _pool_until(L, pick, bound):
+    """pick(vectors) over complete pools of growing bound, from bound,
+    until not None."""
     while True:
         got = pick(enumerate_up_to(L, bound).vectors)
         if got is not None:
@@ -526,17 +531,21 @@ def _pool_until(L, pick):
 
 
 def minkowski_reduce(L):
-    """(basis, ties per step) of the greedy reduction."""
+    """(basis, ties per step) of the greedy reduction.  Each step rescans
+    its pool from the start; the vectors tied with its pick are those
+    after it up to the first longer one, the pool being in norm order."""
     basis, ties = [], []
+    start = _start_bound(L)
 
     def pick(vectors):
         i = next((i for i, v in enumerate(vectors) if extends(L, basis, v)), None)
         if i is not None:
-            tied = [w for w in vectors[i:] if norm_sq(w) == norm_sq(vectors[i])]
+            top = norm_sq(vectors[i])
+            tied = list(takewhile(lambda w: norm_sq(w) == top, vectors[i:]))
             return tied[0], sum(extends(L, basis, w) for w in tied)
 
     for _ in range(L.rank):
-        v, t = _pool_until(L, pick)
+        v, t = _pool_until(L, pick, start)
         basis.append(v)
         ties.append(t)
     return tuple(basis), tuple(ties)
@@ -553,7 +562,7 @@ def successive_minima(L):
                 if len(chosen) == L.rank:
                     return tuple(norm_sq(w) for w in chosen), tuple(chosen)
 
-    return _pool_until(L, pick)
+    return _pool_until(L, pick, _start_bound(L))
 
 
 def _generates(L, vectors):
@@ -750,7 +759,7 @@ def _shortest_vectors(L):
         if vectors:
             return [v for v in vectors if norm_sq(v) == norm_sq(vectors[0])]
 
-    return _pool_until(L, pick)
+    return _pool_until(L, pick, _start_bound(L))
 
 
 def kz_reduce(L):

@@ -189,6 +189,73 @@ def test_trivial_dependence_example():
     assert rel.coefficients == (1, 1, -1)
 
 
+def _dependence_cases(rng, count):
+    """(kind, rows): count seeded integer matrices with entries in
+    [-9, 9], 1 to 7 rows of 1 to 7 columns, each drawn plain or with a
+    zero column, a repeated row, a zero row, a row that is the sum or
+    difference of two others, or as n + 1 rows in n columns."""
+    fewest_rows = {
+        "plain": 1,
+        "zero column": 1,
+        "repeated row": 2,
+        "zero row": 1,
+        "combination": 3,
+    }
+    cases = []
+    while len(cases) < count:
+        kind = rng.choice(sorted(fewest_rows) + ["n + 1 rows"])
+        nc = rng.randint(1, 7)
+        if kind == "n + 1 rows":
+            nr = nc + 1
+        else:
+            nr = rng.randint(fewest_rows[kind], 7)
+        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        if kind == "zero column":
+            c = rng.randrange(nc)
+            for r in rows:
+                r[c] = 0
+        elif kind == "repeated row":
+            i, j = rng.sample(range(nr), 2)
+            rows[i] = list(rows[j])
+        elif kind == "zero row":
+            rows[rng.randrange(nr)] = [0] * nc
+        elif kind == "combination":
+            i, j, k = rng.sample(range(nr), 3)
+            s = rng.choice((1, -1))
+            rows[i] = [a + s * b for a, b in zip(rows[j], rows[k])]
+            if any(abs(x) > 9 for x in rows[i]):
+                continue
+        cases.append((kind, rows))
+    return cases
+
+
+def test_dependence_matches_the_reference_off_the_scan_shapes():
+    # the relation and H that _dependence reads off one echelon of [W | I]
+    # equal the rational nullspace's relation and the nonzero rows of the
+    # reference HNF, WrongRank messages included, on tall, wide and
+    # rank-deficient integer matrices
+    from latred.errors import WrongRank
+    from latred.lattice import _dependence
+
+    seen = {}
+    for kind, rows in _dependence_cases(random.Random(25), 1200):
+        try:
+            want = reference.linear_dependence(rows)
+        except WrongRank as exc:
+            with pytest.raises(WrongRank, match="^%s$" % exc):
+                _dependence(rows)
+            continue
+        rel, h = _dependence(rows)
+        assert rel == want
+        assert h == [r for r in reference.hnf_with_transform(rows)[0] if any(r)]
+        nr, nc = len(rows), len(rows[0])
+        shape = "tall" if nr > nc else "wide" if nr < nc else "square"
+        deficient = len(h) < min(nr, nc)
+        for key in (kind, shape, "deficient" if deficient else "full"):
+            seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 11 and min(seen.values()) >= 15, seen
+
+
 def test_primitive_completion_trivial():
     L = Lattice(((Q(1), Q(0)), (Q(0), Q(1))))
     y = primitive_completion(L, [unit_vector(2, 0)], unit_vector(2, 1), Q(1))

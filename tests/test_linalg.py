@@ -317,10 +317,20 @@ def test_eliminations_keep_their_edge_values():
 
 
 def test_integer_normal_forms_reject_fractions():
-    with pytest.raises(NotIntegral):
-        hnf([[Q(1, 2)]])
-    with pytest.raises(NotIntegral):
-        snf_divisors([[Q(1, 2)]])
+    # a rational that is no integer is NotIntegral; a float is refused as
+    # vector and matrix refuse it, even one of integral value
+    import numpy as np
+
+    for normal_form in (hnf, snf_divisors):
+        with pytest.raises(NotIntegral):
+            normal_form([[Q(1, 2)]])
+        with pytest.raises(NotIntegral):
+            normal_form([[2, 4], [1, "1/3"]])
+        for bad in (0.5, 2.0, np.float64(2)):
+            with pytest.raises(PreconditionViolated, match="not exact"):
+                normal_form([[2, 4], [1, bad]])
+    assert hnf([[Q(2), np.int64(4)], [1, "3"]]) == ((1, 1), (0, 2))
+    assert snf_divisors([[Q(2), np.int64(4)], [1, "3"]]) == [1, 2]
 
 
 def test_vectors_and_matrices_refuse_floats():

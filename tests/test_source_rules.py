@@ -4,9 +4,11 @@ the reports are the one float literal allowed.  And the package stays
 pure Python: it imports the standard library, the optional gmpy2 and
 itself, nothing else, and its metadata requires nothing at install.  Its one Gram-Schmidt is the integral recurrence
 `lattice._lam_row`.  Rank and inverse come from the fraction-free
-elimination `linalg._eliminate`, and `linear_dependence`, the 42-scan's
-relation and residues and the Smith divisors from `linalg.hnf`; latred
-takes no determinant and builds no adjugate.  `primitive_completion`
+elimination `linalg._eliminate`, `linear_dependence` and the 42-scan's
+relation and residues from one gcd echelon `linalg._echelon` of the
+generators with the identity appended and the `linalg.hnf` of its pivot
+rows, and the Smith divisors from `linalg.hnf`; latred takes no
+determinant and builds no adjugate.  `primitive_completion`
 decides primitivity on the one basis it carries, with no tail-gcd
 transform over `L.basis`.  The rational processes live in
 tests/reference.py."""
@@ -148,8 +150,10 @@ def test_src_has_no_rational_gram_schmidt():
 def test_src_has_no_nullspace_or_adjugate_elimination():
     # rank and inverse are read off the fraction-free elimination
     # linalg._eliminate, and linear_dependence and the 42-scan's relation
-    # and residues off one linalg.hnf of the generators with the identity
-    # appended; no file names a separate nullspace or adjugate routine
+    # and residues off one gcd echelon, linalg._echelon, of the generators
+    # with the identity appended, over the generators' columns, and the
+    # linalg.hnf of its pivot rows' left parts; no file names a separate
+    # nullspace or adjugate routine
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     found = [

@@ -279,7 +279,9 @@ def test_hnf_residue_hits_equal_the_reference_scan():
 
 def _add_one(monkeypatch, name, row, col):
     """Make every call of latred's `name` (linalg.hnf or
-    verification._residues) add 1 to entry [row][col] of its matrix."""
+    verification._residues) add 1 to entry [row][col] of its matrix.  For
+    linalg._echelon, which leaves its rows changed in place, only the
+    echelon of [W | I] over W's columns is changed, not hnf's own."""
     module, attr = name.split(".")
     module = {"linalg": linalg, "verification": verification}[module]
     real = getattr(module, attr)
@@ -291,7 +293,13 @@ def _add_one(monkeypatch, name, row, col):
         rows[row][col] += 1
         return (out[0], rows) if attr == "_residues" else rows
 
-    monkeypatch.setattr(module, attr, wrong)
+    def wrong_echelon(rows, ncols):
+        pivots = real(rows, ncols)
+        if len(rows[0]) > ncols:
+            rows[row][col] += 1
+        return pivots
+
+    monkeypatch.setattr(module, attr, wrong_echelon if attr == "_echelon" else wrong)
 
 
 def test_scan_state_checks_the_generators(monkeypatch):
@@ -355,32 +363,37 @@ def test_appendix_scan_falls_back_to_the_rational_nullspace(monkeypatch):
 
 
 def test_appendix_scan_checks_the_hnf_relation(monkeypatch):
-    # a wrong entry in the HNF's row with a zero left part gives a relation
-    # that is no dependence; attempt21 builds no scan state, so there only
-    # the relation check can see it
+    # a wrong entry in the row with a zero left part that the echelon of
+    # [generators | I] leaves gives a relation that is no dependence;
+    # attempt21 builds no scan state, so there only the relation check
+    # can see it
     for run, n in ((check_attempt21, 21), (check_shortest_vectors_42, 42)):
         with monkeypatch.context() as mp:
-            _add_one(mp, "linalg.hnf", -1, n + 5)
+            _add_one(mp, "linalg._echelon", -1, n + 5)
             with pytest.raises(ScanCrossCheckFailed, match="relation"):
                 run()
 
 
 def test_scans_make_one_hnf_and_no_elimination(monkeypatch):
-    # each scan makes one HNF, for the relation and the residues together,
-    # and no elimination (no rank or inverse) and no lattice HNF
+    # each scan makes one echelon of [generators | I], for the relation
+    # and H together, and one HNF, which only back-reduces H's already
+    # echelon rows (its own echelon is the second _echelon call); no
+    # elimination (no rank or inverse) and no lattice HNF
     from conftest import count_calls
 
     names = (
         "linalg.hnf",
+        "linalg._echelon",
         "linalg._eliminate",
         "lattice.lattice_from_generators",
     )
     calls = count_calls(monkeypatch, *names)
     assert check_shortest_vectors_42().success
-    assert calls["linalg.hnf"] == 1
+    assert (calls["linalg.hnf"], calls["linalg._echelon"]) == (1, 2)
     assert not check_attempt21().success
     assert calls == {
         "linalg.hnf": 2,
+        "linalg._echelon": 4,
         "linalg._eliminate": 0,
         "lattice.lattice_from_generators": 0,
     }
