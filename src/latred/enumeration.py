@@ -3,13 +3,16 @@
 Depth-first Fincke-Pohst enumeration over the integral Gram-Schmidt data
 (d, lambda, den) that the integral LLL ends with.  The walk is integral:
 each level's centre and cost are integers over one common denominator,
-and pruning is one isqrt per node, exact.  A lattice's pool of short
-vectors is held in integers (_Pool: M |v|^2, den v and the coordinates
-over the LLL basis), and the greedy, minima and shortest-basis picks
-compare those; rationals are built only for the vectors and norms that
-leave.  There is no floating point anywhere.  A node budget turns
-out-of-desk-scale instances into an explicit BudgetExceeded error
-instead of a long stall.
+and pruning is one isqrt per node, exact.  It is one loop over per-level
+partial sums (Schnorr-Euchner), the centres of the levels below and the
+partial vector, so a node updates one row and each leaf comes with its
+vector.  A lattice's pool of short vectors is held in integers (_Pool:
+M |v|^2, den v and the coordinates over the LLL basis), and the greedy,
+minima and shortest-basis picks compare those; the greedy and minima
+pools start at the longest LLL row, which bounds the last minimum.
+Rationals are built only for the vectors and norms that leave.  There is
+no floating point anywhere.  A node budget turns out-of-desk-scale
+instances into an explicit BudgetExceeded error instead of a long stall.
 """
 
 from bisect import bisect_right
@@ -21,7 +24,7 @@ from operator import mul
 
 from .errors import BudgetExceeded
 from .lattice import IntGSO, Lattice, _Prefix, _target_lam
-from .linalg import matrix, row_times_mat
+from .linalg import matrix
 from .rationals import Q, qexact, qnum, qden
 
 DEFAULT_BUDGET = 10**8
@@ -151,11 +154,12 @@ def _weights(gso, s=1):
 
 
 def _walk(gso, target, bound, budget, lo=0, top=None):
-    """Yield (x, rho) for the integer x within bound[0] of the target t:
-    rho = M |sum_k x_k b_k - t|^2, an integer, over the rows b of the
-    IntGSO gso (b, d, lam, den) and M, w = _weights(gso, s) (Fincke-Pohst).
-    The target is (lam_t, s) of _target_lam, or None for t = 0 with s = 1,
-    and bound[0] is an integer over the same M.
+    """Yield (x, rho, u) for the integer x within bound[0] of the target t:
+    u = sum_k x_k b_k over the integer rows b of the IntGSO gso (b, d, lam,
+    den), den times the lattice vector of x, and rho = M |u / den - t|^2,
+    an integer, with M, w = _weights(gso, s) (Fincke-Pohst).  The target
+    is (lam_t, s) of _target_lam, or None for t = 0 with s = 1, and
+    bound[0] is an integer over the same M.
 
     The walk is integral.  Level k's centre y_k - sum_{i>k} x_i mu_ik times
     s d_{k+1} is the integer N_k = lam_t[k] den - s sum_{i>k} x_i lam_ik,
@@ -166,82 +170,111 @@ def _walk(gso, target, bound, budget, lo=0, top=None):
     a consumer may lower bound[0] between yields; leaves past a lowered
     bound may still arrive.  Each internal node spends one budget node.
 
+    The walk is one loop over per-level state, depth first, with the
+    partial sums of Schnorr-Euchner: the row above level k holds the
+    partial vector sum_{i>k} x_i b_i, then the partial centres N_j of the
+    levels j <= k.  Setting x_k adds x_k (b_k, -s lam_kj for j < k) to it,
+    one row per node, which gives the row above level k - 1; a leaf's u
+    is the head of its row.
+
     With lo, the walk stops above level lo: it yields x with x_0..x_lo-1
     zero, and rho prices the projection past the first lo rows.  top =
     (x_lo..x_{n-1}, rho) from such a walk with no target fixes those
     levels; the walk then runs the levels below them."""
-    _, d, lam, den = gso
+    b, d, lam, den = gso
     n = len(d) - 1
+    m = len(b[0]) if b else 0
     lam_t, s = target or ((0,) * n, 1)
     _, w = _weights(gso, s)
-    centres = [t * den for t in lam_t]
-    step = [s * d[k + 1] for k in range(n)]
+    q = [s * d[k + 1] for k in range(n)]
+    # zip stops at the step's end, so the row loses level k's own centre
+    steps = [(*b[k], *(-s * a for a in lam[k][:k])) for k in range(n)]
     x = [0] * n
-    hi, rho0 = n, 0
+    hi, rho = n, 0
+    row = [0] * m + [t * den for t in lam_t]
     if top is not None:
-        fixed, rho0 = top
+        fixed, rho = top
         hi = n - len(fixed)
         x[hi:] = fixed
-    # the nonzero s lam_ik, i > k, that level k's centre reads
-    above = [
-        [(i, s * lam[i][k]) for i in range(k + 1, n) if lam[i][k]] for k in range(n)
-    ]
-
-    def rec(k, rho, allzero):
-        if k < lo:
-            if not allzero:
-                yield tuple(x), rho
-            return
-        budget.spend()
-        remaining = bound[0] - rho
+        for k in range(n - 1, hi - 1, -1):
+            row = [a + x[k] * c for a, c in zip(row, steps[k])]
+    zero = target is None and top is None
+    if hi <= lo:
+        if not zero:
+            yield tuple(x), rho, tuple(row[:m])
+        return
+    # per level k: the row above it, the rho above it, whether every x_i
+    # above it is zero (with no target), its centre N_k and its last x_k
+    above, base, zeros = [None] * n, [0] * n, [False] * n
+    centres, last = [0] * n, [0] * n
+    k = hi - 1
+    above[k], base[k], zeros[k] = row, rho, zero
+    spend = budget.spend
+    while True:
+        # a node of level k: its range of x_k
+        spend()
+        remaining = bound[0] - base[k]
         if remaining < 0:
-            return
-        centre = centres[k]
-        for i, a in above[k]:
-            if x[i]:
-                centre -= x[i] * a
-        q = step[k]
-        r = isqrt(remaining // w[k])
-        lo_k = -((r - centre) // q)  # ceil((centre - r) / q)
-        hi_k = (centre + r) // q
-        if allzero and lo_k < 0:
-            lo_k = 0
-        wk = w[k]
-        for xk in range(lo_k, hi_k + 1):
-            e = xk * q - centre
+            x[k], last[k] = 0, -1
+        else:
+            centres[k] = centre = above[k][m + k]
+            qk = q[k]
+            r = isqrt(remaining // w[k])
+            first = -((r - centre) // qk)  # ceil((centre - r) / q)
+            if zeros[k] and first < 0:
+                first = 0
+            x[k], last[k] = first - 1, (centre + r) // qk
+        # the next x_k, at this level or the first one above with one left;
+        # at level lo each x_k is a leaf
+        while True:
+            xk = x[k] + 1
+            if xk > last[k]:
+                x[k] = 0
+                k += 1
+                if k == hi:
+                    return
+                continue
             x[k] = xk
-            yield from rec(k - 1, rho + wk * e * e, allzero and xk == 0)
-        x[k] = 0
-
-    try:
-        yield from rec(hi - 1, rho0, target is None and top is None)
-    finally:
-        del rec  # rec's closure holds rec: free the walk without the cyclic GC
+            e = xk * q[k] - centres[k]
+            child = base[k] + w[k] * e * e
+            if k > lo:
+                break
+            if xk or not zeros[k]:
+                u = tuple([a + xk * c for a, c in zip(above[k], b[k])])
+                yield tuple(x), child, u
+        row = above[k]
+        if xk:
+            row = [a + xk * c for a, c in zip(row, steps[k])]
+        zero = zeros[k] and not xk
+        k -= 1
+        above[k], base[k], zeros[k] = row, child, zero
 
 
 def _least(leaves, bound):
-    """The x of the leaves (x, rho) at the least rho: the walks that yield
-    them read bound, which is lowered to each shorter rho as it arrives."""
+    """The (x, u) of the leaves (x, rho, u) at the least rho: the walks
+    that yield them read bound, which is lowered to each shorter rho as it
+    arrives."""
     found = []
-    for x, rho in leaves:
+    for x, rho, u in leaves:
         if rho < bound[0]:
             bound[0] = rho
             found.clear()
         if rho == bound[0]:
-            found.append(x)
+            found.append((x, u))
     return found
 
 
 def _projected_shortest(gso, i, budget):
     """(tops, rho): every x_i..x_{n-1}, one per +/- pair, minimizing the
     projection past the first i rows of sum_k x_k b_k over the IntGSO
-    gso, and that minimum, rho = M |pi_i|^2 over M = _weights(gso)[0].
+    gso, each with its lift u = sum_{k>=i} x_k b_k over the integer rows
+    b, and that minimum, rho = M |pi_i|^2 over M = _weights(gso)[0].
     One walk of levels i..n-1, its bound starting at |b*_i|^2, b_i's own
     projection."""
     _, w = _weights(gso)
     bound = [w[i] * gso.d[i + 1] ** 2]
     tops = _least(_walk(gso, None, bound, budget, lo=i), bound)
-    return [x[i:] for x in tops], bound[0]
+    return [(x[i:], u) for x, u in tops], bound[0]
 
 
 def _nearest_plane(gso, target, x, hi=None):
@@ -264,10 +297,11 @@ def _nearest_plane(gso, target, x, hi=None):
 
 
 def _closest(gso, v, budget):
-    """(every x minimizing |sum_k x_k b_k - v|^2 over the rows b of the
-    IntGSO gso, that minimum): the walk starts at the distance of Babai's
-    nearest-plane point and lowers its bound as nearer leaves arrive.
-    Raises NotInSpan when v is outside the rows' span."""
+    """(every (x, u) minimizing |sum_k x_k b_k - v|^2 over the rows b of
+    the IntGSO gso, u = den sum_k x_k b_k the walk's vector, that
+    minimum): the walk starts at the distance of Babai's nearest-plane
+    point and lowers its bound as nearer leaves arrive.  Raises NotInSpan
+    when v is outside the rows' span."""
     target = _target_lam(gso, v)
     bound = [_nearest_plane(gso, target, [0] * len(target[0]))]
     found = _least(_walk(gso, target, bound, budget), bound)
@@ -280,8 +314,9 @@ class _Pool(namedtuple("_Pool", "bound start m den rhos ws coords")):
     (first nonzero entry positive) and in (norm, lex) order.  rhos[i] =
     M |v_i|^2, ws[i] = den v_i and coords[i] the integer coordinates of v_i
     over the LLL basis, with M = _weights(gso)[0] and den of the LLL
-    basis's IntGSO gso, both fixed for the lattice; start = (p, q) is the
-    squared norm of the shortest LLL row.
+    basis's IntGSO gso, both fixed for the lattice.  start holds the
+    squared norms of the shortest and the longest LLL row as (p, q) pairs:
+    the two bounds _grow starts at.
 
     Every rho is an integer, so the cut at a rational bound b is
     bisect_right(rhos, qnum(b) M // qden(b)), and (rho, w) sorts in
@@ -298,13 +333,14 @@ class _Pool(namedtuple("_Pool", "bound start m den rhos ws coords")):
 
 
 def _held_pool(L: Lattice):
-    """L's pool; an empty one, with M, den and the shortest LLL row, the
-    first time."""
+    """L's pool; an empty one, with M, den and the shortest and longest
+    LLL rows, the first time."""
     pool = L._pool
     if pool is None:
         gso = L._lll[2]
         b, _, _, den = gso
-        start = min(sum(x * x for x in r) for r in b), den * den
+        norms = [sum(x * x for x in r) for r in b]
+        start = (min(norms), den * den), (max(norms), den * den)
         pool = _Pool((0, 1), start, _weights(gso)[0], den, (), (), ())
         object.__setattr__(L, "_pool", pool)
     return pool
@@ -318,13 +354,9 @@ def _pool_to(L: Lattice, p, q, node_budget):
     pool = _held_pool(L)
     hp, hq = pool.bound
     if p * hq > hp * q:
-        gso = L._lll[2]
-        cols = tuple(zip(*gso.b))
         out = []
         bound = [p * pool.m // q]
-        for coeffs, rho in _walk(gso, None, bound, _Budget(node_budget)):
-            # v = coeffs . LLL basis, over the scaled integer rows
-            w = tuple(sum(map(mul, coeffs, col)) for col in cols)
+        for coeffs, rho, w in _walk(L._lll[2], None, bound, _Budget(node_budget)):
             # sign normalization: the first nonzero entry positive
             if next(a for a in w if a) < 0:
                 w, coeffs = tuple(-a for a in w), tuple(-t for t in coeffs)
@@ -351,15 +383,20 @@ def enumerate_up_to(L: Lattice, bound_sq, node_budget=DEFAULT_BUDGET) -> VectorL
     return VectorList(tuple(map(pool.vector, range(end))), bound_sq)
 
 
-def _grow(L: Lattice, pick, node_budget):
+def _grow(L: Lattice, pick, node_budget, longest=False):
     """The first non-None pick(pool, end) over L's pool cut at a bound,
-    end the index past the cut: from the held bound (at least the
-    shortest LLL row) up by 3/2, the bound held as an integer pair.  Pools
-    are complete and in (norm, lex) order, so the result does not depend
-    on the bound, and a pick may keep indices from one round to the
-    next."""
+    end the index past the cut: from the held bound, at least the
+    shortest LLL row (the longest one with longest), up by 3/2, the bound
+    held as an integer pair.  Pools are complete and in (norm, lex) order,
+    so the result does not depend on the bound, and a pick may keep
+    indices from one round to the next.
+
+    A pick that needs rank independent vectors starts at the longest row:
+    the LLL rows are rank independent vectors, so that first pool holds
+    the successive minima, and most often the greedy basis too; each
+    round below it would walk the ball again."""
     pool = _held_pool(L)
-    (p, q), (hp, hq) = pool.start, pool.bound
+    (p, q), (hp, hq) = pool.start[longest], pool.bound
     if hp * q > p * hq:
         p, q = hp, hq
     while True:
@@ -392,14 +429,15 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
         nonlocal held, start
         for i in range(start, end):
             c = pool.coords[i]
-            if held.independent(c):
-                held = held.extended(c)
+            tail = held._tail(c)
+            if any(tail):
+                held = held.extended(c, tail)
                 chosen.append(i)
                 if len(chosen) == L.rank:
                     return pool
         start = end
 
-    pool = _grow(L, pick, node_budget)
+    pool = _grow(L, pick, node_budget, longest=True)
     return MinimaReport(
         tuple(map(pool.norm_sq, chosen)), tuple(map(pool.vector, chosen))
     )
@@ -411,6 +449,9 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
 
 def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
     """All v in L minimizing |target - v|^2, plus the squared distance."""
-    found, dist = _closest(L._lll[2], target, _Budget(node_budget))
-    # distinct coefficient vectors of a basis give distinct lattice points
-    return tuple(sorted(row_times_mat(x, L._lll[0]) for x in found)), dist
+    gso = L._lll[2]
+    found, dist = _closest(gso, target, _Budget(node_budget))
+    # distinct coefficient vectors of a basis give distinct lattice points,
+    # and den > 0 keeps their order
+    vectors = sorted(u for _, u in found)
+    return tuple(tuple(Q(a, gso.den) for a in u) for u in vectors), dist

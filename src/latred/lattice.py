@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
 from math import gcd, lcm
-from operator import mul
 
 from . import linalg
 from .errors import (
@@ -304,22 +303,22 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
         return cls(eye, eye, True)
 
     def _tail(self, c):
+        """The entries of c . M past the prefix: all zero iff c lies in
+        the prefix's span (C . M = [T | 0] with T of full rank), gcd 1 iff
+        the prefix extends by c."""
         return [sum(x * y for x, y in zip(c, col)) for col in self.cols]
 
     def extends(self, c):
         return gcd(*self._tail(c)) == 1
 
-    def independent(self, c):
-        """Whether c lies outside the span of the prefix: C . M = [T | 0]
-        with T of full rank, so the span is exactly the c whose tail is 0."""
-        return any(self._tail(c))
-
-    def extended(self, c):
+    def extended(self, c, tail=None):
         """The prefix with c appended; raises DependentTuple when c is in
-        its span.  Euclid's column steps col_i -= f col_p (on M^-1 the row
-        step row_p += f row_i) turn the tail of c . M into the single entry
-        +-gcd(tail) and leave [T | 0] as it is; column p joins T."""
-        tail = self._tail(c)
+        its span.  tail, when given, is self._tail(c), which a caller that
+        tested c has at hand.  Euclid's column steps col_i -= f col_p (on
+        M^-1 the row step row_p += f row_i) turn the tail of c . M into the
+        single entry +-gcd(tail) and leave [T | 0] as it is; column p
+        joins T."""
+        tail = self._tail(c) if tail is None else list(tail)
         cols, rows = list(self.cols), list(self.rows)
         while True:
             live = [i for i, t in enumerate(tail) if t]
@@ -444,17 +443,16 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
             "projection shrink factor violated; inputs inconsistent"
         )
 
-    def lift(top):
-        # (p, w): the lift w = sum_k x_k b_k, whose x is top past sub, and
-        # p = d_i den times its projection past sub, both signed so that p
-        # is sign normalized
-        w = tuple(sum(map(mul, top, col)) for col in zip(*b[i:]))
+    def lift(w):
+        # (p, w): the walk's lift w = sum_k x_k b_k, whose x is a top past
+        # sub, and p = d_i den times its projection past sub, both signed
+        # so that p is sign normalized
         p = _perp(pre, w)
         if next(a for a in p if a) > 0:
             return p, w
         return tuple(-a for a in p), tuple(-a for a in w)
 
-    _, w = min(map(lift, tops))
+    _, w = min(lift(u) for _, u in tops)
     # size-reduce that lift against sub as the integral LLL does row i,
     # rounding mu halves up: it takes no Lovasz test at its first row,
     # and there is no row past i

@@ -14,7 +14,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from operator import mul
 
 from .enumeration import (
     DEFAULT_BUDGET,
@@ -87,16 +86,17 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
         rhos, coords = pool.rhos, pool.coords
         for i in range(start, end):
             c = coords[i]
-            if prefix.extends(c):
+            tail = prefix._tail(c)
+            if gcd(*tail) == 1:
                 level = bisect_right(rhos, rhos[i])
                 ties = 1 + sum(map(prefix.extends, coords[i + 1 : level]))
-                prefix = prefix.extended(c)
+                prefix = prefix.extended(c, tail)
                 picks.append((i, ties))
                 if len(picks) == n:
                     return pool
         start = end
 
-    pool = _grow(L, pick, node_budget)
+    pool = _grow(L, pick, node_budget, longest=True)
     log = tuple(
         StepRecord(k, pool.vector(i), pool.norm_sq(i), ties)
         for k, (i, ties) in enumerate(picks)
@@ -115,12 +115,10 @@ def _kz_candidates(gso, i, budget):
     under one full-norm bound that starts at the first one's nearest-plane
     lift and is lowered as shorter lifts arrive."""
     tops, rho = _projected_shortest(gso, i, budget)
-    bound = [rho + _nearest_plane(gso, None, [0] * i + list(tops[0]), i)]
-    lifts = (_walk(gso, None, bound, budget, top=(top, rho)) for top in tops)
-    cols = tuple(zip(*gso.b))
+    bound = [rho + _nearest_plane(gso, None, [0] * i + list(tops[0][0]), i)]
+    lifts = (_walk(gso, None, bound, budget, top=(top, rho)) for top, _ in tops)
     cands = {}
-    for x in _least(chain.from_iterable(lifts), bound):
-        v = tuple(sum(map(mul, x, c)) for c in cols)
+    for x, v in _least(chain.from_iterable(lifts), bound):
         # sign normalization: the first nonzero entry positive
         if next(a for a in v if a) < 0:
             v, x = tuple(-a for a in v), tuple(-a for a in x)
@@ -183,9 +181,10 @@ def _basis_subset_search(L, pool, budget):
             if nodes[0] > budget:
                 raise BudgetExceeded("subset search budget exhausted")
             item, c = pool[idx]
-            if not held.extends(c):
+            tail = held._tail(c)
+            if gcd(*tail) != 1:
                 continue
-            got = rec(prefix + [item], held.extended(c), idx + 1)
+            got = rec(prefix + [item], held.extended(c, tail), idx + 1)
             if got is not None:
                 return got
         return None

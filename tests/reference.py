@@ -502,7 +502,7 @@ def fraction_pool(L, bound_sq, node_budget=DEFAULT_BUDGET):
     m, _ = _weights(gso)
     bound = [qnum(bound_sq) * m // qden(bound_sq)]
     out = []
-    for x, _ in _walk(gso, None, bound, _Budget(node_budget)):
+    for x, _, _ in _walk(gso, None, bound, _Budget(node_budget)):
         v = row_times_mat(x, L._lll[0])
         if next(a for a in v if a) < 0:
             v, x = vscale(-1, v), tuple(-a for a in x)
@@ -810,7 +810,7 @@ def _kz_candidates_on_projections(L, prefix, held, gso, node_budget):
         y = row_times_mat(lll_solve(proj, p), lifts)
         # pull the in-span component y - p toward the prefix sublattice
         found, _ = _closest(gso, vsub(y, p), _Budget(node_budget))
-        for x in found:
+        for x, _ in found:
             cands.add(normalize_sign(vsub(y, row_times_mat(x, prefix))))
     return _shortest(sorted(cands, key=lambda v: (norm_sq(v), v)))
 

@@ -437,30 +437,49 @@ def _run(walk, budget):
     return got, False, budget - spend.left
 
 
+def _den_sum(gso, lll, x):
+    """den sum_k x_k b_k over the LLL rows b, den that of their IntGSO."""
+    return tuple(gso.den * a for a in row_times_mat(x, lll))
+
+
 def test_integer_walk_matches_the_rational_walk():
     # the same leaves in the same order, rho = M times the rational
     # squared norm, the same nodes spent, and the same leaves before the
-    # budget runs out at a third and at one node short of the whole walk
+    # budget runs out at a third and at one node short of the whole walk.
+    # Each leaf's vector is den sum_k x_k b_k, also on walks past the
+    # first i rows (lo = i, x_0..x_i-1 zero) and on the lifts of their
+    # leaves (top=, x_i.. as given)
     import reference
-    from latred.enumeration import _walk, _weights
+    from latred.enumeration import _Budget, _nearest_plane, _walk, _weights
 
     for L in _walk_cases():
-        gso = L._lll[2]
+        gso, lll = L._lll[2], L._lll[0]
         mu, c = reference.int_rational(gso)
         m, _ = _weights(gso)
         # twice the longest LLL row (once on L_3, whose walk is then
         # already a thousand nodes)
-        bound = max(map(norm_sq, L._lll[0])) * (2 if L.rank < 20 else 1)
+        bound = max(map(norm_sq, lll)) * (2 if L.rank < 20 else 1)
         scaled = qfloor(bound * m)
         want = _run(lambda b: reference.walk(mu, c, None, [bound], b), 10**6)
         got = _run(lambda b: _walk(gso, None, [scaled], b), 10**6)
         assert got[1:] == want[1:] == (False, want[2])
-        assert [(x, Q(rho, m)) for x, rho in got[0]] == want[0] and want[0]
+        assert [(x, Q(rho, m)) for x, rho, _ in got[0]] == want[0] and want[0]
+        assert all(u == _den_sum(gso, lll, x) for x, _, u in got[0])
         for budget in (want[2] // 3, want[2] - 1):
             got = _run(lambda b: _walk(gso, None, [scaled], b), budget)
             ref = _run(lambda b: reference.walk(mu, c, None, [bound], b), budget)
             assert got[1] and got[1:] == ref[1:]
-            assert [(x, Q(rho, m)) for x, rho in got[0]] == ref[0]
+            assert [(x, Q(rho, m)) for x, rho, _ in got[0]] == ref[0]
+        for i in sorted({1, L.rank // 2, L.rank - 1}):
+            leaves = list(_walk(gso, None, [scaled], _Budget(10**6), lo=i))
+            assert leaves and all(not any(x[:i]) for x, _, _ in leaves)
+            assert all(u == _den_sum(gso, lll, x) for x, _, u in leaves)
+            for x, rho, _ in leaves[:3]:
+                # under the full norm of the leaf's nearest-plane lift
+                near = [rho + _nearest_plane(gso, None, list(x), i)]
+                lifts = list(_walk(gso, None, near, _Budget(10**6), top=(x[i:], rho)))
+                assert lifts and all(y[i:] == x[i:] for y, _, _ in lifts)
+                assert all(u == _den_sum(gso, lll, y) for y, _, u in lifts)
 
 
 def test_integer_closest_matches_the_rational_closest(monkeypatch):
@@ -479,6 +498,13 @@ def test_integer_closest_matches_the_rational_closest(monkeypatch):
         bounds.append((bound, bound[0]))
         return walk(mu, c, y, bound, budget)
 
+    def closest(gso, v, budget):
+        # _closest's minimizers x, each with its vector den sum_k x_k b_k
+        found, dist = _closest(gso, v, budget)
+        rows = [tuple(Q(a, gso.den) for a in r) for r in gso.b]
+        assert all(u == _den_sum(gso, rows, x) for x, u in found)
+        return [x for x, _ in found], dist
+
     monkeypatch.setattr(reference, "walk", watched)
     rng = random.Random(2021)
     for L in _walk_cases():
@@ -494,10 +520,10 @@ def test_integer_closest_matches_the_rational_closest(monkeypatch):
                 v = row_times_mat(a, rows)
                 y = reference.int_star_coordinates(gso, v)
                 want = _run(lambda b: [reference.closest(mu, c, y, b)], 10**6)
-                got = _run(lambda b: [_closest(gso, v, b)], 10**6)
+                got = _run(lambda b: [closest(gso, v, b)], 10**6)
                 assert got == want and not got[1]
                 short = want[2] - 1
-                got = _run(lambda b: [_closest(gso, v, b)], short)
+                got = _run(lambda b: [closest(gso, v, b)], short)
                 assert got[1] and got == _run(
                     lambda b: [reference.closest(mu, c, y, b)], short
                 )
@@ -541,10 +567,11 @@ def test_enumeration_builds_no_rational_per_node(monkeypatch):
 
 
 def test_growth_starts_at_the_held_bound(monkeypatch):
-    # a pool that enumerate_up_to left is grown from its bound, up by 3/2,
-    # not from the shortest LLL row again: after D_5*'s pool at 4/3 the
-    # greedy reduction enumerates nothing, and after L_2's at 6/5 it
-    # spends a pinned number of nodes
+    # the greedy reduction grows a pool that enumerate_up_to left from
+    # max(its bound, the longest LLL row), up by 3/2: after D_5*'s pool at
+    # 4/3 it enumerates nothing, and after L_2's at 6/5 it starts at the
+    # longest row, 13/9, short of its last greedy vector (73/36), and
+    # spends a pinned number of nodes over the two walks
     from conftest import count_nodes
     from latred.constructions import dual_root_d, glued_prime_lattice
     from latred.reduction import minkowski_reduce
@@ -552,7 +579,7 @@ def test_growth_starts_at_the_held_bound(monkeypatch):
     spent = count_nodes(monkeypatch)
     for L, bound, nodes in (
         (dual_root_d(5), Q(4, 3), 0),
-        (glued_prime_lattice(2), Q(6, 5), 6544),
+        (glued_prime_lattice(2), Q(6, 5), 2714),
     ):
         enumerate_up_to(L, bound)
         spent[0] = 0

@@ -131,6 +131,42 @@ def test_shared_lattice_matches_fresh_lattices():
         assert shared[::-1] == fresh
 
 
+def test_greedy_and_minima_from_the_longest_row_match_the_reference():
+    # the greedy and minima pools start at the longest LLL row, the
+    # references' at the shortest, doubling: the same bases, norms and tie
+    # counts on seeded unimodular re-basings of random-minkowski lattices,
+    # each starting from its own LLL basis, and on L_2, whose greedy grows
+    # past its longest LLL row (73/36 > 13/9).  A re-basing answers as the
+    # lattice it re-bases does
+    import reference
+    from conftest import mat_mul, minkowski_population, random_unimodular
+    from latred.constructions import glued_prime_lattice
+
+    def answers(rows):
+        mink = minkowski_reduce(Lattice(rows))
+        minima = successive_minima(Lattice(rows))
+        basis, ties = reference.minkowski_reduce(Lattice(rows))
+        assert mink.basis == basis
+        assert [(r.norm_sq, r.ties) for r in mink.step_log] == [
+            (norm_sq(v), t) for v, t in zip(basis, ties)
+        ]
+        assert (minima.minima_sq, minima.witnesses) == reference.successive_minima(
+            Lattice(rows)
+        )
+        return mink, minima
+
+    L = glued_prime_lattice(2)
+    mink, _ = answers(L.basis)
+    assert max(map(norm_sq, L._lll[0])) == Q(13, 9)
+    assert mink.step_log[-1].norm_sq == Q(73, 36)
+    rng = random.Random(2032)
+    for L in minkowski_population(2031, 8):
+        want = answers(L.basis)
+        for _ in range(2):
+            u = random_unimodular(rng, L.rank, steps=40)
+            assert answers(mat_mul(u, L.basis)) == want
+
+
 def test_kz_projected_minimality_small():
     rng = random.Random(18)
     for _ in range(8):

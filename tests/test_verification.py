@@ -720,8 +720,10 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
     # solve, Smith form or inverse is left, and the walker runs on the
     # integral LLL's d and lam (src has no rational GSO to build, see
     # test_source_rules).  One pass spends a pinned number of nodes and
-    # of _Prefix tails: the greedy and minima scans resume where they
-    # stopped instead of rescanning their pool from the start.
+    # of _Prefix tails: the greedy and minima pools start at the longest
+    # LLL row, their scans resume where they stopped instead of rescanning
+    # their pool from the start, and an accepted candidate's tail goes
+    # straight into _Prefix.extended.
     from conftest import count_calls, count_nodes, minkowski_population
     from latred.lattice import _Prefix
 
@@ -748,8 +750,28 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
         "linalg.snf_divisors": 0,
         "linalg.inverse": 0,
     }
-    assert spent[0] == 6410
-    assert tails[0] == 3296
+    assert spent[0] == 2587
+    assert tails[0] == 2518
+
+
+def test_minkowski_bounds_reports_are_shared_and_read_only():
+    # a report holds no timing, so a lattice met again gets the very same
+    # report: frozen, its tables read-only, and it still pickles and
+    # deep-copies to an equal report
+    import copy
+    import dataclasses
+    import pickle
+
+    from conftest import minkowski_population
+
+    L = minkowski_population(2026, 1)[0]
+    rep = verification.verify_minkowski_bounds(L)
+    assert verification.verify_minkowski_bounds(Lattice(L.basis)) is rep
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.lattice_id = "other"
+    with pytest.raises(TypeError):
+        rep.verdicts["other"] = True
+    assert pickle.loads(pickle.dumps(rep)) == rep == copy.deepcopy(rep)
 
 
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
