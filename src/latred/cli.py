@@ -136,14 +136,14 @@ def cmd_minima(args) -> int:
     return EXIT_PASS
 
 
-def _report_doc(rep, t0) -> dict:
+def _report_doc(rep) -> dict:
     return {
         "lattice": rep.lattice_id,
         "quantities": {k: qstr(v) for k, v in rep.quantities.items()},
         "verdicts": dict(rep.verdicts),
         "equalities": dict(rep.equalities),
         "witnesses": {k: _qvec(v) for k, v in rep.witnesses.items()},
-        "elapsed_seconds": time.monotonic() - t0,
+        "elapsed_seconds": rep.elapsed,
     }
 
 
@@ -186,20 +186,20 @@ def cmd_verify(args) -> int:
         ok = rep.success
     elif suite == "height-lift":
         rep = verify_height_lift()
-        doc = {"operation": "verify", "suite": suite, **_report_doc(rep, t0)}
+        doc = {"operation": "verify", "suite": suite, **_report_doc(rep)}
         ok = rep.success
     elif suite == "gap":
         rep = verify_theorem_gap(int(params[0]))
-        doc = {"operation": "verify", "suite": suite, **_report_doc(rep, t0)}
+        doc = {"operation": "verify", "suite": suite, **_report_doc(rep)}
         ok = rep.success
     elif suite == "kz-structure":
         rep = verify_kz_structure(int(params[0]))
-        doc = {"operation": "verify", "suite": suite, **_report_doc(rep, t0)}
+        doc = {"operation": "verify", "suite": suite, **_report_doc(rep)}
         ok = rep.success
     elif suite == "minkowski-bounds":
         L = latfile.load(params[0])
         rep = verify_minkowski_bounds(L, **_budget_kwargs(args))
-        doc = {"operation": "verify", "suite": suite, **_report_doc(rep, t0)}
+        doc = {"operation": "verify", "suite": suite, **_report_doc(rep)}
         ok = rep.success
     else:  # delta-table
         K = int(params[0])

@@ -429,8 +429,8 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
         nonlocal held, start
         for i in range(start, end):
             c = pool.coords[i]
-            tail = held._tail(c)
-            if any(tail):
+            tail = held.independent(c)
+            if tail is not None:
                 held = held.extended(c, tail)
                 chosen.append(i)
                 if len(chosen) == L.rank:

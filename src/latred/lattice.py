@@ -309,15 +309,22 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
         return [sum(x * y for x, y in zip(c, col)) for col in self.cols]
 
     def extends(self, c):
-        return gcd(*self._tail(c)) == 1
+        """The tail of c when the prefix extends by c, else None."""
+        tail = self._tail(c)
+        return tail if gcd(*tail) == 1 else None
+
+    def independent(self, c):
+        """The tail of c when c lies outside the prefix's span, else None."""
+        tail = self._tail(c)
+        return tail if any(tail) else None
 
     def extended(self, c, tail=None):
         """The prefix with c appended; raises DependentTuple when c is in
-        its span.  tail, when given, is self._tail(c), which a caller that
-        tested c has at hand.  Euclid's column steps col_i -= f col_p (on
-        M^-1 the row step row_p += f row_i) turn the tail of c . M into the
-        single entry +-gcd(tail) and leave [T | 0] as it is; column p
-        joins T."""
+        its span.  tail, when given, is the tail that extends or
+        independent returned for c.  Euclid's column steps col_i -= f
+        col_p (on M^-1 the row step row_p += f row_i) turn the tail of
+        c . M into the single entry +-gcd(tail) and leave [T | 0] as it
+        is; column p joins T."""
         tail = self._tail(c) if tail is None else list(tail)
         cols, rows = list(self.cols), list(self.rows)
         while True:

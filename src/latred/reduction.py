@@ -86,10 +86,11 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
         rhos, coords = pool.rhos, pool.coords
         for i in range(start, end):
             c = coords[i]
-            tail = prefix._tail(c)
-            if gcd(*tail) == 1:
+            tail = prefix.extends(c)
+            if tail is not None:
                 level = bisect_right(rhos, rhos[i])
-                ties = 1 + sum(map(prefix.extends, coords[i + 1 : level]))
+                rest = coords[i + 1 : level]
+                ties = 1 + sum(prefix.extends(d) is not None for d in rest)
                 prefix = prefix.extended(c, tail)
                 picks.append((i, ties))
                 if len(picks) == n:
@@ -181,8 +182,8 @@ def _basis_subset_search(L, pool, budget):
             if nodes[0] > budget:
                 raise BudgetExceeded("subset search budget exhausted")
             item, c = pool[idx]
-            tail = held._tail(c)
-            if gcd(*tail) != 1:
+            tail = held.extends(c)
+            if tail is None:
                 continue
             got = rec(prefix + [item], held.extended(c, tail), idx + 1)
             if got is not None:

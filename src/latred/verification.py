@@ -2,7 +2,7 @@
 
 Each verifier returns a report whose verdicts are recomputable from the
 exact rational quantities it stores.  Nothing here uses floating point;
-the scan reports' wall-clock `elapsed` is the only approximate number.
+wall-clock `elapsed` fields are the only approximate numbers.
 
 The big scan (`check_shortest_vectors_42`) certifies the minimum of a
 42-dimensional lattice by exhausting the structured candidate families
@@ -86,18 +86,14 @@ class AppendixReport:
         return self.no_unit_coefficient and not self.violations
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TheoremReport:
-    """What a verifier found: its quantities, verdicts, equalities and
-    witnesses.  It holds no timing (the CLI times each suite), so equal
-    reports are interchangeable and verify_minkowski_bounds hands out one
-    shared report per content."""
-
     lattice_id: str
     quantities: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     equalities: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
+    elapsed: float = 0.0
 
     @property
     def success(self) -> bool:
@@ -723,8 +719,11 @@ def verify_kz_structure(k: int) -> TheoremReport:
     lattice with a closed-form minimum, while anything touching later
     blocks costs at least 1 by the same residue bound.
     """
+    t0 = time.monotonic()
     params = glued_params(k)
-    return _kz_structure(params, _kz_claim(params))
+    rep = _kz_structure(params, _kz_claim(params))
+    rep.elapsed = time.monotonic() - t0
+    return rep
 
 
 def _gso_norms(gso):
@@ -783,8 +782,11 @@ def verify_theorem_gap(k: int) -> TheoremReport:
     completion to carry a nonzero residue in every block, pricing the
     final vector above k.
     """
+    t0 = time.monotonic()
     params = glued_params(k)
-    return _theorem_gap(params, _short_claim(params))
+    rep = _theorem_gap(params, _short_claim(params))
+    rep.elapsed = time.monotonic() - t0
+    return rep
 
 
 def _theorem_gap(params, sb_claim) -> TheoremReport:
@@ -959,7 +961,7 @@ def _shared(x):
 
 
 class _SharedTable(dict):
-    """A read-only dict, one object per distinct content (_table)."""
+    """A read-only dict, one object per distinct content (_shared_table)."""
 
     __slots__ = ()
 
@@ -973,6 +975,10 @@ class _SharedTable(dict):
         return _SharedTable, (dict(self),)
 
 
+def _shared_table(d):
+    return _table(tuple(d.items()))
+
+
 @lru_cache(maxsize=4096)
 def _table(items):
     return _SharedTable(items)
@@ -982,15 +988,16 @@ def verify_minkowski_bounds(L, node_budget=DEFAULT_BUDGET) -> TheoremReport:
     """Check the greedy-reduction norm bounds against the successive
     minima: the k/4 factor at k = 6, 7 (with similarity to D_k* exactly
     at equality) and the improved Delta table everywhere."""
+    t0 = time.monotonic()
     if L.rank < 6:
         raise PreconditionViolated("needs rank >= 6")
     mink = minkowski_reduce(L, node_budget)
     minima = successive_minima(L, node_budget)
-    # keys are interned and values shared, and every table and the report
-    # itself are shared read-only: the quantities of a lattice met again,
-    # and the verdict, equality and (empty) witness tables, which most
-    # lattices of a rank have in common.  A caller holding the reports of
-    # many lattices holds one copy of each key, value, table and report
+    # keys are interned and values shared, and every table is shared
+    # read-only: the quantities of a lattice met again, and the verdict,
+    # equality and (empty) witness tables, which most lattices of a rank
+    # have in common.  A caller holding the reports of many lattices holds
+    # one copy of each key, value and table
     quantities, verdicts, equalities = {}, {}, {}
     table = vdw_delta_table(L.rank, True)
     all_delta = True
@@ -1011,20 +1018,15 @@ def verify_minkowski_bounds(L, node_budget=DEFAULT_BUDGET) -> TheoremReport:
                     similar_to_dual_root(mink.basis[: i + 1], node_budget)
                 )
     verdicts["improved_delta_bounds"] = all_delta
-    return _minkowski_report(
+    rep = TheoremReport(
         intern("rank_%d" % L.rank),
-        tuple(quantities.items()),
-        tuple(verdicts.items()),
-        tuple(equalities.items()),
+        _shared_table(quantities),
+        _shared_table(verdicts),
+        _shared_table(equalities),
+        _shared_table({}),
     )
-
-
-@lru_cache(maxsize=4096)
-def _minkowski_report(lattice_id, quantities, verdicts, equalities):
-    """The report of verify_minkowski_bounds, one per content."""
-    return TheoremReport(
-        lattice_id, _table(quantities), _table(verdicts), _table(equalities), _table(())
-    )
+    rep.elapsed = time.monotonic() - t0
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -1036,6 +1038,7 @@ def verify_height_lift(appendix=None) -> TheoremReport:
     1/(HEIGHT_SCALE * q_i) produces a lattice whose shortest vector is the
     last-coordinate multiple, and that swapping that vector for any lifted
     generator never yields a basis."""
+    t0 = time.monotonic()
     vecs = _generators42()
     if appendix is None:
         appendix = check_shortest_vectors_42()
@@ -1068,4 +1071,5 @@ def verify_height_lift(appendix=None) -> TheoremReport:
     rep.verdicts["lifted_norms_above_shortest"] = all(
         norm_sq(v) > s * s for v in rows
     )
+    rep.elapsed = time.monotonic() - t0
     return rep

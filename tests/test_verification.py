@@ -754,26 +754,6 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
     assert tails[0] == 2518
 
 
-def test_minkowski_bounds_reports_are_shared_and_read_only():
-    # a report holds no timing, so a lattice met again gets the very same
-    # report: frozen, its tables read-only, and it still pickles and
-    # deep-copies to an equal report
-    import copy
-    import dataclasses
-    import pickle
-
-    from conftest import minkowski_population
-
-    L = minkowski_population(2026, 1)[0]
-    rep = verification.verify_minkowski_bounds(L)
-    assert verification.verify_minkowski_bounds(Lattice(L.basis)) is rep
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        rep.lattice_id = "other"
-    with pytest.raises(TypeError):
-        rep.verdicts["other"] = True
-    assert pickle.loads(pickle.dumps(rep)) == rep == copy.deepcopy(rep)
-
-
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
     # one pass of the glued-certify benchmark (gap and kz-structure for
     # k = 1..3): KZ and the k <= 2 oracle walk projections on the integral
