@@ -11,11 +11,12 @@ carries it to a basis that starts with a given prefix
 back-substitution as coordinates: there is no rational Gram-Schmidt
 anywhere.  The primitive completion decides dependence, membership and
 primitivity on the coordinates over the one basis it carries.
-Independence of a basis is read off linalg's fraction-free elimination,
-linear dependences off one gcd echelon of the vectors with the identity
-appended, taken over the vectors' own columns, with the HNF of their
-lattice back-reduced from its pivot rows, and primitivity certificates
-off Smith divisors, which linalg reads off HNFs too.
+The dual basis is that same back-substitution on unit vectors.
+Independence of a basis is read off the pivot count of linalg's gcd
+echelon, linear dependences off one such echelon of the vectors with the
+identity appended, taken over the vectors' own columns, with the HNF of
+their lattice back-reduced from its pivot rows, and primitivity
+certificates off Smith divisors, which linalg reads off HNFs too.
 """
 
 from collections import namedtuple
@@ -42,6 +43,7 @@ from .linalg import (
     norm_sq,
     snf_divisors,
     transpose,
+    unit_vector,
     vector,
 )
 from .rationals import Q, QZERO, qden, qexact, qnum
@@ -140,7 +142,7 @@ class Lattice:
         if not self.basis:
             raise DimensionMismatch("a lattice needs at least one basis row")
         # rows whose leading columns strictly increase (an HNF's) are
-        # independent by their shape; others take the elimination
+        # independent by their shape; others take the echelon
         leads = (next((c for c, x in enumerate(r) if x), -1) for r in self.basis)
         echelon = all(a < b for a, b in pairwise(chain((-1,), leads)))
         if not echelon and linalg.rank(self.basis) != len(self.basis):
@@ -261,10 +263,13 @@ def covolume_squared(L: Lattice):
 
 
 def dual(L: Lattice) -> Lattice:
-    """Dual of a full-rank lattice: inverse-transpose basis."""
-    if L.rank != L.ambient_dim:
+    """Dual of a full-rank lattice: the inverse-transpose basis.  Row c of
+    B^-1 is the x with x . B = e_c, coordinates(L, e_c), so no inverse is
+    taken."""
+    n = L.rank
+    if n != L.ambient_dim:
         raise NotFullRank("dual requires a full-rank lattice")
-    return Lattice(transpose(linalg.inverse(L.basis)))
+    return Lattice(transpose([coordinates(L, unit_vector(n, c)) for c in range(n)]))
 
 
 def is_primitive_tuple(L: Lattice, vectors) -> PrimitivityCertificate:
@@ -394,6 +399,16 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     primitively; otherwise lift a shortest nonzero vector of the projection
     lattice and size-reduce it against the sub tuple so every Gram-Schmidt
     coordinate has magnitude at most half the corresponding pivot.
+
+    Two facts of the proof hold by construction and are not rechecked.
+    A y0 that is kept out has a tail (its coordinates past sub) of gcd
+    g >= 2, so its projection past sub is g times a nonzero vector of the
+    projection lattice, of squared norm at least 4 rho for rho that
+    lattice's minimum.  And the completion is primitive: the lift's tail
+    is a shortest projected vector's coefficients, of gcd 1 (dividing by
+    a larger gcd would give a shorter one), and size reduction against
+    sub changes only the coordinates before the tail.  The size bound is
+    the lemma's, and it is checked.
     """
     from .enumeration import (
         DEFAULT_BUDGET,
@@ -401,7 +416,6 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
         _lll,
         _projected_shortest,
         _put,
-        _weights,
     )
 
     sub = [vector(v) for v in sub]
@@ -442,13 +456,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     # enumeration.shortest_vector would pick on the projection lattice
     b, d, lam, den = gso
     pre = IntGSO(b[:i], d[: i + 1], lam[:i], den)
-    tops, rho = _projected_shortest(gso, i, _Budget(DEFAULT_BUDGET))
-    # non-primitivity of the projection of y0 forces a factor-2 shrink
-    dy = pre.extended(y0).d
-    if 4 * Q(rho, _weights(gso)[0]) > Q(dy[-1], dy[-2] * den * den):
-        raise PreconditionViolated(
-            "projection shrink factor violated; inputs inconsistent"
-        )
+    tops, _ = _projected_shortest(gso, i, _Budget(DEFAULT_BUDGET))
 
     def lift(w):
         # (p, w): the walk's lift w = sum_k x_k b_k, whose x is a top past
@@ -468,8 +476,6 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     bound = max(lambda_next_sq, (pivots + lambda_next_sq) / 4)
     if norm_sq(y) > bound:
         raise PreconditionViolated("completion exceeded the size bound")
-    if gcd(*_solve(gso, y)[i:]) != 1:
-        raise PreconditionViolated("completion failed to be primitive")
     return y
 
 

@@ -3,24 +3,24 @@
 Vectors are tuples of rationals and matrices are tuples of row vectors.
 All routines here are pure and exact; there is no floating point on any
 path.  Integer matrices (HNF/SNF) are plain nested tuples of Python ints.
-Rank and inverse are read off one fraction-free (Bareiss) elimination,
-_eliminate, of the rows scaled to integers, and the Smith divisors off
-row HNFs of a matrix and its transpose, in turn.  An HNF is two phases:
-the gcd echelon below the pivots (_echelon) and the reductions above
-them (_back_reduce), each row step starting at its column.
-lattice.linear_dependence runs the echelon alone on the integer rows
-with the identity appended, over the rows' own columns, and back-reduces
-only the pivot rows' left parts.
+A rational matrix is eliminated one way only: its rows are scaled to
+integers (_scaled_rows) and go through the gcd echelon below the pivots
+(_echelon).  Rank is the echelon's pivot count.  An HNF adds the
+reductions above the pivots (_back_reduce), each row step starting at
+its column, and the Smith divisors are read off row HNFs of a matrix
+and its transpose, in turn.  lattice.linear_dependence runs the echelon
+alone on the integer rows with the identity appended, over the rows'
+own columns, and back-reduces only the pivot rows' left parts.  There
+is no inverse: lattice.dual reads B^-1 off coordinates.
 Gram-Schmidt is not here: latred's one Gram-Schmidt is the integral
 recurrence of latred.lattice (IntGSO), which also gives every Gram
 determinant latred needs, so no determinant is taken here.
 """
 
-from collections import namedtuple
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, NotIntegral, Singular
-from .rationals import Q, QONE, QZERO, qden, qexact, qnum
+from .errors import DimensionMismatch, NotIntegral
+from .rationals import QONE, QZERO, qden, qexact, qnum
 
 
 # ---------------------------------------------------------------------------
@@ -121,83 +121,10 @@ def _scaled(v):
 def _scaled_rows(m):
     """(W, s): s the lcm of all of m's denominators and W = s m, in
     integers."""
-    dens = [[qden(e) for e in r] for r in m]
-    s = lcm(*(q for r in dens for q in r))
-    return [[qnum(e) * (s // q) for e, q in zip(r, qs)] for r, qs in zip(m, dens)], s
-
-
-Elimination = namedtuple("Elimination", "d scales pivots rows")
-
-
-def _eliminate(m, identity=False):
-    """Fraction-free (Bareiss) elimination of the rational rows m, each
-    scaled to integers W_i = s_i m_i by the lcm s_i of its denominators;
-    every division is exact.  Columns are taken in order, and a column's
-    pivot is the first row at or below the pivots so far that is nonzero
-    there; a column with none is skipped.
-
-    Returns (d, scales, pivots, rows): d the last pivot, which is +-det W
-    when W is square and every column has a pivot, the scales s_i, and
-    the pivot columns.  Step k leaves the pivot column zero but in the
-    pivot row, so each row keeps only the columns past it.  With
-    identity, which inverse uses, the elimination is Gauss-Jordan on
-    [W | I], clearing the rows above the pivot too, and rows are the
-    right halves E, pivot rows first: E = d W^-1 for square nonsingular
-    W.  Without identity the rows above the pivot are left as they are,
-    and rows is of no use."""
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    rows, scales = [], []
-    for i, r in enumerate(m):
-        w, s = _scaled(r)
-        if identity:
-            w += [int(i == j) for j in range(nr)]
-        rows.append(w)
-        scales.append(s)
-    d, pivots = 1, []
-    for c in range(nc):
-        k = len(pivots)
-        piv = next((i for i in range(k, nr) if rows[i][0]), None)
-        if piv is None:
-            rows = [row[1:] for row in rows]
-            continue
-        rows[k], rows[piv] = rows[piv], rows[k]
-        p, *top = rows[k]
-        rows[k] = top
-        for i in range(nr) if identity else range(k + 1, nr):
-            if i == k:
-                continue
-            row = rows[i]
-            f = row[0]
-            if f:
-                rows[i] = [(p * x - f * y) // d for x, y in zip(row[1:], top)]
-            elif p != d:
-                rows[i] = [p * x // d for x in row[1:]]
-            else:
-                rows[i] = row[1:]
-        d = p
-        pivots.append(c)
-    return Elimination(d, tuple(scales), tuple(pivots), rows)
-
-
-def rank(m):
-    """The number of pivots of the fraction-free elimination of m."""
-    return len(_eliminate(m).pivots)
-
-
-def inverse(m):
-    """Exact inverse, the right half of the fraction-free Gauss-Jordan
-    elimination of [W | I] over d: W^-1 = E / d and m^-1 = W^-1 S for
-    W = S m, S the row scales.  Raises Singular when det = 0."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatch("inverse of non-square matrix")
-    e = _eliminate(m, identity=True)
-    if len(e.pivots) < n:
-        raise Singular("matrix is singular")
-    return tuple(
-        tuple(Q(x * s, e.d) for x, s in zip(row, e.scales)) for row in e.rows
-    )
+    s = lcm(*[qden(e) for r in m for e in r])
+    if s == 1:
+        return [[qnum(e) for e in r] for r in m], 1
+    return [[qnum(e) * (s // qden(e)) for e in r] for r in m], s
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +214,14 @@ def hnf(m):
     rows = _int_rows(m)
     _back_reduce(rows, _echelon(rows, len(rows[0]) if rows else 0))
     return tuple(tuple(row) for row in rows)
+
+
+def rank(m):
+    """The number of pivots of the gcd echelon (_echelon) of m's rows
+    scaled to integers.  A ragged m is refused with DimensionMismatch, a
+    float with PreconditionViolated."""
+    rows, _ = _scaled_rows(matrix(m))
+    return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 
 def snf_divisors(m):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_integer_lattice
-from reference import determinant
+from reference import determinant, inverse
 from latred.enumeration import (
     closest_vectors_all,
     enumerate_up_to,
@@ -16,7 +16,6 @@ from latred.enumeration import (
 from latred.errors import BudgetExceeded
 from latred.lattice import Lattice, coordinates
 from latred.linalg import (
-    inverse,
     norm_sq,
     normalize_sign,
     rank,

@@ -10,6 +10,7 @@ from latred.enumeration import successive_minima
 from latred.errors import (
     DependentTuple,
     DimensionMismatch,
+    NotFullRank,
     NotInLattice,
     NotInSpan,
     NotPrimitive,
@@ -31,6 +32,7 @@ from latred.linalg import (
     dot,
     norm_sq,
     row_times_mat,
+    transpose,
     unit_vector,
     vector,
     vscale,
@@ -117,6 +119,30 @@ def test_dual_dual_round_trip():
         DD = dual(D)
         assert all(contains(DD, b) for b in L.basis)
         assert all(contains(L, b) for b in DD.basis)
+
+
+def test_dual_matches_the_inverse_transpose_reference():
+    # row c of B^-1 is coordinates(L, e_c), so the dual basis is exactly
+    # the rational inverse-transpose of B, on integer and rational bases
+    rng = random.Random(31)
+    seen = {"integer": 0, "rational": 0}
+    while min(seen.values()) < 40:
+        n = rng.randint(1, 6)
+        den = rng.choice((1, 1, 2, 3, 6))
+        rows = [
+            [Q(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        try:
+            L = Lattice(rows)
+        except DependentTuple:
+            continue
+        integral = all(x.denominator == 1 for r in L.basis for x in r)
+        seen["integer" if integral else "rational"] += 1
+        assert dual(L).basis == transpose(reference.inverse(L.basis))
+    for rows in ([(1, 0, 0), (0, 1, 0)], [(Q(1, 2), 1, 3)]):
+        with pytest.raises(NotFullRank):
+            dual(Lattice(rows))
 
 
 def test_primitivity_and_completion():
@@ -483,7 +509,8 @@ def test_lattice_independence_and_generated_rank_match_the_reference(monkeypatch
 def test_kz_reduce_solves_each_prefix_once(monkeypatch):
     # kz_reduce carries the chosen vector's coefficients over the rows it
     # walked into the next basis, so it solves no coordinates over
-    # L.basis, and takes no Gram inverse, Smith form or HNF
+    # L.basis, and takes no Smith form or HNF (nor a Gram inverse, which
+    # latred does not have, see test_source_rules)
     from conftest import count_calls
     from latred.constructions import glued_prime_lattice
     from latred.reduction import kz_reduce
@@ -492,23 +519,22 @@ def test_kz_reduce_solves_each_prefix_once(monkeypatch):
     calls = count_calls(
         monkeypatch,
         "lattice.integer_coordinates",
-        "linalg.inverse",
         "linalg.snf_divisors",
         "linalg.hnf",
     )
     kz_reduce(L)
     assert calls == {
         "lattice.integer_coordinates": 0,
-        "linalg.inverse": 0,
         "linalg.snf_divisors": 0,
         "linalg.hnf": 0,
     }
 
 
 def test_primitive_completion_solves_each_vector_once(monkeypatch):
-    # the coordinates of sub (3), of y0 (1) and of the completion (1) are
-    # solved once each, on the basis the completion carries, and decide
-    # the error classes, the primitivity checks and the completion
+    # the coordinates of sub (3) and of y0 (1) are solved once each, on
+    # the basis the completion carries, and decide the error classes, the
+    # primitivity checks and the completion; the completion itself is
+    # primitive by construction and is not solved
     from conftest import count_calls
 
     calls = count_calls(monkeypatch, "lattice._solve", "lattice.integer_coordinates")
@@ -518,7 +544,7 @@ def test_primitive_completion_solves_each_vector_once(monkeypatch):
     # e_3 is not primitive over e_0..e_2 (its projection is twice e_3 / 2)
     y = primitive_completion(L, e[:3], e[3], Q(1))
     assert y == (Q(-1, 2), 0, 0, Q(1, 2), 0, 0)
-    assert calls == {"lattice._solve": 5, "lattice.integer_coordinates": 0}
+    assert calls == {"lattice._solve": 4, "lattice.integer_coordinates": 0}
 
 
 def _solve_cases():

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
@@ -16,17 +16,16 @@ from latred.errors import (
     DimensionMismatch,
     NotIntegral,
     PreconditionViolated,
-    Singular,
     WrongRank,
 )
 from latred.lattice import Lattice, linear_dependence
 from latred.lattice import IntGSO
 from latred.linalg import (
-    _eliminate,
+    _echelon,
+    _scaled_rows,
     dot,
     gram_matrix,
     hnf,
-    inverse,
     matrix,
     norm_sq,
     rank,
@@ -186,18 +185,6 @@ def test_snf_matches_the_euclid_reference_on_larger_matrices():
         assert snf_divisors(rows) == reference.snf_divisors(rows)
 
 
-@settings(max_examples=40)
-@given(int_matrices)
-def test_inverse_multiplies_to_identity(rows):
-    m = qmat(rows)
-    if determinant(m) == 0:
-        with pytest.raises(Singular):
-            inverse(m)
-        return
-    eye = tuple(unit_vector(len(m), i) for i in range(len(m)))
-    assert mat_mul(m, inverse(m)) == eye
-
-
 @given(int_matrices)
 def test_nullspace_annihilates(rows):
     # the reference nullspace that the differential tests below rest on
@@ -269,9 +256,9 @@ def _seeded_matrices(count, seed):
 
 
 def test_eliminations_equal_the_rational_references():
-    # rank and inverse read off the fraction-free elimination, and
-    # linear_dependence read off the HNF of [W | I], equal the rational
-    # Gaussian loops exactly, errors included
+    # rank, the pivot count of the gcd echelon of the rows scaled to
+    # integers, and linear_dependence, read off the echelon of [W | I],
+    # equal the rational Gaussian loops exactly, errors included
     cases = _seeded_matrices(400, 13)
     kinds = dict.fromkeys(("singular", "deficient", "rectangular", "relation"), 0)
     kinds["skipped"] = 0
@@ -279,22 +266,14 @@ def test_eliminations_equal_the_rational_references():
         r = rank(m)
         assert r == reference.rank(m)
         # a pivot-free column before the last pivot
-        kinds["skipped"] += _eliminate(m).pivots != tuple(range(r))
+        w, _ = _scaled_rows(m)
+        kinds["skipped"] += _echelon(w, len(m[0])) != list(range(r))
         square = len(m) == len(m[0])
         kinds["rectangular"] += not square
         kinds["deficient"] += r < min(len(m), len(m[0]))
-        if square:
-            try:
-                want = reference.inverse(m)
-            except Singular:
-                kinds["singular"] += 1
-                with pytest.raises(Singular):
-                    inverse(m)
-            else:
-                assert inverse(m) == want
-        else:
-            with pytest.raises(DimensionMismatch):
-                inverse(m)
+        if square and determinant(m) == 0:
+            kinds["singular"] += 1
+            assert r < len(m)
         try:
             want = reference.linear_dependence(m)
         except WrongRank as exc:
@@ -307,13 +286,25 @@ def test_eliminations_equal_the_rational_references():
 
 
 def test_eliminations_keep_their_edge_values():
-    assert inverse(()) == ()
     assert rank(()) == 0 and rank([()]) == 0
     with pytest.raises(DependentTuple):
         Lattice([()])
     for vectors in ([], [()], [(1,)]):
         with pytest.raises(WrongRank, match="dimension 0"):
             linear_dependence(vectors)
+
+
+def test_rank_refuses_a_ragged_matrix():
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        rank([[1, 2], [3]])
+
+
+def test_rank_refuses_floats():
+    import numpy as np
+
+    for bad in (1.0, 0.5, np.float64(2)):
+        with pytest.raises(PreconditionViolated, match="not exact"):
+            rank([[bad, 2], [3, 4]])
 
 
 def test_integer_normal_forms_reject_fractions():

@@ -3,12 +3,13 @@ python -O strips, or on a float.  The wall-clock `elapsed` defaults of
 the reports are the one float literal allowed.  And the package stays
 pure Python: it imports the standard library, the optional gmpy2 and
 itself, nothing else, and its metadata requires nothing at install.  Its one Gram-Schmidt is the integral recurrence
-`lattice._lam_row`.  Rank and inverse come from the fraction-free
-elimination `linalg._eliminate`, `linear_dependence` and the 42-scan's
-relation and residues from one gcd echelon `linalg._echelon` of the
-generators with the identity appended and the `linalg.hnf` of its pivot
-rows, and the Smith divisors from `linalg.hnf`; latred takes no
-determinant and builds no adjugate.  `primitive_completion`
+`lattice._lam_row`.  It eliminates a matrix one way, the gcd echelon
+`linalg._echelon`: rank is its pivot count, `linear_dependence` and the
+42-scan's relation and residues come from one echelon of the generators
+with the identity appended and the `linalg.hnf` of its pivot rows, and
+the Smith divisors from `linalg.hnf`; latred takes no determinant, no
+inverse (the dual basis is read off coordinates) and builds no
+adjugate.  `primitive_completion`
 decides primitivity on the one basis it carries, with no tail-gcd
 transform over `L.basis`.  The rational processes live in
 tests/reference.py."""
@@ -148,12 +149,11 @@ def test_src_has_no_rational_gram_schmidt():
 
 
 def test_src_has_no_nullspace_or_adjugate_elimination():
-    # rank and inverse are read off the fraction-free elimination
-    # linalg._eliminate, and linear_dependence and the 42-scan's relation
-    # and residues off one gcd echelon, linalg._echelon, of the generators
-    # with the identity appended, over the generators' columns, and the
-    # linalg.hnf of its pivot rows' left parts; no file names a separate
-    # nullspace or adjugate routine
+    # rank is the pivot count of the gcd echelon linalg._echelon, and
+    # linear_dependence and the 42-scan's relation and residues are read
+    # off one such echelon of the generators with the identity appended,
+    # over the generators' columns, and the linalg.hnf of its pivot rows'
+    # left parts; no file names a separate nullspace or adjugate routine
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     found = [
@@ -185,14 +185,47 @@ def test_the_pool_is_built_in_integers():
 
 def test_src_takes_no_determinant():
     # every Gram determinant latred needs is an IntGSO's d_n; there is
-    # no determinant routine, and the elimination tracks no swap sign
-    from latred import linalg
-
+    # no determinant routine
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     found = [p.name for p in paths if "determinant(" in p.read_text(encoding="utf-8")]
     assert found == []
-    assert linalg.Elimination._fields == ("d", "scales", "pivots", "rows")
+
+
+_SECOND_ELIMINATION = ("inverse", "_eliminate", "Elimination")
+
+
+def test_linalg_has_one_elimination():
+    # the gcd echelon is latred's one elimination of a matrix: linalg
+    # defines no fraction-free elimination and no inverse, and no file
+    # names them (the dual basis is read off coordinates)
+    from latred import linalg
+
+    assert [n for n in _SECOND_ELIMINATION if hasattr(linalg, n)] == []
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = [
+        "%s:%d %s" % (p.name, node.lineno, name)
+        for p in paths
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        for name in _identifiers(node)
+        if name in _SECOND_ELIMINATION
+    ]
+    assert found == []
+
+
+def _identifiers(node):
+    """The names an AST node binds or reads: a name, an attribute, a
+    function or class definition, or an imported name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.asname or node.name]
+    return []
 
 
 def _names_in(path, function):

@@ -74,28 +74,20 @@ def test_kz_structure_small_with_cross_check():
         assert rep.verdicts["matches_generic_kz"]
 
 
-def test_kz_structure_k3_structural_only(monkeypatch):
-    # the verifier reads the generators alone, so no Gram matrix is
-    # inverted
-    from conftest import count_calls
-
-    calls = count_calls(monkeypatch, "linalg.inverse")
+def test_kz_structure_k3_structural_only():
+    # the verifier reads the generators alone (latred has no matrix
+    # inverse to take, see test_source_rules)
     rep = verify_kz_structure(3)
     assert rep.success, rep.verdicts
     assert "matches_generic_kz" not in rep.verdicts
-    assert calls["linalg.inverse"] == 0
 
 
-def test_theorem_gap_values(monkeypatch):
-    from conftest import count_calls
-
+def test_theorem_gap_values():
     rep2 = verify_theorem_gap(2)
     assert rep2.success, rep2.verdicts
     assert rep2.quantities["v_last_sq"] == Q(73, 36)
     assert rep2.quantities["lambda_bar_sq"] == Q(5, 4)
-    calls = count_calls(monkeypatch, "linalg.inverse")
     rep3 = verify_theorem_gap(3)
-    assert calls["linalg.inverse"] == 0
     assert rep3.success, rep3.verdicts
     assert rep3.quantities["v_last_sq"] == 3 + Q(1, 900)
     assert norm_sq(rep3.witnesses["v_last"]) == rep3.quantities["v_last_sq"]
@@ -377,14 +369,15 @@ def test_appendix_scan_checks_the_hnf_relation(monkeypatch):
 def test_scans_make_one_hnf_and_no_elimination(monkeypatch):
     # each scan makes one echelon of [generators | I], for the relation
     # and H together, and one HNF, which only back-reduces H's already
-    # echelon rows (its own echelon is the second _echelon call); no
-    # elimination (no rank or inverse) and no lattice HNF
+    # echelon rows (its own echelon is the second _echelon call); no rank
+    # and no lattice HNF (latred has no other elimination, see
+    # test_source_rules)
     from conftest import count_calls
 
     names = (
         "linalg.hnf",
         "linalg._echelon",
-        "linalg._eliminate",
+        "linalg.rank",
         "lattice.lattice_from_generators",
     )
     calls = count_calls(monkeypatch, *names)
@@ -394,7 +387,7 @@ def test_scans_make_one_hnf_and_no_elimination(monkeypatch):
     assert calls == {
         "linalg.hnf": 2,
         "linalg._echelon": 4,
-        "linalg._eliminate": 0,
+        "linalg.rank": 0,
         "lattice.lattice_from_generators": 0,
     }
 
@@ -447,37 +440,25 @@ def _scan_cases_with_hits():
 def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
     # attempt21 and the random sets are scanned despite unit coefficients
     monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
-    from conftest import count_calls
-
     cases = _scan_cases_with_hits()
-    calls = count_calls(monkeypatch, "linalg.inverse")
     for vecs, (families, violations) in cases:
         rep = appendix_scan(vecs)
         assert rep.families_checked == families
         assert rep.violations == violations
         assert rep.stats["hits_confirmed"] == len(violations)
-    # the second route confirms each hit on the integral recurrence
-    assert calls["linalg.inverse"] == 0
 
 
 def test_scan_hits_are_confirmed_without_an_inverse(monkeypatch):
-    # with linalg.inverse broken wherever latred binds it, every hit is
-    # still confirmed by the second route, which shares no kernel with
-    # the HNF that gives the scan its residues
-    from importlib import import_module
+    # every hit is confirmed by the second route, on the integral
+    # recurrence, which shares no kernel with the HNF that gives the scan
+    # its residues: a scan runs the one echelon of [generators | I] and
+    # the one HNF of its pivot rows however many hits it confirms (and
+    # latred has no inverse, see test_source_rules)
+    from conftest import count_calls
 
     monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
     cases = _scan_cases_with_hits()
-
-    def broken(m):
-        raise AssertionError("linalg.inverse called")
-
-    real = linalg.inverse
-    for name in ("linalg", "lattice", "verification"):
-        mod = import_module("latred." + name)
-        for key, val in list(vars(mod).items()):
-            if val is real:
-                monkeypatch.setattr(mod, key, broken)
+    calls = count_calls(monkeypatch, "linalg.hnf", "linalg._echelon", "linalg.rank")
     confirmed = 0
     for vecs, (_, violations) in cases:
         rep = appendix_scan(vecs)
@@ -485,6 +466,11 @@ def test_scan_hits_are_confirmed_without_an_inverse(monkeypatch):
         assert rep.stats["hits_confirmed"] == len(violations)
         confirmed += len(violations)
     assert confirmed >= 30
+    assert calls == {
+        "linalg.hnf": len(cases),
+        "linalg._echelon": 2 * len(cases),
+        "linalg.rank": 0,
+    }
 
 
 def test_collision_scan_matches_the_reference_on_lattice42(appendix42_report):
@@ -529,12 +515,9 @@ def test_scan_probes_each_key_once_where_the_reference_probes_each_offset(
     assert sizes == {3, 5} and hits_seen >= 30
 
 
-def test_scan_42_builds_no_inverse_and_reports_its_counts(monkeypatch):
-    from conftest import count_calls
-
-    calls = count_calls(monkeypatch, "linalg.inverse")
+def test_scan_42_builds_no_inverse_and_reports_its_counts():
+    # latred has no inverse to build (see test_source_rules)
     rep = check_shortest_vectors_42()
-    assert calls["linalg.inverse"] == 0
     assert rep.success
     assert rep.stats == {
         "single_table": 42,
@@ -717,7 +700,8 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
     # the criterion-2 population of the random-minkowski benchmark: rank
     # from {6, 7}, entries in [-4, 4].  Greedy primitivity and minima
     # independence read the pool's integer coordinates, so no coordinate
-    # solve, Smith form or inverse is left, and the walker runs on the
+    # solve or Smith form is left (nor an inverse, which latred does not
+    # have, see test_source_rules), and the walker runs on the
     # integral LLL's d and lam (src has no rational GSO to build, see
     # test_source_rules).  One pass spends a pinned number of nodes and
     # of _Prefix tails: the greedy and minima pools start at the longest
@@ -741,14 +725,12 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
         monkeypatch,
         "lattice.coordinates",
         "linalg.snf_divisors",
-        "linalg.inverse",
     )
     for L in lattices:
         assert verification.verify_minkowski_bounds(L).success
     assert calls == {
         "lattice.coordinates": 0,
         "linalg.snf_divisors": 0,
-        "linalg.inverse": 0,
     }
     assert spent[0] == 2587
     assert tails[0] == 2518
