@@ -15,11 +15,12 @@ closed form.
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cmp_to_key, lru_cache, reduce
-from itertools import chain, combinations
+from functools import cmp_to_key, reduce
+from itertools import chain, combinations, starmap
 from math import comb, gcd, lcm, prod
 from operator import mul
 from sys import intern
+from weakref import WeakValueDictionary
 
 from .constructions import (
     _dense,
@@ -146,8 +147,8 @@ def integer_relation_membership(v_coords, relation_shift, max_k: int) -> bool:
 # second route (_confirm_member) confirms it.
 #
 # Each family is then a collision search: a table of the R_a and one of
-# the pair sums P(a, b) = R_a + R_b, built once per scan state and shared
-# by the families that need it.  Each candidate key (R_b, P(c, d) or
+# the pair sums P(a, b) = R_a + R_b, built once per scan (_tables) and
+# passed to the families that need it.  Each candidate key (R_b, P(c, d) or
 # -sum R_t) is looked up once, and a collision with shared positions or
 # not in canonical order (sorted positions, first sign +) is dropped.
 #
@@ -161,16 +162,11 @@ def integer_relation_membership(v_coords, relation_shift, max_k: int) -> bool:
 
 _QUAD_PATTERNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
-# scan state of this process; workers get theirs from the pool initializer
-_SS = {}
 
-
-def _load_state(state):
-    """Install a scan state and build its tables: under each packed R_a
-    the positions a, and under each P(a, b) the pairs a < b, with the
-    pair sums P(a, b) in order."""
-    _SS.clear()
-    _SS.update(state)
+def _tables(state):
+    """The scan state with its tables: under each packed R_a the
+    positions a, and under each P(a, b) the pairs a < b, with the pair
+    sums P(a, b) in order."""
     packed, add = state["packed"], _lane_adder(state)
     singles, sums, pairs = {}, {}, {}
     for a, key in enumerate(packed):
@@ -178,7 +174,7 @@ def _load_state(state):
     for a, b in combinations(range(state["n"]), 2):
         key = sums[a, b] = add(packed[a], packed[b])
         pairs[key] = pairs.get(key, ()) + ((a, b),)
-    _SS.update(sums=sums, singles=singles, pairs=pairs)
+    return dict(state, singles=singles, sums=sums, pairs=pairs)
 
 
 def _residues(h):
@@ -257,11 +253,11 @@ def _lane_adder(state):
     return add
 
 
-def _scan_pairs(counts):
+def _scan_pairs(ss, counts):
     """e_a - e_b with a < b: R_b = R_a."""
-    table = _SS["singles"]
+    table = ss["singles"]
     hits = []
-    for b, rb in enumerate(_SS["packed"]):
+    for b, rb in enumerate(ss["packed"]):
         counts["probes"] += 1
         for a in table.get(rb, ()):
             counts["collisions"] += 1
@@ -274,12 +270,12 @@ def _scan_pairs(counts):
     return hits
 
 
-def _scan_quads(counts):
+def _scan_quads(ss, counts):
     """e_a + e_b - e_c - e_d: P(c, d) = P(a, b), where the plus pair holds
     the smallest position a."""
-    table = _SS["pairs"]
+    table = ss["pairs"]
     hits = []
-    for (c, d), pcd in _SS["sums"].items():
+    for (c, d), pcd in ss["sums"].items():
         counts["probes"] += 1
         for a, b in table.get(pcd, ()):
             counts["collisions"] += 1
@@ -296,15 +292,15 @@ def _scan_quads(counts):
     return hits
 
 
-def _scan_positive(counts):
+def _scan_positive(ss, counts):
     """All-positive sets of the common support size, minus the generator
     supports: P(c, d) = -(sum over t of R) for the set's (size - 2)
     largest positions t and its two smallest c < d."""
-    neg, n, size = _SS["negated"], _SS["n"], _SS["size"]
-    lookup = _SS["pairs"].get
-    add = _lane_adder(_SS)
+    neg, n, size = ss["negated"], ss["n"], ss["size"]
+    lookup = ss["pairs"].get
+    add = _lane_adder(ss)
     # add(head, neg[z]) inlined in the loop over z
-    dd, top, carry, high = _lane_constants(_SS)
+    dd, top, carry, high = _lane_constants(ss)
     hits = []
     # t = u + (z,), and two positions lie below min(t)
     for u in combinations(range(2, n), size - 3):
@@ -323,7 +319,7 @@ def _scan_positive(counts):
                 counts["collisions"] += 1
                 if d < low:
                     pos = (c, d) + u + (z,)
-                    if pos in _SS["supports"]:
+                    if pos in ss["supports"]:
                         counts["supports_skipped"] += 1
                     else:
                         hits.append((pos, 0))
@@ -339,14 +335,14 @@ _FAMILIES = {"pairs": _scan_pairs, "quads": _scan_quads, "positive": _scan_posit
 _SCAN_COUNTS = ("probes", "collisions", "overlapping", "out_of_order", "supports_skipped")
 
 
-def _scan_family(kind):
-    """Hits of one candidate family as (positions, signs), in the order
-    of positions and then sign pattern, with the family's probe and
-    collision counts."""
+def _scan_family(kind, ss):
+    """Hits of one candidate family over the tables ss (_tables) as
+    (positions, signs), in the order of positions and then sign pattern,
+    with the family's probe and collision counts."""
     counts = dict.fromkeys(_SCAN_COUNTS, 0)
-    hits = _FAMILIES[kind](counts)
+    hits = _FAMILIES[kind](ss, counts)
     patterns = {"pairs": ((1, -1),), "quads": _QUAD_PATTERNS}.get(
-        kind, ((1,) * _SS["size"],)
+        kind, ((1,) * ss["size"],)
     )
     return [(pos, patterns[k]) for pos, k in sorted(hits)], counts
 
@@ -385,8 +381,9 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     other rows, reduced above their pivots, are an HNF basis H of the
     lattice, over which the residues are read.  Each family is a
     collision search of candidate keys in the tables of the single
-    positions and of the pair sums; with workers > 1 the families run as
-    separate pool jobs, each worker building the tables from the state."""
+    positions and of the pair sums, built once per scan and handed to
+    every family scan; with workers > 1 the families run as separate pool
+    jobs, at most one worker per family, on the same arguments."""
     t0 = time.monotonic()
     vectors = matrix(vectors)
     # the generators times the lcm s of their denominators, in integers
@@ -424,8 +421,7 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
             shift=tuple(Q(-c, a1) for c in rel.coefficients[1:]),
             maxk=abs(a1),
         )
-        state = _scan_state(basis, supports)
-        state.update(size=size, supports=supports)
+        ss = _tables(dict(_scan_state(basis, supports), size=size, supports=supports))
         families["pairs"] = comb(n, 2)
         jobs = ["pairs"]
         if size == 5:
@@ -434,16 +430,14 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
         positive = "quintuples" if size == 5 else "triples"
         families[positive] = comb(n, size) - len(supports)
         jobs.append("positive")
-        if workers and workers > 1:
+        args = [(job, ss) for job in jobs]
+        if workers > 1:
             from multiprocessing import Pool
 
-            with Pool(
-                min(workers, len(jobs)), initializer=_load_state, initargs=(state,)
-            ) as pool:
-                results = pool.map(_scan_family, jobs)
+            with Pool(min(workers, len(jobs))) as pool:
+                results = pool.starmap(_scan_family, args)
         else:
-            _load_state(state)
-            results = [_scan_family(job) for job in jobs]
+            results = list(starmap(_scan_family, args))
         stats = dict(single_table=n, pair_table=comb(n, 2))
         stats.update(dict.fromkeys(_SCAN_COUNTS, 0))
         for hits, counts in results:
@@ -953,17 +947,11 @@ def similar_to_dual_root(vectors, node_budget=DEFAULT_BUDGET) -> bool:
     return extend([])
 
 
-@lru_cache(maxsize=4096, typed=True)
-def _shared(x):
-    """One object per (immutable) value among those passed in, within a
-    bounded table."""
-    return x
-
-
 class _SharedTable(dict):
-    """A read-only dict, one object per distinct content (_shared_table)."""
+    """A read-only dict, one object per distinct content while any report
+    holds it (_shared_table)."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("this report table is shared and read-only")
@@ -975,13 +963,17 @@ class _SharedTable(dict):
         return _SharedTable, (dict(self),)
 
 
+# each table while a report holds it; two threads racing on one content
+# at worst build it twice, and both tables are correct
+_TABLES = WeakValueDictionary()
+
+
 def _shared_table(d):
-    return _table(tuple(d.items()))
-
-
-@lru_cache(maxsize=4096)
-def _table(items):
-    return _SharedTable(items)
+    items = tuple(d.items())
+    table = _TABLES.get(items)
+    if table is None:
+        table = _TABLES[items] = _SharedTable(items)
+    return table
 
 
 def verify_minkowski_bounds(L, node_budget=DEFAULT_BUDGET) -> TheoremReport:
@@ -993,17 +985,18 @@ def verify_minkowski_bounds(L, node_budget=DEFAULT_BUDGET) -> TheoremReport:
         raise PreconditionViolated("needs rank >= 6")
     mink = minkowski_reduce(L, node_budget)
     minima = successive_minima(L, node_budget)
-    # keys are interned and values shared, and every table is shared
-    # read-only: the quantities of a lattice met again, and the verdict,
-    # equality and (empty) witness tables, which most lattices of a rank
-    # have in common.  A caller holding the reports of many lattices holds
-    # one copy of each key, value and table
+    # keys are interned, and every table is shared read-only while a
+    # report holds it: the quantities of a lattice met again, and the
+    # verdict, equality and (empty) witness tables, which most lattices of
+    # a rank have in common.  A caller holding the reports of many
+    # lattices holds one copy of each key and table, and a table no
+    # report holds is freed
     quantities, verdicts, equalities = {}, {}, {}
     table = vdw_delta_table(L.rank, True)
     all_delta = True
     for i in range(L.rank):
-        v_sq = _shared(mink.step_log[i].norm_sq)
-        lam_sq = _shared(minima.minima_sq[i])
+        v_sq = mink.step_log[i].norm_sq
+        lam_sq = minima.minima_sq[i]
         quantities[intern("v_%d_sq" % (i + 1))] = v_sq
         quantities[intern("lambda_%d_sq" % (i + 1))] = lam_sq
         all_delta &= v_sq <= table.values[i] * lam_sq

@@ -963,8 +963,8 @@ def appendix_scan(vectors):
 # The collision scan with the relation offsets on the probe side: the
 # tables hold the plain R_a and P(a, b), and every candidate key is looked
 # up once per offset j shift.  st is a scan state as
-# latred.verification._load_state installs it (packed residues, the
-# support size and the generator supports) with the packed offsets under
+# latred.verification._tables takes it (packed residues, the support
+# size and the generator supports) with the packed offsets under
 # "offsets"; latred's residues over an HNF basis of the lattice itself
 # have the one offset 0.  Each family
 # returns (hits, counts) with hits as (sorted positions, sign pattern

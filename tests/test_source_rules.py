@@ -11,8 +11,10 @@ the Smith divisors from `linalg.hnf`; latred takes no determinant, no
 inverse (the dual basis is read off coordinates) and builds no
 adjugate.  `primitive_completion`
 decides primitivity on the one basis it carries, with no tail-gcd
-transform over `L.basis`.  The rational processes live in
-tests/reference.py."""
+transform over `L.basis`.  No module keeps a functools cache or the
+42-scan's state: the scan's tables are locals of `appendix_scan`, handed
+to the family scans, and report tables are shared only while a report
+holds them.  The rational processes live in tests/reference.py."""
 
 import ast
 import sys
@@ -163,6 +165,58 @@ def test_src_has_no_nullspace_or_adjugate_elimination():
         if name in p.read_text(encoding="utf-8")
     ]
     assert found == []
+
+
+_CACHES = ("lru_cache", "cache")
+
+
+def module_state(path):
+    """functools caches, imported or reached as functools attributes, and
+    the name of the old module-global scan state `_SS`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names = [alias.name for alias in node.names if alias.name in _CACHES]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+            and node.attr in _CACHES
+        ):
+            names = [node.attr]
+        else:
+            names = [name for name in _identifiers(node) if name == "_SS"]
+        for name in names:
+            yield "%s:%d %s" % (path.name, node.lineno, name)
+
+
+def test_src_keeps_no_functools_cache_or_scan_state():
+    # a cache that outlives every caller holds what no caller needs, and a
+    # module-global scan state is shared by every scan in the process
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    assert [v for p in paths for v in module_state(p)] == []
+
+
+def test_the_module_state_rule_catches_each_kind(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "import functools\n"
+        "from functools import cached_property, lru_cache, reduce\n"
+        "from functools import cache as memo\n"
+        "_SS = {}\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def f(x):\n"
+        "    return _SS.get(x, functools.cache)\n"
+    )
+    assert sorted(module_state(src)) == [
+        "sample.py:2 lru_cache",
+        "sample.py:3 cache",
+        "sample.py:4 _SS",
+        "sample.py:5 lru_cache",
+        "sample.py:7 _SS",
+        "sample.py:7 cache",
+    ]
 
 
 def test_reduction_reads_the_one_growing_pool():

@@ -1,5 +1,9 @@
+import gc
 import multiprocessing
 import random
+import sys
+import threading
+import weakref
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
@@ -7,7 +11,7 @@ from math import lcm
 import pytest
 
 import reference
-from conftest import random_integer_lattice
+from conftest import minkowski_population, random_integer_lattice
 from latred import linalg, verification
 from latred.constructions import (
     _glue_vectors,
@@ -137,7 +141,9 @@ def test_appendix_scan_raises_when_routes_disagree(monkeypatch):
     assert appendix_scan(vecs).success
     pairs = verification._FAMILIES["pairs"]
     monkeypatch.setitem(
-        verification._FAMILIES, "pairs", lambda counts: pairs(counts) + [((0, 1), 0)]
+        verification._FAMILIES,
+        "pairs",
+        lambda ss, counts: pairs(ss, counts) + [((0, 1), 0)],
     )
     with pytest.raises(ScanCrossCheckFailed):
         appendix_scan(vecs)
@@ -486,24 +492,28 @@ def test_scan_probes_each_key_once_where_the_reference_probes_each_offset(
     # reference's per-offset loops, given the one zero offset, make the
     # same probes, collisions, hits and counts
     monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
-    load = verification._load_state
-    states = []
-    monkeypatch.setattr(
-        verification, "_load_state", lambda st: (states.append(st), load(st))
-    )
+    tables = verification._tables
+    built = []
+
+    def build(state):
+        built.append((state, tables(state)))
+        return built[-1][1]
+
+    monkeypatch.setattr(verification, "_tables", build)
     cases = [lattice42()[1]] + [vecs for vecs, _ in _scan_cases_with_hits()]
     sizes, hits_seen = set(), 0
-    for vecs in cases:
+    for i, vecs in enumerate(cases):
         rep = appendix_scan(vecs)
-        state = states[-1]
-        load(state)
+        # one set of tables per scan, and the reference builds its own
+        assert len(built) == i + 1
+        state, ss = built[-1]
         kinds = ("pairs", "quads", "positive")
         if state["size"] == 3:
             kinds = ("pairs", "positive")
         total = dict.fromkeys(verification._SCAN_COUNTS, 0)
         for kind in kinds:
             counts = dict.fromkeys(verification._SCAN_COUNTS, 0)
-            hits = verification._FAMILIES[kind](counts)
+            hits = verification._FAMILIES[kind](ss, counts)
             ref_hits, ref_counts = reference.offset_scan(dict(state, offsets=[0]), kind)
             assert sorted(hits) == sorted(ref_hits), kind
             assert ref_counts == counts, kind
@@ -541,8 +551,8 @@ def test_kth_root_is_exact_and_float_free():
 
 
 def test_appendix_scan_parallel_matches_serial(appendix42_report):
-    # the workers get the scan state from the pool initializer, so a
-    # start method that does not fork the parent must give the same scan
+    # the workers get the tables as their jobs' arguments, so a start
+    # method that does not fork the parent must give the same scan
     serial = appendix42_report
     before = multiprocessing.get_start_method(allow_none=True)
     try:
@@ -556,6 +566,43 @@ def test_appendix_scan_parallel_matches_serial(appendix42_report):
     finally:
         multiprocessing.set_start_method(before, force=True)
     assert serial.success
+
+
+def test_scans_in_two_threads_match_the_serial_scans(monkeypatch):
+    # a scan holds its tables in its own frame, so the 42-scan and the
+    # 21-dim scan, switched between every few bytecodes in two threads,
+    # each give the serial scan's report (attempt21 is scanned despite its
+    # unit coefficients)
+    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
+    gens = {"42": lattice42()[1], "21": attempt21()[1]}
+    serial = {name: appendix_scan(vecs) for name, vecs in gens.items()}
+    rounds = 40
+    got = {name: [] for name in gens}
+
+    def scan(name):
+        for _ in range(rounds):
+            try:
+                got[name].append(appendix_scan(gens[name]))
+            except Exception as exc:
+                got[name].append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan, args=(name,)) for name in gens]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for name, reports in got.items():
+        assert len(reports) == rounds, name
+        for rep in reports:
+            assert isinstance(rep, verification.AppendixReport), (name, rep)
+            for what in ("stats", "violations", "families_checked"):
+                assert getattr(rep, what) == getattr(serial[name], what), (name, what)
 
 
 def test_height_lift_swaps_by_cramer_rule():
@@ -1257,3 +1304,12 @@ def test_minkowski_bounds_reports_share_keys_and_values():
     assert a.equalities == {"equality_at_6": True} and a.witnesses == {}
     c = verification.verify_minkowski_bounds(dual_root_d(7))
     assert c.verdicts is not a.verdicts and c.success
+
+
+def test_minkowski_bounds_tables_are_freed_with_their_reports():
+    # a table is shared only while a report holds it: once the last report
+    # of a lattice is dropped, its quantities are freed
+    L = minkowski_population(29, 1)[0]
+    table = weakref.ref(verification.verify_minkowski_bounds(L).quantities)
+    gc.collect()
+    assert table() is None
