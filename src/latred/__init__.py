@@ -5,8 +5,8 @@ a verdict.  The main entry points:
 
 - :mod:`latred.lattice`: the Lattice type, membership, primitivity,
   duality, completion.
-- :mod:`latred.enumeration`: exact shortest/closest vector enumeration
-  and successive minima.
+- :mod:`latred.enumeration`: exact shortest-vector and bounded-norm
+  enumeration, and successive minima.
 - :mod:`latred.reduction`: LLL, greedy (Minkowski) and Korkin-Zolotarev
   reduction, shortest-basis certification, the Delta norm-bound table.
 - :mod:`latred.constructions`: root lattices, the glued-prime family,

@@ -1,4 +1,4 @@
-"""Exact shortest-vector, bounded-norm, and closest-vector enumeration.
+"""Exact shortest-vector and bounded-norm enumeration.
 
 Depth-first Fincke-Pohst enumeration over the integral Gram-Schmidt data
 (d, lambda, den) that the integral LLL ends with.  The walk is integral:
@@ -23,7 +23,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import BudgetExceeded
-from .lattice import IntGSO, Lattice, _Prefix, _target_lam
+from .lattice import IntGSO, Lattice, _Prefix
 from .linalg import matrix
 from .rationals import Q, qexact, qnum, qden
 
@@ -142,69 +142,67 @@ class _Budget:
             raise BudgetExceeded("enumeration node budget exhausted")
 
 
-def _weights(gso, s=1):
-    """(M, w): over the IntGSO gso (b, d, lam, den) and a target scale s,
-    M = s^2 den^2 lcm_k(d_k d_{k+1}) and w_k = M / (s^2 den^2 d_k d_{k+1}),
-    so that the walk's level-k cost |b*_k|^2 (x_k - centre_k)^2 is
-    w_k e^2 / M with e the integer of _walk's docstring."""
+def _weights(gso):
+    """(M, w): over the IntGSO gso (b, d, lam, den), M = den^2
+    lcm_k(d_k d_{k+1}) and w_k = M / (den^2 d_k d_{k+1}), so that the
+    walk's level-k cost |b*_k|^2 (x_k - centre_k)^2 is w_k e^2 / M with e
+    the integer of _walk's docstring."""
     _, d, _, den = gso
     pairs = [a * b for a, b in zip(d, d[1:])]
     m = lcm(*pairs)
-    return m * (s * den) ** 2, [m // p for p in pairs]
+    return m * den * den, [m // p for p in pairs]
 
 
-def _walk(gso, target, bound, budget, lo=0, top=None):
-    """Yield (x, rho, u) for the integer x within bound[0] of the target t:
+def _walk(gso, bound, budget, lo=0, top=None):
+    """Yield (x, rho, u) for each nonzero integer x with rho <= bound[0]
+    (Fincke-Pohst), one per +/- pair (topmost nonzero coefficient positive):
     u = sum_k x_k b_k over the integer rows b of the IntGSO gso (b, d, lam,
-    den), den times the lattice vector of x, and rho = M |u / den - t|^2,
-    an integer, with M, w = _weights(gso, s) (Fincke-Pohst).  The target
-    is (lam_t, s) of _target_lam, or None for t = 0 with s = 1, and
-    bound[0] is an integer over the same M.
+    den), den times the lattice vector of x, and rho = M |u / den|^2, an
+    integer, with M, w = _weights(gso).
 
-    The walk is integral.  Level k's centre y_k - sum_{i>k} x_i mu_ik times
-    s d_{k+1} is the integer N_k = lam_t[k] den - s sum_{i>k} x_i lam_ik,
-    and with e = x_k s d_{k+1} - N_k its cost is w_k e^2, so level k takes
-    the x_k with |e| <= isqrt((bound[0] - rho) // w_k), ascending.  With
-    no target the walk yields the nonzero x, one per +/- pair (topmost
-    nonzero coefficient positive).  Every node reads the bound afresh, so
-    a consumer may lower bound[0] between yields; leaves past a lowered
-    bound may still arrive.  Each internal node spends one budget node.
+    The walk is integral.  Level k's centre -sum_{i>k} x_i mu_ik times
+    d_{k+1} is the integer N_k = -sum_{i>k} x_i lam_ik, and with e = x_k
+    d_{k+1} - N_k its cost is w_k e^2, so level k takes the x_k with |e| <=
+    isqrt((bound[0] - rho) // w_k), ascending.  Every node reads the bound
+    afresh, so a consumer may lower bound[0] between yields; leaves past a
+    lowered bound may still arrive.  Each internal node spends one budget
+    node.
 
     The walk is one loop over per-level state, depth first, with the
     partial sums of Schnorr-Euchner: the row above level k holds the
     partial vector sum_{i>k} x_i b_i, then the partial centres N_j of the
-    levels j <= k.  Setting x_k adds x_k (b_k, -s lam_kj for j < k) to it,
+    levels j <= k.  Setting x_k adds x_k (b_k, -lam_kj for j < k) to it,
     one row per node, which gives the row above level k - 1; a leaf's u
     is the head of its row.
 
     With lo, the walk stops above level lo: it yields x with x_0..x_lo-1
     zero, and rho prices the projection past the first lo rows.  top =
-    (x_lo..x_{n-1}, rho) from such a walk with no target fixes those
-    levels; the walk then runs the levels below them."""
-    b, d, lam, den = gso
+    (x_lo..x_{n-1}, rho) from such a walk fixes those levels; the walk then
+    runs the levels below them, and yields the x that is zero below them
+    too."""
+    b, d, lam, _ = gso
     n = len(d) - 1
     m = len(b[0]) if b else 0
-    lam_t, s = target or ((0,) * n, 1)
-    _, w = _weights(gso, s)
-    q = [s * d[k + 1] for k in range(n)]
+    _, w = _weights(gso)
+    q = d[1:]
     # zip stops at the step's end, so the row loses level k's own centre
-    steps = [(*b[k], *(-s * a for a in lam[k][:k])) for k in range(n)]
+    steps = [(*b[k], *(-a for a in lam[k][:k])) for k in range(n)]
     x = [0] * n
     hi, rho = n, 0
-    row = [0] * m + [t * den for t in lam_t]
+    row = [0] * (m + n)
     if top is not None:
         fixed, rho = top
         hi = n - len(fixed)
         x[hi:] = fixed
         for k in range(n - 1, hi - 1, -1):
             row = [a + x[k] * c for a, c in zip(row, steps[k])]
-    zero = target is None and top is None
+    zero = top is None
     if hi <= lo:
         if not zero:
             yield tuple(x), rho, tuple(row[:m])
         return
     # per level k: the row above it, the rho above it, whether every x_i
-    # above it is zero (with no target), its centre N_k and its last x_k
+    # above it is zero (with no top), its centre N_k and its last x_k
     above, base, zeros = [None] * n, [0] * n, [False] * n
     centres, last = [0] * n, [0] * n
     k = hi - 1
@@ -273,39 +271,25 @@ def _projected_shortest(gso, i, budget):
     projection."""
     _, w = _weights(gso)
     bound = [w[i] * gso.d[i + 1] ** 2]
-    tops = _least(_walk(gso, None, bound, budget, lo=i), bound)
+    tops = _least(_walk(gso, bound, budget, lo=i), bound)
     return [(x[i:], u) for x, u in tops], bound[0]
 
 
-def _nearest_plane(gso, target, x, hi=None):
-    """The rho of _walk's leaf at Babai's nearest-plane point: x_k for the
-    levels below hi (all of them by default) rounded to its centre,
-    halves up, with x_hi.. as given; x is filled in place."""
-    _, d, lam, den = gso
+def _nearest_plane(gso, x, hi):
+    """The cost of the levels below hi of _walk's leaf at Babai's
+    nearest-plane point over x_hi.. as given: x_k for each level below hi
+    rounded to its centre, halves up; x is filled in place."""
+    _, d, lam, _ = gso
     n = len(x)
-    hi = n if hi is None else hi
-    lam_t, s = target or ((0,) * n, 1)
-    _, w = _weights(gso, s)
+    _, w = _weights(gso)
     rho = 0
     for k in range(hi - 1, -1, -1):
-        centre = lam_t[k] * den - s * sum(x[i] * lam[i][k] for i in range(k + 1, n))
-        q = s * d[k + 1]
+        centre = -sum(x[i] * lam[i][k] for i in range(k + 1, n))
+        q = d[k + 1]
         x[k] = (2 * centre + q) // (2 * q)  # halves rounded up
         e = x[k] * q - centre
         rho += w[k] * e * e
     return rho
-
-
-def _closest(gso, v, budget):
-    """(every (x, u) minimizing |sum_k x_k b_k - v|^2 over the rows b of
-    the IntGSO gso, u = den sum_k x_k b_k the walk's vector, that
-    minimum): the walk starts at the distance of Babai's nearest-plane
-    point and lowers its bound as nearer leaves arrive.  Raises NotInSpan
-    when v is outside the rows' span."""
-    target = _target_lam(gso, v)
-    bound = [_nearest_plane(gso, target, [0] * len(target[0]))]
-    found = _least(_walk(gso, target, bound, budget), bound)
-    return found, Q(bound[0], _weights(gso, target[1])[0])
 
 
 class _Pool(namedtuple("_Pool", "bound start m den rhos ws coords")):
@@ -356,7 +340,7 @@ def _pool_to(L: Lattice, p, q, node_budget):
     if p * hq > hp * q:
         out = []
         bound = [p * pool.m // q]
-        for coeffs, rho, w in _walk(L._lll[2], None, bound, _Budget(node_budget)):
+        for coeffs, rho, w in _walk(L._lll[2], bound, _Budget(node_budget)):
             # sign normalization: the first nonzero entry positive
             if next(a for a in w if a) < 0:
                 w, coeffs = tuple(-a for a in w), tuple(-t for t in coeffs)
@@ -442,16 +426,3 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
         tuple(map(pool.norm_sq, chosen)), tuple(map(pool.vector, chosen))
     )
 
-
-# ---------------------------------------------------------------------------
-# closest vector
-
-
-def closest_vectors_all(L: Lattice, target, node_budget=DEFAULT_BUDGET):
-    """All v in L minimizing |target - v|^2, plus the squared distance."""
-    gso = L._lll[2]
-    found, dist = _closest(gso, target, _Budget(node_budget))
-    # distinct coefficient vectors of a basis give distinct lattice points,
-    # and den > 0 keeps their order
-    vectors = sorted(u for _, u in found)
-    return tuple(tuple(Q(a, gso.den) for a in u) for u in vectors), dist

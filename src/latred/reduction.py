@@ -116,8 +116,8 @@ def _kz_candidates(gso, i, budget):
     under one full-norm bound that starts at the first one's nearest-plane
     lift and is lowered as shorter lifts arrive."""
     tops, rho = _projected_shortest(gso, i, budget)
-    bound = [rho + _nearest_plane(gso, None, [0] * i + list(tops[0][0]), i)]
-    lifts = (_walk(gso, None, bound, budget, top=(top, rho)) for top, _ in tops)
+    bound = [rho + _nearest_plane(gso, [0] * i + list(tops[0][0]), i)]
+    lifts = (_walk(gso, bound, budget, top=(top, rho)) for top, _ in tops)
     cands = {}
     for x, v in _least(chain.from_iterable(lifts), bound):
         # sign normalization: the first nonzero entry positive

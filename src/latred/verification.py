@@ -458,8 +458,8 @@ def check_shortest_vectors_42(workers: int = 0) -> AppendixReport:
     return appendix_scan(_generators42(), workers)
 
 
-def check_attempt21(workers: int = 0) -> AppendixReport:
-    return appendix_scan(_generators21(), workers)
+def check_attempt21() -> AppendixReport:
+    return appendix_scan(_generators21())
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +749,7 @@ def _kz_structure(params, claimed) -> TheoremReport:
         ok = True
         for i, wi in enumerate(w):
             shorter = [wi * d[i + 1] ** 2 - 1]
-            walk = _walk(gso, None, shorter, _Budget(DEFAULT_BUDGET), lo=i)
+            walk = _walk(gso, shorter, _Budget(DEFAULT_BUDGET), lo=i)
             ok &= next(walk, None) is None
         generic = kz_reduce(glued_prime_lattice(params.k))
         ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(

@@ -19,7 +19,8 @@
 - `walk`, `closest`: the Fincke-Pohst walk and its closest-vector search
   over the rational mu and |b*_k|^2, centring and pricing every node in
   rationals (`level_range` gives a level's coefficients); latred walks
-  the integers of the IntGSO instead.
+  the integers of the IntGSO instead, always centred at 0, and has no
+  closest-vector search.
 - `minkowski_reduce`, `successive_minima`, `shortest_basis`: the greedy and
   subset searches with primitivity decided by `is_primitive_tuple` (Smith
   divisors of coordinates solved over `L.basis`) and independence by
@@ -36,11 +37,13 @@
 - `project_orthogonal_with_lift`, `primitive_completion`: the projection
   and the size-reduced completion on the rational GSO of the prefix.
 - `kz_reduce`: KZ reduction on those, each step completing its whole
-  prefix afresh.
+  prefix afresh and pulling each lift toward the prefix sublattice with
+  `closest`.
 - `kz_reduce_on_projections`: latred's KZ reduction as it ran on one
   projection `Lattice` per step, LLL-reduced and enumerated afresh, each
   shortest projection lifted through `coordinates` and the closest
-  vectors of the prefix sublattice; latred walks one IntGSO instead.
+  vectors of the prefix sublattice from `closest`; latred walks one
+  IntGSO instead.
 - `appendix_scan`: the candidate-family scan one candidate at a time, on
   residues read off the rational inverse of the generators.
 - `offset_scan`: latred's collision scan with the relation offsets on the
@@ -73,10 +76,8 @@ from latred.constructions import glued_params, glued_prime_lattice
 from latred.enumeration import (
     DEFAULT_BUDGET,
     _Budget,
-    _closest,
     _walk,
     _weights,
-    closest_vectors_all,
     enumerate_up_to,
     shortest_vector,
 )
@@ -502,7 +503,7 @@ def fraction_pool(L, bound_sq, node_budget=DEFAULT_BUDGET):
     m, _ = _weights(gso)
     bound = [qnum(bound_sq) * m // qden(bound_sq)]
     out = []
-    for x, _, _ in _walk(gso, None, bound, _Budget(node_budget)):
+    for x, _, _ in _walk(gso, bound, _Budget(node_budget)):
         v = row_times_mat(x, L._lll[0])
         if next(a for a in v if a) < 0:
             v, x = vscale(-1, v), tuple(-a for a in x)
@@ -754,6 +755,15 @@ def complete_to_basis(L, prefix):
     return tuple(row_times_mat(row, L.basis) for row in inv)
 
 
+def _closest_in(gso, v, budget):
+    """Every vector of the lattice of an IntGSO's rational rows nearest to
+    v, a vector in their span: `closest` over their rational GSO."""
+    mu, c = int_rational(gso)
+    found, _ = closest(mu, c, int_star_coordinates(gso, v), budget)
+    rows = [tuple(Q(a, gso.den) for a in r) for r in gso.b]
+    return [row_times_mat(x, rows) for x in found]
+
+
 def _shortest_vectors(L):
     def pick(vectors):
         if vectors:
@@ -772,10 +782,11 @@ def kz_reduce(L):
             lifts = complete_to_basis(L, prefix)[len(prefix) :]
             gso = gram_schmidt(prefix)
             proj = Lattice([orthogonal_part(w, gso) for w in lifts])
+            sub = IntGSO.of(prefix)
             found = set()
             for p in _shortest_vectors(proj):
                 y = row_times_mat(coordinates(proj, p), lifts)
-                near, _ = closest_vectors_all(Lattice(prefix), vsub(y, p))
+                near = _closest_in(sub, vsub(y, p), _Budget(DEFAULT_BUDGET))
                 found |= {normalize_sign(vsub(y, c)) for c in near}
             cands = sorted(found, key=lambda v: (norm_sq(v), v))
             cands = [v for v in cands if norm_sq(v) == norm_sq(cands[0])]
@@ -809,9 +820,8 @@ def _kz_candidates_on_projections(L, prefix, held, gso, node_budget):
     for p in _shortest_all(proj, node_budget):
         y = row_times_mat(lll_solve(proj, p), lifts)
         # pull the in-span component y - p toward the prefix sublattice
-        found, _ = _closest(gso, vsub(y, p), _Budget(node_budget))
-        for x, _ in found:
-            cands.add(normalize_sign(vsub(y, row_times_mat(x, prefix))))
+        for c in _closest_in(gso, vsub(y, p), _Budget(node_budget)):
+            cands.add(normalize_sign(vsub(y, c)))
     return _shortest(sorted(cands, key=lambda v: (norm_sq(v), v)))
 
 

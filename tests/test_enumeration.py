@@ -1,5 +1,4 @@
 import random
-from math import lcm
 
 import numpy as np
 import pytest
@@ -7,22 +6,20 @@ import pytest
 from conftest import random_integer_lattice
 from reference import determinant, inverse
 from latred.enumeration import (
-    closest_vectors_all,
     enumerate_up_to,
     lll_rows,
     shortest_vector,
     successive_minima,
 )
 from latred.errors import BudgetExceeded
-from latred.lattice import Lattice, coordinates
+from latred.lattice import Lattice
 from latred.linalg import (
     norm_sq,
     normalize_sign,
     rank,
     row_times_mat,
-    vsub,
 )
-from latred.rationals import Q, qfloor, qround
+from latred.rationals import Q, qfloor
 
 
 def coefficient_box(L, bound_sq):
@@ -118,103 +115,6 @@ def test_successive_minima_brute_force():
             if len(chosen) == 3:
                 break
         assert [norm_sq(v) for v in chosen] == list(rep.minima_sq)
-
-
-def brute_force_closest(L, target):
-    """(set of minimizers, squared distance) of |v - target|^2 over v in
-    the integer lattice L, by exhaustive search around the target's
-    coordinates a: a minimizer v is no farther than the rounded point, so
-    (c_i - a_i)^2 <= bound * (G^{-1})_{ii} for its coefficients c."""
-    a = coordinates(L, target)
-    near = row_times_mat([Q(qround(x)) for x in a], L.basis)
-    box = coefficient_box(L, norm_sq(vsub(near, target)))
-    ranges = [
-        np.arange(qfloor(x) - b - 1, qfloor(x) + b + 2, dtype=np.int64)
-        for x, b in zip(a, box)
-    ]
-    coeffs = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(
-        -1, L.rank
-    )
-    basis = np.array([[int(x) for x in row] for row in L.basis], dtype=np.int64)
-    s = lcm(*(int(t.denominator) for t in target))
-    scaled = np.array([int(t * s) for t in target], dtype=np.int64)
-    diff = coeffs @ basis * s - scaled
-    dist = (diff * diff).sum(axis=1)
-    best = dist.min()
-    found = {
-        tuple(Q(int(x)) for x in row) for row in (coeffs @ basis)[dist == best]
-    }
-    return found, Q(int(best), s * s)
-
-
-def _closest_instances():
-    """20 seeded (lattice, target) pairs: full-rank targets with
-    denominators up to 3, rank-2 lattices in dimension 3 with targets in
-    their span, and half-integer targets in re-based Z^3, whose 2^k
-    minimizers tie."""
-    from conftest import random_unimodular
-
-    rng = random.Random(21)
-    out = []
-    for i in range(20):
-        if i % 3 == 0:
-            L = random_integer_lattice(rng, 3, 3)
-            target = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
-        elif i % 3 == 1:
-            while True:
-                rows = [[Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2)]
-                if rank(rows) == 2:
-                    break
-            L = Lattice(rows)
-            a = [Q(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(2)]
-            target = row_times_mat(a, L.basis)
-        else:
-            L = Lattice(random_unimodular(rng, 3, steps=6))
-            target = tuple(Q(rng.randint(-4, 4), 2) for _ in range(3))
-        out.append((L, target))
-    return out
-
-
-def test_closest_vector_brute_force():
-    ties = 0
-    for L, target in _closest_instances():
-        vs, dist_sq = closest_vectors_all(L, target)
-        want, want_dist = brute_force_closest(L, target)
-        assert (set(vs), dist_sq) == (want, want_dist)
-        assert len(vs) == len(want) and list(vs) == sorted(vs)
-        ties += len(vs) > 1
-    assert ties >= 5
-
-
-def test_closest_vectors_all_honours_the_node_budget():
-    rng = random.Random(30)
-    L = random_integer_lattice(rng, 6, 4)
-    target = tuple(Q(rng.randint(-20, 20), 7) for _ in range(6))
-    with pytest.raises(BudgetExceeded):
-        closest_vectors_all(L, target, node_budget=3)
-    vs, _ = closest_vectors_all(L, target)
-    assert vs
-
-
-def test_closest_vectors_all_returns_every_minimizer():
-    L = Lattice(((Q(1), Q(0)), (Q(0), Q(1))))
-    target = (Q(1, 2), Q(0))
-    vs, dist_sq = closest_vectors_all(L, target)
-    assert dist_sq == Q(1, 4)
-    assert set(vs) == {(Q(0), Q(0)), (Q(1), Q(0))}
-
-
-def test_closest_vectors_all_rejects_a_target_outside_the_span():
-    from latred.errors import DimensionMismatch, NotInSpan
-
-    L = Lattice(((Q(1), Q(2), Q(0)), (Q(0), Q(1, 3), Q(1))))
-    for target in ((Q(0), Q(0), Q(1, 3)), (Q(1), Q(0), Q(0))):
-        with pytest.raises(NotInSpan):
-            closest_vectors_all(L, target)
-    with pytest.raises(DimensionMismatch):
-        closest_vectors_all(L, (Q(1), Q(2)))
-    vs, dist_sq = closest_vectors_all(L, (Q(1, 2), Q(1), Q(0)))
-    assert vs == ((Q(0), Q(0), Q(0)), (Q(1), Q(2), Q(0))) and dist_sq == Q(5, 4)
 
 
 def test_enumerate_up_to_refuses_a_float_bound():
@@ -460,73 +360,25 @@ def test_integer_walk_matches_the_rational_walk():
         bound = max(map(norm_sq, lll)) * (2 if L.rank < 20 else 1)
         scaled = qfloor(bound * m)
         want = _run(lambda b: reference.walk(mu, c, None, [bound], b), 10**6)
-        got = _run(lambda b: _walk(gso, None, [scaled], b), 10**6)
+        got = _run(lambda b: _walk(gso, [scaled], b), 10**6)
         assert got[1:] == want[1:] == (False, want[2])
         assert [(x, Q(rho, m)) for x, rho, _ in got[0]] == want[0] and want[0]
         assert all(u == _den_sum(gso, lll, x) for x, _, u in got[0])
         for budget in (want[2] // 3, want[2] - 1):
-            got = _run(lambda b: _walk(gso, None, [scaled], b), budget)
+            got = _run(lambda b: _walk(gso, [scaled], b), budget)
             ref = _run(lambda b: reference.walk(mu, c, None, [bound], b), budget)
             assert got[1] and got[1:] == ref[1:]
             assert [(x, Q(rho, m)) for x, rho, _ in got[0]] == ref[0]
         for i in sorted({1, L.rank // 2, L.rank - 1}):
-            leaves = list(_walk(gso, None, [scaled], _Budget(10**6), lo=i))
+            leaves = list(_walk(gso, [scaled], _Budget(10**6), lo=i))
             assert leaves and all(not any(x[:i]) for x, _, _ in leaves)
             assert all(u == _den_sum(gso, lll, x) for x, _, u in leaves)
             for x, rho, _ in leaves[:3]:
                 # under the full norm of the leaf's nearest-plane lift
-                near = [rho + _nearest_plane(gso, None, list(x), i)]
-                lifts = list(_walk(gso, None, near, _Budget(10**6), top=(x[i:], rho)))
+                near = [rho + _nearest_plane(gso, list(x), i)]
+                lifts = list(_walk(gso, near, _Budget(10**6), top=(x[i:], rho)))
                 assert lifts and all(y[i:] == x[i:] for y, _, _ in lifts)
                 assert all(u == _den_sum(gso, lll, y) for y, _, u in lifts)
-
-
-def test_integer_closest_matches_the_rational_closest(monkeypatch):
-    # random rational targets, on the LLL basis and on a prefix of the
-    # basis in its span (the KZ lifts' case): the same minimizers in the
-    # same order, the same distance, nodes and budget exhaustion, also
-    # where the walk lowers its bound below Babai's as nearer leaves arrive
-    import reference
-    from latred.enumeration import _closest
-    from latred.lattice import IntGSO
-
-    bounds = []
-    walk = reference.walk
-
-    def watched(mu, c, y, bound, budget):
-        bounds.append((bound, bound[0]))
-        return walk(mu, c, y, bound, budget)
-
-    def closest(gso, v, budget):
-        # _closest's minimizers x, each with its vector den sum_k x_k b_k
-        found, dist = _closest(gso, v, budget)
-        rows = [tuple(Q(a, gso.den) for a in r) for r in gso.b]
-        assert all(u == _den_sum(gso, rows, x) for x, u in found)
-        return [x for x, _ in found], dist
-
-    monkeypatch.setattr(reference, "walk", watched)
-    rng = random.Random(2021)
-    for L in _walk_cases():
-        # a prefix of up to 4 rows, and the whole LLL basis but on L_3,
-        # where the rational walk takes seconds per target
-        gsos = [IntGSO.of(L.basis[: max(1, min(L.rank, 8) // 2)])]
-        gsos += [L._lll[2]] if L.rank < 20 else []
-        for gso in gsos:
-            mu, c = reference.int_rational(gso)
-            rows = [tuple(Q(x, gso.den) for x in r) for r in gso.b]
-            for _ in range(3):
-                a = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in rows]
-                v = row_times_mat(a, rows)
-                y = reference.int_star_coordinates(gso, v)
-                want = _run(lambda b: [reference.closest(mu, c, y, b)], 10**6)
-                got = _run(lambda b: [closest(gso, v, b)], 10**6)
-                assert got == want and not got[1]
-                short = want[2] - 1
-                got = _run(lambda b: [closest(gso, v, b)], short)
-                assert got[1] and got == _run(
-                    lambda b: [reference.closest(mu, c, y, b)], short
-                )
-    assert sum(bound[0] < babai for bound, babai in bounds) >= 10
 
 
 def test_enumeration_builds_no_rational_per_node(monkeypatch):
@@ -624,7 +476,7 @@ def test_pool_picks_build_rationals_only_for_what_they_return(monkeypatch):
 
 def test_walks_leave_no_reference_cycle():
     # a finished walk is freed by reference counting, not left to the
-    # cyclic collector: pools, closest vectors and KZ lifts make no cycle
+    # cyclic collector: pools and KZ lifts make no cycle
     import gc
 
     from latred.constructions import dual_root_d
@@ -632,12 +484,10 @@ def test_walks_leave_no_reference_cycle():
 
     rng = random.Random(2023)
     L = random_integer_lattice(rng, 6, 4)
-    target = tuple(Q(rng.randint(-9, 9), 4) for _ in range(6))
     gc.collect()
     gc.disable()
     try:
         enumerate_up_to(L, Q(40))
-        closest_vectors_all(L, target)
         kz_reduce(dual_root_d(5))
         assert gc.collect() == 0
     finally:

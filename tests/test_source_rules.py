@@ -14,7 +14,9 @@ decides primitivity on the one basis it carries, with no tail-gcd
 transform over `L.basis`.  No module keeps a functools cache or the
 42-scan's state: the scan's tables are locals of `appendix_scan`, handed
 to the family scans, and report tables are shared only while a report
-holds them.  The rational processes live in tests/reference.py."""
+holds them.  There is no closest-vector search: the one walk,
+`enumeration._walk`, is centred at 0 and takes no target.  The rational
+processes live in tests/reference.py."""
 
 import ast
 import sys
@@ -136,7 +138,7 @@ _RATIONAL_GSO = ("gram_schmidt", "GSOData", "_orthogonal_part", "_projected_tail
 
 
 def test_src_has_no_rational_gram_schmidt():
-    # LLL, coordinates, closest vectors, KZ prefixes, projections,
+    # LLL, coordinates, KZ prefixes, projections,
     # completions and the KZ oracle all run on lattice.IntGSO; no file
     # names the rational Gram-Schmidt or its projection helpers
     paths = sorted(SRC.glob("*.py"))
@@ -268,15 +270,39 @@ def test_linalg_has_one_elimination():
     assert found == []
 
 
+def test_src_defines_no_closest_vector_search():
+    # greedy, minima, shortest-basis and KZ all walk centred at 0 (KZ's
+    # lifts with the top levels fixed): no name in src mentions closest,
+    # and the one walk takes no target or scale
+    import inspect
+
+    from latred.enumeration import _walk
+
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = [
+        "%s:%d %s" % (p.name, node.lineno, name)
+        for p in paths
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        for name in _identifiers(node)
+        if "closest" in name
+    ]
+    assert found == []
+    params = list(inspect.signature(_walk).parameters)
+    assert params == ["gso", "bound", "budget", "lo", "top"]
+
+
 def _identifiers(node):
     """The names an AST node binds or reads: a name, an attribute, a
-    function or class definition, or an imported name."""
+    function or class definition, a parameter, or an imported name."""
     if isinstance(node, ast.Name):
         return [node.id]
     if isinstance(node, ast.Attribute):
         return [node.attr]
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         return [node.name]
+    if isinstance(node, ast.arg):
+        return [node.arg]
     if isinstance(node, ast.alias):
         return [node.asname or node.name]
     return []
