@@ -14,7 +14,7 @@ import time
 
 from . import constructions, latfile
 from .enumeration import successive_minima
-from .errors import LatredError, UnknownConstruction
+from .errors import LatredError
 from .linalg import norm_sq
 from .rationals import Q, QONE, qstr
 from .reduction import (
@@ -75,8 +75,6 @@ _CONSTRUCTORS = {
 
 
 def cmd_construct(args) -> int:
-    if args.name not in _CONSTRUCTORS:
-        raise UnknownConstruction(args.name)
     arity, build = _CONSTRUCTORS[args.name]
     if len(args.params) != arity:
         raise LatredError(

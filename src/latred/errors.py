@@ -17,10 +17,6 @@ class DependentRows(LatredError):
     pass
 
 
-class Singular(LatredError):
-    pass
-
-
 class NotInSpan(LatredError):
     pass
 
@@ -34,10 +30,6 @@ class DependentTuple(LatredError):
 
 
 class NotFullRank(LatredError):
-    pass
-
-
-class NotPrimitive(LatredError):
     pass
 
 
@@ -66,10 +58,6 @@ class UnsupportedFieldOrder(LatredError):
 
 
 class ConstructionMismatch(LatredError):
-    pass
-
-
-class UnknownConstruction(LatredError):
     pass
 
 

@@ -38,16 +38,8 @@ def matrix(rows):
     return rows
 
 
-def zero_vector(n):
-    return (QZERO,) * n
-
-
 def unit_vector(n, i):
     return tuple(QONE if j == i else QZERO for j in range(n))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(c, u):
@@ -72,14 +64,6 @@ def norm_sq(u):
     return s
 
 
-def normalize_sign(u):
-    """Flip so the first nonzero entry is positive; canonical +/- pair rep."""
-    for a in u:
-        if a:
-            return tuple(-b for b in u) if a < 0 else u
-    return u
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -90,7 +74,7 @@ def transpose(m):
 
 def row_times_mat(x, m):
     """Row vector times matrix: sum_i x_i * m[i]."""
-    out = list(zero_vector(len(m[0])))
+    out = [QZERO] * len(m[0])
     for xi, row in zip(x, m):
         if xi:
             for j, e in enumerate(row):

@@ -105,20 +105,6 @@ def check_no_unit_coefficient(rel) -> bool:
     return all(c != 1 and c != -1 for c in rel.coefficients)
 
 
-def integer_relation_membership(v_coords, relation_shift, max_k: int) -> bool:
-    """True iff v_coords + j * relation_shift is integral for some
-    0 <= j < max_k.
-
-    v_coords are the coordinates of a candidate vector with respect to the
-    generator matrix that omits the first generator; relation_shift is the
-    first generator's coordinate vector in that matrix, i.e. the
-    dependence coefficients scaled by -1/a_1."""
-    for j in range(max_k):
-        if all(is_integer(x + j * s) for x, s in zip(v_coords, relation_shift)):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # candidate-family scan
 #
@@ -364,7 +350,13 @@ def _confirm_member(v, route) -> bool:
     lam_w, s = _target_lam(gso, v)
     scale = gso.d[-1] * s
     coords = [Q(z * gso.den, scale) for z in _back_substitute(gso, lam_w)]
-    return integer_relation_membership(coords, route["shift"], route["maxk"])
+    # v is a member iff adding j times the first generator's coordinates
+    # (route["shift"]) makes its own integral for some j < maxk = |a_1|:
+    # the relation puts a_1 times the first in the others' span
+    return any(
+        all(is_integer(x + j * s) for x, s in zip(coords, route["shift"]))
+        for j in range(route["maxk"])
+    )
 
 
 def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
@@ -498,13 +490,9 @@ def difference_lattice_basis(m: int):
 # them builds L_k or a d-long row.
 
 
-def _sq(s):
-    return sum((x * x for x in s.values()), QZERO)
-
-
 def _sq_ratio(s):
-    """_sq(s) as integers (N, D), N / D, D the squared lcm of the entries'
-    denominators."""
+    """The squared norm of the support s as integers (N, D), N / D, D the
+    squared lcm of the entries' denominators."""
     den = lcm(*map(qden, s.values()))
     return sum((qnum(x) * (den // qden(x))) ** 2 for x in s.values()), den * den
 
@@ -753,7 +741,7 @@ def _kz_structure(params, claimed) -> TheoremReport:
             ok &= next(walk, None) is None
         generic = kz_reduce(glued_prime_lattice(params.k))
         ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
-            _sq(s) for s in claimed
+            Q(*_sq_ratio(s)) for s in claimed
         )
         ok &= sorted(_gso_norms(IntGSO.of(generic.basis))) == sorted(_gso_norms(gso))
         rep.verdicts["matches_generic_kz"] = ok
@@ -791,7 +779,7 @@ def _theorem_gap(params, sb_claim) -> TheoremReport:
     index = prod(params.primes)  # [L_k : Z^d]
 
     rep.verdicts["short_basis_valid"] = _is_glued_basis(params, sb_claim)
-    rep.quantities["short_basis_max_sq"] = max(_sq(s) for s in sb_claim)
+    rep.quantities["short_basis_max_sq"] = max(Q(*_sq_ratio(s)) for s in sb_claim)
     rep.verdicts["short_basis_max_5_4"] = (
         rep.quantities["short_basis_max_sq"] == Q(5, 4)
     )

@@ -63,6 +63,10 @@
 - `glued_residues`, `prefix_completion`: helpers that only tests use;
   `prefix_completion` completes a prefix with the tail-gcd transform
   over `L.basis`, which latred's completion no longer builds.
+- `vsub`, `normalize_sign`, `Singular`, `NotPrimitive`: the vector
+  difference, the +/- representative with a positive first nonzero
+  entry, and the errors of `inverse` and of the completions above;
+  latred needs none of them.
 """
 
 from bisect import bisect_right
@@ -87,10 +91,9 @@ from latred.errors import (
     DependentTuple,
     DimensionMismatch,
     NotInLattice,
+    LatredError,
     NotInSpan,
-    NotPrimitive,
     PreconditionViolated,
-    Singular,
     WrongRank,
 )
 from latred.lattice import (
@@ -114,13 +117,11 @@ from latred.linalg import (
     gram_matrix,
     matrix,
     norm_sq,
-    normalize_sign,
     row_times_mat,
     transpose,
     unit_vector,
     vector,
     vscale,
-    vsub,
 )
 from latred.rationals import Q, QONE, QZERO, is_integer, qden, qfloor, qnum, qround
 from latred.reduction import ReductionResult, StepRecord
@@ -132,6 +133,26 @@ from latred.verification import (
     difference_lattice_basis,
     difference_lattice_min,
 )
+
+
+class Singular(LatredError):
+    """inverse of a singular matrix."""
+
+
+class NotPrimitive(LatredError):
+    """A completion asked of an independent prefix that is not primitive."""
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def normalize_sign(u):
+    """Flip so the first nonzero entry is positive; canonical +/- pair rep."""
+    for a in u:
+        if a:
+            return tuple(-b for b in u) if a < 0 else u
+    return u
 
 
 def rank(m):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_integer_lattice
-from reference import determinant, inverse
+from reference import determinant, inverse, normalize_sign
 from latred.enumeration import (
     enumerate_up_to,
     lll_rows,
@@ -15,7 +15,6 @@ from latred.errors import BudgetExceeded
 from latred.lattice import Lattice
 from latred.linalg import (
     norm_sq,
-    normalize_sign,
     rank,
     row_times_mat,
 )

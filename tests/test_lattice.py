@@ -3,7 +3,7 @@ import random
 import pytest
 
 import reference
-from reference import determinant
+from reference import NotPrimitive, determinant, vsub
 from conftest import mat_mul, random_integer_lattice, random_unimodular
 from latred.constructions import attempt21, hypercubic, lattice42
 from latred.enumeration import successive_minima
@@ -13,7 +13,6 @@ from latred.errors import (
     NotFullRank,
     NotInLattice,
     NotInSpan,
-    NotPrimitive,
     PreconditionViolated,
 )
 from latred.lattice import (
@@ -36,7 +35,6 @@ from latred.linalg import (
     unit_vector,
     vector,
     vscale,
-    vsub,
 )
 from latred.rationals import Q
 

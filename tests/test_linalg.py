@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import mat_mul, random_unimodular
-from reference import determinant
+from reference import determinant, vsub
 from latred.errors import (
     DependentRows,
     DependentTuple,
@@ -32,7 +32,6 @@ from latred.linalg import (
     snf_divisors,
     unit_vector,
     vector,
-    vsub,
 )
 from latred.rationals import Q
 

@@ -15,8 +15,10 @@ transform over `L.basis`.  No module keeps a functools cache or the
 42-scan's state: the scan's tables are locals of `appendix_scan`, handed
 to the family scans, and report tables are shared only while a report
 holds them.  There is no closest-vector search: the one walk,
-`enumeration._walk`, is centred at 0 and takes no target.  The rational
-processes live in tests/reference.py."""
+`enumeration._walk`, is centred at 0 and takes no target.  Every public
+linalg function and every error class has a use in src outside its own
+definition.  The rational processes, and the helpers and errors only
+tests need, live in tests/reference.py."""
 
 import ast
 import sys
@@ -290,6 +292,61 @@ def test_src_defines_no_closest_vector_search():
     assert found == []
     params = list(inspect.signature(_walk).parameters)
     assert params == ["gso", "bound", "budget", "lo", "top"]
+
+
+def _top_level_uses(path):
+    """(owner, name) for each name the file reads, binds or imports, owner
+    the top-level function or class the name sits in (None outside one);
+    a definition's own name is not a use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if node is not stmt:
+                for name in _identifiers(node):
+                    yield owner, name
+
+
+_DELETED = ("UnknownConstruction", "integer_relation_membership", "zero_vector", "_sq")
+
+
+def test_every_linalg_function_and_error_class_has_a_caller_in_src():
+    # a public linalg function is named in src outside its own definition,
+    # and an error class outside errors.py: helpers that nothing in the
+    # package calls, and errors that nothing raises or catches, live in
+    # tests/reference.py if the tests need them.  Single-caller helpers
+    # that were folded into their caller stay folded
+    from latred import errors
+
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    uses = {(p.name, owner, name) for p in paths for owner, name in _top_level_uses(p)}
+    functions = [
+        n.name
+        for n in ast.parse((SRC / "linalg.py").read_text(encoding="utf-8")).body
+        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+    ]
+    assert {"dot", "hnf", "rank"} <= set(functions)
+    unused = [
+        "linalg.%s" % f
+        for f in functions
+        if not any(u[2] == f and u[:2] != ("linalg.py", f) for u in uses)
+    ]
+    classes = [n for n, c in vars(errors).items() if isinstance(c, type)]
+    assert "LatredError" in classes
+    unused += [
+        "errors.%s" % c
+        for c in classes
+        if not any(u[2] == c and u[0] != "errors.py" for u in uses)
+    ]
+    assert unused == []
+    defined = [
+        "%s:%d %s" % (p.name, node.lineno, node.name)
+        for p in paths
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in _DELETED
+    ]
+    assert defined == []
 
 
 def _identifiers(node):

@@ -11,6 +11,7 @@ from math import lcm
 import pytest
 
 import reference
+from reference import vsub
 from conftest import minkowski_population, random_integer_lattice
 from latred import linalg, verification
 from latred.constructions import (
@@ -39,9 +40,11 @@ from latred.errors import (
     WrongRank,
 )
 from latred.lattice import Lattice, _dependence, contains, linear_dependence
-from latred.linalg import dot, norm_sq, row_times_mat, vscale, vsub
+from latred.linalg import dot, norm_sq, row_times_mat, vscale
 from latred.rationals import Q
+from latred.reduction import kz_reduce, shortest_basis
 from latred.verification import (
+    _confirm_member,
     _kth_root,
     appendix_scan,
     check_attempt21,
@@ -49,7 +52,6 @@ from latred.verification import (
     check_shortest_vectors_42,
     difference_lattice_basis,
     difference_lattice_min,
-    integer_relation_membership,
     similar_to_dual_root,
     verify_kz_structure,
     verify_minkowski_bounds,
@@ -86,6 +88,25 @@ def test_kz_structure_k3_structural_only():
     assert "matches_generic_kz" not in rep.verdicts
 
 
+def test_generic_reductions_reach_the_k3_glued_claims():
+    # the k = 3 reports are structural (above), so the generic reductions
+    # check the same claims here: a generic KZ basis of L_3 has the claimed
+    # basis's full and GSO norms as multisets (ties order them
+    # differently), and the certified shortest basis has the claimed
+    # maximum 5/4
+    L = glued_prime_lattice(3)
+    claimed = glued_kz_claimed_basis(3)
+    generic = kz_reduce(L)
+    assert sorted(map(norm_sq, generic.basis)) == sorted(map(norm_sq, claimed))
+    assert sorted(reference.gram_schmidt(generic.basis).norms_sq) == sorted(
+        reference.gram_schmidt(claimed).norms_sq
+    )
+    sb = shortest_basis(L)
+    assert sb.certified
+    assert sb.max_norm_sq == Q(5, 4)
+    assert sb.max_norm_sq == verify_theorem_gap(3).quantities["short_basis_max_sq"]
+
+
 def test_theorem_gap_values():
     rep2 = verify_theorem_gap(2)
     assert rep2.success, rep2.verdicts
@@ -116,9 +137,12 @@ def test_check_no_unit_coefficient():
 
 
 def test_integer_relation_membership():
-    shift = (Q(1, 3), Q(2, 3))
-    assert integer_relation_membership((Q(2, 3), Q(1, 3)), shift, 3)
-    assert not integer_relation_membership((Q(1, 2), Q(0)), shift, 3)
+    # a hand-built confirmation route: with the identity as the other
+    # generators a vector's coordinates are its entries, and the first
+    # generator is (1/3, 2/3), taken j < 3 times
+    route = dict(rows=((Q(1), Q(0)), (Q(0), Q(1))), shift=(Q(1, 3), Q(2, 3)), maxk=3)
+    assert _confirm_member((Q(2, 3), Q(1, 3)), route)
+    assert not _confirm_member((Q(1, 2), Q(0)), route)
 
 
 def test_appendix_scan_rejects_partial_dependence():
