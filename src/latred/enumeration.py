@@ -116,13 +116,25 @@ def _put(gso, i, x):
 
     _Prefix completes x[i:] to a unimodular [x[i:]; rows], so the rows
     sum_k rows_r[k] b_{i+k} complete the first i rows and the new row i
-    to a basis of the same lattice."""
+    to a basis of the same lattice.  lam_rj = d_{j+1} mu_rj is linear in
+    the row r, and the first i rows and d_1..d_i stay, so the first i lam
+    entries of a new row are its combination of the old rows' (with
+    lam_kk = d_{k+1} and zeros past k); the recurrence runs from entry i
+    on."""
     b, d, lam, den = gso
-    cols = tuple(zip(*b))
-    tail = _Prefix.empty(len(b) - i).extended(x[i:]).rows
+    n = len(b)
+    heads = [
+        lam[k][:i] if k >= i else (*lam[k][:k], d[k + 1], *(0,) * (i - k - 1))
+        for k in range(n)
+    ]
+    # x combines every old row, a completion row the rows from i on
+    cols = {lo: (tuple(zip(*b[lo:])), tuple(zip(*heads[lo:]))) for lo in (0, i)}
+    tail = _Prefix.empty(n - i).extended(x[i:]).rows
     out = IntGSO(b[:i], d[: i + 1], lam[:i], den)
-    for r in chain((x,), ((0,) * i + r for r in tail)):
-        out = out.appended(tuple(sum(map(mul, r, col)) for col in cols))
+    for r, lo in chain(((x, 0),), ((r, i) for r in tail)):
+        bcols, hcols = cols[lo]
+        w = tuple(sum(map(mul, r, col)) for col in bcols)
+        out = out.appended(w, [sum(map(mul, r, h)) for h in hcols])
     return _lll(out, i + 1)
 
 
@@ -180,13 +192,27 @@ def _walk(gso, bound, budget, lo=0, top=None):
     (x_lo..x_{n-1}, rho) from such a walk fixes those levels; the walk then
     runs the levels below them, and yields the x that is zero below them
     too."""
-    b, d, lam, _ = gso
+    return _walk_on(gso, _table(gso), bound, budget, lo, top)
+
+
+def _table(gso):
+    """(M, w, steps), the tables a walk over the IntGSO gso (b, d, lam,
+    den) reads: M, w = _weights(gso), and steps[k] = (b_k, -lam_kj for
+    j < k), the row that setting x_k adds x_k times (see _walk).  They
+    depend on gso alone, so the walks of one KZ step share one."""
+    b, _, lam, _ = gso
+    m, w = _weights(gso)
+    # zip stops at the step's end, so the row loses level k's own centre
+    return m, w, [(*b[k], *(-a for a in lam[k][:k])) for k in range(len(b))]
+
+
+def _walk_on(gso, table, bound, budget, lo, top):
+    """_walk over table = _table(gso), built by the caller."""
+    b, d, _, _ = gso
     n = len(d) - 1
     m = len(b[0]) if b else 0
-    _, w = _weights(gso)
+    _, w, steps = table
     q = d[1:]
-    # zip stops at the step's end, so the row loses level k's own centre
-    steps = [(*b[k], *(-a for a in lam[k][:k])) for k in range(n)]
     x = [0] * n
     hi, rho = n, 0
     row = [0] * (m + n)
@@ -262,26 +288,26 @@ def _least(leaves, bound):
     return found
 
 
-def _projected_shortest(gso, i, budget):
+def _projected_shortest(gso, table, i, budget):
     """(tops, rho): every x_i..x_{n-1}, one per +/- pair, minimizing the
     projection past the first i rows of sum_k x_k b_k over the IntGSO
     gso, each with its lift u = sum_{k>=i} x_k b_k over the integer rows
-    b, and that minimum, rho = M |pi_i|^2 over M = _weights(gso)[0].
-    One walk of levels i..n-1, its bound starting at |b*_i|^2, b_i's own
-    projection."""
-    _, w = _weights(gso)
-    bound = [w[i] * gso.d[i + 1] ** 2]
-    tops = _least(_walk(gso, bound, budget, lo=i), bound)
+    b, and that minimum, rho = M |pi_i|^2 over M = table[0].  One walk of
+    levels i..n-1 on table = _table(gso), its bound starting at |b*_i|^2,
+    b_i's own projection."""
+    bound = [table[1][i] * gso.d[i + 1] ** 2]
+    tops = _least(_walk_on(gso, table, bound, budget, i, None), bound)
     return [(x[i:], u) for x, u in tops], bound[0]
 
 
-def _nearest_plane(gso, x, hi):
+def _nearest_plane(gso, table, x, hi):
     """The cost of the levels below hi of _walk's leaf at Babai's
-    nearest-plane point over x_hi.. as given: x_k for each level below hi
-    rounded to its centre, halves up; x is filled in place."""
+    nearest-plane point over x_hi.. as given, with table = _table(gso):
+    x_k for each level below hi rounded to its centre, halves up; x is
+    filled in place."""
     _, d, lam, _ = gso
     n = len(x)
-    _, w = _weights(gso)
+    w = table[1]
     rho = 0
     for k in range(hi - 1, -1, -1):
         centre = -sum(x[i] * lam[i][k] for i in range(k + 1, n))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -73,26 +74,28 @@ class IntGSO(namedtuple("IntGSO", "b d lam den")):
         den = self.den
         return self.appended(tuple(qnum(e) * (den // qden(e)) for e in v))
 
-    def appended(self, w):
+    def appended(self, w, head=()):
         """The IntGSO with the integer row w, already scaled by den,
-        appended: one _lam_row.  Raises DependentRows when w is in the
-        rows' span."""
+        appended: one _lam_row, which starts past the entries head, when
+        given.  Raises DependentRows when w is in the rows' span."""
         b, d, lam, den = self
-        row = _lam_row(b, d, lam, w)
+        row = _lam_row(b, d, lam, w, head)
         if not row[-1]:
             raise DependentRows("row %d depends on the previous rows" % len(b))
         return IntGSO(b + (w,), d + (row[-1],), lam + (tuple(row[:-1]),), den)
 
 
-def _lam_row(b, d, lam, w):
+def _lam_row(b, d, lam, w, head=()):
     """The recurrence of the integral GSO for an integer vector w after
     the integer rows b, with exact divisions: entry j < len(b) is
     d[j + 1] mu_wj, and the last entry the Gram determinant of [b; w],
-    zero iff w lies in the span of b.  d and lam need to be set for b."""
+    zero iff w lies in the span of b.  d and lam need to be set for b.
+    head, when given, holds the first entries, known already; the
+    recurrence runs from the entry past it."""
     n = len(b)
-    out = []
-    for j in range(n + 1):
-        u = sum(x * y for x, y in zip(w, b[j] if j < n else w))
+    out = list(head)
+    for j in range(len(head), n + 1):
+        u = sum(map(mul, w, b[j] if j < n else w))
         row = lam[j] if j < n else out
         for t in range(j):
             u = (d[t + 1] * u - out[t] * row[t]) // d[t]
@@ -126,9 +129,8 @@ def _perp(gso, w):
     the sign and lexicographic order of w*, d_n den being positive."""
     b, d, lam, _ = gso
     dz = _back_substitute(gso, _lam_row(b, d, lam, w)[:-1])
-    return tuple(
-        d[-1] * x - sum(z * r[c] for z, r in zip(dz, b) if z) for c, x in enumerate(w)
-    )
+    cols = zip(*b) if b else [()] * len(w)
+    return tuple(d[-1] * x - sum(map(mul, dz, col)) for x, col in zip(w, cols))
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,7 @@ class _Prefix(namedtuple("_Prefix", "cols rows primitive")):
         """The entries of c . M past the prefix: all zero iff c lies in
         the prefix's span (C . M = [T | 0] with T of full rank), gcd 1 iff
         the prefix extends by c."""
-        return [sum(x * y for x, y in zip(c, col)) for col in self.cols]
+        return [sum(map(mul, c, col)) for col in self.cols]
 
     def extends(self, c):
         """The tail of c when the prefix extends by c, else None."""
@@ -416,6 +418,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
         _lll,
         _projected_shortest,
         _put,
+        _table,
     )
 
     sub = [vector(v) for v in sub]
@@ -456,7 +459,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     # enumeration.shortest_vector would pick on the projection lattice
     b, d, lam, den = gso
     pre = IntGSO(b[:i], d[: i + 1], lam[:i], den)
-    tops, _ = _projected_shortest(gso, i, _Budget(DEFAULT_BUDGET))
+    tops, _ = _projected_shortest(gso, _table(gso), i, _Budget(DEFAULT_BUDGET))
 
     def lift(w):
         # (p, w): the walk's lift w = sum_k x_k b_k, whose x is a top past

@@ -23,7 +23,8 @@ from .enumeration import (
     _nearest_plane,
     _projected_shortest,
     _put,
-    _walk,
+    _table,
+    _walk_on,
 )
 from .errors import BadParams, BudgetExceeded
 from .lattice import Lattice, _Prefix
@@ -106,26 +107,31 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
 
 
 def _kz_candidates(gso, i, budget):
-    """(candidates, x): the vectors of the lattice of the IntGSO gso whose
-    projection past its first i rows is shortest, and whose full norm is
-    least among those, sign normalized and in lexicographic order, and x
-    the first one's integer coordinates over the rows of gso.
+    """(v, norm, ties, x): among the vectors of the lattice of the IntGSO
+    gso whose projection past its first i rows is shortest, those whose
+    full norm is least, sign normalized, number ties; v is the
+    lexicographically first of them, norm its squared norm and x its
+    integer coordinates over the rows of gso.
 
     One walk of the levels from i on finds every projected minimizer, one
     per +/- pair.  Each is carried down the levels below i, its own fixed,
     under one full-norm bound that starts at the first one's nearest-plane
-    lift and is lowered as shorter lifts arrive."""
-    tops, rho = _projected_shortest(gso, i, budget)
-    bound = [rho + _nearest_plane(gso, [0] * i + list(tops[0][0]), i)]
-    lifts = (_walk(gso, bound, budget, top=(top, rho)) for top, _ in tops)
+    lift and is lowered as shorter lifts arrive.  Every walk reads one
+    _table of gso; the candidates stay integer (den v) until the pick,
+    and the norm is the least leaf's integer M |v|^2."""
+    table = _table(gso)
+    tops, rho = _projected_shortest(gso, table, i, budget)
+    bound = [rho + _nearest_plane(gso, table, [0] * i + list(tops[0][0]), i)]
+    lifts = (_walk_on(gso, table, bound, budget, 0, (top, rho)) for top, _ in tops)
     cands = {}
-    for x, v in _least(chain.from_iterable(lifts), bound):
+    for x, u in _least(chain.from_iterable(lifts), bound):
         # sign normalization: the first nonzero entry positive
-        if next(a for a in v if a) < 0:
-            v, x = tuple(-a for a in v), tuple(-a for a in x)
-        cands[v] = x
-    order = sorted(cands)
-    return [tuple(Q(a, gso.den) for a in v) for v in order], cands[order[0]]
+        if next(a for a in u if a) < 0:
+            u, x = tuple(-a for a in u), tuple(-a for a in x)
+        cands[u] = x
+    u = min(cands)
+    den = gso.den
+    return tuple(Q(a, den) for a in u), Q(bound[0], table[0]), len(cands), cands[u]
 
 
 def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
@@ -141,9 +147,9 @@ def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     gso = L._lll[2]
     log = []
     for i in range(L.rank):
-        cands, x = _kz_candidates(gso, i, _Budget(node_budget))
+        v, norm, ties, x = _kz_candidates(gso, i, _Budget(node_budget))
         gso = _put(gso, i, x)
-        log.append(StepRecord(i, cands[0], norm_sq(cands[0]), len(cands)))
+        log.append(StepRecord(i, v, norm, ties))
     return ReductionResult(tuple(rec.vector for rec in log), "kz", tuple(log))
 
 

@@ -38,8 +38,8 @@ from .constructions import (
 from .enumeration import (
     DEFAULT_BUDGET,
     _Budget,
-    _walk,
-    _weights,
+    _table,
+    _walk_on,
     enumerate_up_to,
     successive_minima,
 )
@@ -714,6 +714,21 @@ def _gso_norms(gso):
     return [Q(a, b * den * den) for a, b in zip(d[1:], d)]
 
 
+def _kz_oracle(gso):
+    """Is each |b*_i|^2 of the IntGSO gso the shortest norm of its lattice
+    projected past its first i rows?  A walk of the levels past row i,
+    under one less than M |b*_i|^2, then finds no leaf.  The walks of all
+    levels read one _table of gso."""
+    table = _table(gso)
+    d = gso.d
+    for i, wi in enumerate(table[1]):
+        shorter = [wi * d[i + 1] ** 2 - 1]
+        walk = _walk_on(gso, table, shorter, _Budget(DEFAULT_BUDGET), i, None)
+        if next(walk, None) is not None:
+            return False
+    return True
+
+
 def _kz_structure(params, claimed) -> TheoremReport:
     """verify_kz_structure's report on the claimed basis, given as
     supports."""
@@ -732,13 +747,7 @@ def _kz_structure(params, claimed) -> TheoremReport:
         # equal projected norms may differ) must reach the same norm
         # profile up to reordering
         gso = IntGSO.of(_dense(params.dims[-1], claimed))
-        _, w = _weights(gso)
-        d = gso.d
-        ok = True
-        for i, wi in enumerate(w):
-            shorter = [wi * d[i + 1] ** 2 - 1]
-            walk = _walk(gso, shorter, _Budget(DEFAULT_BUDGET), lo=i)
-            ok &= next(walk, None) is None
+        ok = _kz_oracle(gso)
         generic = kz_reduce(glued_prime_lattice(params.k))
         ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
             Q(*_sq_ratio(s)) for s in claimed

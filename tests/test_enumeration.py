@@ -346,14 +346,16 @@ def test_integer_walk_matches_the_rational_walk():
     # budget runs out at a third and at one node short of the whole walk.
     # Each leaf's vector is den sum_k x_k b_k, also on walks past the
     # first i rows (lo = i, x_0..x_i-1 zero) and on the lifts of their
-    # leaves (top=, x_i.. as given)
+    # leaves (top=, x_i.. as given).  A walk on a _table built once for
+    # the IntGSO yields what _walk yields
     import reference
-    from latred.enumeration import _Budget, _nearest_plane, _walk, _weights
+    from latred.enumeration import _Budget, _nearest_plane, _table, _walk, _walk_on
 
     for L in _walk_cases():
         gso, lll = L._lll[2], L._lll[0]
         mu, c = reference.int_rational(gso)
-        m, _ = _weights(gso)
+        table = _table(gso)
+        m = table[0]
         # twice the longest LLL row (once on L_3, whose walk is then
         # already a thousand nodes)
         bound = max(map(norm_sq, lll)) * (2 if L.rank < 20 else 1)
@@ -372,9 +374,11 @@ def test_integer_walk_matches_the_rational_walk():
             leaves = list(_walk(gso, [scaled], _Budget(10**6), lo=i))
             assert leaves and all(not any(x[:i]) for x, _, _ in leaves)
             assert all(u == _den_sum(gso, lll, x) for x, _, u in leaves)
+            shared = _walk_on(gso, table, [scaled], _Budget(10**6), i, None)
+            assert list(shared) == leaves
             for x, rho, _ in leaves[:3]:
                 # under the full norm of the leaf's nearest-plane lift
-                near = [rho + _nearest_plane(gso, list(x), i)]
+                near = [rho + _nearest_plane(gso, table, list(x), i)]
                 lifts = list(_walk(gso, near, _Budget(10**6), top=(x[i:], rho)))
                 assert lifts and all(y[i:] == x[i:] for y, _, _ in lifts)
                 assert all(u == _den_sum(gso, lll, y) for y, _, u in lifts)

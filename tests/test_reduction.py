@@ -439,6 +439,26 @@ def test_enumeration_node_counts_are_pinned(monkeypatch):
         assert spent[0] == nodes
 
 
+def test_each_kz_step_builds_one_walk_table(monkeypatch):
+    # a KZ step's projected walk, its nearest-plane bound and every lift
+    # walk read one _table of the step's IntGSO: one table per step, and
+    # the k <= 2 oracle of verify_kz_structure builds one for all of the
+    # claim's levels
+    from conftest import count_calls
+    from latred import verification
+    from latred.constructions import dual_root_d, glued_prime_lattice
+
+    calls = count_calls(monkeypatch, "enumeration._table")
+    for run, tables in (
+        (lambda: kz_reduce(dual_root_d(5)), 5),
+        (lambda: kz_reduce(glued_prime_lattice(2)), 14),
+        (lambda: verification.verify_kz_structure(2), 14 + 1),
+    ):
+        calls["enumeration._table"] = 0
+        run()
+        assert calls["enumeration._table"] == tables
+
+
 def _kz_cases():
     """40 seeded bases of rank 2..7 with entries of denominator up to 3,
     half of them unimodularly re-based, after L_2 and D_5*."""
@@ -469,7 +489,8 @@ def test_put_and_solve_keep_the_lattice():
     # _solve is the integer solve on any IntGSO; on the LLL basis's it is
     # coordinates through T.  Seeded random x with x[i:] of gcd 1, each
     # put on the basis the last one left.  The x that _kz_candidates
-    # gives with its candidates is the first one's, sign included
+    # gives with its pick is the pick's own, sign included: _put of it
+    # puts den v at row i, and the norm is v's
     from math import gcd
 
     from latred.enumeration import _Budget, _put
@@ -491,8 +512,9 @@ def test_put_and_solve_keep_the_lattice():
             x = [rng.randint(-3, 3) for _ in range(n)]
             if gcd(*x[i:]) != 1:
                 continue
-            cands, y = _kz_candidates(gso, i, _Budget(10**6))
-            assert row_times_mat(y, gso.b) == tuple(a * gso.den for a in cands[0])
+            v, norm, ties, y = _kz_candidates(gso, i, _Budget(10**6))
+            assert _put(gso, i, y).b[i] == tuple(a * gso.den for a in v)
+            assert norm == norm_sq(v) and ties >= 1
             out = _put(gso, i, x)
             b, d, lam, den = out
             assert den == gso.den and b[:i] == gso.b[:i] and d[-1] == gso.d[-1]

@@ -107,6 +107,32 @@ def test_generic_reductions_reach_the_k3_glued_claims():
     assert sb.max_norm_sq == verify_theorem_gap(3).quantities["short_basis_max_sq"]
 
 
+def test_kz_oracle_passes_the_k3_claim(monkeypatch):
+    # the k <= 2 walk oracle of verify_kz_structure, run on the claimed
+    # L_3 KZ basis: past no claimed prefix is there a projected leaf
+    # shorter than the claimed |b*_i|^2.  Its walks are deterministic, so
+    # their nodes are pinned.  The claim's rows in reverse order start
+    # with a long vector, which the oracle refuses
+    from conftest import count_nodes
+    from latred.lattice import IntGSO
+
+    claimed = glued_kz_claimed_basis(3)
+    spent = count_nodes(monkeypatch)
+    assert verification._kz_oracle(IntGSO.of(claimed))
+    assert spent[0] == 4875
+    assert not verification._kz_oracle(IntGSO.of(claimed[::-1]))
+
+
+def test_shortest_basis_reaches_the_k4_glued_claim():
+    # the generic shortest basis of L_4 (rank 88) is certified at the
+    # claimed maximum 5/4; the generic KZ basis of L_4 is checked by
+    # scripts/gap_profile.py --generic, too slow for the suite
+    sb = shortest_basis(glued_prime_lattice(4))
+    assert sb.certified
+    assert sb.max_norm_sq == Q(5, 4)
+    assert sb.max_norm_sq == verify_theorem_gap(4).quantities["short_basis_max_sq"]
+
+
 def test_theorem_gap_values():
     rep2 = verify_theorem_gap(2)
     assert rep2.success, rep2.verdicts
