@@ -107,11 +107,11 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
 
 
 def _kz_candidates(gso, i, budget):
-    """(v, norm, ties, x): among the vectors of the lattice of the IntGSO
-    gso whose projection past its first i rows is shortest, those whose
-    full norm is least, sign normalized, number ties; v is the
-    lexicographically first of them, norm its squared norm and x its
-    integer coordinates over the rows of gso.
+    """(v, norm, ties, x) over the candidates: the vectors of the lattice
+    of the IntGSO gso whose projection past its first i rows is shortest,
+    and whose full norm is least among those, sign normalized.  ties is
+    their number, v the lexicographically first, norm its squared norm
+    and x its integer coordinates over the rows of gso.
 
     One walk of the levels from i on finds every projected minimizer, one
     per +/- pair.  Each is carried down the levels below i, its own fixed,
