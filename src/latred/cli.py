@@ -164,13 +164,11 @@ def cmd_verify(args) -> int:
             "verify suite %r takes %d parameter(s), got %d"
             % (suite, _VERIFY_ARITY[suite], len(params))
         )
-    if args.parallel is not None and suite != "appendix42":
-        raise LatredError("--parallel applies only to the appendix42 suite")
     if args.node_budget is not None and suite != "minkowski-bounds":
         raise LatredError("--node-budget applies only to the minkowski-bounds suite")
     t0 = time.monotonic()
     if suite == "appendix42":
-        rep = check_shortest_vectors_42(workers=args.parallel or 0)
+        rep = check_shortest_vectors_42()
         doc = {
             "operation": "verify",
             "suite": suite,
@@ -285,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", help="suite parameter (k, K, or a file)")
     common(p)
     budget(p)
-    p.add_argument(
-        "--parallel", type=_at_least(1), help="worker processes for the appendix42 scan"
-    )
     p.set_defaults(func=cmd_verify)
     return top
 

@@ -222,7 +222,8 @@ def projective_plane_lines(q: int) -> IncidenceStructure:
 
 
 def _support_vector(dim, indices):
-    return tuple(QONE if j in indices else QZERO for j in range(dim))
+    """The 0/1 row with ones at indices, in ints."""
+    return tuple(1 if j in indices else 0 for j in range(dim))
 
 
 def l_proj() -> Lattice:

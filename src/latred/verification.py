@@ -46,6 +46,7 @@ from .enumeration import (
 from .errors import (
     ConstructionMismatch,
     DimensionMismatch,
+    NotIntegral,
     PreconditionViolated,
     ScanCrossCheckFailed,
 )
@@ -58,10 +59,9 @@ from .lattice import (
     lattice_from_generators,
 )
 from .linalg import (
-    _scaled_rows,
+    _int_rows,
     dot,
     gram_matrix,
-    matrix,
     norm_sq,
     row_times_mat,
     vscale,
@@ -374,18 +374,27 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     lattice, over which the residues are read.  Each family is a
     collision search of candidate keys in the tables of the single
     positions and of the pair sums, built once per scan and handed to
-    every family scan; with workers > 1 the families run as separate pool
-    jobs, at most one worker per family, on the same arguments."""
+    every family scan.
+
+    The generators are read as integer rows (linalg._int_rows): a float
+    is refused with PreconditionViolated, an entry that is no integer or
+    not 0 or 1 with ConstructionMismatch.  workers > 1 runs the families
+    as separate pool jobs, at most one worker per family, on the same
+    arguments; that is slower than the serial scan, and its one caller is
+    perfbench's appendix42 workload."""
     t0 = time.monotonic()
-    vectors = matrix(vectors)
-    # the generators times the lcm s of their denominators, in integers
-    ints, s = _scaled_rows(vectors)
+    try:
+        ints = _int_rows(vectors)
+    except NotIntegral:
+        raise ConstructionMismatch("generators must be 0/1 vectors") from None
+    if any(len(v) != len(ints[0]) for v in ints):
+        raise DimensionMismatch("ragged matrix")
     rel, basis = _dependence(ints)
     if any(sum(map(mul, rel.coefficients, col)) for col in zip(*ints)):
         raise ScanCrossCheckFailed("the relation is not a dependence")
     if any(c == 0 for c in rel.coefficients):
         raise ConstructionMismatch("dependence must involve every generator")
-    if s != 1 or any(x != 0 and x != 1 for v in ints for x in v):
+    if any(x != 0 and x != 1 for v in ints for x in v):
         raise ConstructionMismatch("generators must be 0/1 vectors")
     supports = frozenset(tuple(i for i, x in enumerate(v) if x) for v in ints)
     sizes = {len(sup) for sup in supports}
@@ -402,14 +411,14 @@ def appendix_scan(vectors, workers: int = 0) -> AppendixReport:
     stats = {}
     if no_unit:
         # a unique dependence with a nonzero first coefficient leaves the
-        # generators past the first independent, and 0/1 rows unscaled
-        n = len(vectors) - 1
-        if len(vectors[0]) != n:
+        # generators past the first independent
+        n = len(ints) - 1
+        if len(ints[0]) != n:
             raise DimensionMismatch("the generators past the first must be square")
         a1 = rel.coefficients[0]
         # the first generator's coordinates over the others
         route = dict(
-            rows=vectors[1:],
+            rows=ints[1:],
             shift=tuple(Q(-c, a1) for c in rel.coefficients[1:]),
             maxk=abs(a1),
         )

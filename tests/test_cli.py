@@ -254,9 +254,9 @@ def test_out_flag_writes_report(capsys, tmp_path, dnstar5):
 
 
 def test_flags_a_command_would_ignore_are_rejected(capsys, dnstar5, monkeypatch):
-    # construct takes no budget and only the appendix42 scan is parallel;
-    # fewer than 1 worker or a negative budget is a usage error, and no
-    # rejected command starts a pool (the scan imports Pool when it runs)
+    # construct takes no budget and no command takes --parallel; a
+    # negative budget is a usage error, and no rejected command starts a
+    # pool (the scan imports Pool when it runs)
     import multiprocessing
 
     def no_pool(*args, **kwargs):
@@ -267,8 +267,10 @@ def test_flags_a_command_would_ignore_are_rejected(capsys, dnstar5, monkeypatch)
         ["construct", "zn", "3", "--node-budget", "5"],
         ["construct", "zn", "3", "--parallel", "2"],
         ["minima", dnstar5, "--parallel", "2"],
+        ["verify", "appendix42", "--parallel", "2"],
         ["verify", "appendix42", "--parallel", "0"],
         ["verify", "appendix42", "--parallel", "-3"],
+        ["verify", "gap", "1", "--parallel", "2"],
         ["verify", "minkowski-bounds", dnstar5, "--node-budget", "-1"],
         ["minima", dnstar5, "--node-budget", "-5"],
         ["reduce", "--alg", "kz", dnstar5, "--node-budget", "-1"],
@@ -277,7 +279,6 @@ def test_flags_a_command_would_ignore_are_rejected(capsys, dnstar5, monkeypatch)
             cli.main(argv)
         assert exc.value.code == 2, argv
     for argv in (
-        ["verify", "gap", "1", "--parallel", "2"],
         ["verify", "kz-structure", "1", "--node-budget", "5"],
         ["reduce", "--alg", "lll", dnstar5, "--node-budget", "5"],
     ):

@@ -18,9 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("gap_profile.py", "2"),
         ("minkowski_vs_minima.py", "3"),
-        ("run_42_scan.py", "1"),
-        # the serial scan against two workers, each handed the scan's tables
-        ("run_42_scan.py", "2"),
     ],
 )
 def test_script_exits_0(script, arg):

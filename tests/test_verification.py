@@ -493,6 +493,49 @@ def _scan_cases_with_hits():
     return tuple(cases)
 
 
+def test_scan_on_int_rows_matches_the_scan_on_fraction_rows(monkeypatch):
+    # the constructions hand the scan int rows, which it takes as they
+    # are; the same rows as Fractions give the same report.  Unit
+    # coefficients stop a scan unscanned, so the random sets, and
+    # attempt21 (the first of them), also run scanned despite them
+    cases = [lattice42()[1]] + [vecs for vecs, _ in _scan_cases_with_hits()]
+    assert {type(x) for vecs in cases[:2] for v in vecs for x in v} == {int}
+    fields = "relation no_unit_coefficient families_checked stats violations".split()
+
+    def report(vecs):
+        ints = appendix_scan([tuple(int(x) for x in v) for v in vecs])
+        fractions = appendix_scan([tuple(Q(x) for x in v) for v in vecs])
+        for what in fields:
+            assert getattr(ints, what) == getattr(fractions, what), what
+        return ints
+
+    assert [report(vecs).success for vecs in cases[:2]] == [True, False]
+    for vecs in cases[2:]:
+        report(vecs)
+    monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
+    assert sum(len(report(vecs).violations) for vecs in cases[1:]) >= 30
+
+
+def test_appendix_scan_refuses_bad_int_rows():
+    # int rows keep the error classes of rational ones: 2 and 1/2 are no
+    # 0/1 entries, a float is refused, and so are ragged and empty sets
+    vecs = [list(v) for v in lattice42()[1]]
+    j = vecs[3].index(1)
+    for x, error, match in (
+        (2, ConstructionMismatch, "0/1"),
+        (Q(1, 2), ConstructionMismatch, "0/1"),
+        (1.0, PreconditionViolated, "float"),
+    ):
+        bad = [list(v) for v in vecs]
+        bad[3][j] = x
+        with pytest.raises(error, match=match):
+            appendix_scan(bad)
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        appendix_scan(vecs[:3] + [vecs[3] + [0]] + vecs[4:])
+    with pytest.raises(WrongRank):
+        appendix_scan([])
+
+
 def test_collision_scan_matches_the_per_candidate_reference(monkeypatch):
     # attempt21 and the random sets are scanned despite unit coefficients
     monkeypatch.setattr(verification, "check_no_unit_coefficient", lambda rel: True)
