@@ -287,8 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the parser main builds on its first call and reuses: parse_args only
+# reads it, and each call gets a fresh Namespace.  It is not built at
+# import, so importing latred.cli costs no parser
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except LatredError as exc:

@@ -20,7 +20,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, lcm
-from operator import mul
 
 from .errors import BudgetExceeded
 from .lattice import IntGSO, Lattice, _Prefix
@@ -120,22 +119,30 @@ def _put(gso, i, x):
     the row r, and the first i rows and d_1..d_i stay, so the first i lam
     entries of a new row are its combination of the old rows' (with
     lam_kk = d_{k+1} and zeros past k); the recurrence runs from entry i
-    on."""
+    on.  Each new row and its head are combined over the nonzero
+    coefficients alone: the completion rows are mostly unit vectors."""
     b, d, lam, den = gso
     n = len(b)
     heads = [
         lam[k][:i] if k >= i else (*lam[k][:k], d[k + 1], *(0,) * (i - k - 1))
         for k in range(n)
     ]
-    # x combines every old row, a completion row the rows from i on
-    cols = {lo: (tuple(zip(*b[lo:])), tuple(zip(*heads[lo:]))) for lo in (0, i)}
     tail = _Prefix.empty(n - i).extended(x[i:]).rows
     out = IntGSO(b[:i], d[: i + 1], lam[:i], den)
+    # x combines every old row, a completion row the rows from i on
     for r, lo in chain(((x, 0),), ((r, i) for r in tail)):
-        bcols, hcols = cols[lo]
-        w = tuple(sum(map(mul, r, col)) for col in bcols)
-        out = out.appended(w, [sum(map(mul, r, h)) for h in hcols])
+        terms = [(c, k) for k, c in enumerate(r, lo) if c]
+        out = out.appended(_combine(terms, b), _combine(terms, heads))
     return _lll(out, i + 1)
+
+
+def _combine(terms, rows):
+    """sum c rows[k] over the (c, k) of terms, at least one, as a tuple."""
+    (c, k), *rest = terms
+    w = rows[k] if c == 1 else [c * a for a in rows[k]]
+    for c, k in rest:
+        w = [a + c * e for a, e in zip(w, rows[k])]
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +227,10 @@ def _walk_on(gso, table, bound, budget, lo, top):
         fixed, rho = top
         hi = n - len(fixed)
         x[hi:] = fixed
+        # over the fixed levels with x_k != 0, as the loop below does
         for k in range(n - 1, hi - 1, -1):
-            row = [a + x[k] * c for a, c in zip(row, steps[k])]
+            if x[k]:
+                row = [a + x[k] * c for a, c in zip(row, steps[k])]
     zero = top is None
     if hi <= lo:
         if not zero:

@@ -360,7 +360,7 @@ def linear_dependence(vectors) -> DependenceRelation:
     Requires the n vectors to span an (n-1)-dimensional space; the sign is
     normalized so the first nonzero coefficient is positive.
     """
-    return _dependence(linalg._scaled_rows(matrix(vectors))[0])[0]
+    return _dependence(linalg._scaled_rows(vectors)[0])[0]
 
 
 def _dependence(w):
@@ -484,6 +484,6 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
 
 def lattice_from_generators(generators) -> Lattice:
     """Lattice generated over Z by arbitrary rational vectors (HNF basis)."""
-    w, den = linalg._scaled_rows(matrix(generators))
+    w, den = linalg._scaled_rows(generators)
     h = hnf(w)
     return Lattice([tuple(Q(e, den) for e in r) for r in h if any(r)])

@@ -33,9 +33,13 @@ def vector(entries):
 
 def matrix(rows):
     rows = tuple(tuple(qexact(e) for e in r) for r in rows)
+    _check_rectangular(rows)
+    return rows
+
+
+def _check_rectangular(rows):
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise DimensionMismatch("ragged matrix")
-    return rows
 
 
 def unit_vector(n, i):
@@ -104,7 +108,12 @@ def _scaled(v):
 
 def _scaled_rows(m):
     """(W, s): s the lcm of all of m's denominators and W = s m, in
-    integers."""
+    integers.  m is checked as matrix checks it, but an int entry is
+    read as it is, with the numerator and denominator read here, so an
+    integer matrix makes no rational; any other entry is read by qexact,
+    which refuses floats, and a ragged m raises DimensionMismatch."""
+    m = [[e if type(e) is int else qexact(e) for e in r] for r in m]
+    _check_rectangular(m)
     s = lcm(*[qden(e) for r in m for e in r])
     if s == 1:
         return [[qnum(e) for e in r] for r in m], 1
@@ -204,7 +213,7 @@ def rank(m):
     """The number of pivots of the gcd echelon (_echelon) of m's rows
     scaled to integers.  A ragged m is refused with DimensionMismatch, a
     float with PreconditionViolated."""
-    rows, _ = _scaled_rows(matrix(m))
+    rows, _ = _scaled_rows(m)
     return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 

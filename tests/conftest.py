@@ -112,3 +112,25 @@ def count_nodes(monkeypatch):
 
     monkeypatch.setattr(_Budget, "spend", counted)
     return spent
+
+
+def checked_puts(monkeypatch):
+    """Wrap enumeration._put wherever latred binds it at import or call
+    time, asserting that every IntGSO it returns, b, d, lam and den, is
+    the one reference.dense_put returns; returns a one-element list
+    holding the number of puts so far."""
+    import reference
+    from latred import enumeration, reduction
+
+    put = enumeration._put
+    seen = [0]
+
+    def checked(gso, i, x):
+        got = put(gso, i, x)
+        assert got == reference.dense_put(gso, i, x), (i, x)
+        seen[0] += 1
+        return got
+
+    for m in (enumeration, reduction):
+        monkeypatch.setattr(m, "_put", checked)
+    return seen

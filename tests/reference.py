@@ -21,6 +21,13 @@
   rationals (`level_range` gives a level's coefficients); latred walks
   the integers of the IntGSO instead, always centred at 0, and has no
   closest-vector search.
+- `lift_walk`: a lift walk of `enumeration._walk_on` (fixed top levels)
+  as a recursion that takes each level's centre and each leaf's vector
+  as dense sums over every level above, zeros included; latred adds only
+  the nonzero x_k's rows.
+- `dense_put`: `enumeration._put` with each new row and its head a full
+  dot product of the row's coefficients with every column, zero
+  coefficients included; latred combines only the nonzero ones.
 - `minkowski_reduce`, `successive_minima`, `shortest_basis`: the greedy and
   subset searches with primitivity decided by `is_primitive_tuple` (Smith
   divisors of coordinates solved over `L.basis`) and independence by
@@ -72,14 +79,16 @@
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, takewhile
+from itertools import chain, combinations, takewhile
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from latred import reduction
 from latred.constructions import glued_params, glued_prime_lattice
 from latred.enumeration import (
     DEFAULT_BUDGET,
     _Budget,
+    _lll,
     _walk,
     _weights,
     enumerate_up_to,
@@ -477,6 +486,68 @@ def walk(mu, c, y, bound, budget):
         x[k] = 0
 
     yield from rec(n - 1, QZERO, y is None)
+
+
+def lift_walk(gso, bound, budget, lo, top):
+    """The leaves (x, rho, u) of enumeration._walk_on over the IntGSO gso
+    (b, d, lam, den) with top = (x_hi.., rho) fixing the levels from hi
+    on, in the same order and spending the same nodes: level k centres on
+    N_k = -sum_{i>k} x_i lam_ik over every i > k, and a leaf's u =
+    sum_k x_k b_k over every k."""
+    b, d, lam, _ = gso
+    n = len(b)
+    w = _weights(gso)[1]
+    fixed, rho = top
+    hi = n - len(fixed)
+    x = [0] * hi + list(fixed)
+
+    def leaf(rho):
+        u = tuple(sum(x[k] * b[k][c] for k in range(n)) for c in range(len(b[0])))
+        return tuple(x), rho, u
+
+    def rec(k, rho):
+        budget.spend()
+        remaining = bound[0] - rho
+        if remaining < 0:
+            return
+        centre = -sum(x[i] * lam[i][k] for i in range(k + 1, n))
+        q = d[k + 1]
+        r = isqrt(remaining // w[k])
+        for xk in range(-((r - centre) // q), (centre + r) // q + 1):
+            x[k] = xk
+            e = xk * q - centre
+            child = rho + w[k] * e * e
+            if k > lo:
+                yield from rec(k - 1, child)
+            else:
+                yield leaf(child)
+        x[k] = 0
+
+    if hi <= lo:
+        yield leaf(rho)
+    else:
+        yield from rec(hi - 1, rho)
+
+
+def dense_put(gso, i, x):
+    """enumeration._put with every new row and its head a full dot
+    product of the row's coefficients with each column of b and of the
+    heads: x with every row, each completion row with the rows from i
+    on."""
+    b, d, lam, den = gso
+    n = len(b)
+    heads = [
+        lam[k][:i] if k >= i else (*lam[k][:k], d[k + 1], *(0,) * (i - k - 1))
+        for k in range(n)
+    ]
+    cols = {lo: (tuple(zip(*b[lo:])), tuple(zip(*heads[lo:]))) for lo in (0, i)}
+    tail = _Prefix.empty(n - i).extended(x[i:]).rows
+    out = IntGSO(b[:i], d[: i + 1], lam[:i], den)
+    for r, lo in chain(((x, 0),), ((r, i) for r in tail)):
+        bcols, hcols = cols[lo]
+        w = tuple(sum(map(mul, r, col)) for col in bcols)
+        out = out.appended(w, [sum(map(mul, r, h)) for h in hcols])
+    return _lll(out, i + 1)
 
 
 def closest(mu, c, y, budget):

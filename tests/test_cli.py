@@ -20,6 +20,42 @@ def run(capsys, argv):
     return code, out
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # main builds the parser on its first call and reuses it: one build
+    # over three calls.  A call that argparse refuses exits 2 and leaves
+    # the parser as it was, so verify gap 1 prints the same report after
+    # it, apart from elapsed_seconds
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+
+    def gap1():
+        code, out = run(capsys, ["verify", "gap", "1"])
+        doc = json.loads(out)
+        del doc["elapsed_seconds"]
+        return code, doc
+
+    # L_1 has no strict gap, so the report's verdict fails: exit 1
+    before = gap1()
+    assert before[0] == 1 and not before[1]["verdicts"]["strict_gap"]
+    assert run(capsys, ["verify", "delta-table", "7"])[0] == 0
+    assert gap1() == before
+    assert len(builds) == 1
+    for argv in (["verify", "nosuch"], ["verify", "gap", "1", "--parallel", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+    assert gap1() == before
+    assert len(builds) == 1
+
+
 def test_construct_writes_lattice_file(capsys, tmp_path):
     out = tmp_path / "g2.lat"
     code, _ = run(capsys, ["construct", "glued", "2", "--out", str(out)])

@@ -444,6 +444,25 @@ def test_primitive_completion_size_reduces_a_combined_lift():
         assert y == reference.primitive_completion(L, hexa[:1], y0, norm_sq(y0))
         assert y[1:] == (0, 1, -1) and abs(y[0]) <= Q(1, 2)
 
+
+def test_primitive_completion_puts_match_the_dense_combination(monkeypatch):
+    # every put that primitive_completion makes on the cases of its tests
+    # above gives the IntGSO of reference.dense_put, the dense combination
+    from conftest import checked_puts
+
+    seen = checked_puts(monkeypatch)
+    for case in (
+        test_primitive_completion_trivial,
+        test_primitive_completion_shrinks_by_index,
+        test_primitive_completion_dual_root_example,
+        test_primitive_completion_bound_randomized,
+        test_primitive_completion_matches_the_rational_reference,
+        test_primitive_completion_size_reduces_a_combined_lift,
+    ):
+        case()
+    assert seen[0] >= 150
+
+
 def test_lattice_from_generators_and_sublattice():
     gens = [(Q(2), Q(0)), (Q(0), Q(2)), (Q(1), Q(1))]
     L = lattice_from_generators(gens)
@@ -451,6 +470,43 @@ def test_lattice_from_generators_and_sublattice():
     assert all(contains(L, g) for g in gens)
     S = Lattice(gens[:2])
     assert covolume_squared(S) == 16
+
+
+def test_lattice_from_generators_takes_int_entries_as_they_are(monkeypatch):
+    # int generators give the HNF basis that the same generators give as
+    # rationals, through matrix as before, with no int read as a
+    # rational; the entries of D_5* that are integers are given as ints.
+    # A float is refused and a ragged matrix too, with ints or rationals
+    from latred import linalg
+    from latred.constructions import dual_root_d
+
+    def through_matrix(gens):
+        w, den = linalg._scaled_rows(linalg.matrix(gens))
+        return tuple(tuple(Q(e, den) for e in r) for r in linalg.hnf(w) if any(r))
+
+    qexact = linalg.qexact
+    read = []
+
+    def recorded(e):
+        read.append(type(e))
+        return qexact(e)
+
+    monkeypatch.setattr(linalg, "qexact", recorded)
+    for gens in (lattice42()[1], attempt21()[1], dual_root_d(5).basis):
+        ints = [[int(e) if e == int(e) else Q(e) for e in r] for r in gens]
+        rationals = [[Q(e) for e in r] for r in gens]
+        assert any(type(e) is int for r in ints for e in r)
+        want = through_matrix(rationals)
+        for rows in (ints, rationals):
+            read.clear()
+            assert lattice_from_generators(rows).basis == want
+            assert int not in read
+    for rows in ([[1, 0], [0, 1.0]], [[Q(1), 0], [Q(1, 2), 0.5]]):
+        with pytest.raises(PreconditionViolated):
+            lattice_from_generators(rows)
+    for rows in ([[1, 0], [0, 1, 1]], [[Q(1, 2), Q(1)], [Q(1)]]):
+        with pytest.raises(DimensionMismatch):
+            lattice_from_generators(rows)
 
 
 def _random_generator_sets(rng):

@@ -482,6 +482,78 @@ def _kz_cases():
     return cases
 
 
+def test_lift_walks_match_the_dense_top_walk():
+    # a lift walk adds x_k steps[k] to its top row only for the fixed
+    # x_k != 0.  On every KZ step of L_2, each projected minimizer's lift
+    # walk, under the step's nearest-plane bound (which the lifts of a
+    # later minimizer may all exceed) and stopped at level 0 and at level
+    # i // 2, yields the leaves (x, rho, u) of
+    # reference.lift_walk, whose centres and vectors are dense sums over
+    # every level above, in order, and spends the same nodes
+    import reference
+    from latred.constructions import glued_prime_lattice
+    from latred.enumeration import (
+        _Budget,
+        _nearest_plane,
+        _projected_shortest,
+        _put,
+        _table,
+        _walk_on,
+    )
+    from latred.reduction import _kz_candidates
+
+    gso = glued_prime_lattice(2)._lll[2]
+    n = len(gso.b)
+    walks = zero_tops = 0
+    for i in range(n):
+        table = _table(gso)
+        tops, rho = _projected_shortest(gso, table, i, _Budget(10**6))
+        near = rho + _nearest_plane(gso, table, [0] * i + list(tops[0][0]), i)
+        for top, _ in tops:
+            zero_tops += 0 in top
+            for lo in sorted({0, i // 2}):
+                got, want = _Budget(10**6), _Budget(10**6)
+                leaves = list(_walk_on(gso, table, [near], got, lo, (top, rho)))
+                dense = reference.lift_walk(gso, [near], want, lo, (top, rho))
+                assert leaves == list(dense) and got.left == want.left
+                walks += bool(leaves)
+        gso = _put(gso, i, _kz_candidates(gso, i, _Budget(10**6))[3])
+    assert walks >= 2 * n and zero_tops >= n // 2
+
+
+def test_put_matches_the_dense_combination(monkeypatch):
+    # _put combines each new row and its head over the nonzero
+    # coefficients alone: the whole IntGSO (b, d, lam, den) equals
+    # reference.dense_put's, which takes full dot products, at every put
+    # of kz_reduce on L_1 and the cases above (L_2 and D_5* among them),
+    # and at puts of an x zero before i and of x with a signed unit
+    # vector past i, after zeros or a combination of the rows before i
+    from conftest import checked_puts
+    from latred import enumeration
+    from latred.constructions import glued_prime_lattice
+
+    seen = checked_puts(monkeypatch)
+    cases = [glued_prime_lattice(1).basis] + _kz_cases()
+    for rows in cases:
+        kz_reduce(Lattice(rows))
+    assert seen[0] == sum(map(len, cases))
+    rng = random.Random(5)
+    for L in (dual_root_d(5), glued_prime_lattice(2)):
+        gso = L._lll[2]
+        n = L.rank
+        for i in range(n):
+            head = [rng.randint(-2, 2) for _ in range(i)]
+            x = [0] * i + [rng.randint(-3, 3) for _ in range(n - i)]
+            x[rng.randrange(i, n)] = 1
+            enumeration._put(gso, i, x)
+            for j in range(i, n):
+                unit = [0] * (n - i)
+                unit[j - i] = (-1) ** j
+                enumeration._put(gso, i, [0] * i + unit)
+                enumeration._put(gso, i, head + unit)
+    assert seen[0] == sum(map(len, cases)) + sum(n + n * (n + 1) for n in (5, 14))
+
+
 def test_put_and_solve_keep_the_lattice():
     # _put keeps the rows before i, puts x . b at row i and LLL-reduces
     # the rows past it, on a basis of the same lattice: d_n is the same
