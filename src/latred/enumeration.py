@@ -435,7 +435,17 @@ def shortest_vector(L: Lattice, node_budget=DEFAULT_BUDGET):
 
 def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
     """Greedy successive minima with witnesses over a growing-bound pool;
-    independence is decided on the pool's integer coordinates.
+    independence is decided on the pool's integer coordinates
+    (_minima_picks)."""
+    pool, chosen = _minima_picks(L, node_budget)
+    return MinimaReport(
+        tuple(map(pool.norm_sq, chosen)), tuple(map(pool.vector, chosen))
+    )
+
+
+def _minima_picks(L: Lattice, node_budget):
+    """(pool, chosen): L's pool and the pool index of each successive
+    minimum's witness.
 
     One scan serves every growth round: a vector in the span of the
     chosen prefix is in the span of every larger prefix, so a round that
@@ -456,8 +466,4 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
                     return pool
         start = end
 
-    pool = _grow(L, pick, node_budget, longest=True)
-    return MinimaReport(
-        tuple(map(pool.norm_sq, chosen)), tuple(map(pool.vector, chosen))
-    )
-
+    return _grow(L, pick, node_budget, longest=True), chosen

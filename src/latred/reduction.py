@@ -68,7 +68,19 @@ def lll(L: Lattice) -> ReductionResult:
 def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     """Greedy reduction: each b_i is a shortest vector keeping the prefix
     primitive, found by scanning L's pool (enumeration._grow) in norm
-    order and deciding primitivity on its integer coordinates.
+    order and deciding primitivity on its integer coordinates
+    (_greedy_picks)."""
+    pool, picks = _greedy_picks(L, node_budget)
+    log = tuple(
+        StepRecord(k, pool.vector(i), pool.norm_sq(i), ties)
+        for k, (i, ties) in enumerate(picks)
+    )
+    return ReductionResult(tuple(rec.vector for rec in log), "minkowski", log)
+
+
+def _greedy_picks(L: Lattice, node_budget):
+    """(pool, picks): L's pool and the greedy's (pool index, ties) per
+    step.
 
     One scan serves every step and growth round.  The prefix P is
     primitive, so L/P is free, and a candidate that does not extend P has
@@ -79,7 +91,7 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     that level before the pick do not extend the prefix either."""
     n = L.rank
     prefix = _Prefix.empty(n)
-    picks = []  # (pool index, ties) per step
+    picks = []
     start = 0
 
     def pick(pool, end):
@@ -98,12 +110,7 @@ def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
                     return pool
         start = end
 
-    pool = _grow(L, pick, node_budget, longest=True)
-    log = tuple(
-        StepRecord(k, pool.vector(i), pool.norm_sq(i), ties)
-        for k, (i, ties) in enumerate(picks)
-    )
-    return ReductionResult(tuple(rec.vector for rec in log), "minkowski", log)
+    return _grow(L, pick, node_budget, longest=True), picks
 
 
 def _kz_candidates(gso, i, budget):

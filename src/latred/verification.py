@@ -38,10 +38,10 @@ from .constructions import (
 from .enumeration import (
     DEFAULT_BUDGET,
     _Budget,
+    _minima_picks,
     _table,
     _walk_on,
     enumerate_up_to,
-    successive_minima,
 )
 from .errors import (
     ConstructionMismatch,
@@ -67,7 +67,13 @@ from .linalg import (
     vscale,
 )
 from .rationals import Q, QZERO, is_integer, qden, qnum, qround
-from .reduction import kz_reduce, minkowski_reduce, shortest_basis, vdw_delta_table
+from .reduction import (
+    _greedy_picks,
+    kz_reduce,
+    minkowski_reduce,
+    shortest_basis,
+    vdw_delta_table,
+)
 
 
 @dataclass
@@ -985,12 +991,20 @@ def _shared_table(d):
 def verify_minkowski_bounds(L, node_budget=DEFAULT_BUDGET) -> TheoremReport:
     """Check the greedy-reduction norm bounds against the successive
     minima: the k/4 factor at k = 6, 7 (with similarity to D_k* exactly
-    at equality) and the improved Delta table everywhere."""
+    at equality) and the improved Delta table everywhere.
+
+    The greedy and the minima pick from L's one pool and return pool
+    indices (_greedy_picks, _minima_picks); indices stay valid as the pool
+    grows, and every norm is rho / M over the pool's one M.  So each bound
+    is an integer cross-multiplication of the pool's rhos, and only the
+    reported norms, and the greedy vectors at an equality, become
+    rationals."""
     t0 = time.monotonic()
     if L.rank < 6:
         raise PreconditionViolated("needs rank >= 6")
-    mink = minkowski_reduce(L, node_budget)
-    minima = successive_minima(L, node_budget)
+    _, greedy = _greedy_picks(L, node_budget)
+    pool, minima = _minima_picks(L, node_budget)
+    rhos = pool.rhos
     # keys are interned, and every table is shared read-only while a
     # report holds it: the quantities of a lattice met again, and the
     # verdict, equality and (empty) witness tables, which most lattices of
@@ -1000,21 +1014,19 @@ def verify_minkowski_bounds(L, node_budget=DEFAULT_BUDGET) -> TheoremReport:
     quantities, verdicts, equalities = {}, {}, {}
     table = vdw_delta_table(L.rank, True)
     all_delta = True
-    for i in range(L.rank):
-        v_sq = mink.step_log[i].norm_sq
-        lam_sq = minima.minima_sq[i]
-        quantities[intern("v_%d_sq" % (i + 1))] = v_sq
-        quantities[intern("lambda_%d_sq" % (i + 1))] = lam_sq
-        all_delta &= v_sq <= table.values[i] * lam_sq
-        if i + 1 in (6, 7):
-            verdicts[intern("v%d_within_quarter_bound" % (i + 1))] = (
-                v_sq <= Q(i + 1, 4) * lam_sq
-            )
-            eq = v_sq == Q(i + 1, 4) * lam_sq
-            equalities[intern("equality_at_%d" % (i + 1))] = eq
+    for k, ((g, _), m, delta) in enumerate(zip(greedy, minima, table.values), 1):
+        v, lam = rhos[g], rhos[m]  # M |v_k|^2 and M lambda_k^2
+        quantities[intern("v_%d_sq" % k)] = pool.norm_sq(g)
+        quantities[intern("lambda_%d_sq" % k)] = pool.norm_sq(m)
+        all_delta &= v * qden(delta) <= qnum(delta) * lam
+        if k in (6, 7):
+            verdicts[intern("v%d_within_quarter_bound" % k)] = 4 * v <= k * lam
+            eq = 4 * v == k * lam
+            equalities[intern("equality_at_%d" % k)] = eq
             if eq:
-                verdicts[intern("similar_to_dual_root_%d" % (i + 1))] = (
-                    similar_to_dual_root(mink.basis[: i + 1], node_budget)
+                basis = tuple(pool.vector(j) for j, _ in greedy[:k])
+                verdicts[intern("similar_to_dual_root_%d" % k)] = (
+                    similar_to_dual_root(basis, node_budget)
                 )
     verdicts["improved_delta_bounds"] = all_delta
     rep = TheoremReport(

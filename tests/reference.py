@@ -57,6 +57,10 @@
   probe side, one lookup per candidate key and offset.
 - `residue_tuples`: the walk over every residue tuple of the glued-prime
   gap argument.
+- `verify_minkowski_bounds`: the greedy-norm check built on the public
+  `minkowski_reduce`, `successive_minima` and `vdw_delta_table`, with
+  every bound compared in rationals; latred compares the pool's integer
+  norms at the greedy's and the minima's pool indices instead.
 - `theorem_gap`, `kz_structure`: the glued-prime verifiers on L_k itself
   (coordinate solves and determinants, enumeration, Smith form, the
   claimed basis's rational GSO and HNF, the KZ-first shortest basis, and
@@ -94,6 +98,7 @@ from latred.enumeration import (
     enumerate_up_to,
     shortest_vector,
 )
+from latred.enumeration import successive_minima as _successive_minima
 from latred.errors import (
     BudgetExceeded,
     DependentRows,
@@ -133,7 +138,7 @@ from latred.linalg import (
     vscale,
 )
 from latred.rationals import Q, QONE, QZERO, is_integer, qden, qfloor, qnum, qround
-from latred.reduction import ReductionResult, StepRecord
+from latred.reduction import ReductionResult, StepRecord, vdw_delta_table
 from latred.reduction import minkowski_reduce as _minkowski_reduce
 from latred.verification import (
     TheoremReport,
@@ -141,6 +146,7 @@ from latred.verification import (
     _lane_adder,
     difference_lattice_basis,
     difference_lattice_min,
+    similar_to_dual_root,
 )
 
 
@@ -1450,3 +1456,32 @@ def glued_shortest_basis(k):
 
 def supports(rows):
     return [{c: x for c, x in enumerate(v) if x} for v in rows]
+
+
+def verify_minkowski_bounds(L, node_budget=DEFAULT_BUDGET):
+    """verify_minkowski_bounds's report, from the public greedy basis and
+    minima: every norm and bound a rational."""
+    if L.rank < 6:
+        raise PreconditionViolated("needs rank >= 6")
+    mink = _minkowski_reduce(L, node_budget)
+    minima = _successive_minima(L, node_budget)
+    rep = TheoremReport("rank_%d" % L.rank)
+    table = vdw_delta_table(L.rank, True)
+    all_delta = True
+    for i in range(L.rank):
+        v_sq = mink.step_log[i].norm_sq
+        lam_sq = minima.minima_sq[i]
+        rep.quantities["v_%d_sq" % (i + 1)] = v_sq
+        rep.quantities["lambda_%d_sq" % (i + 1)] = lam_sq
+        all_delta &= v_sq <= table.values[i] * lam_sq
+        if i + 1 in (6, 7):
+            quarter = Q(i + 1, 4) * lam_sq
+            rep.verdicts["v%d_within_quarter_bound" % (i + 1)] = v_sq <= quarter
+            eq = v_sq == quarter
+            rep.equalities["equality_at_%d" % (i + 1)] = eq
+            if eq:
+                rep.verdicts["similar_to_dual_root_%d" % (i + 1)] = (
+                    similar_to_dual_root(mink.basis[: i + 1], node_budget)
+                )
+    rep.verdicts["improved_delta_bounds"] = all_delta
+    return rep

@@ -235,10 +235,12 @@ def test_reduction_reads_the_one_growing_pool():
 
 
 def test_the_pool_is_built_in_integers():
-    # the pool builder, the held pool and the growth loop make no
-    # rational: only _Pool.vector and _Pool.norm_sq do, for what leaves
-    for function in ("_pool_to", "_held_pool", "_grow"):
+    # the pool builder, the held pool, the growth loop and the greedy and
+    # minima picks make no rational: only _Pool.vector and _Pool.norm_sq
+    # do, for what leaves
+    for function in ("_pool_to", "_held_pool", "_grow", "_minima_picks"):
         assert "Q" not in _names_in(SRC / "enumeration.py", function), function
+    assert "Q" not in _names_in(SRC / "reduction.py", "_greedy_picks")
 
 
 def test_src_takes_no_determinant():

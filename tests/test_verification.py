@@ -876,6 +876,60 @@ def test_minkowski_bounds_solve_no_coordinates(monkeypatch):
     assert tails[0] == 2518
 
 
+def test_minkowski_bounds_match_the_rational_reference():
+    # the verdicts on pool indices and integer norms against the Fraction
+    # reference on the public greedy basis and minima: the same tables, in
+    # the same order.  D_6*, D_7* and 3 D_7* meet the k/4 bound with
+    # equality and run the similarity check on the greedy vectors, and
+    # L_2's greedy grows the pool twice before the minima read it, so its
+    # greedy indices must hold in the grown pool
+    bases = [L.basis for L in minkowski_population(2035, 200)]
+    bases += [dual_root_d(k).basis for k in (6, 7, 8)]
+    bases.append(tuple(vscale(Q(3), v) for v in dual_root_d(7).basis))
+    bases.append(glued_prime_lattice(2).basis)
+    for basis in bases:
+        got = verification.verify_minkowski_bounds(Lattice(basis))
+        want = reference.verify_minkowski_bounds(Lattice(basis))
+        assert got.lattice_id == want.lattice_id
+        for name in ("quantities", "verdicts", "equalities", "witnesses"):
+            table = getattr(got, name)
+            assert list(table.items()) == list(getattr(want, name).items()), name
+
+
+def test_minkowski_bounds_build_rationals_only_for_the_reported_norms(
+    monkeypatch,
+):
+    # on a lattice whose LLL is done and away from equality, every bound is
+    # compared on the pool's integer norms: the only Fractions built are
+    # the 2 rank reported norms, beyond those of the Delta table
+    from fractions import Fraction
+
+    from latred.reduction import vdw_delta_table
+
+    made = [0]
+    fraction = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        made[0] += 1
+        return fraction(cls, *args, **kwargs)
+
+    lattices = minkowski_population(2036, 40) + [glued_prime_lattice(2)]
+    for L in lattices:
+        L._lll  # the LLL makes rationals of its own
+    monkeypatch.setattr(Fraction, "__new__", new)
+    checked = 0
+    for L in lattices:
+        made[0] = 0
+        vdw_delta_table(L.rank, True)
+        table = made[0]
+        made[0] = 0
+        rep = verification.verify_minkowski_bounds(L)
+        if not any(rep.equalities.values()):
+            checked += 1
+            assert 0 < made[0] <= 2 * L.rank + table
+    assert checked >= 40
+
+
 def test_glued_certify_pass_rebuilds_no_lll_gso(monkeypatch):
     # one pass of the glued-certify benchmark (gap and kz-structure for
     # k = 1..3): KZ and the k <= 2 oracle walk projections on the integral
