@@ -23,7 +23,6 @@ from math import isqrt, lcm
 
 from .errors import BudgetExceeded
 from .lattice import IntGSO, Lattice, _Prefix
-from .linalg import matrix
 from .rationals import Q, qexact, qnum, qden
 
 DEFAULT_BUDGET = 10**8
@@ -45,23 +44,19 @@ class VectorList:
 # LLL preprocessing (plumbing, not a contribution; delta = 3/4)
 
 
-def lll_rows(rows):
-    """Exact LLL reduction of independent rows: (new rows, T, gso) with
-    T . rows = new rows, T unimodular, and gso the IntGSO of new rows.
+def lll_rows(w, den):
+    """Exact LLL reduction of the independent rows w / den, w integer rows
+    (linalg._scaled_rows gives both for rational rows): (T, gso) with gso
+    the IntGSO of the new rows gso.b / den, T . w = gso.b and T
+    unimodular.
 
-    _lll of IntGSO.of(rows), which scales the rows by the lcm den of their
-    denominators and raises DependentRows, with T starting at the
-    identity.  Everything returned is nested tuples."""
-    rows = matrix(rows)
-    n = len(rows)
+    _lll of IntGSO.of(w, den), which raises DependentRows, with T
+    starting at the identity.  Everything returned is integers in nested
+    tuples; reduction.lll builds the rational rows."""
+    n = len(w)
     trans = [[int(i == j) for j in range(n)] for i in range(n)]
-    gso = _lll(IntGSO.of(rows), 0, trans)
-    den = gso.den
-    return (
-        tuple(tuple(Q(x, den) for x in r) for r in gso.b),
-        tuple(map(tuple, trans)),
-        gso,
-    )
+    gso = _lll(IntGSO.of(w, den), 0, trans)
+    return tuple(map(tuple, trans)), gso
 
 
 def _lll(gso, lo, trans=None):
@@ -356,7 +351,7 @@ def _held_pool(L: Lattice):
     LLL rows, the first time."""
     pool = L._pool
     if pool is None:
-        gso = L._lll[2]
+        gso = L._lll[1]
         b, _, _, den = gso
         norms = [sum(x * x for x in r) for r in b]
         start = (min(norms), den * den), (max(norms), den * den)
@@ -375,7 +370,7 @@ def _pool_to(L: Lattice, p, q, node_budget):
     if p * hq > hp * q:
         out = []
         bound = [p * pool.m // q]
-        for coeffs, rho, w in _walk(L._lll[2], bound, _Budget(node_budget)):
+        for coeffs, rho, w in _walk(L._lll[1], bound, _Budget(node_budget)):
             # sign normalization: the first nonzero entry positive
             if next(a for a in w if a) < 0:
                 w, coeffs = tuple(-a for a in w), tuple(-t for t in coeffs)
@@ -445,18 +440,14 @@ def successive_minima(L: Lattice, node_budget=DEFAULT_BUDGET) -> MinimaReport:
 
 def _minima_picks(L: Lattice, node_budget):
     """(pool, chosen): L's pool and the pool index of each successive
-    minimum's witness.
-
-    One scan serves every growth round: a vector in the span of the
-    chosen prefix is in the span of every larger prefix, so a round that
-    found too few resumes at the end of its cut, with the prefix held."""
+    minimum's witness.  The first pool is cut at the longest LLL row or
+    above, so it holds the rank independent LLL rows: one round picks all."""
     held = _Prefix.empty(L.rank)
     chosen = []
-    start = 0
 
     def pick(pool, end):
-        nonlocal held, start
-        for i in range(start, end):
+        nonlocal held
+        for i in range(end):
             c = pool.coords[i]
             tail = held.independent(c)
             if tail is not None:
@@ -464,6 +455,5 @@ def _minima_picks(L: Lattice, node_budget):
                 chosen.append(i)
                 if len(chosen) == L.rank:
                     return pool
-        start = end
 
     return _grow(L, pick, node_budget, longest=True), chosen

@@ -1,8 +1,8 @@
 """The Lattice abstraction and the operations the reductions build on.
 
 A lattice is held as an ordered basis of exact rational row vectors.  It
-caches its LLL basis with the LLL transform and the integral Gram-Schmidt
-data that the integral LLL ends with (IntGSO), and the largest
+caches the LLL transform and the integral Gram-Schmidt data that the
+integral LLL ends with (IntGSO), both in integers, and the largest
 short-vector pool enumerated from it; every result depends on the basis
 alone, so Lattice values are safe to share.  Coordinates, covolume and the
 enumeration's integer walk all read that one IntGSO, and a completion
@@ -23,7 +23,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -61,12 +61,13 @@ class IntGSO(namedtuple("IntGSO", "b d lam den")):
     __slots__ = ()
 
     @classmethod
-    def of(cls, rows):
-        """The IntGSO of independent rational rows, scaled by the lcm of
-        their denominators; raises DependentRows."""
-        gso = cls((), (1,), (), lcm(*(qden(e) for r in rows for e in r)))
-        for r in rows:
-            gso = gso.extended(r)
+    def of(cls, w, den):
+        """The IntGSO of the independent rows w / den, for integer rows w
+        (linalg._scaled_rows gives both for rational rows); raises
+        DependentRows."""
+        gso = cls((), (1,), (), den)
+        for r in w:
+            gso = gso.appended(tuple(r))
         return gso
 
     def extended(self, v):
@@ -160,17 +161,17 @@ class Lattice:
 
     # the largest short-vector pool enumerated so far, in integers
     # (enumeration._Pool): M |v|^2, den v and the integer coordinates over
-    # the LLL basis _lll[0] of each vector, with the fixed M and den of the
-    # LLL basis's IntGSO; None until the first enumeration
+    # the LLL basis, the rows of _lll[1], of each vector, with the fixed M
+    # and den of that IntGSO; None until the first enumeration
     _pool = None
 
     @cached_property
     def _lll(self):
-        """(LLL basis, T, IntGSO of the LLL basis), T . basis = LLL basis
-        and T unimodular."""
+        """(T, IntGSO of the LLL basis), all integers: T . basis = LLL
+        basis = gso.b / gso.den and T unimodular."""
         from .enumeration import lll_rows
 
-        return lll_rows(self.basis)
+        return lll_rows(*linalg._scaled_rows(self.basis))
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def coordinates(L: Lattice, v):
     is integral, lam_W = _target_lam(gso, v), and _back_substitute gives
     the integers dz_j = d_n z_j of W = sum_j z_j b_j.  Then
     x = (dz . T) den / (d_n s), one division per entry."""
-    _, trans, gso = L._lll
+    trans, gso = L._lll
     lam_w, s = _target_lam(gso, v)
     dz = _back_substitute(gso, lam_w)
     scale = gso.d[-1] * s
@@ -227,7 +228,7 @@ def contains(L: Lattice, v) -> bool:
     """True iff v is an integer combination of the basis rows: one _solve
     on the LLL basis's IntGSO."""
     try:
-        _solve(L._lll[2], v)
+        _solve(L._lll[1], v)
     except (NotInSpan, NotInLattice):
         return False
     return True
@@ -252,7 +253,7 @@ def _solve(gso, v):
 def integer_coordinates(L: Lattice, v):
     """The integer x with x . basis = v: _solve on the LLL basis, mapped
     back through T; raises NotInSpan or NotInLattice."""
-    _, trans, gso = L._lll
+    trans, gso = L._lll
     z = _solve(gso, v)
     return tuple(sum(a * r[c] for a, r in zip(z, trans) if a) for c in range(L.rank))
 
@@ -260,7 +261,7 @@ def integer_coordinates(L: Lattice, v):
 def covolume_squared(L: Lattice):
     """det of the basis Gram matrix; basis-independent, so it is read off
     the LLL basis's IntGSO as d_n / den^(2n)."""
-    _, d, _, den = L._lll[2]
+    _, d, _, den = L._lll[1]
     return Q(d[-1], den ** (2 * L.rank))
 
 
@@ -429,7 +430,7 @@ def primitive_completion(L: Lattice, sub, y0, lambda_next_sq):
     # gcd, are put in its place.  The rows stay a basis of L, so a later
     # vector is solved as over L.basis, and sub is primitive iff every gcd
     # is 1; then the rows are [sub; completion]
-    gso = L._lll[2]
+    gso = L._lll[1]
     primitive = True
     for t, v in enumerate(sub):
         x = _solve(gso, v)

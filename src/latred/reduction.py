@@ -61,8 +61,11 @@ class ShortestBasisReport:
 
 
 def lll(L: Lattice) -> ReductionResult:
-    """LLL reduction with delta = 3/4: the LLL basis L caches."""
-    return ReductionResult(L._lll[0], "lll", ())
+    """LLL reduction with delta = 3/4: the rows of the IntGSO L caches
+    over their denominator."""
+    gso = L._lll[1]
+    basis = tuple(tuple(Q(x, gso.den) for x in r) for r in gso.b)
+    return ReductionResult(basis, "lll", ())
 
 
 def minkowski_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
@@ -151,7 +154,7 @@ def kz_reduce(L: Lattice, node_budget=DEFAULT_BUDGET) -> ReductionResult:
     node_budget bounds each step's walks on its own: every step, step 0
     included, spends one _Budget of node_budget nodes.  An exhausted budget
     raises BudgetExceeded."""
-    gso = L._lll[2]
+    gso = L._lll[1]
     log = []
     for i in range(L.rank):
         v, norm, ties, x = _kz_candidates(gso, i, _Budget(node_budget))

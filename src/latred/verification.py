@@ -60,6 +60,7 @@ from .lattice import (
 )
 from .linalg import (
     _int_rows,
+    _scaled_rows,
     dot,
     gram_matrix,
     norm_sq,
@@ -351,7 +352,7 @@ def _confirm_member(v, route) -> bool:
     # coordinates over the generators past the first, as in coordinates(),
     # on their IntGSO, built at the first hit
     if "gso" not in route:
-        route["gso"] = IntGSO.of(route["rows"])
+        route["gso"] = IntGSO.of(route["rows"], 1)
     gso = route["gso"]
     lam_w, s = _target_lam(gso, v)
     scale = gso.d[-1] * s
@@ -761,13 +762,14 @@ def _kz_structure(params, claimed) -> TheoremReport:
         # no shorter leaf; and the generic reduction (whose tie choices at
         # equal projected norms may differ) must reach the same norm
         # profile up to reordering
-        gso = IntGSO.of(_dense(params.dims[-1], claimed))
+        gso = IntGSO.of(*_scaled_rows(_dense(params.dims[-1], claimed)))
         ok = _kz_oracle(gso)
         generic = kz_reduce(glued_prime_lattice(params.k))
         ok &= sorted(norm_sq(u) for u in generic.basis) == sorted(
             Q(*_sq_ratio(s)) for s in claimed
         )
-        ok &= sorted(_gso_norms(IntGSO.of(generic.basis))) == sorted(_gso_norms(gso))
+        generic_gso = IntGSO.of(*_scaled_rows(generic.basis))
+        ok &= sorted(_gso_norms(generic_gso)) == sorted(_gso_norms(gso))
         rep.verdicts["matches_generic_kz"] = ok
     return rep
 

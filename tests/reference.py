@@ -127,6 +127,7 @@ from latred.lattice import integer_coordinates as lll_coordinates
 from latred.linalg import (
     _int_rows,
     _scaled,
+    _scaled_rows,
     dot,
     gram_matrix,
     matrix,
@@ -597,12 +598,13 @@ def fraction_pool(L, bound_sq, node_budget=DEFAULT_BUDGET):
     sorted in rationals too.  The coordinates are over the LLL basis,
     from one walk of its IntGSO."""
     bound_sq = Q(bound_sq)
-    gso = L._lll[2]
+    gso = L._lll[1]
     m, _ = _weights(gso)
     bound = [qnum(bound_sq) * m // qden(bound_sq)]
     out = []
+    basis = reduction.lll(L).basis
     for x, _, _ in _walk(gso, bound, _Budget(node_budget)):
-        v = row_times_mat(x, L._lll[0])
+        v = row_times_mat(x, basis)
         if next(a for a in v if a) < 0:
             v, x = vscale(-1, v), tuple(-a for a in x)
         out.append((norm_sq(v), v, x))
@@ -880,7 +882,7 @@ def kz_reduce(L):
             lifts = complete_to_basis(L, prefix)[len(prefix) :]
             gso = gram_schmidt(prefix)
             proj = Lattice([orthogonal_part(w, gso) for w in lifts])
-            sub = IntGSO.of(prefix)
+            sub = IntGSO.of(*_scaled_rows(prefix))
             found = set()
             for p in _shortest_vectors(proj):
                 y = row_times_mat(coordinates(proj, p), lifts)
@@ -929,7 +931,7 @@ def kz_reduce_on_projections(L, node_budget=DEFAULT_BUDGET):
     over L's denominator."""
     prefix = []
     held = _Prefix.empty(L.rank)
-    gso = IntGSO((), (1,), (), L._lll[2].den)
+    gso = IntGSO((), (1,), (), L._lll[1].den)
     log = []
     for i in range(L.rank):
         cands = _kz_candidates_on_projections(L, prefix, held, gso, node_budget)

@@ -206,12 +206,12 @@ def test_criterion_8_property_suites():
     rng = random.Random(88)
     # shortest_vector against exhaustive search on 100 dim-4 lattices
     from test_enumeration import brute_force_vectors
-    from latred.enumeration import lll_rows
+    from latred.reduction import lll
 
     for _ in range(100):
         L = random_integer_lattice(rng, 4, 4)
         _, nsq = shortest_vector(L)
-        start = min(norm_sq(r) for r in lll_rows(L.basis)[0])
+        start = min(norm_sq(r) for r in lll(L).basis)
         assert nsq == min(norm_sq(w) for w in brute_force_vectors(L, start))
     # completion bound on 100 instances of dimension <= 8
     done = 0

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_integer_lattice
 from reference import determinant, inverse, normalize_sign
+from latred import reduction
 from latred.enumeration import (
     enumerate_up_to,
     lll_rows,
@@ -61,7 +62,7 @@ def test_lll_rows_preserves_lattice():
     rng = random.Random(2)
     for _ in range(10):
         L = random_integer_lattice(rng, 4)
-        red = lll_rows(L.basis)[0]
+        red = reduction.lll(L).basis
         assert abs(determinant(red)) == abs(determinant(L.basis))
         M = Lattice(red)
         from latred.lattice import contains
@@ -84,7 +85,7 @@ def test_shortest_vector_brute_force_dim4():
     for _ in range(25):
         L = random_integer_lattice(rng, 4, 4)
         v, nsq = shortest_vector(L)
-        start = min(norm_sq(r) for r in lll_rows(L.basis)[0])
+        start = min(norm_sq(r) for r in reduction.lll(L).basis)
         oracle = min(
             int(norm_sq(w)) for w in brute_force_vectors(L, start)
         )
@@ -172,16 +173,24 @@ def _lll_inputs():
 
 
 def test_integral_lll_matches_rational_reference():
-    # the rows equal the rational reference's, and the transform is
-    # unimodular and maps the input rows to them
-    from conftest import mat_mul
+    # lll(L)'s rows equal the rational reference's, and lll_rows on the
+    # scaled rows w over den returns an integer unimodular transform that
+    # maps w to its IntGSO's rows, over den: on the seeded bases, 60
+    # random-minkowski lattices, D_5*, D_7* and L_1..L_3
+    from conftest import mat_mul, minkowski_population
     from reference import lll_rows as rational_lll_rows
-    from latred.constructions import glued_prime_lattice
+    from latred.constructions import dual_root_d, glued_prime_lattice
+    from latred.linalg import _scaled_rows
 
-    for rows in _lll_inputs() + [glued_prime_lattice(2).basis]:
-        red, t, _ = lll_rows(rows)
-        assert red == rational_lll_rows(rows)
-        assert mat_mul(t, rows) == red and abs(determinant(t)) == 1
+    lattices = [Lattice(rows) for rows in _lll_inputs()]
+    lattices += minkowski_population(2037, 60) + [dual_root_d(5), dual_root_d(7)]
+    lattices += [glued_prime_lattice(k) for k in (1, 2, 3)]
+    for L in lattices:
+        assert reduction.lll(L).basis == rational_lll_rows(L.basis)
+        w, den = _scaled_rows(L.basis)
+        t, gso = lll_rows(w, den)
+        assert gso.den == den and mat_mul(t, w) == gso.b
+        assert abs(determinant(t)) == 1
         assert all(isinstance(x, int) for r in t for x in r)
 
 
@@ -196,26 +205,56 @@ def test_integral_gso_matches_the_rational_references():
     lattices = [Lattice(rows) for rows in _lll_inputs()]
     lattices += [glued_prime_lattice(2), glued_prime_lattice(3)]
     for L in lattices:
-        want = gram_schmidt(L._lll[0])
-        assert int_rational(L._lll[2]) == (want.mu, want.norms_sq)
+        want = gram_schmidt(reduction.lll(L).basis)
+        assert int_rational(L._lll[1]) == (want.mu, want.norms_sq)
         assert covolume_squared(L) == determinant(gram_matrix(L.basis))
 
 
+def test_lll_cache_makes_no_fraction(monkeypatch):
+    # a Lattice's LLL cache, T and the IntGSO, is built from its rows
+    # scaled to integers (linalg._scaled_rows) and holds integers alone:
+    # on rational and integer bases, it makes no Fraction.  reduction.lll
+    # builds the rational LLL basis
+    from fractions import Fraction
+
+    from conftest import minkowski_population
+    from latred.constructions import dual_root_d, glued_prime_lattice
+
+    made = [0]
+    fraction = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        made[0] += 1
+        return fraction(cls, *args, **kwargs)
+
+    lattices = [Lattice(rows) for rows in _lll_inputs()[:40]]
+    lattices += minkowski_population(2038, 20) + [dual_root_d(5), dual_root_d(7)]
+    lattices += [glued_prime_lattice(k) for k in (1, 2, 3)]
+    monkeypatch.setattr(Fraction, "__new__", new)
+    for L in lattices:
+        trans, gso = L._lll
+        assert all(type(x) is int for r in trans + gso.b + gso.lam for x in r)
+    assert made[0] == 0
+
+
 def test_lll_rows_output_keys_the_benchmark_tracer():
-    # the benchmark's tracer keys each lll_rows result by
-    # tuple(tuple(r) for r in out) to spot repeated work; that key must
-    # hash, or a traced run crashes
+    # the benchmark's tracer keys each lll_rows call by its first argument
+    # and its result, each as tuple(tuple(r) for r in ...), to spot
+    # repeated work; both keys must build and hash, or a traced run
+    # crashes: every part of the result (T, gso) is iterable
     from latred.lattice import IntGSO
+    from latred.linalg import _scaled_rows
 
     for rows in _lll_inputs()[:20]:
-        out = lll_rows(rows)
+        args = _scaled_rows(rows)
+        out = lll_rows(*args)
+        hash(tuple(tuple(r) for r in args[0]))
         hash(tuple(tuple(r) for r in out))
-        red, t, gso = out
+        t, gso = out
         b, d, lam, den = gso
-        assert isinstance(gso, IntGSO) and red == tuple(
-            tuple(Q(x, den) for x in r) for r in b
-        )
-        assert d[0] == 1 and len(d) == len(red) + 1 and len(lam) == len(red)
+        assert isinstance(gso, IntGSO) and den == args[1]
+        assert len(t) == len(b) == len(rows) and len(lam) == len(b)
+        assert d[0] == 1 and len(d) == len(b) + 1
 
 
 def test_lll_rows_builds_no_gram_schmidt():
@@ -228,9 +267,11 @@ def test_lll_rows_builds_no_gram_schmidt():
     from latred.constructions import glued_prime_lattice
     from latred.lattice import IntGSO
 
+    from latred.linalg import _scaled_rows
+
     assert not hasattr(IntGSO, "rational")
-    lll_rows(glued_prime_lattice(3).basis)
-    lll_rows(_lll_inputs()[0])
+    lll_rows(*_scaled_rows(glued_prime_lattice(3).basis))
+    lll_rows(*_scaled_rows(_lll_inputs()[0]))
     for name in ("linalg", "lattice", "enumeration", "reduction", "verification"):
         assert not hasattr(import_module("latred." + name), "gram_schmidt")
 
@@ -246,12 +287,13 @@ def test_pool_coordinates_give_the_pool_vectors():
         L = random_integer_lattice(rng, 5, 4)
         got = enumerate_up_to(L, Q(rng.randint(10, 30))).vectors
         pool = L._pool
-        gso = L._lll[2]
+        gso = L._lll[1]
+        basis = reduction.lll(L).basis
         assert (pool.m, pool.den) == (_weights(gso)[0], gso.den)
         assert len(pool.rhos) == len(pool.ws) == len(pool.coords) == len(got)
         for v, rho, w, c in zip(got, pool.rhos, pool.ws, pool.coords):
             assert all(isinstance(x, int) for x in (rho, *w, *c))
-            assert row_times_mat(c, L._lll[0]) == v
+            assert row_times_mat(c, basis) == v
             assert tuple(Q(a, pool.den) for a in w) == v
             assert Q(rho, pool.m) == norm_sq(v)
 
@@ -279,7 +321,7 @@ def test_integer_pool_matches_the_fraction_pool():
     from conftest import minkowski_population
 
     for L in _walk_cases() + minkowski_population(2028, 20):
-        top = max(map(norm_sq, L._lll[0]))
+        top = max(map(norm_sq, reduction.lll(L).basis))
         got = enumerate_up_to(L, top)
         pool = L._pool
         vectors, coords, norms = reference.fraction_pool(L, top)
@@ -352,7 +394,7 @@ def test_integer_walk_matches_the_rational_walk():
     from latred.enumeration import _Budget, _nearest_plane, _table, _walk, _walk_on
 
     for L in _walk_cases():
-        gso, lll = L._lll[2], L._lll[0]
+        gso, lll = L._lll[1], reduction.lll(L).basis
         mu, c = reference.int_rational(gso)
         table = _table(gso)
         m = table[0]
@@ -384,9 +426,24 @@ def test_integer_walk_matches_the_rational_walk():
                 assert all(u == _den_sum(gso, lll, y) for y, _, u in lifts)
 
 
+def test_successive_minima_walks_once(monkeypatch):
+    # the minima's first pool is cut at the longest LLL row, so it holds
+    # the rank independent LLL rows and no second growth round runs: on a
+    # fresh lattice the minima take one walk
+    from conftest import count_calls, minkowski_population
+    from latred.constructions import dual_root_d, glued_prime_lattice
+
+    walks = count_calls(monkeypatch, "enumeration._walk")
+    lattices = minkowski_population(2039, 40)
+    for L in lattices + [dual_root_d(5), glued_prime_lattice(2)]:
+        walks["enumeration._walk"] = 0
+        successive_minima(L)
+        assert walks["enumeration._walk"] == 1
+
+
 def test_enumeration_builds_no_rational_per_node(monkeypatch):
-    # a fresh enumerate_up_to on a lattice whose LLL is done makes the
-    # entries and the norm of each kept vector rationals, with one call of
+    # a fresh enumerate_up_to on a fresh lattice, its LLL included, makes
+    # the entries and the norm of each kept vector rationals, with one call of
     # enumeration.Q each, and on the Fraction backend no other Fraction:
     # at most (dim + 1) per kept vector, and none per walker node
     from fractions import Fraction
@@ -409,8 +466,6 @@ def test_enumeration_builds_no_rational_per_node(monkeypatch):
     rng = random.Random(2022)
     cases = [(random_integer_lattice(rng, 6, 4), Q(40)) for _ in range(3)]
     cases += [(glued_prime_lattice(2), Q(5, 4)), (dual_root_d(6), Q(3, 2))]
-    for L, _ in cases:
-        L._lll  # the LLL makes rationals of its own
     monkeypatch.setattr(enumeration, "Q", counted)
     monkeypatch.setattr(Fraction, "__new__", new)
     for L, bound in cases:
@@ -442,7 +497,7 @@ def test_growth_starts_at_the_held_bound(monkeypatch):
 
 
 def test_pool_picks_build_rationals_only_for_what_they_return(monkeypatch):
-    # on a lattice whose LLL is done, the greedy reduction and the
+    # on a fresh lattice, its LLL included, the greedy reduction and the
     # successive minima compare the pool's integers and build Fractions
     # only for the rank vectors and norms they return: at most
     # rank (dim + 1) each, whatever the pool's size and growth rounds
@@ -468,8 +523,6 @@ def test_pool_picks_build_rationals_only_for_what_they_return(monkeypatch):
         # reduction on a shared one, as verify_minkowski_bounds runs them
         cases += [(Lattice(basis), minkowski_reduce), (Lattice(basis), successive_minima)]
         cases += [(shared, minkowski_reduce), (shared, successive_minima)]
-    for L, _ in cases:
-        L._lll  # the LLL makes rationals of its own
     monkeypatch.setattr(Fraction, "__new__", new)
     for L, run in cases:
         made[0] = 0

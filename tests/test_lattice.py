@@ -385,9 +385,10 @@ def test_integral_prefix_gso_matches_the_rational_reference():
     # mu, norms, projections, GSO coordinates of in-span vectors and the
     # projections of the reference's completion lifts, all exactly equal
     from latred.lattice import IntGSO
+    from latred.linalg import _scaled_rows
 
     for L, prefix, probes in _gso_cases():
-        gso = IntGSO.of(prefix)
+        gso = IntGSO.of(*_scaled_rows(prefix))
         want = reference.gram_schmidt(prefix)
         assert reference.int_rational(gso) == (want.mu, want.norms_sq)
         for w in probes + list(L.basis):
@@ -675,7 +676,7 @@ def test_coordinates_off_the_basis_denominator_match_the_reference():
         x = [Q(rng.randint(-9, 9), rng.choice((1, 5, 7))) for _ in range(n)]
         v = row_times_mat(x, L.basis)
         assert coordinates(L, v) == reference.coordinates(L, v) == tuple(x)
-        off_den += any(L._lll[2].den % e.denominator for e in v)
+        off_den += any(L._lll[1].den % e.denominator for e in v)
         c = [rng.randint(-4, 4) for _ in range(n)]
         w = row_times_mat(c, L.basis)
         assert integer_coordinates(L, w) == reference.integer_coordinates(L, w)

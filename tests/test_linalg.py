@@ -73,7 +73,7 @@ def test_determinant_matches_fraction_elimination(rows):
     # the Gram determinant d_n / den^(2n), and dependent rows raise
     od = fraction_determinant(rows)
     try:
-        _, d, _, den = IntGSO.of(qmat(rows))
+        _, d, _, den = IntGSO.of(*_scaled_rows(rows))
     except DependentRows:
         assert od == 0
     else:
@@ -202,7 +202,7 @@ def test_gram_schmidt_orthogonality(rows):
     m = qmat(rows)
     if determinant(m) == 0:
         return
-    gso = IntGSO.of(m)
+    gso = IntGSO.of(*_scaled_rows(m))
     mu, norms = reference.int_rational(gso)
     bstar = []
     for i in range(len(m)):

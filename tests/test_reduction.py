@@ -157,7 +157,7 @@ def test_greedy_and_minima_from_the_longest_row_match_the_reference():
 
     L = glued_prime_lattice(2)
     mink, _ = answers(L.basis)
-    assert max(map(norm_sq, L._lll[0])) == Q(13, 9)
+    assert max(map(norm_sq, lll(L).basis)) == Q(13, 9)
     assert mink.step_log[-1].norm_sq == Q(73, 36)
     rng = random.Random(2032)
     for L in minkowski_population(2031, 8):
@@ -502,7 +502,7 @@ def test_lift_walks_match_the_dense_top_walk():
     )
     from latred.reduction import _kz_candidates
 
-    gso = glued_prime_lattice(2)._lll[2]
+    gso = glued_prime_lattice(2)._lll[1]
     n = len(gso.b)
     walks = zero_tops = 0
     for i in range(n):
@@ -539,7 +539,7 @@ def test_put_matches_the_dense_combination(monkeypatch):
     assert seen[0] == sum(map(len, cases))
     rng = random.Random(5)
     for L in (dual_root_d(5), glued_prime_lattice(2)):
-        gso = L._lll[2]
+        gso = L._lll[1]
         n = L.rank
         for i in range(n):
             head = [rng.randint(-2, 2) for _ in range(i)]
@@ -574,7 +574,7 @@ def test_put_and_solve_keep_the_lattice():
     puts = 0
     for rows in _kz_cases():
         L = Lattice(rows)
-        _, trans, gso = L._lll
+        trans, gso = L._lll
         n = L.rank
         for _ in range(3):
             v = row_times_mat([rng.randint(-3, 3) for _ in range(n)], L.basis)

@@ -234,6 +234,20 @@ def test_reduction_reads_the_one_growing_pool():
         assert name not in text, name
 
 
+def test_the_lll_cache_is_built_in_integers():
+    # lll_rows and IntGSO.of take integer rows over one denominator and
+    # read no rational: callers scale rational rows with
+    # linalg._scaled_rows, and reduction.lll alone builds the rational
+    # LLL basis
+    rational = {"Q", "matrix", "qnum", "qden", "qexact"}
+    for path, function in (
+        (SRC / "enumeration.py", "lll_rows"),
+        (SRC / "enumeration.py", "_lll"),
+        (SRC / "lattice.py", "IntGSO.of"),
+    ):
+        assert not _names_in(path, function) & rational, function
+
+
 def test_the_pool_is_built_in_integers():
     # the pool builder, the held pool, the growth loop and the greedy and
     # minima picks make no rational: only _Pool.vector and _Pool.norm_sq
@@ -368,11 +382,15 @@ def _identifiers(node):
 
 
 def _names_in(path, function):
-    """The names that the top-level function reads in the file path."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    node = next(
-        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
-    )
+    """The names that the top-level function, or the method "Class.name",
+    reads in the file path."""
+    node = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for name in function.split("."):
+        node = next(
+            n
+            for n in node.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name
+        )
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 

@@ -115,12 +115,13 @@ def test_kz_oracle_passes_the_k3_claim(monkeypatch):
     # with a long vector, which the oracle refuses
     from conftest import count_nodes
     from latred.lattice import IntGSO
+    from latred.linalg import _scaled_rows
 
     claimed = glued_kz_claimed_basis(3)
     spent = count_nodes(monkeypatch)
-    assert verification._kz_oracle(IntGSO.of(claimed))
+    assert verification._kz_oracle(IntGSO.of(*_scaled_rows(claimed)))
     assert spent[0] == 4875
-    assert not verification._kz_oracle(IntGSO.of(claimed[::-1]))
+    assert not verification._kz_oracle(IntGSO.of(*_scaled_rows(claimed[::-1])))
 
 
 def test_shortest_basis_reaches_the_k4_glued_claim():
@@ -742,13 +743,14 @@ def test_projected_tails_match_sequential_projection():
     # claimed prefix, equal the rational reference's running tails and
     # the component-by-component projection
     from latred.lattice import IntGSO
+    from latred.linalg import _scaled_rows
 
     for k in (2, 3):
         claimed = glued_kz_claimed_basis(k)
         gso = reference.gram_schmidt(claimed)
         tails = list(reference.projected_tails(claimed, gso))
         assert len(tails) == len(claimed)
-        held = IntGSO.of(claimed)
+        held = IntGSO.of(*_scaled_rows(claimed))
         for i, tail in enumerate(tails):
             head = IntGSO(held.b[:i], held.d[: i + 1], held.lam[:i], held.den)
             expected = []
@@ -899,9 +901,9 @@ def test_minkowski_bounds_match_the_rational_reference():
 def test_minkowski_bounds_build_rationals_only_for_the_reported_norms(
     monkeypatch,
 ):
-    # on a lattice whose LLL is done and away from equality, every bound is
-    # compared on the pool's integer norms: the only Fractions built are
-    # the 2 rank reported norms, beyond those of the Delta table
+    # on a fresh lattice, its LLL included, and away from equality, every
+    # bound is compared on the pool's integer norms: the only Fractions
+    # built are the 2 rank reported norms, beyond those of the Delta table
     from fractions import Fraction
 
     from latred.reduction import vdw_delta_table
@@ -914,8 +916,6 @@ def test_minkowski_bounds_build_rationals_only_for_the_reported_norms(
         return fraction(cls, *args, **kwargs)
 
     lattices = minkowski_population(2036, 40) + [glued_prime_lattice(2)]
-    for L in lattices:
-        L._lll  # the LLL makes rationals of its own
     monkeypatch.setattr(Fraction, "__new__", new)
     checked = 0
     for L in lattices:
